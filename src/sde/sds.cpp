@@ -1,6 +1,7 @@
 #include "sde/sds.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <unordered_set>
 
@@ -25,134 +26,184 @@ constexpr std::uint64_t kDeadVirtualSentinel = ~std::uint64_t{0};
 
 }  // namespace
 
-SdsMapper::VState& SdsMapper::newVirtual(ExecutionState* actual,
-                                         VDState& dstate) {
+SdsMapper::VState& SdsMapper::newVirtual(Actual& actual, VDState& dstate) {
   VState& v = virtualPool_.emplace_back();
   v.id = nextVirtualId_++;
-  v.actual = actual;
+  v.actual = &actual;
   v.dstate = &dstate;
-  dstate.byNode[actual->node()].push_back(&v);
-  byActual_[actual].push_back(&v);
+  dstate.byNode[actual.state->node()].push_back(&v);
+  actual.virtuals.push_back(&v);
   ++liveVirtuals_;
   return v;
 }
 
+SdsMapper::VDState& SdsMapper::newDstate() {
+  VDState& dstate = dstates_.emplace_back();
+  dstate.id = nextDstateId_++;
+  dstate.byNode.resize(numNodes_);
+  return dstate;
+}
+
 void SdsMapper::removeFromDstate(VState& v) {
-  eraseValue(v.dstate->byNode[v.actual->node()], &v);
+  eraseValue(v.dstate->byNode[v.actual->state->node()], &v);
 }
 
 void SdsMapper::moveVirtual(VState& v, VDState& dstate) {
   removeFromDstate(v);
   v.dstate = &dstate;
-  dstate.byNode[v.actual->node()].push_back(&v);
+  dstate.byNode[v.actual->state->node()].push_back(&v);
 }
 
-void SdsMapper::rebindVirtual(VState& v, ExecutionState* actual) {
-  SDE_ASSERT(actual->node() == v.actual->node(),
-             "rebind must stay on the same node");
-  eraseValue(byActual_[v.actual], &v);
-  // Within the dstate the slot is per-node, so the membership list does
-  // not change — only the actual-state binding.
-  v.actual = actual;
-  byActual_[actual].push_back(&v);
-}
-
-std::vector<SdsMapper::VState*>& SdsMapper::virtualsOf(
-    const ExecutionState& state) {
+SdsMapper::Actual& SdsMapper::actualOf(const ExecutionState& state) {
   const auto it = byActual_.find(&state);
   SDE_ASSERT(it != byActual_.end(), "state not registered with SDS");
   return it->second;
 }
 
+SdsMapper::Actual& SdsMapper::actualFor(ExecutionState& state) {
+  Actual& actual = byActual_[&state];
+  actual.state = &state;
+  return actual;
+}
+
 void SdsMapper::registerInitialStates(
     std::span<ExecutionState* const> states) {
   SDE_ASSERT(states.size() == numNodes_, "need exactly one state per node");
-  VDState& dstate = dstates_.emplace_back();
-  dstate.id = nextDstateId_++;
-  dstate.byNode.resize(numNodes_);
-  for (ExecutionState* state : states) newVirtual(state, dstate);
+  VDState& dstate = newDstate();
+  for (ExecutionState* state : states) newVirtual(actualFor(*state), dstate);
 }
 
 void SdsMapper::onLocalBranch(ExecutionState& original,
                               ExecutionState& sibling, MapperRuntime&) {
   // COW semantics lifted to virtual states: the sibling joins every
   // dstate the original inhabits (they share one communication history).
-  const std::vector<VState*> snapshot = virtualsOf(original);
-  for (VState* vo : snapshot) newVirtual(&sibling, *vo->dstate);
+  const Actual& from = actualOf(original);
+  Actual& to = actualFor(sibling);
+  to.virtuals.reserve(from.virtuals.size());
+  for (const VState* vo : from.virtuals) newVirtual(to, *vo->dstate);
 }
 
 std::vector<ExecutionState*> SdsMapper::onTransmit(ExecutionState& sender,
                                                    const net::Packet& packet,
                                                    MapperRuntime& runtime) {
-  runtime.stats().bump("map.transmissions");
   const NodeId src = sender.node();
   const NodeId dst = packet.dst;
   SDE_ASSERT(dst < numNodes_, "destination out of range");
+  // The sender's virtual list is iterated while virtuals of other nodes
+  // are created and re-bound; a self-send would alias it.
+  SDE_ASSERT(dst != src, "a node never transmits to itself");
+  const std::uint64_t epoch = ++epoch_;
 
   // Phase 1+2 (paper §III-C.1/2): identify the sending virtual states,
   // their dstates, and — per dstate — whether direct rivals exist.
-  const std::vector<VState*> sendingVirtuals = virtualsOf(sender);
-  std::unordered_set<const VDState*> senderDstates;
-  for (const VState* vs : sendingVirtuals) senderDstates.insert(vs->dstate);
-  SDE_ASSERT(senderDstates.size() == sendingVirtuals.size(),
-             "a dstate may contain at most one virtual per actual state");
-
-  auto hasDirectRivals = [&](const VDState& dstate) {
+  const std::vector<VState*>& sendingVirtuals = actualOf(sender).virtuals;
+  const auto hasDirectRivals = [src](const VDState& dstate) {
     // Any node-src virtual besides the sender's own is a direct rival.
     return dstate.byNode[src].size() > 1;
   };
 
   // Target actual states: actuals of destination-node virtuals in the
   // sender's dstates (deterministic order: by dstate, then slot order).
-  std::vector<ExecutionState*> targets;
-  for (const VState* vs : sendingVirtuals)
-    for (const VState* vt : vs->dstate->byNode[dst])
-      if (std::find(targets.begin(), targets.end(), vt->actual) ==
-          targets.end())
-        targets.push_back(vt->actual);
+  // Those virtuals are exactly the targets' virtuals in sender dstates —
+  // the ones a forking target keeps — so they are collected here, each
+  // with its target's index.
+  struct Kept {
+    std::size_t target;
+    VState* v;
+  };
+  std::vector<Actual*> targets;
+  std::vector<Kept> kept;
+  for (const VState* vs : sendingVirtuals) {
+    VDState& dstate = *vs->dstate;
+    // Phase 3 counts kept virtuals against list lengths, which is only
+    // sound if each sender dstate is walked once.
+    SDE_ASSERT(dstate.senderMark != epoch,
+               "a dstate may contain at most one virtual per actual state");
+    dstate.senderMark = epoch;
+    for (VState* vt : dstate.byNode[dst]) {
+      Actual& target = *vt->actual;
+      if (target.targetMark != epoch) {
+        target.targetMark = epoch;
+        target.ordinal = targets.size();
+        target.nonReceiving = nullptr;
+        targets.push_back(&target);
+      }
+      kept.push_back({target.ordinal, vt});
+    }
+  }
   SDE_ASSERT(!targets.empty(), "every dstate covers the destination node");
+  // Group by target; within a group, by address for binary search.
+  std::ranges::sort(kept, [](const Kept& a, const Kept& b) {
+    return a.target != b.target ? a.target < b.target
+                                : std::less<const VState*>{}(a.v, b.v);
+  });
 
   // Phase 3 (forking condition): a target forks iff any of its virtual
   // states lives in a dstate that either lacks a sending virtual (its
   // node-src members are super-rivals, Figure 7) or has direct rivals.
   // A terminal target never forks: a crashed node absorbs the packet.
-  struct TargetFork {
-    ExecutionState* receiving = nullptr;
-    ExecutionState* nonReceiving = nullptr;  // nullptr: not forked
-  };
-  std::unordered_map<const ExecutionState*, TargetFork> forkOf;
-
   std::uint64_t targetsForked = 0;
+  std::uint64_t targetCopyElements = 0;
   std::vector<ExecutionState*> receivers;
-  for (ExecutionState* target : targets) {
-    bool needFork = false;
-    if (!target->isTerminal()) {
-      for (const VState* vt : virtualsOf(*target)) {
-        const VDState& dstate = *vt->dstate;
-        if (!senderDstates.contains(&dstate) || hasDirectRivals(dstate)) {
-          needFork = true;
-          break;
-        }
-      }
-    }
-    TargetFork fork;
-    fork.receiving = target;
+  receivers.reserve(targets.size());
+  auto group = kept.begin();
+  for (std::size_t index = 0; index < targets.size(); ++index) {
+    const auto groupEnd =
+        std::find_if(group, kept.end(),
+                     [index](const Kept& k) { return k.target != index; });
+    const std::span<const Kept> targetKept(group, groupEnd);
+    group = groupEnd;
+
+    Actual*& target = targets[index];
+    ExecutionState& state = *target->state;
+    const bool needFork =
+        !state.isTerminal() &&
+        (targetKept.size() < target->virtuals.size() ||
+         std::ranges::any_of(targetKept, [&](const Kept& k) {
+           return hasDirectRivals(*k.v->dstate);
+         }));
     if (needFork) {
-      runtime.stats().bump("map.sds.target_copy_elements",
-                           target->forkCopyCost());
-      fork.nonReceiving = &runtime.forkState(*target);
-      runtime.stats().bump("map.targets_forked");
+      targetCopyElements += state.forkCopyCost();
+      ExecutionState& copyState = runtime.forkState(state);
       ++targetsForked;
       // Phase 4a: virtual states of the target in super-rival dstates
       // (no sending virtual there) migrate to the non-receiving copy —
       // no virtual forking, the dstate itself is untouched (Figure 7).
-      const std::vector<VState*> snapshot = virtualsOf(*target);
-      for (VState* vt : snapshot)
-        if (!senderDstates.contains(vt->dstate))
-          rebindVirtual(*vt, fork.nonReceiving);
+      // Nearly all of them migrate, so the copy takes over the target's
+      // record wholesale — the migrating virtuals keep pointing at it —
+      // and the target gets a fresh record for the few it keeps.
+      auto handle = byActual_.extract(&state);
+      handle.key() = &copyState;
+      Actual& copy = byActual_.insert(std::move(handle)).position->second;
+      copy.state = &copyState;
+      copy.targetMark = 0;  // the scratch was the target's
+      Actual& receiving = actualFor(state);
+      receiving.targetMark = epoch;
+      receiving.nonReceiving = &copy;
+      target = &receiving;
+      // One order-preserving compaction: lift the kept virtuals out of
+      // the copy's list, in list order. Membership is an address search
+      // in the sorted group, so migrating virtuals are never touched; the
+      // scan stops at the last kept one.
+      std::vector<VState*>& list = copy.virtuals;
+      std::size_t write = 0;
+      std::size_t read = 0;
+      for (std::size_t found = 0; found < targetKept.size(); ++read) {
+        SDE_ASSERT(read < list.size(), "kept virtual missing from its list");
+        VState* v = list[read];
+        if (std::ranges::binary_search(targetKept, v,
+                                       std::less<const VState*>{}, &Kept::v)) {
+          v->actual = &receiving;
+          receiving.virtuals.push_back(v);
+          ++found;
+        } else {
+          list[write++] = v;
+        }
+      }
+      list.erase(list.begin() + static_cast<std::ptrdiff_t>(write),
+                 list.begin() + static_cast<std::ptrdiff_t>(read));
     }
-    forkOf[target] = fork;
-    receivers.push_back(fork.receiving);
+    receivers.push_back(&state);
   }
 
   // Phase 4b: per sender-dstate with direct rivals, run COW at the
@@ -161,38 +212,40 @@ std::vector<ExecutionState*> SdsMapper::onTransmit(ExecutionState& sender,
   // copies; fresh virtual-target copies bind to the receiving states;
   // bystanders just gain a virtual in the fresh dstate — their actual
   // states are never forked (the SDS payoff).
+  std::uint64_t conflictResolutions = 0;
+  std::uint64_t virtualTargetsForked = 0;
+  std::uint64_t virtualBystandersForked = 0;
   for (VState* vs : sendingVirtuals) {
     VDState& old = *vs->dstate;
     if (!hasDirectRivals(old)) continue;  // delivery happens in place
-    runtime.stats().bump("map.sds.virtual_conflict_resolutions");
-    const std::uint64_t oldId = old.id;
+    ++conflictResolutions;
 
-    VDState& fresh = dstates_.emplace_back();
-    fresh.id = nextDstateId_++;
-    fresh.byNode.resize(numNodes_);
+    VDState& fresh = newDstate();
     moveVirtual(*vs, fresh);
 
     std::uint64_t freshVirtuals = 0;
     for (NodeId node = 0; node < numNodes_; ++node) {
       if (node == src) continue;  // direct rivals stay behind
-      const std::vector<VState*> snapshot = old.byNode[node];
-      for (VState* v : snapshot) {
+      const std::vector<VState*>& members = old.byNode[node];
+      fresh.byNode[node].reserve(members.size());
+      for (VState* v : members) {
+        // A bystander just gains a reference; a virtual target's copy
+        // binds to the receiving state, and the original stays in `old`,
+        // re-bound to the non-receiving copy (if the target forked).
+        Actual& actual = *v->actual;
+        newVirtual(actual, fresh);
         if (node == dst) {
-          const auto it = forkOf.find(v->actual);
-          SDE_ASSERT(it != forkOf.end(), "virtual target missing fork entry");
-          const TargetFork& fork = it->second;
-          // Copy receives (binds to the receiving state); the original
-          // stays in `old`, bound to the non-receiving copy.
-          newVirtual(fork.receiving, fresh);
-          if (fork.nonReceiving != nullptr)
-            rebindVirtual(*v, fork.nonReceiving);
-          runtime.stats().bump("map.sds.virtual_targets_forked");
-        } else {
-          newVirtual(v->actual, fresh);  // bystander: a reference, no fork
-          runtime.stats().bump("map.sds.virtual_bystanders_forked");
+          SDE_ASSERT(actual.targetMark == epoch,
+                     "virtual target missing fork entry");
+          if (actual.nonReceiving != nullptr) {
+            v->actual = actual.nonReceiving;
+            actual.nonReceiving->virtuals.push_back(v);
+          }
         }
-        ++freshVirtuals;
       }
+      freshVirtuals += members.size();
+      (node == dst ? virtualTargetsForked : virtualBystandersForked) +=
+          members.size();
     }
     if (obs::TraceSink* trace = runtime.trace()) {
       // b counts fresh *virtual* members — SDS never forks actual
@@ -205,11 +258,32 @@ std::vector<ExecutionState*> SdsMapper::onTransmit(ExecutionState& sender,
       split.node = src;
       split.stateId = sender.id();
       split.groupId = fresh.id;
-      split.a = oldId;
+      split.a = old.id;
       split.b = freshVirtuals;
       trace->emit(split);
     }
   }
+
+  // Drop the virtuals phase 4b re-bound to the non-receiving copies.
+  for (Actual* target : targets)
+    if (target->nonReceiving != nullptr)
+      std::erase_if(target->virtuals, [target](const VState* v) {
+        return v->actual != target;
+      });
+
+  // One bump per counter and transmission, and only for non-zero counts:
+  // a bump creates the key, and the stats map is serialized.
+  support::StatsRegistry& stats = runtime.stats();
+  const auto bumpIfAny = [&stats](std::string_view name, std::uint64_t n) {
+    if (n > 0) stats.bump(name, n);
+  };
+  stats.bump("map.transmissions");
+  if (targetsForked > 0)
+    stats.bump("map.sds.target_copy_elements", targetCopyElements);
+  bumpIfAny("map.targets_forked", targetsForked);
+  bumpIfAny("map.sds.virtual_conflict_resolutions", conflictResolutions);
+  bumpIfAny("map.sds.virtual_targets_forked", virtualTargetsForked);
+  bumpIfAny("map.sds.virtual_bystanders_forked", virtualBystandersForked);
 
   if (runtime.trace() != nullptr && targetsForked > 0) {
     obs::TraceEvent invoked;
@@ -232,15 +306,17 @@ bool SdsMapper::canMerge(const ExecutionState& survivor,
   const auto drop = byActual_.find(&absorbed);
   SDE_ASSERT(keep != byActual_.end() && drop != byActual_.end(),
              "state not registered with SDS");
-  if (keep->second.size() != drop->second.size()) return false;
+  const std::vector<VState*>& kept = keep->second.virtuals;
+  const std::vector<VState*>& dropped = drop->second.virtuals;
+  if (kept.size() != dropped.size()) return false;
   // Each dstate holds at most one virtual per actual state, so the
   // virtual lists visit distinct dstates — set comparison via sorting.
   std::vector<const VDState*> a;
   std::vector<const VDState*> b;
-  a.reserve(keep->second.size());
-  b.reserve(drop->second.size());
-  for (const VState* v : keep->second) a.push_back(v->dstate);
-  for (const VState* v : drop->second) b.push_back(v->dstate);
+  a.reserve(kept.size());
+  b.reserve(dropped.size());
+  for (const VState* v : kept) a.push_back(v->dstate);
+  for (const VState* v : dropped) b.push_back(v->dstate);
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   return a == b;
@@ -251,15 +327,15 @@ std::vector<ExecutionState*> SdsMapper::onStatesMerged(
   (void)survivor;
   const auto it = byActual_.find(&absorbed);
   SDE_ASSERT(it != byActual_.end(), "state not registered with SDS");
-  const std::vector<VState*> virtuals = std::move(it->second);
-  byActual_.erase(it);
-  for (VState* v : virtuals) {
+  // The record goes last: removeFromDstate reads the node through it.
+  for (VState* v : it->second.virtuals) {
     removeFromDstate(*v);
     v->actual = nullptr;
     v->dstate = nullptr;
     v->dead = true;
     --liveVirtuals_;
   }
+  byActual_.erase(it);
   return {};
 }
 
@@ -273,7 +349,8 @@ SdsMapper::groupChoices() const {
     for (NodeId node = 0; node < numNodes_; ++node) {
       std::vector<ExecutionState*> choices;
       choices.reserve(dstate.byNode[node].size());
-      for (const VState* v : dstate.byNode[node]) choices.push_back(v->actual);
+      for (const VState* v : dstate.byNode[node])
+        choices.push_back(v->actual->state);
       group.push_back(std::move(choices));
     }
     result.push_back(std::move(group));
@@ -283,7 +360,7 @@ SdsMapper::groupChoices() const {
 
 std::size_t SdsMapper::superDstateSize(const ExecutionState& s) const {
   const auto it = byActual_.find(&s);
-  return it == byActual_.end() ? 0 : it->second.size();
+  return it == byActual_.end() ? 0 : it->second.virtuals.size();
 }
 
 void SdsMapper::snapshotSave(snapshot::Writer& out) const {
@@ -304,7 +381,7 @@ void SdsMapper::snapshotSave(snapshot::Writer& out) const {
       out.u64(kDeadVirtualSentinel);
       continue;
     }
-    out.u64(v.actual->id());
+    out.u64(v.actual->state->id());
     out.u64(v.dstate->id);
   }
 
@@ -321,11 +398,11 @@ void SdsMapper::snapshotSave(snapshot::Writer& out) const {
   }
 
   // byActual_ is an unordered map of ordered vectors; the vector order
-  // matters (virtualsOf() snapshots drive onTransmit's iteration), the
-  // map order does not — serialize keyed by state id, sorted.
+  // matters (it drives onTransmit's iteration), the map order does not —
+  // serialize keyed by state id, sorted.
   std::map<StateId, const std::vector<VState*>*> byActual;
-  for (const auto& [actual, virtuals] : byActual_)
-    byActual[actual->id()] = &virtuals;
+  for (const auto& [state, actual] : byActual_)
+    byActual[state->id()] = &actual.virtuals;
   out.u64(byActual.size());
   for (const auto& [stateId, virtuals] : byActual) {
     out.u64(stateId);
@@ -369,10 +446,11 @@ void SdsMapper::snapshotLoad(snapshot::Reader& in,
       v.dead = true;
       continue;
     }
-    v.actual = resolve(pending[i].actual);
-    if (v.actual == nullptr || pending[i].dstate >= dstates_.size())
+    ExecutionState* actual = resolve(pending[i].actual);
+    if (actual == nullptr || pending[i].dstate >= dstates_.size())
       throw snapshot::SnapshotError(
           "SDS snapshot references an unknown state or dstate");
+    v.actual = &actualFor(*actual);
     v.dstate = &dstates_[pending[i].dstate];
   }
 
@@ -399,7 +477,7 @@ void SdsMapper::snapshotLoad(snapshot::Reader& in,
       throw snapshot::SnapshotError(
           "SDS snapshot references an unknown state");
     const std::uint64_t count = in.u64();
-    std::vector<VState*>& virtuals = byActual_[actual];
+    std::vector<VState*>& virtuals = actualFor(*actual).virtuals;
     virtuals.reserve(count);
     for (std::uint64_t m = 0; m < count; ++m)
       virtuals.push_back(&virtualAt(in.u64()));
@@ -418,15 +496,16 @@ void SdsMapper::checkInvariants() const {
       for (const VState* v : dstate.byNode[node]) {
         ++totalVirtuals;
         SDE_ASSERT(v->dstate == &dstate, "virtual's dstate link broken");
-        SDE_ASSERT(v->actual->node() == node, "virtual on the wrong node");
-        SDE_ASSERT(distinct.insert(v->actual).second,
+        ExecutionState* actual = v->actual->state;
+        SDE_ASSERT(actual->node() == node, "virtual on the wrong node");
+        SDE_ASSERT(distinct.insert(actual).second,
                    "two virtuals of one dstate share an actual state");
-        actuals.add(v->actual);
+        actuals.add(actual);
         // Cross-check the byActual_ index.
-        const auto it = byActual_.find(v->actual);
-        SDE_ASSERT(it != byActual_.end() &&
-                       std::find(it->second.begin(), it->second.end(), v) !=
-                           it->second.end(),
+        const auto it = byActual_.find(actual);
+        SDE_ASSERT(it != byActual_.end() && &it->second == v->actual &&
+                       std::ranges::find(it->second.virtuals, v) !=
+                           it->second.virtuals.end(),
                    "byActual_ index out of sync");
       }
     }
@@ -437,9 +516,13 @@ void SdsMapper::checkInvariants() const {
   for (const VState& v : virtualPool_)
     SDE_ASSERT(v.dead == (v.actual == nullptr && v.dstate == nullptr),
                "dead flag out of sync with virtual links");
-  for (const auto& [actual, virtuals] : byActual_)
-    SDE_ASSERT(!virtuals.empty(),
+  for (const auto& [state, actual] : byActual_) {
+    SDE_ASSERT(actual.state == state, "Actual record keyed by another state");
+    SDE_ASSERT(!actual.virtuals.empty(),
                "every state must have at least one virtual state");
+    for (const VState* v : actual.virtuals)
+      SDE_ASSERT(v->actual == &actual, "listed virtual bound elsewhere");
+  }
 }
 
 }  // namespace sde

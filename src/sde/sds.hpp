@@ -61,10 +61,11 @@ class SdsMapper final : public StateMapper {
 
  private:
   struct VDState;
+  struct Actual;
 
   struct VState {
     std::uint64_t id = 0;
-    ExecutionState* actual = nullptr;
+    Actual* actual = nullptr;
     VDState* dstate = nullptr;  // exactly one (the defining invariant)
     // Tombstone (state merging): the pool asserts id == index and never
     // erases, so an absorbed state's virtuals are unlinked (actual and
@@ -75,24 +76,49 @@ class SdsMapper final : public StateMapper {
   struct VDState {
     std::uint64_t id = 0;
     std::vector<std::vector<VState*>> byNode;
+    // onTransmit scratch: equals the mapper's epoch_ while this dstate
+    // holds a virtual of the current sender.
+    std::uint64_t senderMark = 0;
   };
 
-  VState& newVirtual(ExecutionState* actual, VDState& dstate);
+  // One actual execution state's side of the mapping. Virtuals point at
+  // their Actual, so a forking target can hand its whole record to its
+  // copy: the migrating virtuals follow without being touched.
+  struct Actual {
+    ExecutionState* state = nullptr;
+    // Its virtual states (the super-dstate) in binding order. The order
+    // drives onTransmit's iteration, so it is serialized verbatim.
+    std::vector<VState*> virtuals;
+    // onTransmit scratch, valid while targetMark == epoch_: the state is
+    // the ordinal-th target of the current transmission, and
+    // `nonReceiving` is its non-receiving copy (nullptr: not forked).
+    std::uint64_t targetMark = 0;
+    std::size_t ordinal = 0;
+    Actual* nonReceiving = nullptr;
+  };
+
+  VState& newVirtual(Actual& actual, VDState& dstate);
+  VDState& newDstate();
   // Moves `v` to `dstate` (removing it from its current one).
   void moveVirtual(VState& v, VDState& dstate);
-  // Re-binds `v` to a different actual state (same dstate).
-  void rebindVirtual(VState& v, ExecutionState* actual);
   void removeFromDstate(VState& v);
 
-  [[nodiscard]] std::vector<VState*>& virtualsOf(const ExecutionState& state);
+  [[nodiscard]] Actual& actualOf(const ExecutionState& state);
+  // The record of `state`, created (empty) on first use.
+  [[nodiscard]] Actual& actualFor(ExecutionState& state);
 
   std::uint32_t numNodes_;
   std::deque<VState> virtualPool_;
   std::deque<VDState> dstates_;
-  std::unordered_map<const ExecutionState*, std::vector<VState*>> byActual_;
+  // Node-based: Actual records never move, so VState::actual stays valid
+  // across insertions.
+  std::unordered_map<const ExecutionState*, Actual> byActual_;
   std::uint64_t nextVirtualId_ = 0;
   std::uint64_t nextDstateId_ = 0;
   std::size_t liveVirtuals_ = 0;
+  // Counts onTransmit calls; the marks above compare against it, so no
+  // per-transmission set is built or cleared.
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace sde
