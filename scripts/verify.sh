@@ -195,6 +195,19 @@ test "$MISMATCH" -eq 0
 wait "$METRICS_PID"
 echo "metrics smoke: live fetch agrees with post-run stats"
 
+echo "=== meter identity: benchmark output check at seed 0 ==="
+# The memory ledger must bill exactly what the audit walk counts: the
+# benchmark's seed-0 output check compares the simulated peak (plus the
+# exploration's states, events and dscenarios) with the canonical
+# references, on both Table I grids.
+for WORKLOAD in grid10_sds grid10_cow; do
+  python3 perfbench/run.py --workload "$WORKLOAD" --seed 0 --seconds 1 \
+    --trace 0 | tail -1 | python3 -c \
+    'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] else 1)' \
+    || { echo "meter identity: $WORKLOAD failed its output check"; exit 1; }
+done
+echo "meter identity: grid10_sds and grid10_cow match their references"
+
 echo "=== release: configure + build (CMAKE_BUILD_TYPE=Release) ==="
 # Optimised build: the persistent-sharing fork paths are exactly the
 # kind of code where -O2 reorders lifetimes; the differential fuzz
@@ -207,6 +220,9 @@ ctest --test-dir build-release --output-on-failure -j
 
 echo "=== release: fork-sharing differential fuzz oracle ==="
 ./build-release/tests/fork_sharing_tests
+
+echo "=== release: memory ledger oracle battery ==="
+./build-release/tests/memory_ledger_tests
 
 echo "=== tsan: configure + build (SDE_SANITIZE=thread) ==="
 cmake -B build-tsan -S . -DSDE_SANITIZE=thread \
@@ -235,6 +251,11 @@ echo "=== asan: merge-on vs merge-off differential battery ==="
 # random program under ASan (merge mutates live constraint sets and
 # reaps states in place — exactly where lifetime bugs would hide).
 ./build-asan/tests/merge_tests
+
+echo "=== asan: memory ledger oracle battery ==="
+# Blocks bill the ledger from creation to destruction and keep it alive
+# past its engine: lifetimes are exactly what ASan checks.
+./build-asan/tests/memory_ledger_tests
 
 echo "=== asan: dispatch-mode differential battery ==="
 # Threaded dispatch walks a pre-decoded instruction array with computed

@@ -21,6 +21,12 @@ std::string_view phaseName(Phase phase) {
       return "checkpoint";
     case Phase::kScheduler:
       return "scheduler";
+    case Phase::kSampling:
+      return "sampling";
+    case Phase::kMerge:
+      return "merge";
+    case Phase::kReport:
+      return "report";
     case Phase::kNumPhases:
       break;
   }

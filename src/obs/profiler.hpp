@@ -1,5 +1,6 @@
 // Scoped phase profiler: where does the wall-clock go — interpretation,
-// mapping, solving, checkpointing, or scheduling?
+// mapping, solving, checkpointing, scheduling, state merging, metric
+// sampling, or the post-run report?
 //
 // Accounting is *self-time*: entering a nested phase pauses the
 // enclosing one, so the per-phase totals partition the instrumented
@@ -33,6 +34,10 @@ enum class Phase : std::uint8_t {
   kSolver,          // solver facade entry points
   kCheckpoint,      // Engine::checkpoint / restore
   kScheduler,       // scheduler pop + re-registration
+  kSampling,        // memory-cap meter + sampler hook (in fleet workers
+                    //  also the protocol pump)
+  kMerge,           // state merging: join-point merges, sweep and reap
+  kReport,          // post-run duplicate scans (trace::summarize)
   kNumPhases,
 };
 inline constexpr std::size_t kNumPhases =

@@ -46,6 +46,7 @@ Engine::Engine(const os::NetworkPlan& plan, MapperKind mapperKind,
       failureModel_(std::make_unique<net::NoFailures>()),
       interpSink_(*this),
       mapperRuntime_(*this),
+      ledger_(support::MemoryLedger::create()),
       merger_(ctx_) {
   SDE_ASSERT(plan_.complete(), "every node needs a program before running");
   config_.mergeStates = config_.mergeStates || config_.interp.mergeStates;
@@ -91,7 +92,10 @@ void Engine::boot() {
   stats_.set("engine.initial_states", initial.size());
   if (sharedCaps_ != nullptr) sharedCaps_->noteStatesCreated(initial.size());
   mapper_->registerInitialStates(initial);
-  for (ExecutionState* state : initial) scheduler_.registerState(*state);
+  for (ExecutionState* state : initial) {
+    scheduler_.registerState(*state);
+    notePriceChange(*state);
+  }
   if (trace_ != nullptr) {
     for (const ExecutionState* state : initial) {
       obs::TraceEvent event;
@@ -192,6 +196,7 @@ void Engine::InterpSink::onSend(ExecutionState& sender, NodeId dst,
 
 bool Engine::InterpSink::tryMerge(ExecutionState& survivor,
                                   ExecutionState& absorbed) {
+  obs::ScopedPhase phase(engine_.profiler_, obs::Phase::kMerge);
   return engine_.tryMergeStates(survivor, absorbed);
 }
 
@@ -484,10 +489,17 @@ void Engine::mergeSweep() {
 }
 
 void Engine::reapMergedStates() {
+  // Settle the meter's queue while every queued state is still alive;
+  // the reaped states' private bytes then leave the total with them.
+  priceTouchedStates();
   std::unordered_set<const ExecutionState*> reaped;
   for (ExecutionState* state : pendingReaps_) {
     SDE_ASSERT(state->mergedAway, "reaping a state that was not merged away");
     if (!reaped.insert(state).second) continue;
+    if (state->id() < privateBytes_.size()) {
+      privateTotal_ -= privateBytes_[state->id()];
+      privateBytes_[state->id()] = 0;
+    }
     byId_.erase(state->id());
     traceTerminated_.erase(state->id());
     // Forget the summariser's observations of the state.
@@ -614,11 +626,14 @@ std::optional<RunOutcome> Engine::checkCaps() {
 }
 
 void Engine::sampleAndCheck() {
+  obs::ScopedPhase phase(profiler_, obs::Phase::kSampling);
   if (sampler_) sampler_(*this);
   if (config_.checkInvariants) mapper_->checkInvariants();
 }
 
 RunOutcome Engine::run(std::uint64_t untilVirtualTime) {
+  // Blocks this run makes bill this engine's ledger (DESIGN.md §14).
+  const support::MemoryLedger::Scope ledgerScope(ledger_.get());
   if (!booted_) boot();
   running_ = true;
   runStart_ = std::chrono::steady_clock::now();
@@ -643,10 +658,11 @@ RunOutcome Engine::run(std::uint64_t untilVirtualTime) {
       break;
     }
     if (eventsProcessed_ >= nextSampleAt) {
-      // The memory meter walks all live state, so it only runs at
-      // sampling points (the cap may overshoot by up to one gap).
+      // The memory cap is checked at sampling points only, so it may
+      // overshoot by up to one gap (DESIGN.md §9).
       if (config_.maxSimulatedMemoryBytes != 0 ||
           (sharedCaps_ != nullptr && sharedCaps_->tracksMemory())) {
+        obs::ScopedPhase phase(profiler_, obs::Phase::kSampling);
         const std::uint64_t memory = simulatedMemoryBytes();
         if (sharedCaps_ != nullptr && sharedCaps_->tracksMemory()) {
           sharedCaps_->noteMemoryDelta(
@@ -698,10 +714,8 @@ RunOutcome Engine::run(std::uint64_t untilVirtualTime) {
       }
       popped.reset();
       if (config_.mergeStates) {
-        {
-          obs::ScopedPhase phase(profiler_, obs::Phase::kMapping);
-          mergeSweep();
-        }
+        obs::ScopedPhase phase(profiler_, obs::Phase::kMerge);
+        mergeSweep();
         // Deferred removal: nothing holds a pointer into the absorbed
         // states once the event is fully processed.
         if (!pendingReaps_.empty()) reapMergedStates();
@@ -738,6 +752,11 @@ RunOutcome Engine::run(std::uint64_t untilVirtualTime) {
             trace_->emit(record);
           }
         }
+      }
+      for (const ExecutionState* state : touched_) notePriceChange(*state);
+      if (config_.checkInvariants) {
+        SDE_ASSERT(simulatedMemoryBytes() == auditMemoryBytes(),
+                   "the memory ledger disagrees with the audit walk");
       }
 
       if (!config_.batchEvents) break;
@@ -824,15 +843,39 @@ std::vector<ExecutionState*> Engine::statesOfNode(NodeId node) const {
   return result;
 }
 
+void Engine::notePriceChange(const ExecutionState& state) {
+  if (state.id() >= privateBytes_.size()) privateBytes_.resize(state.id() + 1);
+  std::uint64_t& entry = privateBytes_[state.id()];
+  if ((entry & kQueued) != 0) return;
+  entry |= kQueued;
+  unpriced_.push_back(&state);
+}
+
+void Engine::priceTouchedStates() const {
+  for (const ExecutionState* state : unpriced_) {
+    std::uint64_t& entry = privateBytes_[state->id()];
+    const std::uint64_t bytes = state->privateBytes();
+    privateTotal_ += bytes - (entry & ~kQueued);
+    entry = bytes;
+  }
+  unpriced_.clear();
+}
+
 std::uint64_t Engine::simulatedMemoryBytes() const {
-  // All-component shared-aware accounting: every shared block — memory
-  // payloads, sealed history chunks, CoW event queues — is charged to
-  // the first state that reaches it, so the total is what a deduplicated
-  // heap would hold (the quantity the paper's Table I RAM column caps).
-  std::map<const void*, std::uint64_t> seen;
+  // Every shared block — memory payloads, sealed history chunks, CoW
+  // event queues — is billed once however many states share it, so the
+  // total is what a deduplicated heap would hold (the quantity the
+  // paper's Table I RAM column caps).
+  priceTouchedStates();
+  return ledger_->bytes() + privateTotal_;
+}
+
+std::uint64_t Engine::auditMemoryBytes() const {
+  auditSeen_.reset();
   std::uint64_t total = 0;
-  for (const auto& state : states_) total += state->accountBytes(seen);
+  for (const auto& state : states_) total += state->accountBytes(auditSeen_);
   return total;
 }
+
 
 }  // namespace sde

@@ -30,6 +30,7 @@
 #include "sde/mapper.hpp"
 #include "sde/scheduler.hpp"
 #include "solver/solver.hpp"
+#include "support/memory_ledger.hpp"
 #include "vm/merge.hpp"
 
 namespace sde {
@@ -51,14 +52,16 @@ struct EngineConfig {
   unsigned workers = 1;
   // Metric sampling / memory-cap checking cadence, in processed events.
   std::uint64_t sampleEveryEvents = 16;
-  // Grow the sampling gap with the state count (a full sample walks all
-  // states, so fixed-cadence sampling turns quadratic on large runs).
-  // Disable for tests that must observe every event. State- and
-  // wall-clock caps are still checked on every event; only the memory
-  // cap is evaluated at sampling points.
+  // Grow the sampling gap with the state count: max(sampleEveryEvents,
+  // states / 8). A sample reads the memory ledger in O(states touched
+  // since the last one), so the gap only bounds the number of samples a
+  // run records (and the samplers' own cost). Disable for tests that must
+  // observe every event. State- and wall-clock caps are still checked on
+  // every event; only the memory cap is evaluated at sampling points.
   bool adaptiveSampling = true;
-  // Run full structural + conflict-freeness checks after every event
-  // (quadratic; tests and small scenarios only).
+  // Run full structural + conflict-freeness checks at every sampling
+  // point, and check the memory ledger against the audit walk after
+  // every event (quadratic; tests and small scenarios only).
   bool checkInvariants = false;
   // Opt-in state merging: symbolic branches whose arms rejoin at a
   // post-dominator park there and ite-merge (vm/merge.hpp), and an
@@ -299,8 +302,14 @@ class Engine {
   [[nodiscard]] double wallSeconds() const;
 
   // Bytes of state the run holds, with copy-on-write sharing attributed
-  // once (the paper's "RAM" axis, deterministically).
+  // once (the paper's "RAM" axis, deterministically). A read of the
+  // engine's memory ledger: shared blocks bill it when they are made,
+  // changed and freed, and the states events touched since the last read
+  // are re-priced, so a read costs O(change), not O(heap).
   [[nodiscard]] std::uint64_t simulatedMemoryBytes() const;
+  // The same quantity by walking every state (O(heap)): the oracle the
+  // ledger is checked against, under checkInvariants and in tests.
+  [[nodiscard]] std::uint64_t auditMemoryBytes() const;
 
   // Same-key batch shape of this engine's run() calls, for benches and
   // the dispatch battery's anti-vacuity check. Deliberately NOT registry
@@ -370,6 +379,11 @@ class Engine {
   void sampleAndCheck();
   [[nodiscard]] std::optional<RunOutcome> checkCaps();
 
+  // --- Memory meter (simulatedMemoryBytes) ---------------------------------
+  // Queues `state` to be re-priced at the next read of the meter.
+  void notePriceChange(const ExecutionState& state);
+  void priceTouchedStates() const;
+
   // --- State merging (config_.mergeStates) ---------------------------------
   // Full merge pipeline: vm compatibility -> mapper veto -> algebra.
   // On success the absorbed state (plus any mapper casualties) joins
@@ -436,6 +450,18 @@ class Engine {
   support::StatsRegistry stats_;
   InterpSink interpSink_;
   Runtime mapperRuntime_;
+
+  // The memory meter (DESIGN.md §14). Shared blocks bill ledger_ while
+  // this engine runs or restores (declared before states_, so it outlives
+  // their blocks). Private bytes are cached per StateId and re-priced for
+  // the states queued in unpriced_; kQueued marks a queued entry.
+  static constexpr std::uint64_t kQueued = std::uint64_t{1} << 63;
+  std::unique_ptr<support::MemoryLedger, support::MemoryLedger::Release>
+      ledger_;
+  mutable std::vector<std::uint64_t> privateBytes_;
+  mutable std::vector<const ExecutionState*> unpriced_;
+  mutable std::uint64_t privateTotal_ = 0;
+  mutable support::SeenSet auditSeen_;
 
   std::deque<std::unique_ptr<ExecutionState>> states_;
   std::unordered_map<StateId, ExecutionState*> byId_;

@@ -1,6 +1,7 @@
 #include "sde/explode.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace sde {
 
@@ -13,10 +14,23 @@ std::vector<std::vector<ExecutionState*>> explodeScenarios(
 }
 
 std::uint64_t countScenarios(const StateMapper& mapper) {
+  return countScenarios(mapper.groupChoices());
+}
+
+std::uint64_t countScenarios(
+    const std::vector<std::vector<std::vector<ExecutionState*>>>& groups) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t total = 0;
-  for (const auto& group : mapper.groupChoices()) {
+  for (const auto& group : groups) {
     std::uint64_t product = 1;
-    for (const auto& choices : group) product *= choices.size();
+    for (const auto& choices : group) {
+      if (!choices.empty() && product > kMax / choices.size())
+        throw ScenarioCountOverflow(
+            "a dscenario group's choice product exceeds 2^64 - 1");
+      product *= choices.size();
+    }
+    if (product > kMax - total)
+      throw ScenarioCountOverflow("the dscenario count exceeds 2^64 - 1");
     total += product;
   }
   return total;

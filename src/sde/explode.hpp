@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <unordered_set>
 #include <vector>
 
@@ -23,9 +24,19 @@ namespace sde {
 [[nodiscard]] std::vector<std::vector<ExecutionState*>> explodeScenarios(
     const StateMapper& mapper);
 
+// countScenarios' count does not fit in 64 bits.
+class ScenarioCountOverflow : public std::overflow_error {
+ public:
+  using std::overflow_error::overflow_error;
+};
+
 // The number of dscenarios the mapper represents, computed without
 // materialising them (product of choice-list sizes, summed over groups).
+// Exact or nothing: throws ScenarioCountOverflow past 2^64 - 1.
 [[nodiscard]] std::uint64_t countScenarios(const StateMapper& mapper);
+// The same count over explicit choice lists (StateMapper::groupChoices).
+[[nodiscard]] std::uint64_t countScenarios(
+    const std::vector<std::vector<std::vector<ExecutionState*>>>& groups);
 
 // The set of distinct dscenario fingerprints — the cross-algorithm
 // equivalence oracle: two mapping algorithms explored the same

@@ -388,21 +388,26 @@ void writeChunkTable(Writer& out, const ChunkTable<T>& table,
   }
 }
 
+// Deserialized PVector<T>::Chunk blocks, indexed as the writer numbered
+// them (spelled out so readSequence can deduce T).
+template <typename T>
+using ChunkRefs = std::vector<std::shared_ptr<const support::BilledVector<T>>>;
+
 template <typename T, typename ReadElem>
-std::vector<std::shared_ptr<const std::vector<T>>> readChunkTable(
-    Reader& in, ReadElem readElem) {
+ChunkRefs<T> readChunkTable(Reader& in, ReadElem readElem) {
+  using Chunk = typename support::PVector<T>::Chunk;
   const std::uint64_t count = in.u64();
-  std::vector<std::shared_ptr<const std::vector<T>>> chunks;
+  ChunkRefs<T> chunks;
   chunks.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t size = in.u64();
     if (size != support::PVector<T>::chunkCapacity())
       throw SnapshotError("sequence chunk has the wrong size "
                           "(corrupt checkpoint)");
-    auto chunk = std::make_shared<std::vector<T>>();
-    chunk->reserve(size);
-    for (std::uint64_t c = 0; c < size; ++c) chunk->push_back(readElem());
-    chunks.push_back(std::move(chunk));
+    std::vector<T> items;
+    items.reserve(size);
+    for (std::uint64_t c = 0; c < size; ++c) items.push_back(readElem());
+    chunks.push_back(std::make_shared<const Chunk>(std::move(items)));
   }
   return chunks;
 }
@@ -419,9 +424,8 @@ void writeSequence(Writer& out, const support::PVector<T>& seq,
 }
 
 template <typename T, typename ReadElem>
-support::PVector<T> readSequence(
-    Reader& in, const std::vector<std::shared_ptr<const std::vector<T>>>& table,
-    ReadElem readElem) {
+support::PVector<T> readSequence(Reader& in, const ChunkRefs<T>& table,
+                                 ReadElem readElem) {
   using Sequence = support::PVector<T>;
   const std::uint64_t numChunks = in.u64();
   std::shared_ptr<const typename Sequence::Spine> spine;
@@ -519,16 +523,15 @@ void writeState(Writer& out, const ExecutionState& state,
 // Reader-side counterpart of SharedTables: the deserialized shared
 // blocks, indexed as the writer numbered them.
 struct RestoredTables {
-  std::vector<std::shared_ptr<const std::vector<expr::Ref>>> refs;
-  std::vector<std::shared_ptr<const std::vector<vm::CommRecord>>> comm;
-  std::vector<std::shared_ptr<const std::vector<ExecutionState::DecisionRecord>>>
-      decisions;
-  std::vector<std::shared_ptr<std::vector<vm::PendingEvent>>> queues;
+  ChunkRefs<expr::Ref> refs;
+  ChunkRefs<vm::CommRecord> comm;
+  ChunkRefs<ExecutionState::DecisionRecord> decisions;
+  std::vector<std::shared_ptr<vm::EventQueue::Events::Block>> queues;
 };
 
 void readStateBody(
     Reader& in, const expr::Context& ctx, ExecutionState& state,
-    const std::vector<std::shared_ptr<vm::AddressSpace::Cells>>& blobs,
+    const std::vector<std::shared_ptr<vm::AddressSpace::Payload>>& blobs,
     const RestoredTables& tables) {
   const std::uint8_t status = in.u8();
   if (status > static_cast<std::uint8_t>(vm::StateStatus::kKilled))
@@ -547,7 +550,7 @@ void readStateBody(
 
   const std::uint64_t nextObjectId = in.u64();
   const std::uint64_t numObjects = in.u64();
-  std::map<std::uint64_t, std::shared_ptr<vm::AddressSpace::Cells>> objects;
+  vm::AddressSpace::Objects objects;
   for (std::uint64_t i = 0; i < numObjects; ++i) {
     const std::uint64_t objectId = in.u64();
     const std::uint64_t blob = in.u64();
@@ -801,6 +804,8 @@ void Engine::checkpoint(std::ostream& os) const {
 
 void Engine::restore(std::istream& is) {
   obs::ScopedPhase scope(profiler_, obs::Phase::kCheckpoint);
+  // The restored blocks bill this engine's ledger, as the originals did.
+  const support::MemoryLedger::Scope ledgerScope(ledger_.get());
   SDE_ASSERT(!booted_ && states_.empty() && eventsProcessed_ == 0,
              "restore needs a freshly constructed engine");
   Reader in(is);
@@ -828,16 +833,16 @@ void Engine::restore(std::istream& is) {
 
   snapshot::readExprTable(in, ctx_);
 
-  std::vector<std::shared_ptr<vm::AddressSpace::Cells>> blobs;
+  std::vector<std::shared_ptr<vm::AddressSpace::Payload>> blobs;
   const std::uint64_t numBlobs = in.u64();
   blobs.reserve(numBlobs);
   for (std::uint64_t i = 0; i < numBlobs; ++i) {
-    auto cells = std::make_shared<vm::AddressSpace::Cells>();
+    vm::AddressSpace::Cells cells;
     const std::uint64_t size = in.u64();
-    cells->reserve(size);
-    for (std::uint64_t c = 0; c < size; ++c)
-      cells->push_back(readRef(in, ctx_));
-    blobs.push_back(std::move(cells));
+    cells.reserve(size);
+    for (std::uint64_t c = 0; c < size; ++c) cells.push_back(readRef(in, ctx_));
+    blobs.push_back(
+        std::make_shared<vm::AddressSpace::Payload>(std::move(cells)));
   }
 
   RestoredTables tables;
@@ -850,12 +855,13 @@ void Engine::restore(std::istream& is) {
   const std::uint64_t numQueues = in.u64();
   tables.queues.reserve(numQueues);
   for (std::uint64_t i = 0; i < numQueues; ++i) {
-    auto queue = std::make_shared<std::vector<vm::PendingEvent>>();
+    std::vector<vm::PendingEvent> queue;
     const std::uint64_t size = in.u64();
-    queue->reserve(size);
+    queue.reserve(size);
     for (std::uint64_t e = 0; e < size; ++e)
-      queue->push_back(readPendingEvent(in, ctx_));
-    tables.queues.push_back(std::move(queue));
+      queue.push_back(readPendingEvent(in, ctx_));
+    tables.queues.push_back(
+        std::make_shared<vm::EventQueue::Events::Block>(std::move(queue)));
   }
 
   nextStateId_ = in.u64();
@@ -899,6 +905,7 @@ void Engine::restore(std::istream& is) {
     readStateBody(in, ctx_, *state, blobs, tables);
     if (!byId_.emplace(id, state.get()).second)
       throw SnapshotError("checkpoint contains duplicate state ids");
+    notePriceChange(*state);
     states_.push_back(std::move(state));
   }
   booted_ = booted;

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "expr/context.hpp"
@@ -58,8 +57,10 @@ class ConstraintSet {
   [[nodiscard]] std::uint64_t sharedChunksOnCopy() const {
     return constraints_.sharedChunksOnCopy();
   }
-  [[nodiscard]] std::uint64_t accountBytes(
-      std::map<const void*, std::uint64_t>& seen) const {
+  [[nodiscard]] std::uint64_t privateBytes() const {
+    return constraints_.privateBytes();
+  }
+  [[nodiscard]] std::uint64_t accountBytes(support::SeenSet& seen) const {
     return constraints_.accountBytes(seen);
   }
 

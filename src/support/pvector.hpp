@@ -19,12 +19,14 @@
 //    event queue needs erase-in-the-middle, which chunk sharing cannot
 //    express). Copying is O(1); mutation is pay-on-write.
 //
-// Both containers attribute their shared payloads once through the
-// `seen`-map accounting protocol (vm::AddressSpace::accountBytes), feed
-// the global sharing counters below (fork-cost observability: benches
-// and the O(1)-fork unit tests read them), and honour the process-wide
-// deep-copy mode — the legacy eager-copy representation kept alive as
-// the differential-fuzz baseline: identical semantics, zero sharing.
+// Both containers keep their shared payloads in billed blocks
+// (support::BilledVector), which the engine's memory ledger meters from
+// creation to destruction; the audit walk (accountBytes) charges each
+// block once through a SeenSet. They feed the global sharing counters
+// below (fork-cost observability: benches and the O(1)-fork unit tests
+// read them), and honour the process-wide deep-copy mode — the legacy
+// eager-copy representation kept alive as the differential-fuzz
+// baseline: identical semantics, zero sharing.
 #pragma once
 
 #include <algorithm>
@@ -32,11 +34,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "support/assert.hpp"
+#include "support/memory_ledger.hpp"
 
 namespace sde::support {
 
@@ -105,7 +107,8 @@ template <typename T, std::size_t kChunkCapacity = 8>
 class PVector {
  public:
   static_assert(kChunkCapacity >= 2, "degenerate chunk size");
-  using Chunk = std::vector<T>;  // exactly kChunkCapacity elements once sealed
+  // A sealed chunk: exactly kChunkCapacity elements, a billed block.
+  using Chunk = BilledVector<T>;
   using Spine = std::vector<std::shared_ptr<const Chunk>>;
   static constexpr std::size_t chunkCapacity() { return kChunkCapacity; }
 
@@ -199,21 +202,19 @@ class PVector {
   [[nodiscard]] std::size_t tailSize() const { return tail_.size(); }
 
   // --- Memory accounting ------------------------------------------------------
-  // Bytes held by this sequence, attributing each shared chunk once via
-  // `seen` (the AddressSpace protocol: first visitor pays). The spine
-  // pointer array and tail are billed per owner — both are private to
-  // one container — as a deterministic function of the shape, so the
-  // total survives checkpoint/restore byte-for-byte.
-  [[nodiscard]] std::uint64_t accountBytes(
-      std::map<const void*, std::uint64_t>& seen) const {
-    std::uint64_t bytes = tail_.size() * sizeof(T);
-    bytes += numChunks() * sizeof(void*);  // spine entries
+  // Bytes billed to this container alone: the tail and one spine entry
+  // per chunk, as a deterministic function of the shape (sizes, not
+  // capacities), so the total survives checkpoint/restore byte-for-byte.
+  // The chunks are billed blocks, metered by the ledger.
+  [[nodiscard]] std::uint64_t privateBytes() const {
+    return tail_.size() * sizeof(T) + numChunks() * sizeof(void*);
+  }
+  // The audit walk: private bytes plus every chunk `seen` meets first.
+  [[nodiscard]] std::uint64_t accountBytes(SeenSet& seen) const {
+    std::uint64_t bytes = privateBytes();
     if (spine_ != nullptr) {
-      for (const std::shared_ptr<const Chunk>& chunk : *spine_) {
-        const auto [it, inserted] =
-            seen.emplace(chunk.get(), chunk->size() * sizeof(T));
-        if (inserted) bytes += it->second;
-      }
+      for (const std::shared_ptr<const Chunk>& chunk : *spine_)
+        if (seen.insert(chunk.get())) bytes += chunk->bytes();
     }
     return bytes;
   }
@@ -258,7 +259,8 @@ class PVector {
         auto spine = std::make_shared<Spine>();
         spine->reserve(other.spine_->size());
         for (const std::shared_ptr<const Chunk>& chunk : *other.spine_) {
-          spine->push_back(std::make_shared<const Chunk>(*chunk));
+          spine->push_back(
+              std::make_shared<const Chunk>(std::vector<T>(*chunk)));
           copied += chunk->size();
         }
         spine_ = std::move(spine);
@@ -276,9 +278,13 @@ class PVector {
 };
 
 // --- CowVec ------------------------------------------------------------------
-template <typename T>
+// ItemBytes::of prices one element for the memory meter (see
+// BilledVector); in-place mutations re-bill the payload block by the
+// elements they insert or erase.
+template <typename T, typename ItemBytes = SizeofBytes<T>>
 class CowVec {
  public:
+  using Block = BilledVector<T, ItemBytes>;
   using const_iterator = typename std::vector<T>::const_iterator;
 
   CowVec() = default;
@@ -303,15 +309,27 @@ class CowVec {
   [[nodiscard]] const_iterator begin() const { return view().begin(); }
   [[nodiscard]] const_iterator end() const { return view().end(); }
 
-  void push_back(T value) { mut().push_back(std::move(value)); }
-  void pop_back() { mut().pop_back(); }
+  void push_back(T value) {
+    const std::uint64_t bytes = ItemBytes::of(value);
+    Block& items = mut();
+    items.push_back(std::move(value));
+    items.rebill(bytes, 0);
+  }
+  void pop_back() {
+    Block& items = mut();
+    const std::uint64_t bytes = ItemBytes::of(items.back());
+    items.pop_back();
+    items.rebill(0, bytes);
+  }
   void clear() { data_ = nullptr; }  // drops our reference; sharers keep theirs
 
   void erase(const_iterator pos) {
-    const std::size_t index =
-        static_cast<std::size_t>(pos - view().begin());
-    std::vector<T>& items = mut();  // may reallocate: use the index, not pos
-    items.erase(items.begin() + static_cast<std::ptrdiff_t>(index));
+    const auto index = pos - view().begin();
+    Block& items = mut();  // may reallocate: use the index, not pos
+    const auto at = items.begin() + index;
+    const std::uint64_t bytes = ItemBytes::of(*at);
+    items.erase(at);
+    items.rebill(0, bytes);
   }
 
   // Removes all elements matching `pred` (which must be pure: it may run
@@ -319,9 +337,18 @@ class CowVec {
   // scan never clones shared storage.
   template <typename Pred>
   std::size_t eraseIf(Pred pred) {
-    const std::vector<T>& items = view();
-    if (std::none_of(items.begin(), items.end(), pred)) return 0;
-    return std::erase_if(mut(), pred);
+    std::size_t matches = 0;
+    std::uint64_t bytes = 0;
+    for (const T& item : view()) {
+      if (!pred(item)) continue;
+      ++matches;
+      bytes += ItemBytes::of(item);
+    }
+    if (matches == 0) return 0;
+    Block& items = mut();
+    std::erase_if(static_cast<std::vector<T>&>(items), pred);
+    items.rebill(0, bytes);
+    return matches;
   }
 
   [[nodiscard]] std::uint64_t copyCostElements() const {
@@ -331,25 +358,15 @@ class CowVec {
     return (!persistDeepCopyMode() && data_ != nullptr) ? 1 : 0;
   }
 
-  // Shared-aware accounting; `itemBytes` prices one element (payload
-  // vectors included), charged once per distinct storage block.
-  template <typename ItemBytes>
-  [[nodiscard]] std::uint64_t accountBytes(
-      std::map<const void*, std::uint64_t>& seen, ItemBytes itemBytes) const {
-    if (data_ == nullptr) return 0;
-    const auto found = seen.find(data_.get());
-    if (found != seen.end()) return 0;
-    std::uint64_t bytes = 0;
-    for (const T& item : *data_) bytes += itemBytes(item);
-    seen.emplace(data_.get(), bytes);
-    return bytes;
+  // The audit walk: the payload block, if `seen` meets it first. A CowVec
+  // bills nothing privately — the payload is its only storage.
+  [[nodiscard]] std::uint64_t accountBytes(SeenSet& seen) const {
+    return data_ != nullptr && seen.insert(data_.get()) ? data_->bytes() : 0;
   }
 
   // --- Snapshot support -------------------------------------------------------
-  [[nodiscard]] const std::shared_ptr<std::vector<T>>& raw() const {
-    return data_;
-  }
-  void restoreSnapshot(std::shared_ptr<std::vector<T>> data) {
+  [[nodiscard]] const std::shared_ptr<Block>& raw() const { return data_; }
+  void restoreSnapshot(std::shared_ptr<Block> data) {
     SDE_ASSERT(data_ == nullptr, "restoreSnapshot needs an empty CowVec");
     data_ = std::move(data);
   }
@@ -360,14 +377,14 @@ class CowVec {
     return empty;
   }
 
-  std::vector<T>& mut() {
+  Block& mut() {
     if (data_ == nullptr) {
-      data_ = std::make_shared<std::vector<T>>();
+      data_ = std::make_shared<Block>(std::vector<T>());
     } else if (data_.use_count() > 1) {
       PersistStats& stats = persistStats();
       stats.cowClones.fetch_add(1, std::memory_order_relaxed);
       stats.elementsCopied.fetch_add(data_->size(), std::memory_order_relaxed);
-      data_ = std::make_shared<std::vector<T>>(*data_);
+      data_ = std::make_shared<Block>(std::vector<T>(*data_));
     }
     return *data_;
   }
@@ -375,7 +392,7 @@ class CowVec {
   void copyFrom(const CowVec& other) {
     if (other.data_ == nullptr) return;
     if (persistDeepCopyMode()) {
-      data_ = std::make_shared<std::vector<T>>(*other.data_);
+      data_ = std::make_shared<Block>(std::vector<T>(*other.data_));
       persistStats().elementsCopied.fetch_add(other.data_->size(),
                                               std::memory_order_relaxed);
     } else {
@@ -383,7 +400,7 @@ class CowVec {
     }
   }
 
-  std::shared_ptr<std::vector<T>> data_;  // null = empty
+  std::shared_ptr<Block> data_;  // null = empty
 };
 
 }  // namespace sde::support

@@ -39,6 +39,7 @@ ScenarioResult summarize(Engine& engine, RunOutcome outcome) {
   result.packets = engine.stats().get("engine.packets");
   result.merges = engine.stats().get("engine.merges");
   result.loopSummaries = engine.stats().get("engine.loop_summaries");
+  obs::ScopedPhase phase(engine.profiler(), obs::Phase::kReport);
   result.duplicatesStrict =
       findDuplicates(engine.states(), DuplicateMode::kStrict);
   result.duplicatesContent =

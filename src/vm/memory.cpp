@@ -4,19 +4,20 @@ namespace sde::vm {
 
 void AddressSpace::initGlobals(expr::Context& ctx, std::uint64_t cells) {
   SDE_ASSERT(!objects_.contains(kGlobalsObject), "globals initialised twice");
-  auto payload = std::make_shared<Cells>(cells, ctx.constant(0, 64));
-  objects_.emplace(kGlobalsObject, std::move(payload));
+  objects_.emplace(kGlobalsObject, std::make_shared<Payload>(
+                                       Cells(cells, ctx.constant(0, 64))));
 }
 
 std::uint64_t AddressSpace::alloc(expr::Context& ctx, std::uint64_t cells) {
   const std::uint64_t id = nextId_++;
-  objects_.emplace(id, std::make_shared<Cells>(cells, ctx.constant(0, 64)));
+  objects_.emplace(
+      id, std::make_shared<Payload>(Cells(cells, ctx.constant(0, 64))));
   return id;
 }
 
 std::uint64_t AddressSpace::allocFrom(Cells content) {
   const std::uint64_t id = nextId_++;
-  objects_.emplace(id, std::make_shared<Cells>(std::move(content)));
+  objects_.emplace(id, std::make_shared<Payload>(std::move(content)));
   return id;
 }
 
@@ -33,19 +34,19 @@ expr::Ref AddressSpace::load(std::uint64_t id, std::uint64_t index) const {
   return (*it->second)[index];
 }
 
-std::shared_ptr<AddressSpace::Cells>& AddressSpace::mutableObject(
+std::shared_ptr<AddressSpace::Payload>& AddressSpace::mutableObject(
     std::uint64_t id) {
   const auto it = objects_.find(id);
   SDE_ASSERT(it != objects_.end(), "store to unknown object");
   // Copy-on-write: clone the payload if any other state still shares it.
   if (it->second.use_count() > 1)
-    it->second = std::make_shared<Cells>(*it->second);
+    it->second = std::make_shared<Payload>(Cells(*it->second));
   return it->second;
 }
 
 void AddressSpace::insertObject(std::uint64_t id, Cells cells) {
   SDE_ASSERT(!objects_.contains(id), "insertObject over existing object");
-  objects_.emplace(id, std::make_shared<Cells>(std::move(cells)));
+  objects_.emplace(id, std::make_shared<Payload>(std::move(cells)));
 }
 
 void AddressSpace::removeObject(std::uint64_t id) {
@@ -79,14 +80,10 @@ std::uint64_t AddressSpace::contentHash() const {
   return h.digest();
 }
 
-std::uint64_t AddressSpace::accountBytes(
-    std::map<const void*, std::uint64_t>& seen) const {
+std::uint64_t AddressSpace::accountBytes(support::SeenSet& seen) const {
   std::uint64_t bytes = 0;
-  for (const auto& [id, payload] : objects_) {
-    const auto [it, inserted] =
-        seen.emplace(payload.get(), payload->size() * sizeof(expr::Ref));
-    if (inserted) bytes += it->second;
-  }
+  for (const auto& [id, payload] : objects_)
+    if (seen.insert(payload.get())) bytes += payload->bytes();
   return bytes;
 }
 

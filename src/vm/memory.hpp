@@ -16,6 +16,7 @@
 
 #include "expr/context.hpp"
 #include "support/hash.hpp"
+#include "support/memory_ledger.hpp"
 
 namespace sde::vm {
 
@@ -25,6 +26,10 @@ inline constexpr std::uint64_t kGlobalsObject = 0;
 class AddressSpace {
  public:
   using Cells = std::vector<expr::Ref>;
+  // An object's payload: its cells in a billed block, shared between
+  // forked spaces until a store copies it.
+  using Payload = support::BilledVector<expr::Ref>;
+  using Objects = std::map<std::uint64_t, std::shared_ptr<Payload>>;
 
   // Creates the globals segment (object 0) zero-filled.
   void initGlobals(expr::Context& ctx, std::uint64_t cells);
@@ -59,11 +64,9 @@ class AddressSpace {
   // Content fingerprint: object ids, sizes and cell structural hashes.
   [[nodiscard]] std::uint64_t contentHash() const;
 
-  // Bytes of payload owned by this space, where objects shared with
-  // other spaces are attributed via `seen` (counted only by the first
-  // space that visits them). Used by the simulated-memory meter.
-  [[nodiscard]] std::uint64_t accountBytes(
-      std::map<const void*, std::uint64_t>& seen) const;
+  // The audit walk: bytes of every payload `seen` meets first (a space
+  // bills nothing privately; the memory ledger meters the payloads).
+  [[nodiscard]] std::uint64_t accountBytes(support::SeenSet& seen) const;
 
   [[nodiscard]] std::size_t numObjects() const { return objects_.size(); }
 
@@ -71,25 +74,20 @@ class AddressSpace {
   // The raw object table (ordered by id). The snapshot layer serializes
   // payloads through a pointer-identity blob table so that objects
   // shared copy-on-write between forked states stay shared after
-  // restore — accountBytes() must attribute them once, exactly as in
-  // the original run.
-  [[nodiscard]] const std::map<std::uint64_t, std::shared_ptr<Cells>>&
-  objects() const {
-    return objects_;
-  }
+  // restore — the meter must bill them once, exactly as in the original
+  // run.
+  [[nodiscard]] const Objects& objects() const { return objects_; }
   [[nodiscard]] std::uint64_t nextObjectId() const { return nextId_; }
-  void restoreSnapshot(
-      std::map<std::uint64_t, std::shared_ptr<Cells>> objects,
-      std::uint64_t nextId) {
+  void restoreSnapshot(Objects objects, std::uint64_t nextId) {
     objects_ = std::move(objects);
     nextId_ = nextId;
   }
 
  private:
-  std::shared_ptr<Cells>& mutableObject(std::uint64_t id);
+  std::shared_ptr<Payload>& mutableObject(std::uint64_t id);
 
   // Ordered map: deterministic iteration for hashing and accounting.
-  std::map<std::uint64_t, std::shared_ptr<Cells>> objects_;
+  Objects objects_;
   std::uint64_t nextId_ = 1;
 };
 

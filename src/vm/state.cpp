@@ -38,19 +38,6 @@ void CommLog::restoreSnapshot(Records records) {
   }
 }
 
-namespace {
-
-std::uint64_t pendingEventBytes(const PendingEvent& event) {
-  return sizeof(PendingEvent) + event.payload.size() * sizeof(expr::Ref);
-}
-
-}  // namespace
-
-std::uint64_t EventQueue::accountBytes(
-    std::map<const void*, std::uint64_t>& seen) const {
-  return events_.accountBytes(seen, pendingEventBytes);
-}
-
 void EventQueue::restoreSnapshot(Events events) {
   events_ = std::move(events);
   contentMultiset_ = 0;
@@ -97,32 +84,42 @@ std::uint64_t ExecutionState::forkSharedChunks() const {
          pendingEvents.sharedChunksOnCopy();
 }
 
-std::uint64_t ExecutionState::accountBytes(
-    std::map<const void*, std::uint64_t>& seen) const {
-  // Fixed per-state footprint plus per-state private containers, as a
-  // deterministic function of the state's shape (sizes, not capacities,
-  // so the total survives checkpoint/restore byte-for-byte), plus each
-  // shared block charged once via `seen`.
+namespace {
+
+// The private bytes of a state outside its sequences: the fixed object
+// plus its per-state containers, as a deterministic function of the
+// state's shape (sizes, not capacities, so the total survives
+// checkpoint/restore byte-for-byte).
+std::uint64_t ownBytes(const ExecutionState& state) {
   std::uint64_t bytes = sizeof(ExecutionState);
-  bytes += callStack.size() * sizeof(std::size_t);
-  bytes += failureMessage.size();
-  bytes += activeTimers.size() *
+  bytes += state.callStack.size() * sizeof(std::size_t);
+  bytes += state.failureMessage.size();
+  bytes += state.activeTimers.size() *
            (sizeof(std::uint32_t) + sizeof(std::uint64_t));
-  for (const auto& [label, count] : symbolicCounters)
+  for (const auto& [label, count] : state.symbolicCounters)
     bytes += label.size() + sizeof(count);
-  for (const MergeGuard& g : mergeGuards)
+  for (const MergeGuard& g : state.mergeGuards)
     bytes += sizeof(MergeGuard) +
              (g.ifTrue.size() + g.ifFalse.size()) * sizeof(expr::Ref) +
              (g.decTrue.size() + g.decFalse.size()) * sizeof(DecisionRecord) +
              (g.objsTrueOnly.size() + g.objsFalseOnly.size()) *
                  sizeof(std::uint64_t);
-  bytes += space.accountBytes(seen);
-  bytes += constraints.accountBytes(seen);
-  bytes += commLog.accountBytes(seen);
-  bytes += decisions.accountBytes(seen);
-  bytes += symbolics.accountBytes(seen);
-  bytes += pendingEvents.accountBytes(seen);
   return bytes;
+}
+
+}  // namespace
+
+std::uint64_t ExecutionState::privateBytes() const {
+  return ownBytes(*this) + constraints.privateBytes() +
+         commLog.privateBytes() + decisions.privateBytes() +
+         symbolics.privateBytes();
+}
+
+std::uint64_t ExecutionState::accountBytes(support::SeenSet& seen) const {
+  return ownBytes(*this) + space.accountBytes(seen) +
+         constraints.accountBytes(seen) + commLog.accountBytes(seen) +
+         decisions.accountBytes(seen) + symbolics.accountBytes(seen) +
+         pendingEvents.accountBytes(seen);
 }
 
 std::uint64_t ExecutionState::configHash() const {

@@ -67,6 +67,14 @@ struct PendingEvent {
   [[nodiscard]] std::uint64_t contentHash() const;
 };
 
+// The memory meter's price of a queued event: the event itself plus its
+// payload cells.
+struct PendingEventBytes {
+  static std::uint64_t of(const PendingEvent& event) {
+    return sizeof(PendingEvent) + event.payload.size() * sizeof(expr::Ref);
+  }
+};
+
 // One entry of the communication history h(s) (paper §II-B). The paper
 // notes the history need not be stored; we store it because the test
 // suite uses it to verify conflict-freeness of every dstate.
@@ -115,8 +123,10 @@ class CommLog {
   [[nodiscard]] std::uint64_t sharedChunksOnCopy() const {
     return records_.sharedChunksOnCopy();
   }
-  [[nodiscard]] std::uint64_t accountBytes(
-      std::map<const void*, std::uint64_t>& seen) const {
+  [[nodiscard]] std::uint64_t privateBytes() const {
+    return records_.privateBytes();
+  }
+  [[nodiscard]] std::uint64_t accountBytes(support::SeenSet& seen) const {
     return records_.accountBytes(seen);
   }
 
@@ -139,7 +149,7 @@ class CommLog {
 // multiset would.
 class EventQueue {
  public:
-  using Events = support::CowVec<PendingEvent>;
+  using Events = support::CowVec<PendingEvent, PendingEventBytes>;
   using const_iterator = Events::const_iterator;
 
   void push_back(PendingEvent event) {
@@ -189,8 +199,9 @@ class EventQueue {
   [[nodiscard]] std::uint64_t sharedChunksOnCopy() const {
     return events_.sharedChunksOnCopy();
   }
-  [[nodiscard]] std::uint64_t accountBytes(
-      std::map<const void*, std::uint64_t>& seen) const;
+  [[nodiscard]] std::uint64_t accountBytes(support::SeenSet& seen) const {
+    return events_.accountBytes(seen);
+  }
 
   // --- Snapshot support -------------------------------------------------------
   [[nodiscard]] const Events& events() const { return events_; }
@@ -349,12 +360,16 @@ class ExecutionState {
   // Storage blocks fork() shares instead of copying (sealed chunks +
   // the CoW event queue payload).
   [[nodiscard]] std::uint64_t forkSharedChunks() const;
-  // Bytes attributable to this state, charging each shared block
-  // (memory-object payloads, sealed history chunks, the event-queue
-  // payload) only on first encounter in `seen` — the all-component
-  // extension of AddressSpace::accountBytes.
-  [[nodiscard]] std::uint64_t accountBytes(
-      std::map<const void*, std::uint64_t>& seen) const;
+  // Bytes billed to this state alone: the object itself (sizeof, which
+  // is why bookkeeping never lives in it), call stack, failure message,
+  // timers, symbolic counters, merge guards, and the sequence tails and
+  // spine entries. The engine re-prices a state when an event touches it.
+  [[nodiscard]] std::uint64_t privateBytes() const;
+  // The audit walk: privateBytes() plus every shared block — memory
+  // payloads, sealed history chunks, the event-queue payload — that
+  // `seen` meets first. Summed over all states it equals the engine's
+  // memory ledger.
+  [[nodiscard]] std::uint64_t accountBytes(support::SeenSet& seen) const;
 
   // --- Fingerprints -------------------------------------------------------------
   // Configuration hash over node id, program counter, registers, memory,

@@ -1,6 +1,9 @@
 // Deliberate state explosion and the incremental iterator (§IV-C).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "sde/explode.hpp"
 #include "trace/scenario.hpp"
 
@@ -84,6 +87,42 @@ TEST_F(ExplodeTest, IncrementalIterationIsMemoryBounded) {
   for (std::uint64_t i = 0; i < total / 2; ++i)
     ASSERT_TRUE(it.next().has_value());
   EXPECT_EQ(it.produced(), total / 2);
+}
+
+// A group of `nodes` nodes with `choices` states each; counting never
+// looks at the states, so they are null.
+std::vector<std::vector<ExecutionState*>> uniformGroup(std::size_t nodes,
+                                                       std::size_t choices) {
+  return std::vector<std::vector<ExecutionState*>>(
+      nodes, std::vector<ExecutionState*>(choices, nullptr));
+}
+
+TEST(CountScenariosTest, ExactUpToTheTopOfTheRange) {
+  // 2^63 + 2^62 + ... + 2^0 = 2^64 - 1, one group per power.
+  std::vector<std::vector<std::vector<ExecutionState*>>> groups;
+  for (std::size_t nodes = 0; nodes < 64; ++nodes)
+    groups.push_back(uniformGroup(nodes, 2));
+  EXPECT_EQ(countScenarios(groups), std::numeric_limits<std::uint64_t>::max());
+  groups.push_back(uniformGroup(3, 0));  // an empty choice list adds 0
+  EXPECT_EQ(countScenarios(groups), std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(CountScenariosTest, AProductAbove2To64Throws) {
+  EXPECT_THROW((void)countScenarios({uniformGroup(64, 2)}),
+               ScenarioCountOverflow);
+  EXPECT_THROW((void)countScenarios({uniformGroup(3, 2), uniformGroup(65, 3)}),
+               ScenarioCountOverflow);
+}
+
+TEST(CountScenariosTest, ASumAbove2To64Throws) {
+  EXPECT_THROW(
+      (void)countScenarios({uniformGroup(63, 2), uniformGroup(63, 2)}),
+      ScenarioCountOverflow);
+  std::vector<std::vector<std::vector<ExecutionState*>>> groups;
+  for (std::size_t nodes = 0; nodes < 64; ++nodes)
+    groups.push_back(uniformGroup(nodes, 2));
+  groups.push_back(uniformGroup(0, 2));  // 2^64 - 1 plus one
+  EXPECT_THROW((void)countScenarios(groups), ScenarioCountOverflow);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 // magic rejection, truncation.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -167,7 +166,7 @@ TEST_P(MemoryAccountingTest, SharedAccountingIsBelowTheDeepCopyBaseline) {
 }
 
 TEST_P(MemoryAccountingTest, AccountingIsIndependentOfStateVisitOrder) {
-  // The seen-map discipline bills each shared block to its first
+  // The audit walk's seen-set bills each shared block to its first
   // visitor; the *total* must not depend on who that is.
   const auto config = smallGrid(GetParam(), 3000);
   trace::CollectScenario scenario(config);
@@ -178,7 +177,7 @@ TEST_P(MemoryAccountingTest, AccountingIsIndependentOfStateVisitOrder) {
     states.push_back(state.get());
 
   const auto total = [&](auto begin, auto end) {
-    std::map<const void*, std::uint64_t> seen;
+    support::SeenSet seen;
     std::uint64_t bytes = 0;
     for (auto it = begin; it != end; ++it) bytes += (*it)->accountBytes(seen);
     return bytes;

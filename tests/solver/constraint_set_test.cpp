@@ -146,7 +146,7 @@ TEST_F(ConstraintSetTest, CopySharesChunksAndCostsOnlyTheTail) {
   EXPECT_EQ(cs.copyCostElements(), 2u);
   EXPECT_EQ(cs.sharedChunksOnCopy(), 3u);
 
-  std::map<const void*, std::uint64_t> seen;
+  support::SeenSet seen;
   const std::uint64_t solo = cs.accountBytes(seen);
   const ConstraintSet copy = cs;
   const std::uint64_t extra = copy.accountBytes(seen);

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <numeric>
 #include <vector>
 
@@ -96,10 +95,10 @@ TEST(PVectorTest, AccountBytesChargesSharedChunksOnce) {
   for (std::uint64_t i = 0; i < 6 * kChunk; ++i) a.push_back(i);
   const IntSeq b = a;  // shares all 6 chunks
 
-  std::map<const void*, std::uint64_t> seenSolo;
+  SeenSet seenSolo;
   const std::uint64_t solo = a.accountBytes(seenSolo);
 
-  std::map<const void*, std::uint64_t> seenBoth;
+  SeenSet seenBoth;
   const std::uint64_t both =
       a.accountBytes(seenBoth) + b.accountBytes(seenBoth);
   // Two sharers cost one payload plus two (identical) spine overheads —
@@ -108,7 +107,7 @@ TEST(PVectorTest, AccountBytesChargesSharedChunksOnce) {
   EXPECT_EQ(both, solo + 6 * sizeof(void*));
 
   // Traversal order must not change the total (first visitor pays).
-  std::map<const void*, std::uint64_t> seenReversed;
+  SeenSet seenReversed;
   const std::uint64_t reversed =
       b.accountBytes(seenReversed) + a.accountBytes(seenReversed);
   EXPECT_EQ(reversed, both);
@@ -119,13 +118,13 @@ TEST(PVectorTest, AccountBytesNeverExceedsTheDeepCopyTotal) {
   for (std::uint64_t i = 0; i < 3 * kChunk + 9; ++i) a.push_back(i);
   const IntSeq b = a;
 
-  std::map<const void*, std::uint64_t> seenShared;
+  SeenSet seenShared;
   const std::uint64_t shared =
       a.accountBytes(seenShared) + b.accountBytes(seenShared);
 
   ScopedDeepCopyMode legacy;
   const IntSeq c = a;  // cloned chunks: nothing shared with a
-  std::map<const void*, std::uint64_t> seenDeep;
+  SeenSet seenDeep;
   const std::uint64_t deep =
       a.accountBytes(seenDeep) + c.accountBytes(seenDeep);
   EXPECT_LE(shared, deep);
@@ -144,7 +143,7 @@ TEST(PVectorTest, SnapshotRoundTripPreservesContentsAndSharing) {
   for (std::size_t i = 0; i < original.size(); ++i)
     EXPECT_EQ(restored[i], original[i]);
 
-  std::map<const void*, std::uint64_t> seen;
+  SeenSet seen;
   const std::uint64_t first = original.accountBytes(seen);
   const std::uint64_t second = restored.accountBytes(seen);
   EXPECT_LT(second, first);  // chunks already charged to `original`
@@ -217,12 +216,9 @@ TEST(CowVecTest, AccountBytesChargesTheSharedPayloadOnce) {
   for (std::uint64_t i = 0; i < 50; ++i) a.push_back(i);
   const CowVec<std::uint64_t> b = a;
 
-  const auto itemBytes = [](const std::uint64_t&) -> std::uint64_t {
-    return sizeof(std::uint64_t);
-  };
-  std::map<const void*, std::uint64_t> seen;
-  const std::uint64_t first = a.accountBytes(seen, itemBytes);
-  const std::uint64_t second = b.accountBytes(seen, itemBytes);
+  SeenSet seen;
+  const std::uint64_t first = a.accountBytes(seen);
+  const std::uint64_t second = b.accountBytes(seen);
   EXPECT_EQ(first, 50 * sizeof(std::uint64_t));
   EXPECT_EQ(second, 0u);
 }

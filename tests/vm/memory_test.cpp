@@ -62,7 +62,7 @@ TEST_F(MemoryTest, CopyOnWriteIsolatesForks) {
 TEST_F(MemoryTest, SharedBytesAccountedOnce) {
   space.initGlobals(ctx, 8);
   AddressSpace forked = space;
-  std::map<const void*, std::uint64_t> seen;
+  support::SeenSet seen;
   const auto first = space.accountBytes(seen);
   const auto second = forked.accountBytes(seen);
   EXPECT_GT(first, 0u);
@@ -73,7 +73,7 @@ TEST_F(MemoryTest, DivergedForkAccountsSeparately) {
   space.initGlobals(ctx, 8);
   AddressSpace forked = space;
   forked.store(kGlobalsObject, 0, ctx.constant(5, 64));  // triggers COW
-  std::map<const void*, std::uint64_t> seen;
+  support::SeenSet seen;
   const auto first = space.accountBytes(seen);
   const auto second = forked.accountBytes(seen);
   EXPECT_EQ(first, second);

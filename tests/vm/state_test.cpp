@@ -180,18 +180,18 @@ TEST_F(StateTest, AccountBytesChargesSharedHistoryOnce) {
     s.constraints.add(ctx.ult(ctx.variable("v", 16), ctx.constant(i + 1, 16)));
     s.commLog.push_back({true, 2, i, i * 31, i});
   }
-  std::map<const void*, std::uint64_t> seenSolo;
+  support::SeenSet seenSolo;
   const std::uint64_t solo = s.accountBytes(seenSolo);
 
   const auto clone = s.fork(777);
-  std::map<const void*, std::uint64_t> seenPair;
+  support::SeenSet seenPair;
   const std::uint64_t pair =
       s.accountBytes(seenPair) + clone->accountBytes(seenPair);
   // Far from double: the clone re-pays only tails and fixed overhead.
   EXPECT_LT(pair, 2 * solo);
 
-  // Order independence of the seen-map discipline.
-  std::map<const void*, std::uint64_t> seenReversed;
+  // Order independence of the seen-set discipline.
+  support::SeenSet seenReversed;
   const std::uint64_t reversed =
       clone->accountBytes(seenReversed) + s.accountBytes(seenReversed);
   EXPECT_EQ(reversed, pair);
@@ -199,7 +199,7 @@ TEST_F(StateTest, AccountBytesChargesSharedHistoryOnce) {
   // The legacy deep-copy representation is the upper bound.
   support::ScopedDeepCopyMode legacy;
   const auto deepClone = s.fork(778);
-  std::map<const void*, std::uint64_t> seenDeep;
+  support::SeenSet seenDeep;
   const std::uint64_t deep =
       s.accountBytes(seenDeep) + deepClone->accountBytes(seenDeep);
   EXPECT_LE(pair, deep);
