@@ -66,7 +66,6 @@
 #include "obs/trace_io.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/manifest.hpp"
-#include "support/pvector.hpp"
 #include "trace/scenario.hpp"
 #include "trace/table.hpp"
 
@@ -84,7 +83,6 @@ struct Options {
   std::string checkpointDir;
   bool resume = false;
   std::string traceDir;
-  bool deepCopy = false;  // legacy eager-copy forks (E17 memory baseline)
   unsigned fleet = 0;     // 0 = no fleet comparison rows
   bool metrics = false;   // attach the live metrics plane (E21 overhead)
   bool merge = false;     // state merging at post-dominator joins (E22)
@@ -115,8 +113,6 @@ Options parseArgs(int argc, char** argv) {
       options.resume = true;
     else if (arg == "--trace-out" && i + 1 < argc)
       options.traceDir = argv[++i];
-    else if (arg == "--deep-copy")
-      options.deepCopy = true;
     else if (arg == "--fleet")
       options.fleet = static_cast<unsigned>(next());
     else if (arg == "--metrics")
@@ -153,10 +149,6 @@ std::uint32_t sideOf(std::uint32_t nodes) {
 int main(int argc, char** argv) {
   using namespace sde;
   const Options options = parseArgs(argc, argv);
-  if (options.deepCopy) {
-    support::setPersistDeepCopyMode(true);
-    std::printf("[deep-copy] legacy eager-copy forks (pre-sharing baseline)\n");
-  }
 
   for (const std::uint32_t nodes : options.nodeCounts) {
     const std::uint32_t side = sideOf(nodes);

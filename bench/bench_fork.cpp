@@ -1,15 +1,14 @@
 // E17 — fork-cost microbenchmarks (google-benchmark): how much work a
 // single ExecutionState::fork does as the state's append-only histories
-// grow, persistent structural sharing vs the legacy eager deep copy.
-// The per-iteration `copied_elems` counter (from support::persistStats)
-// is the payload-copy cost the tentpole claims is O(1): flat in history
-// size for the persistent representation, linear for the legacy one.
+// grow. The `copied_elems` counter (ExecutionState::forkCopyCost, the
+// sequence tails a fork copies) is the payload-copy cost the structural
+// sharing keeps O(1): flat in history size, while `shared_chunks`
+// (forkSharedChunks) grows with it.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <string>
 
-#include "support/pvector.hpp"
 #include "vm/builder.hpp"
 #include "vm/state.hpp"
 
@@ -41,46 +40,26 @@ vm::ExecutionState grownState(expr::Context& ctx, const vm::Program& program,
   return state;
 }
 
-void BM_Fork(benchmark::State& state, bool deepCopy) {
+void BM_Fork(benchmark::State& state) {
   const auto records = static_cast<std::uint64_t>(state.range(0));
   expr::Context ctx;
   const vm::Program program = noopProgram();
   vm::ExecutionState original = grownState(ctx, program, records);
 
-  support::setPersistDeepCopyMode(deepCopy);
-  const std::uint64_t advertised = original.forkCopyCost();
-  const std::uint64_t sharedChunks = original.forkSharedChunks();
-  auto& stats = support::persistStats();
-  const std::uint64_t copiedBefore =
-      stats.elementsCopied.load(std::memory_order_relaxed);
   vm::StateId next = 100;
-  std::uint64_t iterations = 0;
   for (auto _ : state) {
     auto clone = original.fork(next++);
     benchmark::DoNotOptimize(clone->configHash());
-    ++iterations;
   }
-  support::setPersistDeepCopyMode(false);
 
-  const std::uint64_t copied =
-      stats.elementsCopied.load(std::memory_order_relaxed) - copiedBefore;
-  state.counters["copied_elems"] = benchmark::Counter(
-      static_cast<double>(copied) / static_cast<double>(iterations));
-  state.counters["advertised"] = static_cast<double>(advertised);
-  state.counters["shared_chunks"] = static_cast<double>(sharedChunks);
+  state.counters["copied_elems"] =
+      static_cast<double>(original.forkCopyCost());
+  state.counters["shared_chunks"] =
+      static_cast<double>(original.forkSharedChunks());
 }
 
 }  // namespace
 
-BENCHMARK_CAPTURE(BM_Fork, persistent, false)
-    ->Arg(64)
-    ->Arg(512)
-    ->Arg(4096)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_Fork, deep_copy, true)
-    ->Arg(64)
-    ->Arg(512)
-    ->Arg(4096)
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Fork)->Arg(64)->Arg(512)->Arg(4096)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

@@ -13,8 +13,6 @@
 //                     [--cob-state-cap N] [--cob-wall-cap SECONDS]
 //                     [--paper]   (full 10-second simulation; slow)
 //                     [--checkpoint-dir DIR] [--resume] [--trace-out DIR]
-//                     [--deep-copy]  (legacy eager-copy forks: the
-//                                     pre-sharing memory baseline for E17)
 //                     [--merge] [--loop-summarize]  (state merging at
 //                                     post-dominator joins / bounded loop
 //                                     summarization on top; E22)
@@ -35,7 +33,6 @@
 #include "obs/profiler.hpp"
 #include "obs/trace_io.hpp"
 #include "sde/explode.hpp"
-#include "support/pvector.hpp"
 #include "trace/scenario.hpp"
 #include "trace/table.hpp"
 
@@ -50,7 +47,6 @@ struct Options {
   std::string checkpointDir;
   bool resume = false;
   std::string traceDir;
-  bool deepCopy = false;
   bool merge = false;          // state merging at post-dominator joins
   bool loopSummarize = false;  // bounded loop summarization
 };
@@ -77,8 +73,6 @@ Options parseArgs(int argc, char** argv) {
       options.resume = true;
     else if (arg == "--trace-out" && i + 1 < argc)
       options.traceDir = argv[++i];
-    else if (arg == "--deep-copy")
-      options.deepCopy = true;
     else if (arg == "--merge")
       options.merge = true;
     else if (arg == "--loop-summarize")
@@ -94,10 +88,6 @@ Options parseArgs(int argc, char** argv) {
 int main(int argc, char** argv) {
   using namespace sde;
   const Options options = parseArgs(argc, argv);
-  if (options.deepCopy) {
-    support::setPersistDeepCopyMode(true);
-    std::printf("[deep-copy] legacy eager-copy forks (pre-sharing baseline)\n");
-  }
 
   std::printf(
       "Table I — %ux%u grid (%u nodes), source->sink collect, symbolic "

@@ -293,8 +293,7 @@ int main(int argc, char** argv) {
   for (const auto& workload : workloads) {
     double switchNs = 0;
     for (const vm::DispatchMode mode :
-         {vm::DispatchMode::kSwitch, vm::DispatchMode::kThreaded,
-          vm::DispatchMode::kFused}) {
+         {vm::DispatchMode::kSwitch, vm::DispatchMode::kFused}) {
       const DispatchRow row =
           runDispatch(workload.name, workload.program, mode, options.events);
       if (mode == vm::DispatchMode::kSwitch) switchNs = row.nsPerInstr;

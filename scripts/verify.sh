@@ -56,10 +56,10 @@ test -n "$DIGEST_P4" && test "$DIGEST_P4" = "$DIGEST_P1" \
   || { echo "fleet digest mismatch: p4='$DIGEST_P4' p1='$DIGEST_P1'"; exit 1; }
 echo "fleet digests agree: $DIGEST_P4"
 
-echo "=== dispatch smoke: switch-dispatch digests == threaded/fused digests ==="
-# The VM dispatch strategy (threaded/fused vs the switch interpreter) and
-# same-key event batching must be unobservable in the results: re-run the
-# fleet smoke plans with SDE_DISPATCH=switch and compare fingerprint
+echo "=== dispatch smoke: switch-dispatch digests == fused digests ==="
+# The VM dispatch strategy (fused vs the switch reference interpreter)
+# and same-key event batching must be unobservable in the results: re-run
+# the fleet smoke plans with SDE_DISPATCH=switch and compare fingerprint
 # digests against the default (fused) launches above, at both process
 # counts.
 SDE_DISPATCH=switch ./build/tools/sde_fleet launch "$FLEET_SMOKE/sw4" \
@@ -210,7 +210,7 @@ echo "meter identity: grid10_sds and grid10_cow match their references"
 
 echo "=== release: configure + build (CMAKE_BUILD_TYPE=Release) ==="
 # Optimised build: the persistent-sharing fork paths are exactly the
-# kind of code where -O2 reorders lifetimes; the differential fuzz
+# kind of code where -O2 reorders lifetimes; the model-based container
 # oracle (fixed seeds baked into the test) must agree here too.
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j
@@ -218,8 +218,14 @@ cmake --build build-release -j
 echo "=== release: ctest ==="
 ctest --test-dir build-release --output-on-failure -j
 
-echo "=== release: fork-sharing differential fuzz oracle ==="
-./build-release/tests/fork_sharing_tests
+echo "=== release: PVector/CowVec model oracle ==="
+./build-release/tests/pvector_model_tests
+
+echo "=== release: shm query cache property battery, repeated ==="
+# Concurrent writers racing on one key must publish it once: repeat the
+# multi-process battery so a rare interleaving gets many chances to show.
+./build-release/tests/solver_tests --gtest_filter='ShmCachePropertyTest.*' \
+  --gtest_repeat=100 --gtest_brief=1
 
 echo "=== release: memory ledger oracle battery ==="
 ./build-release/tests/memory_ledger_tests
@@ -252,13 +258,18 @@ echo "=== asan: merge-on vs merge-off differential battery ==="
 # reaps states in place — exactly where lifetime bugs would hide).
 ./build-asan/tests/merge_tests
 
+echo "=== asan: PVector/CowVec model oracle ==="
+# Copies share chunks and payloads: aliasing and block lifetimes are
+# exactly what ASan checks.
+./build-asan/tests/pvector_model_tests
+
 echo "=== asan: memory ledger oracle battery ==="
 # Blocks bill the ledger from creation to destruction and keep it alive
 # past its engine: lifetimes are exactly what ASan checks.
 ./build-asan/tests/memory_ledger_tests
 
 echo "=== asan: dispatch-mode differential battery ==="
-# Threaded dispatch walks a pre-decoded instruction array with computed
+# Fused dispatch walks a pre-decoded instruction array with computed
 # gotos and caches interned constants in mutable decode slots — pointer
 # arithmetic ASan must bless on every seed.
 ./build-asan/tests/dispatch_tests

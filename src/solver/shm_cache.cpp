@@ -18,17 +18,21 @@ namespace {
 constexpr char kMagic[8] = {'S', 'D', 'E', 'S', 'H', 'M', 'Q', 'C'};
 // Bumped on any header or slot layout change; attach() rejects every
 // other version (no migration, same policy as the snapshot formats).
-constexpr std::uint32_t kLayoutVersion = 1;
+constexpr std::uint32_t kLayoutVersion = 2;
 // Two-phase init: the creator publishes this marker only after the
 // header geometry is fully written, so an attacher racing a crashed
 // creator sees a not-ready segment, never half-written geometry.
 constexpr std::uint64_t kReadyMarker = 0x52454144u;  // "READ"
 
-// Slot lifecycle. Claimed-but-never-published slots are the residue of
-// a writer killed mid-insert; everyone probes past them.
+// Slot lifecycle, in the slot's state word: empty (0), then claimed
+// (the claiming writer's key digest, whose low bit is always clear),
+// then published (the digest with the low bit set). Because the claim
+// names its key, every writer of one key stops at the same slot: first
+// writer wins per key, not per slot. Claimed-but-never-published slots
+// are the residue of a writer killed mid-insert; other keys probe past
+// them, and their own key stays unpublished (a miss, which is sound).
 constexpr std::uint64_t kSlotEmpty = 0;
-constexpr std::uint64_t kSlotClaimed = 1;
-constexpr std::uint64_t kSlotPublished = 2;
+constexpr std::uint64_t kPublishedBit = 1;
 
 // Bounded probing: beyond this the table is effectively saturated and
 // inserts are dropped (lookups that probe this far without a match
@@ -38,10 +42,11 @@ constexpr std::uint64_t kMaxProbe = 128;
 std::uint64_t keyDigest(const SharedQueryKey& key) {
   support::Hasher h;
   for (const std::uint64_t v : key) h.u64(v);
-  // Digest 0 is reserved as "impossible" so a zeroed slot never
-  // accidentally matches a real key.
-  const std::uint64_t digest = h.digest();
-  return digest == 0 ? 1 : digest;
+  // The digest doubles as the claim word: the low bit is the publish
+  // flag, and 0 is an empty slot, which no claim may look like. The
+  // home slot comes from the hash bits above the flag.
+  const std::uint64_t digest = h.digest() << 1;
+  return digest == kSlotEmpty ? 2 : digest;
 }
 
 }  // namespace
@@ -68,10 +73,10 @@ struct ShmQueryCache::Header {
 
 // One open-addressed table slot. The variable-size tail (key hashes,
 // then bindings) is laid out after the fixed fields according to the
-// header geometry; `state` is the publication gate.
+// header geometry; `state` is the publication gate and carries the key
+// digest.
 struct ShmQueryCache::Slot {
   std::atomic<std::uint64_t> state;
-  std::uint64_t digest;
   std::uint32_t keyLen;
   std::uint32_t numBindings;
   std::uint8_t status;  // EnumStatus
@@ -274,11 +279,11 @@ std::optional<SharedQueryResult> ShmQueryCache::lookup(
   const std::uint64_t digest = keyDigest(key);
   const std::uint64_t probes = std::min<std::uint64_t>(kMaxProbe, h.capacity);
   for (std::uint64_t i = 0; i < probes; ++i) {
-    const Slot* slot = slotAt((digest + i) % h.capacity);
+    const Slot* slot = slotAt(((digest >> 1) + i) % h.capacity);
     const std::uint64_t state = slot->state.load(std::memory_order_acquire);
     if (state == kSlotEmpty) break;  // claimed slots: keep probing
-    if (state != kSlotPublished) continue;
-    if (slot->digest != digest || slot->keyLen != key.size()) continue;
+    if (state != (digest | kPublishedBit) || slot->keyLen != key.size())
+      continue;
     if (!std::equal(key.begin(), key.end(), slot->keyHashes())) continue;
 
     SharedQueryResult result;
@@ -324,21 +329,23 @@ void ShmQueryCache::insert(const SharedQueryKey& key,
   const std::uint64_t digest = keyDigest(key);
   const std::uint64_t probes = std::min<std::uint64_t>(kMaxProbe, h.capacity);
   for (std::uint64_t i = 0; i < probes; ++i) {
-    Slot* slot = slotAt((digest + i) % h.capacity);
+    Slot* slot = slotAt(((digest >> 1) + i) % h.capacity);
     std::uint64_t state = slot->state.load(std::memory_order_acquire);
-    if (state == kSlotPublished) {
-      // First writer wins: an equal key already published means drop.
-      if (slot->digest == digest && slot->keyLen == key.size() &&
+    // A failed claim leaves the winner's claim word in `state`.
+    if (state != kSlotEmpty ||
+        !slot->state.compare_exchange_strong(state, digest,
+                                             std::memory_order_acq_rel)) {
+      if ((state & ~kPublishedBit) != digest) continue;  // another key's
+      // First writer wins: our key claimed (mid-write, or by a writer
+      // that died) or already published means drop. A published
+      // digest twin with a different key is the one reason to go on.
+      if ((state & kPublishedBit) == 0) return;
+      if (slot->keyLen == key.size() &&
           std::equal(key.begin(), key.end(), slot->keyHashes()))
         return;
       continue;
     }
-    if (state == kSlotClaimed) continue;  // stuck or mid-write: probe past
-    if (!slot->state.compare_exchange_strong(state, kSlotClaimed,
-                                             std::memory_order_acq_rel))
-      continue;  // lost the race for this slot; try the next one
 
-    slot->digest = digest;
     slot->keyLen = static_cast<std::uint32_t>(key.size());
     slot->status = static_cast<std::uint8_t>(result.status);
     slot->numBindings = static_cast<std::uint32_t>(result.model.size());
@@ -355,7 +362,7 @@ void ShmQueryCache::insert(const SharedQueryKey& key,
       std::memcpy(name, binding.name.data(), binding.name.size());
       cursor += sizeof(SlotBinding) + nameAligned;
     }
-    slot->state.store(kSlotPublished, std::memory_order_release);
+    slot->state.store(digest | kPublishedBit, std::memory_order_release);
     h.entries.fetch_add(1, std::memory_order_relaxed);
     h.inserts.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -370,7 +377,7 @@ ShmQueryCache::sortedEntries() const {
   const std::uint64_t nameAligned = (std::uint64_t{h.nameBytes} + 7) & ~7ull;
   for (std::uint64_t i = 0; i < h.capacity; ++i) {
     const Slot* slot = slotAt(i);
-    if (slot->state.load(std::memory_order_acquire) != kSlotPublished)
+    if ((slot->state.load(std::memory_order_acquire) & kPublishedBit) == 0)
       continue;
     SharedQueryKey key(slot->keyHashes(), slot->keyHashes() + slot->keyLen);
     SharedQueryResult result;

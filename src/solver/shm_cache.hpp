@@ -9,14 +9,16 @@
 // leaked forever by a SIGKILLed holder, while a slot-claim CAS cannot
 // wedge anybody:
 //
-//   * insert claims a slot (state empty -> claimed, one CAS), writes the
-//     payload, then publishes (state -> published, release store). A
-//     worker killed mid-write leaves the slot claimed forever; readers
-//     and writers simply probe past it. One slot is wasted, nothing
-//     blocks, nothing is torn.
-//   * entries are immutable once published (first writer wins, no
-//     updates, no deletes), so a lookup that sees `published` (acquire
-//     load) reads a complete, final payload.
+//   * insert claims a slot (state empty -> claimed for its key digest,
+//     one CAS), writes the payload, then publishes (state -> published,
+//     release store). A writer that meets a claim for its own key stops,
+//     so one key is published at most once. A worker killed mid-write
+//     leaves the slot claimed forever; other keys probe past it, and its
+//     own key stays a miss. One slot is wasted, nothing blocks, nothing
+//     is torn.
+//   * entries are immutable once published (first writer wins per key,
+//     no updates, no deletes), so a lookup that sees `published`
+//     (acquire load) reads a complete, final payload.
 //
 // Everything else follows the SharedQueryStore contract (see
 // shared_cache.hpp): context-independent keys, canonical values only,

@@ -22,15 +22,14 @@
 // Both containers keep their shared payloads in billed blocks
 // (support::BilledVector), which the engine's memory ledger meters from
 // creation to destruction; the audit walk (accountBytes) charges each
-// block once through a SeenSet. They feed the global sharing counters
-// below (fork-cost observability: benches and the O(1)-fork unit tests
-// read them), and honour the process-wide deep-copy mode — the legacy
-// eager-copy representation kept alive as the differential-fuzz
-// baseline: identical semantics, zero sharing.
+// block once through a SeenSet. A copy shares chunks or the payload and
+// does nothing else: no process-wide state is read or written, so
+// workers on different threads fork without touching a common cache
+// line. tests/support/pvector_model_test.cpp holds both containers to a
+// std::vector model.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -41,60 +40,6 @@
 #include "support/memory_ledger.hpp"
 
 namespace sde::support {
-
-// --- Sharing counters (process-wide, relaxed) --------------------------------
-// Written on every container copy/seal/clone; read by bench_fork and the
-// structural-sharing unit tests. Relaxed atomics: the counters are
-// observability, never control flow, and per-engine determinism is
-// provided by ExecutionState::forkCopyCost() instead.
-struct PersistStats {
-  std::atomic<std::uint64_t> elementsCopied{0};  // deep element copies
-  std::atomic<std::uint64_t> chunksShared{0};    // chunk refs shared on copy
-  std::atomic<std::uint64_t> chunksSealed{0};    // tails frozen into chunks
-  std::atomic<std::uint64_t> cowClones{0};       // CowVec clone-on-write events
-
-  void reset() {
-    elementsCopied.store(0, std::memory_order_relaxed);
-    chunksShared.store(0, std::memory_order_relaxed);
-    chunksSealed.store(0, std::memory_order_relaxed);
-    cowClones.store(0, std::memory_order_relaxed);
-  }
-};
-
-inline PersistStats& persistStats() {
-  static PersistStats stats;
-  return stats;
-}
-
-// --- Legacy eager-copy mode --------------------------------------------------
-// When set, every container copy clones its payload instead of sharing
-// it — byte-for-byte the pre-persistent representation. The differential
-// fuzz oracle runs the same exploration in both modes and demands
-// identical digests; production code never sets this.
-inline std::atomic<bool>& persistDeepCopyFlag() {
-  static std::atomic<bool> flag{false};
-  return flag;
-}
-[[nodiscard]] inline bool persistDeepCopyMode() {
-  return persistDeepCopyFlag().load(std::memory_order_relaxed);
-}
-inline void setPersistDeepCopyMode(bool on) {
-  persistDeepCopyFlag().store(on, std::memory_order_relaxed);
-}
-
-// RAII scope for tests: flips into deep-copy mode and restores on exit.
-class ScopedDeepCopyMode {
- public:
-  explicit ScopedDeepCopyMode(bool on = true) : previous_(persistDeepCopyMode()) {
-    setPersistDeepCopyMode(on);
-  }
-  ~ScopedDeepCopyMode() { setPersistDeepCopyMode(previous_); }
-  ScopedDeepCopyMode(const ScopedDeepCopyMode&) = delete;
-  ScopedDeepCopyMode& operator=(const ScopedDeepCopyMode&) = delete;
-
- private:
-  bool previous_;
-};
 
 // --- PVector -----------------------------------------------------------------
 // The default chunk size is tuned to the engine's workloads: states are
@@ -111,19 +56,6 @@ class PVector {
   using Chunk = BilledVector<T>;
   using Spine = std::vector<std::shared_ptr<const Chunk>>;
   static constexpr std::size_t chunkCapacity() { return kChunkCapacity; }
-
-  PVector() = default;
-  PVector(PVector&&) noexcept = default;
-  PVector& operator=(PVector&&) noexcept = default;
-  PVector(const PVector& other) { copyFrom(other); }
-  PVector& operator=(const PVector& other) {
-    if (this != &other) {
-      spine_ = nullptr;
-      tail_.clear();
-      copyFrom(other);
-    }
-    return *this;
-  }
 
   void push_back(T value) {
     tail_.push_back(std::move(value));
@@ -183,19 +115,12 @@ class PVector {
   [[nodiscard]] const_iterator end() const { return {this, size()}; }
 
   // --- Fork-cost observability ------------------------------------------------
-  // Elements a copy of this container deep-copies right now — the tail
-  // in persistent mode, everything in legacy deep-copy mode. This is
-  // the deterministic per-state quantity the engine's fork counters and
-  // kStateFork trace records carry (the global PersistStats counters
-  // are process-wide and interleave across engines).
-  [[nodiscard]] std::uint64_t copyCostElements() const {
-    return persistDeepCopyMode() ? size() : tail_.size();
-  }
-  // Chunk references a copy shares instead of cloning (zero in legacy
-  // mode, which clones them).
-  [[nodiscard]] std::uint64_t sharedChunksOnCopy() const {
-    return persistDeepCopyMode() ? 0 : numChunks();
-  }
+  // Elements a copy of this container deep-copies right now: the tail.
+  // This is the deterministic per-state quantity the engine's fork
+  // counters and kStateFork trace records carry.
+  [[nodiscard]] std::uint64_t copyCostElements() const { return tail_.size(); }
+  // Chunk references a copy shares instead of cloning.
+  [[nodiscard]] std::uint64_t sharedChunksOnCopy() const { return numChunks(); }
   [[nodiscard]] std::size_t numChunks() const {
     return spine_ == nullptr ? 0 : spine_->size();
   }
@@ -246,31 +171,6 @@ class PVector {
     if (spine_ != nullptr) *spine = *spine_;
     spine->push_back(std::move(chunk));
     spine_ = std::move(spine);
-    persistStats().chunksSealed.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void copyFrom(const PVector& other) {
-    PersistStats& stats = persistStats();
-    tail_ = other.tail_;
-    std::uint64_t copied = other.tail_.size();
-    if (other.spine_ != nullptr) {
-      if (persistDeepCopyMode()) {
-        // Legacy representation: clone every chunk (the fuzz baseline).
-        auto spine = std::make_shared<Spine>();
-        spine->reserve(other.spine_->size());
-        for (const std::shared_ptr<const Chunk>& chunk : *other.spine_) {
-          spine->push_back(
-              std::make_shared<const Chunk>(std::vector<T>(*chunk)));
-          copied += chunk->size();
-        }
-        spine_ = std::move(spine);
-      } else {
-        spine_ = other.spine_;
-        stats.chunksShared.fetch_add(other.spine_->size(),
-                                     std::memory_order_relaxed);
-      }
-    }
-    stats.elementsCopied.fetch_add(copied, std::memory_order_relaxed);
   }
 
   std::shared_ptr<const Spine> spine_;  // null = no sealed chunks yet
@@ -286,18 +186,6 @@ class CowVec {
  public:
   using Block = BilledVector<T, ItemBytes>;
   using const_iterator = typename std::vector<T>::const_iterator;
-
-  CowVec() = default;
-  CowVec(CowVec&&) noexcept = default;
-  CowVec& operator=(CowVec&&) noexcept = default;
-  CowVec(const CowVec& other) { copyFrom(other); }
-  CowVec& operator=(const CowVec& other) {
-    if (this != &other) {
-      data_ = nullptr;
-      copyFrom(other);
-    }
-    return *this;
-  }
 
   [[nodiscard]] const std::vector<T>& view() const {
     return data_ == nullptr ? emptyVector() : *data_;
@@ -351,11 +239,9 @@ class CowVec {
     return matches;
   }
 
-  [[nodiscard]] std::uint64_t copyCostElements() const {
-    return persistDeepCopyMode() ? size() : 0;
-  }
+  // A copy shares the payload, if there is one, and copies nothing.
   [[nodiscard]] std::uint64_t sharedChunksOnCopy() const {
-    return (!persistDeepCopyMode() && data_ != nullptr) ? 1 : 0;
+    return data_ != nullptr ? 1 : 0;
   }
 
   // The audit walk: the payload block, if `seen` meets it first. A CowVec
@@ -381,23 +267,9 @@ class CowVec {
     if (data_ == nullptr) {
       data_ = std::make_shared<Block>(std::vector<T>());
     } else if (data_.use_count() > 1) {
-      PersistStats& stats = persistStats();
-      stats.cowClones.fetch_add(1, std::memory_order_relaxed);
-      stats.elementsCopied.fetch_add(data_->size(), std::memory_order_relaxed);
       data_ = std::make_shared<Block>(std::vector<T>(*data_));
     }
     return *data_;
-  }
-
-  void copyFrom(const CowVec& other) {
-    if (other.data_ == nullptr) return;
-    if (persistDeepCopyMode()) {
-      data_ = std::make_shared<Block>(std::vector<T>(*other.data_));
-      persistStats().elementsCopied.fetch_add(other.data_->size(),
-                                              std::memory_order_relaxed);
-    } else {
-      data_ = other.data_;
-    }
   }
 
   std::shared_ptr<Block> data_;  // null = empty

@@ -8,8 +8,6 @@ std::string_view dispatchModeName(DispatchMode mode) {
   switch (mode) {
     case DispatchMode::kSwitch:
       return "switch";
-    case DispatchMode::kThreaded:
-      return "threaded";
     case DispatchMode::kFused:
       return "fused";
   }
@@ -19,10 +17,6 @@ std::string_view dispatchModeName(DispatchMode mode) {
 bool parseDispatchMode(std::string_view text, DispatchMode& out) {
   if (text == "switch") {
     out = DispatchMode::kSwitch;
-    return true;
-  }
-  if (text == "threaded") {
-    out = DispatchMode::kThreaded;
     return true;
   }
   if (text == "fused") {
@@ -38,9 +32,6 @@ DispatchMode dispatchModeFromEnv() {
       DispatchMode mode{};
       if (parseDispatchMode(named, mode)) return mode;
     }
-    if (const char* toggle = std::getenv("SDE_THREADED_DISPATCH"))
-      return std::atoi(toggle) == 0 ? DispatchMode::kSwitch
-                                    : DispatchMode::kFused;
     return DispatchMode::kFused;
   }();
   return cached;
@@ -132,7 +123,7 @@ void validateInstr(const Program& program, std::size_t pc, const Instr& ins) {
 
 }  // namespace
 
-DecodedProgram::DecodedProgram(const Program& program, bool fuse) {
+DecodedProgram::DecodedProgram(const Program& program) {
   const std::size_t size = program.size();
   code_.resize(size + 1);
   for (std::size_t pc = 0; pc < size; ++pc) {
@@ -148,14 +139,11 @@ DecodedProgram::DecodedProgram(const Program& program, bool fuse) {
     d.imm2 = ins.imm2;
     d.str = ins.str;
   }
-  if (fuse) {
-    for (std::size_t pc = 0; pc + 1 < size; ++pc) {
-      const std::uint16_t fused =
-          fusedHandlerFor(code_[pc].op, code_[pc + 1].op);
-      if (fused != 0) {
-        code_[pc].handler = fused;
-        ++fusedSlots_;
-      }
+  for (std::size_t pc = 0; pc + 1 < size; ++pc) {
+    const std::uint16_t fused = fusedHandlerFor(code_[pc].op, code_[pc + 1].op);
+    if (fused != 0) {
+      code_[pc].handler = fused;
+      ++fusedSlots_;
     }
   }
   // Sentinel: running off the end of the program is a bug in the node

@@ -1,5 +1,5 @@
-// Pre-decoded instruction streams for the interpreter's threaded
-// dispatch (DESIGN.md section 20).
+// Pre-decoded instruction streams for the interpreter's fused dispatch
+// (DESIGN.md section 20).
 //
 // A Program is immutable after IRBuilder::finish(), so everything the
 // per-instruction hot path re-derives from the raw Instr — bounds
@@ -10,7 +10,7 @@
 // call stacks, merge join points and checkpointed pcs keep their exact
 // baseline meaning.
 //
-// Superinstructions: in kFused mode, a slot whose instruction pair
+// Superinstructions: a slot whose instruction pair
 // (i, i+1) matches a fusion rule gets a combined handler that executes
 // both bodies back-to-back and skips to i+2. Slot i+1 always keeps its
 // own standalone handler, so control entering at i+1 (jump target, call
@@ -32,17 +32,17 @@
 namespace sde::vm {
 
 enum class DispatchMode : std::uint8_t {
-  kSwitch = 0,   // PR-baseline per-step decode switch
-  kThreaded,     // pre-decoded stream + computed-goto dispatch
-  kFused,        // kThreaded + superinstructions (the default)
+  kSwitch = 0,  // per-step decode switch: the reference interpreter
+  kFused,       // pre-decoded stream + computed-goto dispatch +
+                // superinstructions: the fast path (the default)
 };
 
 [[nodiscard]] std::string_view dispatchModeName(DispatchMode mode);
-// Parses "switch" / "threaded" / "fused" (case-sensitive).
+// Parses "switch" / "fused" (case-sensitive).
 [[nodiscard]] bool parseDispatchMode(std::string_view text, DispatchMode& out);
-// Process-wide default: SDE_DISPATCH=switch|threaded|fused wins, else the
-// boolean SDE_THREADED_DISPATCH (0 => switch, nonzero => fused), else
-// kFused. Read once and cached — the toggle is a process property.
+// Process-wide default: SDE_DISPATCH=switch|fused, else (unset or any
+// other value) kFused. Read once and cached — the toggle is a process
+// property.
 [[nodiscard]] DispatchMode dispatchModeFromEnv();
 // SDE_OPCODE_TIME=1: per-opcode self-time + adjacent-pair histogram
 // (forces the switch executor; see InterpConfig::opcodeTiming).
@@ -87,10 +87,10 @@ struct DecodedInstr {
 
 class DecodedProgram {
  public:
-  // Decodes and validates `program`; `fuse` selects superinstructions.
+  // Decodes and validates `program` and fuses its superinstructions.
   // Validation (register indices, jump targets, symbolic widths) happens
   // here once, replacing the per-fetch checks of Program::at().
-  DecodedProgram(const Program& program, bool fuse);
+  explicit DecodedProgram(const Program& program);
 
   [[nodiscard]] const DecodedInstr* code() const { return code_.data(); }
   [[nodiscard]] std::size_t size() const { return code_.size(); }

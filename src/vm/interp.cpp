@@ -104,9 +104,9 @@ void Interpreter::runEvent(ExecutionState& state, Entry entry,
 
   effects_ = EventEffects{};
 
-  // Threaded/fused dispatch runs non-merge events through the decoded
-  // stream; merge mode and opcode-timing profiling keep the per-step
-  // switch loop (identical architectural effects either way).
+  // Fused dispatch runs non-merge events through the decoded stream;
+  // merge mode and opcode-timing profiling keep the per-step switch loop
+  // (identical architectural effects either way).
   const DecodedProgram* decoded =
       config_.dispatch != DispatchMode::kSwitch && !config_.mergeStates &&
               !config_.opcodeTiming
@@ -451,7 +451,7 @@ bool Interpreter::step(ExecutionState& state, EffectSink& sink,
   return true;
 }
 
-// --- Threaded fast path ------------------------------------------------------
+// --- Fused fast path ---------------------------------------------------------
 //
 // Executes one state's handler run over the pre-decoded stream. The
 // bodies below mirror step() case-for-case: same expression-builder call
@@ -952,8 +952,7 @@ const DecodedProgram& Interpreter::decodedFor(const Program& program) {
   if (it == decodedCache_.end())
     it = decodedCache_
              .emplace(std::piecewise_construct, std::forward_as_tuple(&program),
-                      std::forward_as_tuple(
-                          program, config_.dispatch == DispatchMode::kFused))
+                      std::forward_as_tuple(program))
              .first;
   return it->second;
 }

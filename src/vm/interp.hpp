@@ -69,13 +69,14 @@ struct InterpConfig {
   // concretization could observe a guard-dependent value. Set by the
   // engine from EngineConfig::mergeStates.
   bool mergeStates = false;
-  // Dispatch strategy (vm/dispatch.hpp). kThreaded/kFused run non-merge
-  // events through the pre-decoded computed-goto executor; kSwitch is
-  // the per-step decode switch. Digest-invariant by construction: the
-  // fuzz battery (tests/vm/dispatch_equivalence_fuzz_test.cpp) and the
-  // verify.sh smoke stage compare all three. Merge-mode events always
-  // take the switch path (its per-step merge-token checks do not fit a
-  // straight-line loop), in every mode.
+  // Dispatch strategy (vm/dispatch.hpp). kFused runs non-merge events
+  // through the pre-decoded computed-goto executor with superinstructions;
+  // kSwitch is the per-step decode switch, the reference interpreter.
+  // Digest-invariant by construction: the fuzz battery
+  // (tests/vm/dispatch_equivalence_fuzz_test.cpp) and the verify.sh smoke
+  // stage compare the two. Merge-mode events always take the switch path
+  // (its per-step merge-token checks do not fit a straight-line loop), in
+  // both modes.
   DispatchMode dispatch = dispatchModeFromEnv();
   // Per-opcode self-time and adjacent-pair attribution (SDE_OPCODE_TIME).
   // Forces the switch path with a clock read around every instruction —
@@ -156,10 +157,10 @@ class Interpreter {
   // (by halt/return/failure/kill) for this state.
   bool step(ExecutionState& state, EffectSink& sink,
             std::vector<ExecutionState*>& worklist);
-  // Threaded fast path: runs `state` to the end of the current handler
+  // Fused fast path: runs `state` to the end of the current handler
   // through the pre-decoded stream (computed-goto dispatch where the
-  // compiler supports it). Only used for non-merge events in
-  // kThreaded/kFused modes; behaviourally identical to the step() loop.
+  // compiler supports it). Only used for non-merge events in kFused
+  // mode; behaviourally identical to the step() loop.
   void runDecoded(ExecutionState& state, const DecodedProgram& decoded,
                   EffectSink& sink, std::vector<ExecutionState*>& forked);
   // Decoded form of `program`, decoded once and shared by every state

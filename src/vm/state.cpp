@@ -74,8 +74,7 @@ std::unique_ptr<ExecutionState> ExecutionState::fork(StateId newId) const {
 
 std::uint64_t ExecutionState::forkCopyCost() const {
   return constraints.copyCostElements() + commLog.copyCostElements() +
-         decisions.copyCostElements() + symbolics.copyCostElements() +
-         pendingEvents.copyCostElements();
+         decisions.copyCostElements() + symbolics.copyCostElements();
 }
 
 std::uint64_t ExecutionState::forkSharedChunks() const {

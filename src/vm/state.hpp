@@ -193,9 +193,6 @@ class EventQueue {
     return strictRecvMultiset_;
   }
 
-  [[nodiscard]] std::uint64_t copyCostElements() const {
-    return events_.copyCostElements();
-  }
   [[nodiscard]] std::uint64_t sharedChunksOnCopy() const {
     return events_.sharedChunksOnCopy();
   }
@@ -351,11 +348,10 @@ class ExecutionState {
   bool mergedAway = false;
 
   // --- Fork cost / memory accounting -----------------------------------------
-  // Elements fork() deep-copies right now across all shared-capable
-  // components (sequence tails in persistent mode; full histories in the
-  // legacy deep-copy mode). A pure structural function of this state —
-  // deterministic across runs and worker counts, unlike the process-wide
-  // support::persistStats() counters.
+  // Elements fork() deep-copies right now across the chunked histories:
+  // their tails (the event queue's payload is shared, never copied). A
+  // pure structural function of this state, deterministic across runs
+  // and worker counts.
   [[nodiscard]] std::uint64_t forkCopyCost() const;
   // Storage blocks fork() shares instead of copying (sealed chunks +
   // the CoW event queue payload).

@@ -7,16 +7,15 @@
 // visiting every state. Every run here checks ledger == walk at every
 // sampler call, and the engine itself checks it after every event
 // (EngineConfig::checkInvariants aborts on a mismatch), across
-// {COB, COW, SDS} x merging off/on x persistent/deep-copy forks x
-// uninterrupted/resumed from a mid-run checkpoint, on random programs
-// and on the collect scenario — several engines alive in one thread, so
-// a block billed to the wrong engine shows up as a mismatch too.
+// {COB, COW, SDS} x merging off/on x uninterrupted/resumed from a
+// mid-run checkpoint, on random programs and on the collect scenario —
+// several engines alive in one thread, so a block billed to the wrong
+// engine shows up as a mismatch too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -24,7 +23,6 @@
 
 #include "random_program.hpp"
 #include "support/memory_ledger.hpp"
-#include "support/pvector.hpp"
 #include "trace/scenario.hpp"
 #include "vm/builder.hpp"
 
@@ -193,15 +191,12 @@ std::string checkpointOf(const Engine& engine) {
   return out.str();
 }
 
-using Case = std::tuple<MapperKind, bool /*merge*/, bool /*deepCopy*/,
-                        bool /*resumed*/>;
+using Case = std::tuple<MapperKind, bool /*merge*/, bool /*resumed*/>;
 
 class MemoryLedgerTest : public ::testing::TestWithParam<Case> {};
 
 TEST_P(MemoryLedgerTest, LedgerEqualsTheAuditWalk) {
-  const auto [kind, merge, deepCopy, resumed] = GetParam();
-  std::optional<support::ScopedDeepCopyMode> deepCopies;
-  if (deepCopy) deepCopies.emplace();
+  const auto [kind, merge, resumed] = GetParam();
 
   // Every subject's engine stays alive for the whole test, and the runs
   // interleave: each block must bill the engine whose state made it.
@@ -282,16 +277,18 @@ TEST_P(MemoryLedgerTest, LedgerEqualsTheAuditWalk) {
   }
 }
 
+// The "_persistent" tag stays in the names so that the ids of these
+// cases do not change.
 INSTANTIATE_TEST_SUITE_P(
     Matrix, MemoryLedgerTest,
     ::testing::Combine(::testing::Values(MapperKind::kCob, MapperKind::kCow,
                                          MapperKind::kSds),
-                       ::testing::Bool(), ::testing::Bool(), ::testing::Bool()),
+                       ::testing::Bool(), ::testing::Bool()),
     [](const auto& info) {
       return std::string(mapperKindName(std::get<0>(info.param))) +
              (std::get<1>(info.param) ? "_merge" : "_nomerge") +
-             (std::get<2>(info.param) ? "_deepcopy" : "_persistent") +
-             (std::get<3>(info.param) ? "_resumed" : "_uninterrupted");
+             "_persistent" +
+             (std::get<2>(info.param) ? "_resumed" : "_uninterrupted");
     });
 
 // Node 1 forks on a symbolic input into two states that differ only in

@@ -182,6 +182,60 @@ TEST(ShmCachePropertyTest, MultiProcessReadersWritersNeverFabricate) {
   }
 }
 
+// A writer stopped between claim and publish, as a SIGKILL leaves it:
+// its slot stays claimed for its key forever. The key must then stay a
+// miss, and a second writer of the same key must stop at that claim
+// instead of publishing the key in the next free slot (first writer
+// wins per key; a race between two writers of one key once published
+// it twice). The stopped writer is simulated from raw segment bytes: a
+// published slot whose state word (the first of the slot's 24-byte
+// prelude, right before the key hashes) loses its publish bit, the low
+// bit, is a bare claim.
+TEST(ShmCachePropertyTest, AWriterStoppedBeforePublishingWastesOnlyItsSlot) {
+  const ScopedSegment seg(freshName("stopped"));
+  ShmCacheConfig config;
+  config.bytes = 1u << 20;
+  auto cache = ShmQueryCache::create(seg.name, config);
+  const SharedQueryKey stuck = canonicalKey(5);
+  cache->insert(stuck, canonicalResult(5));
+  ASSERT_EQ(cache->entries(), 1u);
+
+  const int fd = ::shm_open(seg.name.c_str(), O_RDWR, 0600);
+  ASSERT_GE(fd, 0);
+  void* base = ::mmap(nullptr, config.bytes, PROT_READ | PROT_WRITE,
+                      MAP_SHARED, fd, 0);
+  ASSERT_NE(base, MAP_FAILED);
+  auto* words = static_cast<std::uint64_t*>(base);
+  const std::size_t numWords = config.bytes / sizeof(std::uint64_t);
+  constexpr std::size_t kPreludeWords = 3;
+  std::size_t keyAt = numWords;
+  for (std::size_t i = kPreludeWords; i < numWords; ++i)
+    if (words[i] == stuck.front()) keyAt = i;
+  ASSERT_LT(keyAt, numWords) << "the published key is not in the segment";
+  std::uint64_t& state = words[keyAt - kPreludeWords];
+  ASSERT_EQ(state & 1, 1u) << "the slot is not published";
+  state &= ~std::uint64_t{1};
+  ::munmap(base, config.bytes);
+  ::close(fd);
+
+  EXPECT_FALSE(cache->lookup(stuck).has_value());
+  cache->insert(stuck, canonicalResult(5));
+  EXPECT_FALSE(cache->lookup(stuck).has_value())
+      << "a second writer published a key that is already claimed";
+  EXPECT_TRUE(cache->sortedEntries().empty());
+  EXPECT_EQ(cache->entries(), 1u);
+
+  // Every other key still publishes, probing past the wasted slot.
+  for (std::uint64_t i = 6; i < 206; ++i)
+    cache->insert(canonicalKey(i), canonicalResult(i));
+  for (std::uint64_t i = 6; i < 206; ++i) {
+    const auto hit = cache->lookup(canonicalKey(i));
+    ASSERT_TRUE(hit.has_value()) << "entry " << i;
+    EXPECT_EQ(*hit, canonicalResult(i)) << "entry " << i;
+  }
+  EXPECT_EQ(cache->sortedEntries().size(), 200u);
+}
+
 TEST(ShmCacheRejectionTest, MissingSegment) {
   EXPECT_FALSE(ShmQueryCache::segmentExists("/sde_shmtest_never_created"));
   EXPECT_THROW((void)ShmQueryCache::attach("/sde_shmtest_never_created"),

@@ -1,11 +1,11 @@
 // Differential dispatch oracle (the battery certifying the VM hot path).
 //
-// Threaded dispatch, superinstruction fusion and same-key event batching
-// are pure performance transformations: exploring the same random
-// program under any dispatch mode and batch setting must reproduce the
-// *identical* observable run — test-case set, engine/interpreter/solver
-// counters, and the exact trace byte stream — for every mapping
-// algorithm. Any divergence is a soundness bug: a handler body drifting
+// Fused dispatch (a pre-decoded stream with superinstructions) and
+// same-key event batching are pure performance transformations:
+// exploring the same random program under either dispatch mode and batch
+// setting must reproduce the *identical* observable run — test-case set,
+// engine/interpreter/solver counters, and the exact trace byte stream —
+// for every mapping algorithm. Any divergence is a soundness bug: a handler body drifting
 // from the switch interpreter, a fused pair mis-accounting a mid-pair
 // step-limit kill, or batching reordering the deterministic release
 // order.
@@ -113,9 +113,6 @@ TEST_P(DispatchEquivalenceFuzzTest, AllDispatchModesReproduceTheRun) {
   expectSameRun(base,
                 runOnce(program, kind, vm::DispatchMode::kSwitch, true), seed,
                 "switch+batch");
-  expectSameRun(base,
-                runOnce(program, kind, vm::DispatchMode::kThreaded, false),
-                seed, "threaded");
   expectSameRun(base, runOnce(program, kind, vm::DispatchMode::kFused, false),
                 seed, "fused");
   expectSameRun(base, runOnce(program, kind, vm::DispatchMode::kFused, true),
@@ -138,7 +135,7 @@ TEST(DispatchEquivalenceVacuityTest, BatteryProgramsActuallyFuse) {
   for (const std::uint64_t seed : {11ull, 22ull, 33ull}) {
     RandomProgramGen gen(seed);
     const vm::Program program = gen.generate();
-    const vm::DecodedProgram decoded(program, /*fuse=*/true);
+    const vm::DecodedProgram decoded(program);
     EXPECT_GT(decoded.fusedSlots(), 0u)
         << "seed " << seed << ": no superinstruction ever formed";
   }

@@ -162,14 +162,24 @@ TEST_F(StateTest, ForkCopyCostIsBoundedRegardlessOfHistorySize) {
   EXPECT_LE(large.forkCopyCost(), 4 * (chunk - 1));
   EXPECT_GT(large.forkSharedChunks(), small.forkSharedChunks());
 
-  // The advertised cost matches what a fork actually deep-copies.
-  auto& stats = support::persistStats();
-  const std::uint64_t before =
-      stats.elementsCopied.load(std::memory_order_relaxed);
+  // The advertised cost matches what a fork actually does: the clone
+  // holds the same spines (hence chunks) and event-queue payload, and
+  // copies of the tails, which are exactly forkCopyCost() elements.
   const auto clone = large.fork(4242);
-  const std::uint64_t copied =
-      stats.elementsCopied.load(std::memory_order_relaxed) - before;
-  EXPECT_EQ(copied, large.forkCopyCost());
+  const auto& items = large.constraints.items();
+  const auto& records = large.commLog.records();
+  EXPECT_EQ(clone->constraints.items().spine(), items.spine());
+  EXPECT_EQ(clone->commLog.records().spine(), records.spine());
+  EXPECT_EQ(clone->decisions.spine(), large.decisions.spine());
+  EXPECT_EQ(clone->symbolics.spine(), large.symbolics.spine());
+  EXPECT_EQ(clone->pendingEvents.events().raw(),
+            large.pendingEvents.events().raw());
+  EXPECT_EQ(large.forkCopyCost(),
+            items.tailSize() + records.tailSize() +
+                large.decisions.tailSize() + large.symbolics.tailSize());
+  EXPECT_EQ(large.forkSharedChunks(),
+            items.numChunks() + records.numChunks() +
+                large.decisions.numChunks() + large.symbolics.numChunks() + 1);
   EXPECT_EQ(clone->configHash(), large.configHash());
   EXPECT_EQ(clone->configHashStrict(), large.configHashStrict());
 }
@@ -196,13 +206,11 @@ TEST_F(StateTest, AccountBytesChargesSharedHistoryOnce) {
       clone->accountBytes(seenReversed) + s.accountBytes(seenReversed);
   EXPECT_EQ(reversed, pair);
 
-  // The legacy deep-copy representation is the upper bound.
-  support::ScopedDeepCopyMode legacy;
-  const auto deepClone = s.fork(778);
-  support::SeenSet seenDeep;
-  const std::uint64_t deep =
-      s.accountBytes(seenDeep) + deepClone->accountBytes(seenDeep);
-  EXPECT_LE(pair, deep);
+  // Each state audited alone pays for every block it holds, as if the
+  // two shared nothing: the upper bound.
+  support::SeenSet seenClone;
+  const std::uint64_t apart = solo + clone->accountBytes(seenClone);
+  EXPECT_LT(pair, apart);
 }
 
 }  // namespace
