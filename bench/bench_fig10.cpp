@@ -24,10 +24,10 @@
 // identical expanded test-case set.
 //
 // With --metrics every single-engine run carries the full live metrics
-// plane: a MetricsRegistry attached to the engine (per-event counter
-// bumps) plus a background thread publishing shm snapshots at 1 Hz —
-// the cadence sde_top polls at. E21 measures the plane's overhead by
-// comparing wall-clock with and without this flag.
+// plane: the engine's sampler hook publishes a snapshot of its
+// registries into a shm segment at most once a second — the cadence
+// sde_top polls at. E21 measures the plane's overhead by comparing
+// wall-clock with and without this flag.
 //
 // With --fleet N every (nodes, algorithm) scenario additionally runs as
 // an N-process fleet (sde/fleet.hpp) over a 4-job partition plan, adding
@@ -48,7 +48,6 @@
 // trace's profile section and in the printed stats block.
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -57,7 +56,6 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -212,38 +210,37 @@ int main(int argc, char** argv) {
                        name.c_str(), ckpt.string().c_str());
       }
 
-      // The full live plane: engine counter bumps plus a publisher
-      // thread snapshotting into shm at 1 Hz — the cadence sde_top
-      // polls at. Publishing faster than the consumers poll buys
-      // nothing and costs engine cache locality on small machines.
-      obs::MetricsRegistry benchMetrics;
+      // The full live plane: the engine's sampler hook publishes its
+      // registries into shm at most once a second — the cadence sde_top
+      // polls at — on the engine's own thread, which owns them.
+      // Publishing faster than the consumers poll buys nothing.
       std::unique_ptr<obs::ShmMetricsPlane> benchPlane;
-      std::thread publisher;
-      std::atomic<bool> publisherStop{false};
       const std::string planeName =
           "/sde_mx_bench_" + std::to_string(::getpid());
+      const auto publish = [&benchPlane](const Engine& engine) {
+        support::StatsRegistry live;
+        engine.mergeStatsInto(live);
+        obs::MetricsSnapshot snap = obs::snapshotFromStats(live);
+        (void)benchPlane->publish(0, snap);
+        return snap;
+      };
       if (options.metrics) {
-        scenario.engine().setMetrics(&benchMetrics);
         benchPlane = obs::ShmMetricsPlane::create(planeName);
-        publisher = std::thread([&] {
-          while (!publisherStop.load(std::memory_order_relaxed)) {
-            (void)benchPlane->publish(0, benchMetrics.snapshot());
-            // Sliced sleep so shutdown stays prompt.
-            for (int slice = 0;
-                 slice < 10 && !publisherStop.load(std::memory_order_relaxed);
-                 ++slice)
-              std::this_thread::sleep_for(std::chrono::milliseconds(100));
-          }
-        });
+        scenario.engine().setSampler(
+            [inner = scenario.engine().sampler(), &publish,
+             last = std::chrono::steady_clock::time_point{}](
+                const Engine& engine) mutable {
+              inner(engine);
+              const auto now = std::chrono::steady_clock::now();
+              if (now - last < std::chrono::seconds(1)) return;
+              last = now;
+              (void)publish(engine);
+            });
       }
 
       const trace::ScenarioResult result = scenario.run();
       if (options.metrics) {
-        publisherStop.store(true);
-        publisher.join();
-        (void)benchPlane->publish(0, benchMetrics.snapshot());
-        scenario.engine().setMetrics(nullptr);
-        const obs::MetricsSnapshot finalSnap = benchMetrics.snapshot();
+        const obs::MetricsSnapshot finalSnap = publish(scenario.engine());
         std::printf("[metrics] %s: %llu events, %llu forks published via %s\n",
                     name.c_str(),
                     static_cast<unsigned long long>(

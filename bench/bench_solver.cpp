@@ -167,10 +167,10 @@ ReplayOutcome replayStream(expr::Context& ctx,
             .count()));
   }
   for (const auto& layer : pipeline.layers()) {
-    outcome.layers.push_back({std::string(layer->name()),
-                              layer->counters().queries,
-                              layer->counters().hits,
-                              layer->counters().nanos});
+    const solver::LayerSeries& series = layer->series();
+    outcome.layers.push_back({std::string(series.name),
+                              stats.get(series.queries),
+                              stats.get(series.hits), stats.get(series.nanos)});
   }
   return outcome;
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification: tier-1 build + test suite, then a ThreadSanitizer
 # build running the concurrency-sensitive tests (thread pool, parallel
-# partitioned execution, durable resume) and an AddressSanitizer build
+# partitioned execution, durable resume, the counter store) and an
+# AddressSanitizer build
 # running the full suite (the snapshot codec hand-rolls binary framing,
 # exactly where ASan earns its keep). Run from anywhere; builds live in
 # the repo. The fork()+SIGKILL crash and chaos tests skip themselves
@@ -160,8 +161,9 @@ metrics_wait() {
 ./build/tools/sde_serve "$METRICS_SMOKE/root" --slots 2 --poll-ms 10 >/dev/null &
 METRICS_PID=$!
 metrics_wait
+# --testcases: test generation is what drives the solver series.
 ./build/tools/sde_submit submit "$METRICS_SOCK" --tenant alice --processes 2 \
-  --vars 2 --nodes '4*4' --time 3000 >/dev/null
+  --vars 2 --nodes '4*4' --time 3000 --testcases >/dev/null
 ./build/tools/sde_submit watch "$METRICS_SOCK" 1 >/dev/null
 # One frame through the live MetricsRequest path (service-wide).
 ./build/tools/sde_top "$METRICS_SOCK" --once > "$METRICS_SMOKE/top.txt"
@@ -176,15 +178,18 @@ test -z "$BAD_PROM" \
   || { echo "unparseable Prometheus lines:"; echo "$BAD_PROM"; exit 1; }
 ./build/tools/sde_submit metrics "$METRICS_SOCK" > "$METRICS_SMOKE/svc.txt"
 grep -q 'sde_serve_jobs_submitted{tenant="alice"} 1' "$METRICS_SMOKE/svc.txt"
-# Engine counter totals fetched from the daemon must equal the post-run
-# merged StatsRegistry dump of the same job, value for value.
+# Every counter total fetched from the daemon must equal the post-run
+# merged StatsRegistry dump of the same job, value for value: engine,
+# interpreter, mapper and solver series alike.
 ./build/tools/sde_submit fetch "$METRICS_SOCK" 1 stats.txt \
   > "$METRICS_SMOKE/stats.txt"
-test "$(grep -c '^engine\.' "$METRICS_SMOKE/stats.txt")" -ge 1
+for FAMILY in engine vm map solver; do
+  test "$(grep -c "^$FAMILY\." "$METRICS_SMOKE/stats.txt")" -ge 1 \
+    || { echo "stats.txt has no $FAMILY.* line"; exit 1; }
+done
 MISMATCH=0
 while read -r NAME _ VALUE; do
-  case "$NAME" in engine.*) ;; *) continue ;; esac
-  PROM_NAME="sde_$(printf '%s' "$NAME" | tr '.' '_')"
+  PROM_NAME="sde_$(printf '%s' "$NAME" | tr -c 'a-zA-Z0-9_:' '_')"
   PROM_VALUE=$(awk -v n="$PROM_NAME" '$1 == n {print $2}' \
     "$METRICS_SMOKE/prom.txt")
   test "$PROM_VALUE" = "$VALUE" \
@@ -240,6 +245,16 @@ echo "=== tsan: thread pool + parallel execution + resume tests ==="
 ./build-tsan/tests/support_tests --gtest_filter='*ThreadPool*'
 ./build-tsan/tests/sde_tests --gtest_filter='*Parallel*'
 ./build-tsan/tests/snapshot_tests --gtest_filter='*Resume*:*CrashRecovery*'
+
+echo "=== tsan: counter store ==="
+# Registries are owned by one thread each; the process-wide name table is
+# the only shared structure. Eight engines on pool threads intern their
+# series on first use (run alone, so the first use happens there) while
+# their samplers intern fresh names.
+./build-tsan/tests/sde_tests \
+  --gtest_filter='StatsStore.EnginesOnEightPoolThreadsInternSharedAndFreshNames'
+./build-tsan/tests/support_tests --gtest_filter='Stats.*'
+./build-tsan/tests/sde_tests --gtest_filter='StatsStore.*'
 
 echo "=== tsan: merge-on vs merge-off differential battery ==="
 ./build-tsan/tests/merge_tests

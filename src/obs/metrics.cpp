@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <stdexcept>
 
 #include "snapshot/error.hpp"
 #include "snapshot/reader.hpp"
@@ -19,14 +18,10 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
     MetricPoint& mine = it->second;
     if (inserted) mine.kind = point.kind;
     if (point.kind == MetricKind::kHistogram &&
-        mine.kind == MetricKind::kHistogram) {
-      mine.count += point.count;
-      mine.sum += point.sum;
-      for (std::size_t i = 0; i < kHistogramBuckets; ++i)
-        mine.buckets[i] += point.buckets[i];
-    } else {
+        mine.kind == MetricKind::kHistogram)
+      mine.histogram.merge(point.histogram);
+    else
       support::foldCounter(name, mine.value, point.value);
-    }
   }
 }
 
@@ -45,18 +40,19 @@ const MetricPoint* MetricsSnapshot::find(std::string_view name) const {
 }
 
 std::uint64_t histogramQuantile(const MetricPoint& point, double q) {
-  if (point.count == 0) return 0;
+  const support::Histogram& h = point.histogram;
+  if (h.count == 0) return 0;
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
   // Rank of the target observation, 1-based; ceil without float drift
   // for the common q values.
-  const double exact = q * static_cast<double>(point.count);
+  const double exact = q * static_cast<double>(h.count);
   std::uint64_t rank = static_cast<std::uint64_t>(exact);
   if (static_cast<double>(rank) < exact) ++rank;
   if (rank == 0) rank = 1;
   std::uint64_t cumulative = 0;
   for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
-    cumulative += point.buckets[i];
+    cumulative += h.buckets[i];
     if (cumulative >= rank) return histogramBucketBound(i);
   }
   return histogramBucketBound(kHistogramBuckets - 1);
@@ -75,14 +71,15 @@ std::string encodeMetricsSnapshot(const MetricsSnapshot& snap) {
     out.str(name);
     out.u8(static_cast<std::uint8_t>(point.kind));
     if (point.kind == MetricKind::kHistogram) {
-      out.u64(point.count);
-      out.u64(point.sum);
+      const support::Histogram& h = point.histogram;
+      out.u64(h.count);
+      out.u64(h.sum);
       // Trailing zero buckets are trimmed; the count is explicit so a
       // future bucket-geometry change is a version bump, not a guess.
       std::uint32_t used = kHistogramBuckets;
-      while (used > 0 && point.buckets[used - 1] == 0) --used;
+      while (used > 0 && h.buckets[used - 1] == 0) --used;
       out.u32(used);
-      for (std::uint32_t i = 0; i < used; ++i) out.u64(point.buckets[i]);
+      for (std::uint32_t i = 0; i < used; ++i) out.u64(h.buckets[i]);
     } else {
       out.u64(point.value);
     }
@@ -112,15 +109,16 @@ MetricsSnapshot decodeMetricsSnapshot(std::string_view bytes) {
     MetricPoint point;
     point.kind = static_cast<MetricKind>(rawKind);
     if (point.kind == MetricKind::kHistogram) {
-      point.count = in.u64();
-      point.sum = in.u64();
+      point.histogram.count = in.u64();
+      point.histogram.sum = in.u64();
       const std::uint32_t used = in.u32();
       if (used > kHistogramBuckets) {
         throw snapshot::SnapshotError(
             "metrics snapshot: histogram claims " + std::to_string(used) +
             " buckets, layout has " + std::to_string(kHistogramBuckets));
       }
-      for (std::uint32_t i = 0; i < used; ++i) point.buckets[i] = in.u64();
+      for (std::uint32_t i = 0; i < used; ++i)
+        point.histogram.buckets[i] = in.u64();
     } else {
       point.value = in.u64();
     }
@@ -131,14 +129,25 @@ MetricsSnapshot decodeMetricsSnapshot(std::string_view bytes) {
 
 MetricsSnapshot snapshotFromStats(const support::StatsRegistry& stats) {
   MetricsSnapshot snap;
-  for (const auto& [name, value] : stats.all()) {
+  for (const auto& series : stats.series()) {
     MetricPoint point;
-    point.kind = support::isPeakCounter(name) ? MetricKind::kGauge
-                                              : MetricKind::kCounter;
-    point.value = value;
-    snap.points.emplace(name, point);
+    point.kind = series.kind;
+    point.value = series.value;
+    if (series.histogram != nullptr) point.histogram = *series.histogram;
+    snap.points.emplace_hint(snap.points.end(), series.name, point);
   }
   return snap;
+}
+
+bool splitTenantSeries(std::string_view name, std::string_view& tenant,
+                       std::string_view& series) {
+  constexpr std::string_view kTenantPrefix = "serve.tenant.";
+  if (!name.starts_with(kTenantPrefix)) return false;
+  const std::size_t dot = name.rfind('.');
+  if (dot <= kTenantPrefix.size() || dot + 1 == name.size()) return false;
+  tenant = name.substr(kTenantPrefix.size(), dot - kTenantPrefix.size());
+  series = name.substr(dot + 1);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -171,26 +180,25 @@ std::string escapeLabelValue(std::string_view value) {
 
 struct ExposedName {
   std::string family;  // sanitised metric family name
-  std::string labels;  // "" or {tenant="..."}
+  std::string labels;  // "" or tenant="..."
 };
 
-// "serve.tenant.<t>.<rest>" → family sde_serve_<rest>, label tenant=<t>;
-// everything else is sanitised verbatim with no labels.
-ExposedName exposeName(const std::string& name) {
-  constexpr std::string_view kTenantPrefix = "serve.tenant.";
-  if (name.size() > kTenantPrefix.size() &&
-      std::string_view(name).substr(0, kTenantPrefix.size()) ==
-          kTenantPrefix) {
-    const std::size_t restDot = name.find('.', kTenantPrefix.size());
-    if (restDot != std::string::npos && restDot + 1 < name.size()) {
-      const std::string tenant =
-          name.substr(kTenantPrefix.size(), restDot - kTenantPrefix.size());
-      const std::string rest = name.substr(restDot + 1);
-      return {sanitizeMetricName("serve." + rest),
-              "{tenant=\"" + escapeLabelValue(tenant) + "\"}"};
-    }
-  }
+// "serve.tenant.<t>.<series>" → family sde_serve_<series>, label
+// tenant=<t>; everything else is sanitised verbatim with no labels.
+ExposedName exposeName(std::string_view name) {
+  std::string_view tenant;
+  std::string_view series;
+  if (splitTenantSeries(name, tenant, series))
+    return {sanitizeMetricName("serve." + std::string(series)),
+            "tenant=\"" + escapeLabelValue(tenant) + "\""};
   return {sanitizeMetricName(name), ""};
+}
+
+// "{labels,extra}" without empty parts; "" when both are empty.
+std::string braced(const std::string& labels, const std::string& extra = "") {
+  const std::string joined =
+      labels.empty() || extra.empty() ? labels + extra : labels + "," + extra;
+  return joined.empty() ? "" : "{" + joined + "}";
 }
 
 std::string_view kindText(MetricKind kind) {
@@ -205,155 +213,47 @@ std::string_view kindText(MetricKind kind) {
 }  // namespace
 
 std::string renderPrometheus(const MetricsSnapshot& snap) {
-  std::ostringstream os;
-  // One # TYPE line per family; tenant-labelled series of one family
-  // arrive adjacent because the tenant segment sorts inside the shared
-  // "serve.tenant." prefix.
-  std::string lastFamily;
+  // Grouped by family: the tenant-labelled series of one family are not
+  // adjacent in name order (serve.tenant.<t>.* sorts by tenant first),
+  // and the exposition wants one # TYPE line and one group per family.
+  struct Family {
+    MetricKind kind = MetricKind::kCounter;
+    std::ostringstream lines;
+  };
+  std::map<std::string, Family> families;
   for (const auto& [name, point] : snap.points) {
     const ExposedName exposed = exposeName(name);
-    if (exposed.family != lastFamily) {
-      os << "# TYPE " << exposed.family << ' ' << kindText(point.kind)
-         << '\n';
-      lastFamily = exposed.family;
-    }
+    auto [it, inserted] = families.try_emplace(exposed.family);
+    if (inserted) it->second.kind = point.kind;
+    std::ostringstream& os = it->second.lines;
+    const std::string& family = exposed.family;
     if (point.kind == MetricKind::kHistogram) {
+      const support::Histogram& h = point.histogram;
       std::uint64_t cumulative = 0;
       std::size_t top = kHistogramBuckets;
-      while (top > 0 && point.buckets[top - 1] == 0) --top;
+      while (top > 0 && h.buckets[top - 1] == 0) --top;
       for (std::size_t i = 0; i < top; ++i) {
-        cumulative += point.buckets[i];
-        std::string labels = exposed.labels;
-        if (labels.empty())
-          labels = "{le=\"" + std::to_string(histogramBucketBound(i)) + "\"}";
-        else
-          labels.insert(labels.size() - 1,
-                        ",le=\"" + std::to_string(histogramBucketBound(i)) +
-                            "\"");
-        os << exposed.family << "_bucket" << labels << ' ' << cumulative
-           << '\n';
+        cumulative += h.buckets[i];
+        const std::string le =
+            "le=\"" + std::to_string(histogramBucketBound(i)) + "\"";
+        os << family << "_bucket" << braced(exposed.labels, le) << ' '
+           << cumulative << '\n';
       }
-      std::string inf = exposed.labels;
-      if (inf.empty())
-        inf = "{le=\"+Inf\"}";
-      else
-        inf.insert(inf.size() - 1, ",le=\"+Inf\"");
-      os << exposed.family << "_bucket" << inf << ' ' << point.count << '\n';
-      os << exposed.family << "_sum" << exposed.labels << ' ' << point.sum
+      os << family << "_bucket" << braced(exposed.labels, "le=\"+Inf\"")
+         << ' ' << h.count << '\n';
+      os << family << "_sum" << braced(exposed.labels) << ' ' << h.sum
          << '\n';
-      os << exposed.family << "_count" << exposed.labels << ' ' << point.count
+      os << family << "_count" << braced(exposed.labels) << ' ' << h.count
          << '\n';
     } else {
-      os << exposed.family << exposed.labels << ' ' << point.value << '\n';
+      os << family << braced(exposed.labels) << ' ' << point.value << '\n';
     }
   }
-  return os.str();
-}
-
-// ---------------------------------------------------------------------------
-// MetricsRegistry
-
-MetricsRegistry::~MetricsRegistry() {
-  for (auto& slot : blocks_) delete slot.load(std::memory_order_relaxed);
-}
-
-MetricsRegistry::Id MetricsRegistry::counter(std::string_view name) {
-  return registerMetric(name, MetricKind::kCounter);
-}
-
-MetricsRegistry::Id MetricsRegistry::gauge(std::string_view name) {
-  return registerMetric(name, MetricKind::kGauge);
-}
-
-MetricsRegistry::Id MetricsRegistry::histogram(std::string_view name) {
-  return registerMetric(name, MetricKind::kHistogram);
-}
-
-MetricsRegistry::Id MetricsRegistry::registerMetric(std::string_view name,
-                                                    MetricKind kind) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = byName_.find(std::string(name));
-  if (it != byName_.end()) return it->second;
-  const std::uint32_t id = size_.load(std::memory_order_relaxed);
-  const std::size_t blockIndex = id >> kBlockShift;
-  if (blockIndex >= kMaxBlocks)
-    throw std::length_error("MetricsRegistry: metric capacity exhausted");
-  if (blocks_[blockIndex].load(std::memory_order_relaxed) == nullptr) {
-    // Release-publish the block so a lock-free bumper that obtained the
-    // id through a data dependency sees initialised cells.
-    blocks_[blockIndex].store(new Block(), std::memory_order_release);
-  }
-  Cell& c = blocks_[blockIndex].load(std::memory_order_relaxed)
-                ->cells[id & (kBlockSize - 1)];
-  c.name.assign(name);
-  c.kind = kind;
-  byName_.emplace(c.name, id);
-  size_.store(id + 1, std::memory_order_release);
-  return id;
-}
-
-MetricsRegistry::Cell& MetricsRegistry::cell(Id id) const {
-  Block* block =
-      blocks_[id >> kBlockShift].load(std::memory_order_acquire);
-  return block->cells[id & (kBlockSize - 1)];
-}
-
-void MetricsRegistry::add(Id id, std::uint64_t delta) {
-  cell(id).value.fetch_add(delta, std::memory_order_relaxed);
-}
-
-void MetricsRegistry::set(Id id, std::uint64_t value) {
-  cell(id).value.store(value, std::memory_order_relaxed);
-}
-
-void MetricsRegistry::setMax(Id id, std::uint64_t value) {
-  auto& slot = cell(id).value;
-  std::uint64_t seen = slot.load(std::memory_order_relaxed);
-  while (seen < value &&
-         !slot.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
-  }
-}
-
-void MetricsRegistry::observe(Id id, std::uint64_t value) {
-  Cell& c = cell(id);
-  c.value.fetch_add(1, std::memory_order_relaxed);
-  c.sum.fetch_add(value, std::memory_order_relaxed);
-  c.buckets[histogramBucketOf(value)].fetch_add(1, std::memory_order_relaxed);
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot snap;
-  const std::uint32_t n = size_.load(std::memory_order_acquire);
-  for (std::uint32_t id = 0; id < n; ++id) {
-    const Cell& c = cell(id);
-    MetricPoint point;
-    point.kind = c.kind;
-    if (c.kind == MetricKind::kHistogram) {
-      point.count = c.value.load(std::memory_order_relaxed);
-      point.sum = c.sum.load(std::memory_order_relaxed);
-      for (std::size_t i = 0; i < kHistogramBuckets; ++i)
-        point.buckets[i] = c.buckets[i].load(std::memory_order_relaxed);
-    } else {
-      point.value = c.value.load(std::memory_order_relaxed);
-    }
-    snap.points.emplace(c.name, point);
-  }
-  return snap;
-}
-
-void MetricsRegistry::reset() {
-  const std::uint32_t n = size_.load(std::memory_order_acquire);
-  for (std::uint32_t id = 0; id < n; ++id) {
-    Cell& c = cell(id);
-    c.value.store(0, std::memory_order_relaxed);
-    c.sum.store(0, std::memory_order_relaxed);
-    for (auto& bucket : c.buckets) bucket.store(0, std::memory_order_relaxed);
-  }
-}
-
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry* instance = new MetricsRegistry();
-  return *instance;
+  std::ostringstream out;
+  for (const auto& [family, group] : families)
+    out << "# TYPE " << family << ' ' << kindText(group.kind) << '\n'
+        << group.lines.str();
+  return out.str();
 }
 
 }  // namespace sde::obs

@@ -1,92 +1,49 @@
-// Live metrics plane, part 1: the in-process registry.
+// Live metrics plane, part 1: snapshots.
 //
-// StatsRegistry (support/stats.hpp) is a post-run artifact — a plain
-// map the engine bumps under no concurrency and benches print at exit.
-// The service needs numbers *while* exploration runs, from hot paths
-// (fork, deliver, per-solver-layer latency) where a map lookup per bump
-// would show up in the Fig. 10 wall clock. MetricsRegistry splits the
-// cost: registration (rare, mutex + name lookup) hands out a dense
-// integer id; the bump itself is one relaxed atomic RMW on stable
-// storage. Three metric kinds:
-//
-//   * counter   — monotonic running total (engine.forks_total),
-//   * gauge     — last-write or high-water value (engine.peak_states),
-//   * histogram — fixed log2 buckets + count + sum, for latency
-//                 distributions (solver.layer.interval.latency_ns).
-//
-// Snapshots are plain values (MetricsSnapshot) with merge semantics
-// that reuse the StatsRegistry max-vs-sum rule via support::foldCounter:
-// a name with a "peak"/"peak_*" component folds with max, everything
-// else with +; histogram counts, sums and buckets always add. The
-// snapshot has a compact binary codec (magic-tagged, versioned,
-// truncation-checked — snapshot dialect) so it can cross process
-// boundaries through the shm plane (obs/metrics_shm.hpp), the serve
-// wire protocol, and durable metrics.sde sidecars, plus a Prometheus
-// text exposition for operators.
+// The numbers themselves live in support::StatsRegistry, the one
+// counter store (support/stats.hpp). A MetricsSnapshot is its rendering
+// for consumers outside the owning thread and process: plain values
+// keyed by name, with merge semantics that reuse the store's max-vs-sum
+// rule via support::foldCounter — a name with a "peak"/"peak_*"
+// component folds with max, everything else with +; histogram counts,
+// sums and buckets always add. The snapshot has a compact binary codec
+// (magic-tagged, versioned, truncation-checked — snapshot dialect) so it
+// can cross process boundaries through the shm plane
+// (obs/metrics_shm.hpp), the serve wire protocol, and durable
+// metrics.sde sidecars, plus a Prometheus text exposition for
+// operators.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
 #include "support/stats.hpp"
 
 namespace sde::obs {
 
-enum class MetricKind : std::uint8_t {
-  kCounter = 0,
-  kGauge = 1,
-  kHistogram = 2,
-};
-
-// Log2 bucketing: bucket 0 holds the value 0, bucket i (i >= 1) holds
-// values in [2^(i-1), 2^i - 1]. A u64 value always lands in a bucket —
-// bit_width(v) <= 64 — so there are 65 buckets and no clamping.
-inline constexpr std::size_t kHistogramBuckets = 65;
-
-[[nodiscard]] constexpr std::size_t histogramBucketOf(std::uint64_t value) {
-  std::size_t width = 0;
-  while (value != 0) {
-    value >>= 1;
-    ++width;
-  }
-  return width;
-}
-
-// Inclusive upper bound of a bucket (the Prometheus `le` edge).
-// Bucket 64's bound is UINT64_MAX.
-[[nodiscard]] constexpr std::uint64_t histogramBucketBound(std::size_t bucket) {
-  if (bucket == 0) return 0;
-  if (bucket >= 64) return ~std::uint64_t{0};
-  return (std::uint64_t{1} << bucket) - 1;
-}
+using support::histogramBucketBound;
+using support::histogramBucketOf;
+using support::kHistogramBuckets;
+using support::MetricKind;
 
 // One metric in a snapshot: a plain value, no atomics.
 struct MetricPoint {
   MetricKind kind = MetricKind::kCounter;
-  std::uint64_t value = 0;  // counter / gauge
-  // Histogram only.
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::array<std::uint64_t, kHistogramBuckets> buckets{};
+  std::uint64_t value = 0;       // counter / gauge
+  support::Histogram histogram;  // histogram
 };
 
-// A consistent-enough copy of a registry (per-cell atomicity; cross-cell
-// skew is fine for telemetry), keyed by name so merges are positional-
+// A copy of a registry's series (snapshotFromStats, taken on the thread
+// that owns the registry), keyed by name so merges are positional-
 // independent. This is the unit that crosses processes.
 class MetricsSnapshot {
  public:
   std::map<std::string, MetricPoint, std::less<>> points;
 
   // Folds `other` in. Scalars (counters and gauges) follow the
-  // StatsRegistry rule via support::foldCounter — max for peak-named
+  // store's rule via support::foldCounter — max for peak-named
   // metrics, sum otherwise. Histograms add count/sum/buckets. A kind
   // mismatch keeps the existing entry's kind and folds scalars only.
   void merge(const MetricsSnapshot& other);
@@ -115,80 +72,26 @@ inline constexpr std::uint32_t kMetricsVersion = 1;
 [[nodiscard]] std::string encodeMetricsSnapshot(const MetricsSnapshot& snap);
 [[nodiscard]] MetricsSnapshot decodeMetricsSnapshot(std::string_view bytes);
 
-// Lifts a post-run StatsRegistry into the metrics value space: peak
-// counters become gauges, everything else counters. Values are copied
-// verbatim, so re-encoding a completed job's merged stats through this
-// lens preserves every total bit-for-bit.
+// Renders a registry into the metrics value space: every written series
+// with its kind (peak counters are gauges unless interned otherwise),
+// histograms included. Values are copied verbatim, so re-encoding a
+// completed job's merged stats through this lens preserves every total
+// bit-for-bit.
 [[nodiscard]] MetricsSnapshot snapshotFromStats(
     const support::StatsRegistry& stats);
 
+// Splits "serve.tenant.<tenant>.<series>" into its tenant and series
+// parts (false for any other name). The series part is one word, so the
+// split is at the last dot: a tenant name may itself contain dots.
+[[nodiscard]] bool splitTenantSeries(std::string_view name,
+                                     std::string_view& tenant,
+                                     std::string_view& series);
+
 // Prometheus text exposition. Names are sanitised to [a-zA-Z0-9_:] and
-// prefixed "sde_"; a "serve.tenant.<t>.<rest>" name becomes
-// sde_serve_<rest>{tenant="<t>"} so per-tenant series share one metric
-// family. Histograms render cumulative _bucket{le=...} plus _sum/_count.
+// prefixed "sde_"; a "serve.tenant.<t>.<series>" name becomes
+// sde_serve_<series>{tenant="<t>"} so per-tenant series share one metric
+// family, rendered as one group under one # TYPE line. Histograms render
+// cumulative _bucket{le=...} plus _sum/_count.
 [[nodiscard]] std::string renderPrometheus(const MetricsSnapshot& snap);
-
-// The registry. Registration is mutex-guarded and idempotent (same name
-// → same id); bumps are lock-free relaxed atomics on storage that is
-// never moved (chunked blocks, block pointers published with release
-// stores), so a hot path can cache an id across the whole run.
-class MetricsRegistry {
- public:
-  using Id = std::uint32_t;
-
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-  ~MetricsRegistry();
-
-  [[nodiscard]] Id counter(std::string_view name);
-  [[nodiscard]] Id gauge(std::string_view name);
-  [[nodiscard]] Id histogram(std::string_view name);
-
-  // Counter bump. Relaxed fetch_add, no lock.
-  void add(Id id, std::uint64_t delta = 1);
-  // Gauge last-write / high-water.
-  void set(Id id, std::uint64_t value);
-  void setMax(Id id, std::uint64_t value);
-  // Histogram observation: count, sum and the log2 bucket.
-  void observe(Id id, std::uint64_t value);
-
-  [[nodiscard]] MetricsSnapshot snapshot() const;
-
-  // Zeroes every value, keeping registrations (ids stay valid). A
-  // forked fleet worker calls this so counters inherited from the
-  // coordinator's address space are not double-counted when slots are
-  // aggregated.
-  void reset();
-
-  // Process-wide registry. fork() gives each worker an independent
-  // copy-on-write instance — exactly the per-process granularity the
-  // shm plane's per-slot publication wants.
-  [[nodiscard]] static MetricsRegistry& global();
-
- private:
-  struct Cell {
-    std::string name;
-    MetricKind kind = MetricKind::kCounter;
-    std::atomic<std::uint64_t> value{0};
-    std::atomic<std::uint64_t> sum{0};
-    std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
-  };
-  static constexpr std::size_t kBlockShift = 6;
-  static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
-  static constexpr std::size_t kMaxBlocks = 256;  // 16384 metrics, plenty
-
-  struct Block {
-    std::array<Cell, kBlockSize> cells;
-  };
-
-  [[nodiscard]] Id registerMetric(std::string_view name, MetricKind kind);
-  [[nodiscard]] Cell& cell(Id id) const;
-
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, Id> byName_;
-  std::array<std::atomic<Block*>, kMaxBlocks> blocks_{};
-  std::atomic<std::uint32_t> size_{0};
-};
 
 }  // namespace sde::obs

@@ -29,9 +29,10 @@
 // that poll, nothing else. attach() validates magic, layout version,
 // the two-phase ready marker and the geometry against the mapped size
 // before trusting any of it; a mismatch throws ShmMetricsError and the
-// caller degrades to its cold in-process registry.
+// caller runs without a live plane.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>

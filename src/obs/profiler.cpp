@@ -5,7 +5,6 @@
 #include <map>
 #include <sstream>
 
-#include "obs/metrics.hpp"
 
 namespace sde::obs {
 
@@ -47,25 +46,18 @@ bool PhaseProfile::empty() const {
 }
 
 void PhaseProfile::toStats(support::StatsRegistry& stats) const {
+  using support::StatsRegistry;
   for (std::size_t i = 0; i < kNumPhases; ++i) {
     const std::string prefix =
         "profile." + std::string(phaseName(static_cast<Phase>(i)));
-    stats.bump(prefix + ".micros", phases[i].nanos / 1000);
-    stats.bump(prefix + ".calls", phases[i].calls);
+    stats.add(StatsRegistry::id(prefix + ".micros"), phases[i].nanos / 1000);
+    stats.add(StatsRegistry::id(prefix + ".calls"), phases[i].calls);
   }
   for (const OpEntry& op : opcodes) {
-    stats.bump("profile." + op.name + ".count", op.count);
+    stats.add(StatsRegistry::id("profile." + op.name + ".count"), op.count);
     if (op.nanos != 0)
-      stats.bump("profile." + op.name + ".micros", op.nanos / 1000);
-  }
-}
-
-void PhaseProfile::toMetrics(MetricsRegistry& metrics) const {
-  for (std::size_t i = 0; i < kNumPhases; ++i) {
-    const std::string prefix =
-        "profile." + std::string(phaseName(static_cast<Phase>(i)));
-    metrics.add(metrics.counter(prefix + ".micros"), phases[i].nanos / 1000);
-    metrics.add(metrics.counter(prefix + ".calls"), phases[i].calls);
+      stats.add(StatsRegistry::id("profile." + op.name + ".micros"),
+                op.nanos / 1000);
   }
 }
 

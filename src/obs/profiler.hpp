@@ -26,8 +26,6 @@
 
 namespace sde::obs {
 
-class MetricsRegistry;
-
 enum class Phase : std::uint8_t {
   kInterp = 0,      // event dispatch / bytecode interpretation
   kMapping,         // StateMapper::onTransmit / onLocalBranch
@@ -71,16 +69,14 @@ struct PhaseProfile {
   // mapping work included) and would double-count.
   [[nodiscard]] std::uint64_t totalNanos() const;
   [[nodiscard]] bool empty() const;
-  // Folds per-phase totals into a StatsRegistry as
-  // "profile.<phase>.micros" / "profile.<phase>.calls" — the bench
-  // report surface. Micros, not nanos: these counters are summed by
-  // StatsRegistry::mergeFrom across a fleet and stay readable.
+  // Adds per-phase totals to a registry as "profile.<phase>.micros" /
+  // "profile.<phase>.calls", and the opcode entries as
+  // "profile.<op>.count" / ".micros" — the bench report surface and the
+  // bridge from per-engine wall-clock attribution to the fleet's live
+  // metrics plane. Micros, not nanos: these counters are summed by
+  // StatsRegistry::mergeFrom across a fleet and stay readable. Never
+  // added to an engine's own registries, which feed fingerprints.
   void toStats(support::StatsRegistry& stats) const;
-  // The same totals as counters in the live metrics registry
-  // ("profile.<phase>.micros" / "profile.<phase>.calls") — the bridge
-  // from per-engine wall-clock attribution to the fleet-wide metrics
-  // plane. Adds (the registry accumulates across jobs).
-  void toMetrics(MetricsRegistry& metrics) const;
   // Rendered table rows: phase, self time, calls, share of total.
   [[nodiscard]] std::string report() const;
 

@@ -6,6 +6,8 @@
 
 namespace sde {
 
+using support::statId;
+
 void CobMapper::registerInitialStates(
     std::span<ExecutionState* const> states) {
   SDE_ASSERT(states.size() == numNodes_, "need exactly one state per node");
@@ -106,11 +108,11 @@ void CobMapper::onLocalBranch(ExecutionState& original,
     // Elements the scenario copy actually deep-copies (sequence tails
     // under the persistent representation): the per-mapper face of the
     // paper's k-1-sibling-copies cost that aborts COB in Table I.
-    runtime.stats().bump("map.cob.scenario_copy_elements",
-                         member->forkCopyCost());
+    runtime.stats().add(statId<"map.cob.scenario_copy_elements">(),
+                        member->forkCopyCost());
     ExecutionState& copy = runtime.forkState(*member);
     scenario.byNode[node] = &copy;
-    runtime.stats().bump("map.cob.scenario_copies");
+    runtime.stats().add(statId<"map.cob.scenario_copies">());
     ++copies;
   }
   for (ExecutionState* state : scenario.byNode) scenarioOf_[state] = &scenario;
@@ -133,7 +135,7 @@ std::vector<ExecutionState*> CobMapper::onTransmit(ExecutionState& sender,
                                                    MapperRuntime& runtime) {
   // No conflicts are possible: the receiver is the destination node's
   // single state in the sender's dscenario (constant-time lookup).
-  runtime.stats().bump("map.transmissions");
+  runtime.stats().add(statId<"map.transmissions">());
   Scenario& scenario = scenarioOf(sender);
   SDE_ASSERT(packet.dst < numNodes_, "destination out of range");
   return {scenario.byNode[packet.dst]};

@@ -8,6 +8,8 @@
 
 namespace sde {
 
+using support::statId;
+
 void CowMapper::registerInitialStates(
     std::span<ExecutionState* const> states) {
   SDE_ASSERT(states.size() == numNodes_, "need exactly one state per node");
@@ -44,7 +46,7 @@ void CowMapper::onLocalBranch(ExecutionState& original,
 std::vector<ExecutionState*> CowMapper::onTransmit(ExecutionState& sender,
                                                    const net::Packet& packet,
                                                    MapperRuntime& runtime) {
-  runtime.stats().bump("map.transmissions");
+  runtime.stats().add(statId<"map.transmissions">());
   DState& dstate = mutableDstateOf(sender);
   const NodeId dst = packet.dst;
   SDE_ASSERT(dst < numNodes_, "destination out of range");
@@ -63,7 +65,7 @@ std::vector<ExecutionState*> CowMapper::onTransmit(ExecutionState& sender,
   // fresh dstate together with forked copies of every member except the
   // rivals (Figure 4). The target copies receive the packet; the
   // bystander copies are pure duplicates (the COW inefficiency).
-  runtime.stats().bump("map.cow.conflict_resolutions");
+  runtime.stats().add(statId<"map.cow.conflict_resolutions">());
   DState& fresh = dstates_.emplace_back(numNodes_);
   DState& old = mutableDstateOf(sender);  // deque kept `old` stable
   const std::uint64_t oldId = old.id;
@@ -79,17 +81,17 @@ std::vector<ExecutionState*> CowMapper::onTransmit(ExecutionState& sender,
   for (NodeId node = 0; node < numNodes_; ++node) {
     if (node == sender.node()) continue;  // rivals stay, sender moved
     for (ExecutionState* member : old.members.statesOf(node)) {
-      runtime.stats().bump("map.cow.split_copy_elements",
-                           member->forkCopyCost());
+      runtime.stats().add(statId<"map.cow.split_copy_elements">(),
+                          member->forkCopyCost());
       ExecutionState& copy = runtime.forkState(*member);
       fresh.members.add(&copy);
       dstateOf_[&copy] = &fresh;
       if (node == dst) {
         receivers.push_back(&copy);
-        runtime.stats().bump("map.targets_forked");
+        runtime.stats().add(statId<"map.targets_forked">());
         ++targetsForked;
       } else {
-        runtime.stats().bump("map.bystanders_forked");
+        runtime.stats().add(statId<"map.bystanders_forked">());
         ++bystandersForked;
       }
     }

@@ -6,6 +6,8 @@
 
 namespace sde {
 
+using support::statId;
+
 std::string_view runOutcomeName(RunOutcome outcome) {
   switch (outcome) {
     case RunOutcome::kCompleted:
@@ -89,7 +91,7 @@ void Engine::boot() {
     byId_[state->id()] = state.get();
     states_.push_back(std::move(state));
   }
-  stats_.set("engine.initial_states", initial.size());
+  stats_.set(statId<"engine.initial_states">(), initial.size());
   if (sharedCaps_ != nullptr) sharedCaps_->noteStatesCreated(initial.size());
   mapper_->registerInitialStates(initial);
   for (ExecutionState* state : initial) {
@@ -117,20 +119,6 @@ void Engine::setProfiler(obs::PhaseProfiler* profiler) {
   solver_.setProfiler(profiler);
 }
 
-void Engine::setMetrics(obs::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  solver_.setMetrics(metrics);
-  if (metrics_ == nullptr) return;
-  mForks_ = metrics_->counter("engine.forks_total");
-  mEvents_ = metrics_->counter("engine.events");
-  mPackets_ = metrics_->counter("engine.packets");
-  mTerminations_ = metrics_->counter("engine.terminations");
-  mPeakStates_ = metrics_->gauge("engine.peak_states");
-  mPeakMemory_ = metrics_->gauge("engine.peak_memory_bytes");
-  mMerges_ = metrics_->counter("engine.merges");
-  mLoopSummaries_ = metrics_->counter("engine.loop_summaries");
-}
-
 ExecutionState& Engine::cloneInternal(ExecutionState& original) {
   // Fork cost is a deterministic structural function of the parent
   // (sequence tails + CoW queue), recorded before the fork and carried
@@ -143,14 +131,10 @@ ExecutionState& Engine::cloneInternal(ExecutionState& original) {
   byId_[ref.id()] = &ref;
   states_.push_back(std::move(clone));
   touched_.push_back(&ref);
-  stats_.bump("engine.forks_total");
-  stats_.bump("engine.fork_copied_elements", lastForkCopiedElements_);
-  stats_.bump("engine.fork_shared_chunks", lastForkSharedChunks_);
-  stats_.maxOf("engine.peak_states", states_.size());
-  if (metrics_ != nullptr) {
-    metrics_->add(mForks_);
-    metrics_->setMax(mPeakStates_, states_.size());
-  }
+  stats_.add(statId<"engine.forks_total">());
+  stats_.add(statId<"engine.fork_copied_elements">(), lastForkCopiedElements_);
+  stats_.add(statId<"engine.fork_shared_chunks">(), lastForkSharedChunks_);
+  stats_.maxOf(statId<"engine.peak_states">(), states_.size());
   if (sharedCaps_ != nullptr) sharedCaps_->noteStatesCreated(1);
   return ref;
 }
@@ -158,7 +142,7 @@ ExecutionState& Engine::cloneInternal(ExecutionState& original) {
 ExecutionState& Engine::forkLocal(ExecutionState& original,
                                   obs::ForkCause cause) {
   ExecutionState& sibling = cloneInternal(original);
-  stats_.bump("engine.forks_local");
+  stats_.add(statId<"engine.forks_local">());
   if (trace_ != nullptr) {
     obs::TraceEvent event;
     event.kind = obs::TraceEventKind::kStateFork;
@@ -215,7 +199,7 @@ void Engine::InterpSink::onLog(ExecutionState& state,
 
 ExecutionState& Engine::Runtime::forkState(ExecutionState& original) {
   ExecutionState& clone = engine_.cloneInternal(original);
-  engine_.stats_.bump("engine.forks_mapping");
+  engine_.stats_.add(statId<"engine.forks_mapping">());
   if (engine_.trace_ != nullptr) {
     obs::TraceEvent event;
     event.kind = obs::TraceEventKind::kStateFork;
@@ -241,7 +225,7 @@ void Engine::sendOne(ExecutionState& sender, NodeId dst,
       !topology().hasEdge(sender.node(), dst)) {
     // Out of radio range (or self/bogus destination): the transmission
     // is lost. Counted — a protocol bug a test may want to see.
-    stats_.bump("net.undeliverable");
+    stats_.add(statId<"net.undeliverable">());
     return;
   }
 
@@ -257,8 +241,7 @@ void Engine::sendOne(ExecutionState& sender, NodeId dst,
     obs::ScopedPhase phase(profiler_, obs::Phase::kMapping);
     receivers = mapper_->onTransmit(sender, packet, mapperRuntime_);
   }
-  stats_.bump("engine.packets");
-  if (metrics_ != nullptr) metrics_->add(mPackets_);
+  stats_.add(statId<"engine.packets">());
   if (trace_ != nullptr) {
     obs::TraceEvent event;
     event.kind = obs::TraceEventKind::kPacketTransmit;
@@ -400,7 +383,7 @@ void Engine::processEvent(ExecutionState& state, vm::PendingEvent event) {
     state.constraints.add(failed ? failVar.var
                                  : ctx_.logicalNot(failVar.var));
     state.decisions.push_back({failVar.var, failed});
-    stats_.bump("engine.forced_decisions");
+    stats_.add(statId<"engine.forced_decisions">());
     applyFailureBranch(state, decision.kind, failed, event);
     return;
   }
@@ -412,7 +395,7 @@ void Engine::processEvent(ExecutionState& state, vm::PendingEvent event) {
   failing.constraints.add(failVar.var);
   state.decisions.push_back({failVar.var, false});
   failing.decisions.push_back({failVar.var, true});
-  stats_.bump("engine.failure_forks");
+  stats_.add(statId<"engine.failure_forks">());
 
   applyFailureBranch(state, decision.kind, /*failed=*/false, event);
   if (!failing.isTerminal())
@@ -425,17 +408,17 @@ bool Engine::tryMergeStates(ExecutionState& survivor,
   SDE_ASSERT(survivor.id() < absorbed.id(),
              "the merge survivor is the earlier-created state");
   if (!merger_.compatible(survivor, absorbed)) {
-    stats_.bump("engine.merges_declined_incompatible");
+    stats_.add(statId<"engine.merges_declined_incompatible">());
     return false;
   }
   if (!mapper_->canMerge(survivor, absorbed)) {
-    stats_.bump("engine.merges_declined_mapper");
+    stats_.add(statId<"engine.merges_declined_mapper">());
     return false;
   }
   const expr::Ref guard =
       ctx_.variable("mrg." + std::to_string(nextMergeGuard_), 1);
   if (!merger_.merge(survivor, absorbed, guard)) {
-    stats_.bump("engine.merges_declined_algebra");
+    stats_.add(statId<"engine.merges_declined_algebra">());
     return false;
   }
   ++nextMergeGuard_;
@@ -447,9 +430,8 @@ bool Engine::tryMergeStates(ExecutionState& survivor,
     pendingReaps_.push_back(extra);
     ++removed;
   }
-  stats_.bump("engine.merges");
-  stats_.bump("engine.merge_removed_states", removed);
-  if (metrics_ != nullptr) metrics_->add(mMerges_);
+  stats_.add(statId<"engine.merges">());
+  stats_.add(statId<"engine.merge_removed_states">(), removed);
   if (trace_ != nullptr) {
     obs::TraceEvent event;
     event.kind = obs::TraceEventKind::kStateMerge;
@@ -567,9 +549,9 @@ bool Engine::tryLoopFastPath(ExecutionState& state,
   state.activeTimers[timerId] = next.seq;
   state.pendingEvents.push_back(std::move(next));
   state.executedInstructions += entry.instructions;
-  stats_.bump("engine.loop_summaries");
-  stats_.bump("engine.loop_summarized_instructions", entry.instructions);
-  if (metrics_ != nullptr) metrics_->add(mLoopSummaries_);
+  stats_.add(statId<"engine.loop_summaries">());
+  stats_.add(statId<"engine.loop_summarized_instructions">(),
+             entry.instructions);
   if (trace_ != nullptr) {
     obs::TraceEvent record;
     record.kind = obs::TraceEventKind::kLoopSummary;
@@ -699,8 +681,7 @@ RunOutcome Engine::run(std::uint64_t untilVirtualTime) {
     // per-event processing and re-registration are exactly the per-event
     // loop's (the continuation probe consumes the scheduler head only
     // when it extends the batch), so delivery release order and digests
-    // are unchanged; the batch amortizes the outer-loop housekeeping and
-    // the string-keyed stats bumps.
+    // are unchanged; the batch amortizes the outer-loop housekeeping.
     const std::uint64_t batchTime = popped->event.time;
     const auto batchNode = popped->state->node();
     const auto batchKind = popped->event.kind;
@@ -722,7 +703,6 @@ RunOutcome Engine::run(std::uint64_t untilVirtualTime) {
       }
       ++eventsProcessed_;
       ++batchLen;
-      if (metrics_ != nullptr) metrics_->add(mEvents_);
 
       {
         // Re-register every state whose timeline changed (the dispatched
@@ -736,15 +716,12 @@ RunOutcome Engine::run(std::uint64_t untilVirtualTime) {
         touched_.erase(std::unique(touched_.begin(), touched_.end()),
                        touched_.end());
         for (ExecutionState* state : touched_) scheduler_.registerState(*state);
-        if (trace_ != nullptr || metrics_ != nullptr) {
-          // Trace and metrics share the termination dedup set; both care
-          // about "became terminal this step", exactly once per state.
+        if (trace_ != nullptr) {
+          // "Became terminal this step", exactly once per state.
           for (const ExecutionState* state : touched_) {
             if (!state->isTerminal() ||
                 !traceTerminated_.insert(state->id()).second)
               continue;
-            if (metrics_ != nullptr) metrics_->add(mTerminations_);
-            if (trace_ == nullptr) continue;
             obs::TraceEvent record;
             record.kind = obs::TraceEventKind::kStateTerminate;
             record.node = state->node();
@@ -776,15 +753,15 @@ RunOutcome Engine::run(std::uint64_t untilVirtualTime) {
       }
       if (!popped) break;
     }
-    // One string-keyed map bump per batch instead of per event; every
-    // observer (sampling, checkpoints, end-of-run reports) runs at batch
+    // One counter write per batch instead of per event; every observer
+    // (sampling, checkpoints, end-of-run reports) runs at batch
     // boundaries, so the visible counter trajectory is the baseline's.
     // Batch shape diagnostics stay plain members (not registry counters):
     // where a batch happens to break depends on suspend cuts and sampling
     // cadence, so folding them into the stats registry would violate the
     // checkpoint invariant that every serialized counter converges to the
     // uninterrupted run's totals.
-    stats_.bump("engine.events", batchLen);
+    stats_.add(statId<"engine.events">(), batchLen);
     ++batches_;
     if (batchLen > 1) batchedEvents_ += batchLen - 1;
   }
@@ -805,9 +782,7 @@ RunOutcome Engine::run(std::uint64_t untilVirtualTime) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     runStart_)
           .count();
-  stats_.maxOf("engine.peak_memory_bytes", simulatedMemoryBytes());
-  if (metrics_ != nullptr)
-    metrics_->setMax(mPeakMemory_, simulatedMemoryBytes());
+  stats_.maxOf(statId<"engine.peak_memory_bytes">(), simulatedMemoryBytes());
   if (outcome != RunOutcome::kCompleted) {
     // A cap latch suspends instead of discarding: the final checkpoint
     // captures the exact abort point, so a resumed run (with the cap

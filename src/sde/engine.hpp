@@ -21,7 +21,6 @@
 #include <utility>
 
 #include "net/failure.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace_sink.hpp"
 #include "os/events.hpp"
@@ -75,10 +74,11 @@ struct EngineConfig {
   bool loopSummarize = false;
   // Same-key event batching: consecutive ready events that dispatch the
   // same handler (equal time/node/kind/id, sibling states) are stepped
-  // in one block, amortizing outer-loop housekeeping and string-keyed
-  // stats bumps. Digest-invariant — pop order and per-event semantics
-  // are untouched — so it stays on; the switch exists for A/B isolation
-  // (bench_vm, dispatch equivalence fuzzing).
+  // in one block, amortizing outer-loop housekeeping (cap checks, the
+  // sampling test, one events-counter write per batch). Digest-invariant
+  // — pop order and per-event semantics are untouched — so it stays on;
+  // the switch exists for A/B isolation (bench_vm, dispatch equivalence
+  // fuzzing).
   bool batchEvents = true;
   vm::InterpConfig interp;
   solver::SolverConfig solver;
@@ -191,6 +191,7 @@ class Engine {
   // at the end of each run (metric recording for the benches).
   using Sampler = std::function<void(const Engine&)>;
   void setSampler(Sampler sampler) { sampler_ = std::move(sampler); }
+  [[nodiscard]] const Sampler& sampler() const { return sampler_; }
 
   // Deterministic-replay filter: failure decisions whose fully scoped
   // variable name ("n<node>.<label>.<k>") appears here are not forked —
@@ -233,16 +234,6 @@ class Engine {
   // deterministic fingerprint.
   void setProfiler(obs::PhaseProfiler* profiler);
   [[nodiscard]] obs::PhaseProfiler* profiler() const { return profiler_; }
-  // Attaches the live metrics registry (obs/metrics.hpp): engine
-  // fork/deliver/terminate counters, peak gauges, and per-layer solver
-  // latency histograms (forwarded to the solver pipeline). Purely
-  // observational — never feeds exploration decisions, so the run
-  // fingerprint is identical with or without it. nullptr (the default)
-  // costs one pointer compare per site.
-  void setMetrics(obs::MetricsRegistry* metrics);
-  [[nodiscard]] obs::MetricsRegistry* metricsRegistry() const {
-    return metrics_;
-  }
 
   // --- Execution -------------------------------------------------------------
   // Processes all events with time <= `untilVirtualTime`. May be called
@@ -326,6 +317,13 @@ class Engine {
   }
   [[nodiscard]] const support::StatsRegistry& solverStats() const {
     return solver_.stats();
+  }
+  // Folds the three registries above into `out`: what a job's post-run
+  // stats and its live metrics snapshots carry.
+  void mergeStatsInto(support::StatsRegistry& out) const {
+    out.mergeFrom(stats_);
+    out.mergeFrom(interp_.stats());
+    out.mergeFrom(solver_.stats());
   }
 
  private:
@@ -430,17 +428,6 @@ class Engine {
   std::atomic<bool> suspendRequested_{false};
   obs::TraceSink* trace_ = nullptr;
   obs::PhaseProfiler* profiler_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  // Metric ids, registered once in setMetrics so the hot sites are one
-  // relaxed atomic each.
-  obs::MetricsRegistry::Id mForks_ = 0;
-  obs::MetricsRegistry::Id mEvents_ = 0;
-  obs::MetricsRegistry::Id mPackets_ = 0;
-  obs::MetricsRegistry::Id mTerminations_ = 0;
-  obs::MetricsRegistry::Id mPeakStates_ = 0;
-  obs::MetricsRegistry::Id mPeakMemory_ = 0;
-  obs::MetricsRegistry::Id mMerges_ = 0;
-  obs::MetricsRegistry::Id mLoopSummaries_ = 0;
   // States whose termination was already traced (only populated while a
   // sink is attached; deliberately not serialized — a resumed trace may
   // re-report a termination, which the validator tolerates for resumed

@@ -30,6 +30,7 @@ namespace sde {
 namespace {
 
 namespace fs = std::filesystem;
+using support::statId;
 
 // ---------------------------------------------------------------------------
 // Frame protocol. Every message is one fixed-size length-prefixed frame
@@ -151,12 +152,12 @@ struct WorkerContext {
   const PartitionPlan* plan = nullptr;
   const FleetConfig* config = nullptr;
   solver::SharedQueryStore* shared = nullptr;  // inherited shm mapping
-  // Live metrics: the worker's registry (the process-global one, reset
-  // right after fork so inherited coordinator counters are not
-  // re-counted) and the inherited shm plane mapping. Slot i publishes
-  // into plane slot i+1; slot 0 belongs to the coordinator.
-  obs::MetricsRegistry* metrics = nullptr;
+  // Live metrics: the inherited shm plane mapping (null when off). Slot
+  // i publishes into plane slot i+1; slot 0 belongs to the coordinator.
+  // `finished` holds the stats of the completed jobs this worker ran or
+  // found done, plus the phase profiles of the jobs it ran.
   obs::ShmMetricsPlane* metricsPlane = nullptr;
+  support::StatsRegistry finished;
   ParallelConfig pc;  // collect flags for collectJobResult
 
   FrameReader reader;
@@ -170,13 +171,18 @@ struct WorkerContext {
 
 [[noreturn]] void workerExit(int code) { ::_exit(code); }
 
-// Best-effort snapshot publication into this worker's plane slot. An
-// oversize snapshot (or a plane that was never created) publishes
-// nothing — the live view is lossy by contract, the durable merge is
-// not.
-void workerPublishMetrics(const WorkerContext& w) {
-  if (w.metrics == nullptr || w.metricsPlane == nullptr) return;
-  w.metricsPlane->publish(w.slot + 1, w.metrics->snapshot());
+// Best-effort snapshot publication into this worker's plane slot: the
+// finished jobs' totals plus the running engine's registries — the same
+// numbers the post-run merge folds, so live totals equal post-run
+// totals. An oversize snapshot (or a plane that was never created)
+// publishes nothing — the live view is lossy by contract, the durable
+// merge is not.
+void workerPublishMetrics(const WorkerContext& w,
+                          const Engine* running = nullptr) {
+  if (w.metricsPlane == nullptr) return;
+  support::StatsRegistry live = w.finished;
+  if (running != nullptr) running->mergeStatsInto(live);
+  w.metricsPlane->publish(w.slot + 1, obs::snapshotFromStats(live));
 }
 
 void workerSend(WorkerContext& w, const Frame& frame) {
@@ -283,6 +289,8 @@ bool workerRunOneJob(WorkerContext& w) {
       states = prior.states;
       events = prior.events;
       haveResult = true;
+      w.finished.mergeFrom(prior.stats);
+      workerPublishMetrics(w);
     } catch (const snapshot::SnapshotError&) {
       // Torn .done (hard machine crash): re-run the job.
     }
@@ -296,15 +304,15 @@ bool workerRunOneJob(WorkerContext& w) {
       engine->setDecisionFilter(std::unordered_map<std::string, bool>(
           job.forced.begin(), job.forced.end()));
       if (w.shared != nullptr) engine->solver().setSharedCache(w.shared);
-      if (w.metrics != nullptr) engine->setMetrics(w.metrics);
       return engine;
     };
     std::unique_ptr<Engine> engine = makeEngine();
 
-    // Per-job wall-clock attribution, bridged into the metrics registry
-    // after the run. Digest-safe: profiler output never feeds stats_.
+    // Per-job wall-clock attribution, added to the finished totals after
+    // the run. Digest-safe: profiler output never feeds the engine's
+    // registries.
     obs::PhaseProfiler metricsProfiler;
-    if (w.metrics != nullptr) engine->setProfiler(&metricsProfiler);
+    if (w.metricsPlane != nullptr) engine->setProfiler(&metricsProfiler);
 
     // Tracing: sink installed before restore so a resumed job continues
     // the suspended run's sequence numbering (same as the thread
@@ -334,7 +342,7 @@ bool workerRunOneJob(WorkerContext& w) {
       } catch (const snapshot::SnapshotError&) {
         engine = makeEngine();  // torn checkpoint: restart from scratch
         if (traceSink != nullptr) engine->setTraceSink(traceSink.get());
-        if (w.metrics != nullptr) engine->setProfiler(&metricsProfiler);
+        if (w.metricsPlane != nullptr) engine->setProfiler(&metricsProfiler);
       }
     }
     // Visible to the command pump so a kSuspendFleet arriving mid-run
@@ -367,7 +375,7 @@ bool workerRunOneJob(WorkerContext& w) {
         status.c = e.numStates();
         status.d = e.eventsProcessed();
         workerSend(w, status);
-        workerPublishMetrics(w);
+        workerPublishMetrics(w, &e);
       }
     });
 
@@ -384,10 +392,8 @@ bool workerRunOneJob(WorkerContext& w) {
           support::logError("trace", e.what());
         }
       }
-      if (w.metrics != nullptr) {
-        metricsProfiler.profile().toMetrics(*w.metrics);
-        workerPublishMetrics(w);
-      }
+      metricsProfiler.profile().toStats(w.finished);
+      workerPublishMetrics(w, engine.get());
       Frame suspendedFrame;
       suspendedFrame.type = FrameType::kSuspended;
       suspendedFrame.a = job.id;
@@ -409,13 +415,14 @@ bool workerRunOneJob(WorkerContext& w) {
       snapshot::writeJobResultFile(done, result);
       std::error_code ec;
       fs::remove(ckpt, ec);  // superseded by the .done file
+      // Only completed jobs reach the post-run merge, through their .done
+      // files; a cap-aborted job resumes with its counts restored.
+      w.finished.mergeFrom(result.stats);
     }
     states = result.states;
     events = result.events;
-    if (w.metrics != nullptr) {
-      metricsProfiler.profile().toMetrics(*w.metrics);
-      workerPublishMetrics(w);
-    }
+    metricsProfiler.profile().toStats(w.finished);
+    workerPublishMetrics(w);
   }
 
   Frame doneFrame;
@@ -519,15 +526,11 @@ class Coordinator {
         config_(config),
         shm_(shm),
         metricsPlane_(metricsPlane) {
-    if (config_.shmMetrics) {
-      // A registry of our own (not the process-global one): a process
-      // embedding several sequential fleets must not leak one run's
-      // fleet.* counters into the next run's plane.
-      mSteals_ = coordinatorMetrics_.counter("fleet.steals");
-      mRespawns_ = coordinatorMetrics_.counter("fleet.respawns");
-      mDeaths_ = coordinatorMetrics_.counter("fleet.worker_deaths");
-      mSuspends_ = coordinatorMetrics_.counter("fleet.suspends");
-    }
+    // The fleet.* series are live from the first snapshot on.
+    for (const support::StatsRegistry::Id id :
+         {statId<"fleet.steals">(), statId<"fleet.respawns">(),
+          statId<"fleet.worker_deaths">(), statId<"fleet.suspends">()})
+      coordinatorStats_.add(id, 0);
     pc_.horizon = config.horizon;
     pc_.collectScenarioFingerprints = config.collectScenarioFingerprints;
     pc_.collectStateFingerprints = config.collectStateFingerprints;
@@ -583,7 +586,7 @@ class Coordinator {
       // totals are grafted on top from the durable merge in runFleet.
       result_.metrics = metricsPlane_ != nullptr
                             ? metricsPlane_->aggregate()
-                            : coordinatorMetrics_.snapshot();
+                            : obs::snapshotFromStats(coordinatorStats_);
     }
 
     if (suspending_ && completed_ != numJobs) {
@@ -677,13 +680,7 @@ class Coordinator {
       w.plan = &plan_;
       w.config = &config_;
       w.shared = (shm_ != nullptr && config_.shmQueryCache) ? shm_ : nullptr;
-      if (config_.shmMetrics) {
-        // The global registry was copied in by fork; zero it so
-        // coordinator-side values are not re-published from this slot.
-        obs::MetricsRegistry::global().reset();
-        w.metrics = &obs::MetricsRegistry::global();
-        w.metricsPlane = metricsPlane_;
-      }
+      w.metricsPlane = metricsPlane_;
       w.pc = pc_;
       try {
         workerMain(w);
@@ -735,12 +732,12 @@ class Coordinator {
 
   void publishCoordinatorMetrics() {
     if (metricsPlane_ != nullptr)
-      metricsPlane_->publish(0, coordinatorMetrics_.snapshot());
+      metricsPlane_->publish(0, obs::snapshotFromStats(coordinatorStats_));
   }
 
   void beginSuspend() {
     suspending_ = true;
-    if (config_.shmMetrics) coordinatorMetrics_.add(mSuspends_);
+    coordinatorStats_.add(statId<"fleet.suspends">());
     Frame frame;
     frame.type = FrameType::kSuspendFleet;
     for (SlotState& s : slots_)
@@ -855,7 +852,7 @@ class Coordinator {
         if (stolenLo < stolenHi) {
           s.hi = stolenLo;
           ++result_.steals;
-          if (config_.shmMetrics) coordinatorMetrics_.add(mSteals_);
+          coordinatorStats_.add(statId<"fleet.steals">());
           if (thief >= 0 && slots_[thief].alive && slots_[thief].idle) {
             assign(static_cast<unsigned>(thief), stolenLo, stolenHi);
           } else {
@@ -927,7 +924,7 @@ class Coordinator {
     if (clean) return;
 
     ++result_.workerDeaths;
-    if (config_.shmMetrics) coordinatorMetrics_.add(mDeaths_);
+    coordinatorStats_.add(statId<"fleet.worker_deaths">());
     // A pending steal where this slot was the victim is void: no reply
     // will come, and the unshrunk mirror range below re-leases
     // everything the victim still held (a reply written before death
@@ -956,7 +953,7 @@ class Coordinator {
     // remaining is fatal (pollOnce throws then).
     if (completed_ != plan_.jobs.size() && !suspending_ && respawnPossible()) {
       ++result_.respawns;
-      if (config_.shmMetrics) coordinatorMetrics_.add(mRespawns_);
+      coordinatorStats_.add(statId<"fleet.respawns">());
       spawn(slot);
       if (!pool_.empty()) {
         const auto range = pool_.back();
@@ -1045,11 +1042,8 @@ class Coordinator {
   const FleetConfig& config_;
   solver::ShmQueryCache* shm_;
   obs::ShmMetricsPlane* metricsPlane_;
-  obs::MetricsRegistry coordinatorMetrics_;
-  obs::MetricsRegistry::Id mSteals_ = 0;
-  obs::MetricsRegistry::Id mRespawns_ = 0;
-  obs::MetricsRegistry::Id mDeaths_ = 0;
-  obs::MetricsRegistry::Id mSuspends_ = 0;
+  // The coordinator's own counters (fleet.*), published into slot 0.
+  support::StatsRegistry coordinatorStats_;
   ParallelConfig pc_;
 
   std::vector<SlotState> slots_;
@@ -1201,10 +1195,12 @@ FleetResult runFleet(const EngineFactory& factory, const PartitionPlan& plan,
     if (derivedName) solver::ShmQueryCache::unlinkSegment(shmName);
   }
   if (config.shmMetrics) {
-    // Exact totals win: the merged post-run stats are lifted verbatim,
+    // Exact totals win: the merged post-run stats are rendered verbatim,
     // then live-only series (latency histograms, profile bridges,
     // fleet.* counters) are adopted for the names stats do not carry.
-    // A suspended run has no merged stats — the live view stands alone.
+    // The live totals equal the exact ones unless a worker died with
+    // its slot's last publication. A suspended run has no merged stats —
+    // the live view stands alone.
     obs::MetricsSnapshot merged;
     if (!result.suspended)
       merged = obs::snapshotFromStats(result.result.stats);

@@ -132,14 +132,16 @@ struct FleetConfig {
   std::string shmName;
   std::size_t shmBytes = 32u << 20;
   // --- Live metrics plane (obs/metrics.hpp + obs/metrics_shm.hpp) -----------
-  // On: each worker attaches the process-global MetricsRegistry to its
-  // engines (fork/deliver/terminate counters, peak gauges, per-layer
-  // solver latency histograms, a per-job PhaseProfiler bridge) and
-  // seqlock-publishes registry snapshots into its slot of a POSIX shm
-  // metrics segment at the status cadence; the coordinator publishes
-  // its fleet.* counters into slot 0 and writes the merged snapshot to
-  // the durable metrics.sde sidecar at the end. Purely observational:
-  // exploration digests are identical with the plane on or off.
+  // On: each worker seqlock-publishes, into its slot of a POSIX shm
+  // metrics segment at the status cadence and after every job, the
+  // stats of the jobs it finished plus the running engine's registries
+  // (engine, interpreter and solver counters with the per-layer solver
+  // latency histograms) and its jobs' phase profiles — the numbers the
+  // post-run merge folds, so live totals equal post-run totals. The
+  // coordinator publishes its fleet.* counters into slot 0 and writes
+  // the merged snapshot to the durable metrics.sde sidecar at the end.
+  // Purely observational: exploration digests are identical with the
+  // plane on or off.
   bool shmMetrics = true;
   // POSIX shm name of the metrics segment ("/sde_mx_..."). Empty
   // derives a per-run name from the coordinator pid. An embedding
@@ -200,11 +202,12 @@ struct FleetResult {
   // oracle of the stealing tests.
   std::vector<std::uint32_t> executedCounts;
   // Merged metrics snapshot (empty when shmMetrics is off): the post-run
-  // merged StatsRegistry lifted verbatim into the metrics value space —
-  // so every counter the stats carry is bit-exact — plus live-plane-only
-  // series (latency histograms, fleet.* counters, profile bridges)
-  // adopted for the names the stats do not cover. Also written durably
-  // to <checkpointDir>/metrics.sde for completed runs.
+  // merged StatsRegistry rendered verbatim into the metrics value space —
+  // so every counter the stats carry is bit-exact even when a worker
+  // died and took its live totals with it — plus live-plane-only series
+  // (latency histograms, fleet.* counters, profile bridges) adopted for
+  // the names the stats do not cover. Also written durably to
+  // <checkpointDir>/metrics.sde for completed runs.
   obs::MetricsSnapshot metrics;
   // Shared-memory cache outcome (zeros when shmQueryCache is off).
   bool shmDegraded = false;  // pre-existing segment was torn; ran cold

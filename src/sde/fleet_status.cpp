@@ -133,7 +133,8 @@ std::string fleetStatusJson(const FleetRunStatus& status) {
       firstPoint = false;
       out << "\"" << jsonEscape(name) << "\":";
       if (point.kind == obs::MetricKind::kHistogram) {
-        out << "{\"count\":" << point.count << ",\"sum\":" << point.sum
+        out << "{\"count\":" << point.histogram.count
+            << ",\"sum\":" << point.histogram.sum
             << ",\"p50\":" << obs::histogramQuantile(point, 0.5)
             << ",\"p99\":" << obs::histogramQuantile(point, 0.99) << "}";
       } else {

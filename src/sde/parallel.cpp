@@ -142,9 +142,7 @@ JobResult collectJobResult(Engine& engine, const PartitionJob& job,
     result.stateFingerprints.assign(statePrints.begin(), statePrints.end());
   }
 
-  result.stats.mergeFrom(engine.stats());
-  result.stats.mergeFrom(engine.interpStats());
-  result.stats.mergeFrom(engine.solverStats());
+  engine.mergeStatsInto(result.stats);
   return result;
 }
 

@@ -11,6 +11,8 @@
 
 namespace sde {
 
+using support::statId;
+
 namespace {
 
 // Erase by value from a small vector (order-preserving).
@@ -271,19 +273,21 @@ std::vector<ExecutionState*> SdsMapper::onTransmit(ExecutionState& sender,
         return v->actual != target;
       });
 
-  // One bump per counter and transmission, and only for non-zero counts:
-  // a bump creates the key, and the stats map is serialized.
+  // One write per counter and transmission, and only for non-zero counts:
+  // a write makes the series present, and the stats are serialized.
   support::StatsRegistry& stats = runtime.stats();
-  const auto bumpIfAny = [&stats](std::string_view name, std::uint64_t n) {
-    if (n > 0) stats.bump(name, n);
+  const auto addIfAny = [&stats](auto id, std::uint64_t n) {
+    if (n > 0) stats.add(id, n);
   };
-  stats.bump("map.transmissions");
+  stats.add(statId<"map.transmissions">());
   if (targetsForked > 0)
-    stats.bump("map.sds.target_copy_elements", targetCopyElements);
-  bumpIfAny("map.targets_forked", targetsForked);
-  bumpIfAny("map.sds.virtual_conflict_resolutions", conflictResolutions);
-  bumpIfAny("map.sds.virtual_targets_forked", virtualTargetsForked);
-  bumpIfAny("map.sds.virtual_bystanders_forked", virtualBystandersForked);
+    stats.add(statId<"map.sds.target_copy_elements">(), targetCopyElements);
+  addIfAny(statId<"map.targets_forked">(), targetsForked);
+  addIfAny(statId<"map.sds.virtual_conflict_resolutions">(),
+           conflictResolutions);
+  addIfAny(statId<"map.sds.virtual_targets_forked">(), virtualTargetsForked);
+  addIfAny(statId<"map.sds.virtual_bystanders_forked">(),
+           virtualBystandersForked);
 
   if (runtime.trace() != nullptr && targetsForked > 0) {
     obs::TraceEvent invoked;

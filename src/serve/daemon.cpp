@@ -22,8 +22,18 @@
 namespace sde::serve {
 
 namespace fs = std::filesystem;
+using support::MetricKind;
+using support::StatsRegistry;
 
 namespace {
+
+// The id of the per-tenant series "serve.tenant.<tenant>.<series>".
+StatsRegistry::Id tenantSeries(const std::string& tenant,
+                               std::string_view series,
+                               MetricKind kind = MetricKind::kCounter) {
+  return StatsRegistry::id(
+      "serve.tenant." + tenant + "." + std::string(series), kind);
+}
 
 volatile std::sig_atomic_t g_serveStop = 0;
 void serveStopHandler(int) { g_serveStop = 1; }
@@ -49,7 +59,8 @@ Daemon::Daemon(ServeConfig config)
   // Crash-safe boot: the registry is whatever the directory tree says.
   jobs_ = loadJobs(config_.root);
   nextId_ = nextJobId(jobs_);
-  metrics_.set(metrics_.gauge("serve.slots_total"), config_.slots);
+  metrics_.set(StatsRegistry::id("serve.slots_total", MetricKind::kGauge),
+               config_.slots);
   const auto bootTime = std::chrono::steady_clock::now();
   for (const auto& [id, record] : jobs_) {
     noteTenant(record.spec.tenant);
@@ -162,8 +173,7 @@ void Daemon::schedule() {
     const JobRecord& record = jobs_.at(jobId);
     scheduler_.charge(record.spec.tenant,
                       seconds * record.spec.processes);
-    metrics_.add(metrics_.counter("serve.tenant." + record.spec.tenant +
-                                  ".run_slot_ms"),
+    metrics_.add(tenantSeries(record.spec.tenant, "run_slot_ms"),
                  static_cast<std::uint64_t>(seconds *
                                             record.spec.processes * 1000.0));
   }
@@ -198,12 +208,14 @@ void Daemon::refreshSlotGauges() {
     inUse[record.spec.tenant] += record.spec.processes;
     total += record.spec.processes;
   }
-  metrics_.set(metrics_.gauge("serve.slots_in_use"), total);
-  metrics_.set(metrics_.gauge("serve.jobs_running"), running_.size());
+  metrics_.set(StatsRegistry::id("serve.slots_in_use", MetricKind::kGauge),
+               total);
+  metrics_.set(StatsRegistry::id("serve.jobs_running", MetricKind::kGauge),
+               running_.size());
   // Every tenant ever seen gets its gauge written each round, so a
   // tenant whose last job finished reads 0, not its stale peak.
   for (const std::string& tenant : metricTenants_)
-    metrics_.set(metrics_.gauge("serve.tenant." + tenant + ".slots_in_use"),
+    metrics_.set(tenantSeries(tenant, "slots_in_use", MetricKind::kGauge),
                  inUse.count(tenant) > 0 ? inUse.at(tenant) : 0);
 }
 
@@ -221,8 +233,8 @@ void Daemon::startJob(std::uint64_t jobId) {
         std::chrono::duration<double, std::milli>(runner.lastCharge -
                                                   queued->second)
             .count();
-    metrics_.observe(metrics_.histogram("serve.tenant." + record.spec.tenant +
-                                        ".queue_wait_ms"),
+    metrics_.observe(tenantSeries(record.spec.tenant, "queue_wait_ms",
+                                  MetricKind::kHistogram),
                      static_cast<std::uint64_t>(waitedMs));
     queuedSince_.erase(queued);
   }
@@ -232,8 +244,7 @@ void Daemon::preemptJob(std::uint64_t jobId) {
   const auto it = running_.find(jobId);
   if (it == running_.end() || it->second.preempting) return;
   it->second.preempting = true;
-  metrics_.add(metrics_.counter("serve.tenant." +
-                                jobs_.at(jobId).spec.tenant + ".preemptions"));
+  metrics_.add(tenantSeries(jobs_.at(jobId).spec.tenant, "preemptions"));
   ::kill(it->second.pid, SIGTERM);
 }
 
@@ -369,8 +380,7 @@ void Daemon::handleMessage(Client& client, const Message& message) {
     record.spec = std::move(spec);
     record.state = JobState::kQueued;
     noteTenant(record.spec.tenant);
-    metrics_.add(metrics_.counter("serve.tenant." + record.spec.tenant +
-                                  ".jobs_submitted"));
+    metrics_.add(tenantSeries(record.spec.tenant, "jobs_submitted"));
     queuedSince_[jobId] = std::chrono::steady_clock::now();
     jobs_.emplace(jobId, std::move(record));
     sendTo(client, SubmitReply{jobId});
@@ -510,7 +520,7 @@ void Daemon::handleMetricsRequest(Client& client,
   }
   // Service-wide: the daemon's own accounting plus whatever every
   // running fleet is publishing right now.
-  obs::MetricsSnapshot snap = metrics_.snapshot();
+  obs::MetricsSnapshot snap = obs::snapshotFromStats(metrics_);
   for (const auto& [jobId, runner] : running_) {
     try {
       const auto plane = obs::ShmMetricsPlane::attach(

@@ -109,11 +109,11 @@ class Daemon {
   // refresh; terminal states keep the last observed values).
   std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>
       liveCounters_;  // jobId -> {eventsSeen, statesSeen}
-  // Service accounting (obs/metrics.hpp): per-tenant queue-wait
-  // histograms, run slot-milliseconds, preemptions and slot-occupancy
-  // gauges. A MetricsRequest with jobId 0 merges this registry with the
-  // live shm planes of every running fleet.
-  obs::MetricsRegistry metrics_;
+  // Service accounting: per-tenant queue-wait histograms, run
+  // slot-milliseconds, preemptions and slot-occupancy gauges. Written
+  // and rendered by the poll loop only. A MetricsRequest with jobId 0
+  // merges its snapshot with the live shm planes of every running fleet.
+  support::StatsRegistry metrics_;
   std::set<std::string> metricTenants_;  // tenants with gauges to refresh
   // When each runnable job last (re)entered the queue — feeds the
   // tenant queue_wait_ms histogram on start.

@@ -27,12 +27,10 @@ constexpr std::uint32_t kNullRef = 0xFFFFFFFFu;
 
 void writeStats(Writer& out, const support::StatsRegistry& stats,
                 std::string_view skip = {}) {
-  std::uint64_t count = 0;
-  for (const auto& [name, value] : stats.all())
-    if (skip.empty() || name != skip) ++count;
-  out.u64(count);
-  for (const auto& [name, value] : stats.all()) {
-    if (!skip.empty() && name == skip) continue;
+  std::map<std::string, std::uint64_t> counters = stats.all();
+  if (!skip.empty()) counters.erase(std::string(skip));
+  out.u64(counters.size());
+  for (const auto& [name, value] : counters) {
     out.str(name);
     out.u64(value);
   }
@@ -43,7 +41,7 @@ void readStats(Reader& in, support::StatsRegistry& stats) {
   const std::uint64_t count = in.u64();
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::string name = in.str();
-    stats.set(name, in.u64());
+    stats.set(support::StatsRegistry::id(name), in.u64());
   }
 }
 

@@ -1,6 +1,7 @@
 #include "snapshot/manifest.hpp"
 
 #include <fstream>
+#include <map>
 #include <string>
 
 #include "snapshot/reader.hpp"
@@ -172,8 +173,9 @@ void writeJobResult(std::ostream& os, const JobResult& result) {
   for (const std::uint64_t print : result.stateFingerprints) out.u64(print);
   out.u64(result.testcases.size());
   for (const std::string& testcase : result.testcases) out.str(testcase);
-  out.u64(result.stats.all().size());
-  for (const auto& [name, value] : result.stats.all()) {
+  const std::map<std::string, std::uint64_t> counters = result.stats.all();
+  out.u64(counters.size());
+  for (const auto& [name, value] : counters) {
     out.str(name);
     out.u64(value);
   }
@@ -208,7 +210,7 @@ JobResult readJobResult(std::istream& is) {
   const std::uint64_t numCounters = in.u64();
   for (std::uint64_t i = 0; i < numCounters; ++i) {
     const std::string name = in.str();
-    result.stats.set(name, in.u64());
+    result.stats.set(support::StatsRegistry::id(name), in.u64());
   }
   return result;
 }

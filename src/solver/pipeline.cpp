@@ -8,9 +8,17 @@
 
 namespace sde::solver {
 
+using support::statId;
+
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+template <support::StatName Layer>
+const LayerSeries& layerSeries() {
+  static const LayerSeries series(Layer.view());
+  return series;
+}
 
 void publishShared(LayerQuery& q, const EnumResult& result) {
   // Canonical results only: interval refutations and enumerated models
@@ -22,12 +30,12 @@ void publishShared(LayerQuery& q, const EnumResult& result) {
 
 class ConstantFoldLayer final : public SolverLayer {
  public:
-  ConstantFoldLayer() : SolverLayer("constant_fold") {}
+  ConstantFoldLayer() : SolverLayer(&layerSeries<"constant_fold">) {}
 
   std::optional<LayerAnswer> query(LayerQuery& q) override {
     for (expr::Ref c : q.conjunction) {
       if (c->isFalse()) {
-        q.stats.bump("solver.constant_refutations");
+        q.stats.add(statId<"solver.constant_refutations">());
         return LayerAnswer{{EnumStatus::kUnsat, {}},
                            obs::SolverLayerDetail::kConstant};
       }
@@ -38,7 +46,7 @@ class ConstantFoldLayer final : public SolverLayer {
 
 class CanonicalizeLayer final : public SolverLayer {
  public:
-  CanonicalizeLayer() : SolverLayer("canonicalize") {}
+  CanonicalizeLayer() : SolverLayer(&layerSeries<"canonicalize">) {}
 
   std::optional<LayerAnswer> query(LayerQuery& q) override {
     // Commutative operand order is fixed at intern time in
@@ -56,12 +64,12 @@ class CanonicalizeLayer final : public SolverLayer {
 
 class ExactCacheLayer final : public SolverLayer {
  public:
-  ExactCacheLayer() : SolverLayer("exact_cache") {}
+  ExactCacheLayer() : SolverLayer(&layerSeries<"exact_cache">) {}
 
   std::optional<LayerAnswer> query(LayerQuery& q) override {
     if (!q.config.useCache) return std::nullopt;
     if (const EnumResult* hit = q.cache.lookup(q.key)) {
-      q.stats.bump("solver.cache_hits");
+      q.stats.add(statId<"solver.cache_hits">());
       return LayerAnswer{*hit, obs::SolverLayerDetail::kCacheHit};
     }
     return std::nullopt;
@@ -70,14 +78,14 @@ class ExactCacheLayer final : public SolverLayer {
 
 class SubsumptionLayer final : public SolverLayer {
  public:
-  SubsumptionLayer() : SolverLayer("subsumption") {}
+  SubsumptionLayer() : SolverLayer(&layerSeries<"subsumption">) {}
 
   std::optional<LayerAnswer> query(LayerQuery& q) override {
     if (!q.config.useCache) return std::nullopt;
     // Recent-model window first (the pre-pipeline reuse path, in its
     // original position so the monolithic fallback stays equivalent).
     if (auto model = q.cache.reuseModel(q.ctx, q.key)) {
-      q.stats.bump("solver.model_reuse_hits");
+      q.stats.add(statId<"solver.model_reuse_hits">());
       EnumResult r{EnumStatus::kSat, std::move(*model)};
       q.cache.insert(q.key, r);
       return LayerAnswer{std::move(r), obs::SolverLayerDetail::kModelReuse};
@@ -86,7 +94,7 @@ class SubsumptionLayer final : public SolverLayer {
     // A cached UNSAT key that is a subset of this query proves UNSAT:
     // the query contains a known-unsatisfiable core.
     if (q.cache.subsumesUnsat(q.key)) {
-      q.stats.bump("solver.subsumption_hits");
+      q.stats.add(statId<"solver.subsumption_hits">());
       EnumResult r{EnumStatus::kUnsat, {}};
       q.cache.insert(q.key, r);
       return LayerAnswer{std::move(r), obs::SolverLayerDetail::kSubsumption};
@@ -98,7 +106,7 @@ class SubsumptionLayer final : public SolverLayer {
     // on the same key would be answered from there).
     if (!q.needModel) {
       if (auto model = q.cache.reusePoolModel(q.ctx, q.key)) {
-        q.stats.bump("solver.subsumption_hits");
+        q.stats.add(statId<"solver.subsumption_hits">());
         return LayerAnswer{{EnumStatus::kSat, std::move(*model)},
                            obs::SolverLayerDetail::kSubsumption};
       }
@@ -109,13 +117,13 @@ class SubsumptionLayer final : public SolverLayer {
 
 class SharedCacheLayer final : public SolverLayer {
  public:
-  SharedCacheLayer() : SolverLayer("shared_cache") {}
+  SharedCacheLayer() : SolverLayer(&layerSeries<"shared_cache">) {}
 
   std::optional<LayerAnswer> query(LayerQuery& q) override {
     if (q.shared == nullptr) return std::nullopt;
     const auto hit = q.shared->lookup(makeSharedQueryKey(q.key));
     if (!hit) return std::nullopt;
-    q.stats.bump("solver.shared_hits");
+    q.stats.add(statId<"solver.shared_hits">());
     EnumResult r = fromSharedResult(q.ctx, *hit);
     // Fold the hit into the local cache exactly as if this worker had
     // computed it: the shared value is canonical, so the local cache
@@ -128,12 +136,12 @@ class SharedCacheLayer final : public SolverLayer {
 
 class IntervalLayer final : public SolverLayer {
  public:
-  IntervalLayer() : SolverLayer("interval") {}
+  IntervalLayer() : SolverLayer(&layerSeries<"interval">) {}
 
   std::optional<LayerAnswer> query(LayerQuery& q) override {
     if (!q.config.useIntervals) return std::nullopt;
     if (checkIntervals(q.key, q.intervals) == Feasibility::kInfeasible) {
-      q.stats.bump("solver.interval_refutations");
+      q.stats.add(statId<"solver.interval_refutations">());
       EnumResult r{EnumStatus::kUnsat, {}};
       if (q.config.useCache) q.cache.insert(q.key, r);
       publishShared(q, r);
@@ -145,13 +153,14 @@ class IntervalLayer final : public SolverLayer {
 
 class EnumerateLayer final : public SolverLayer {
  public:
-  EnumerateLayer() : SolverLayer("enumerate") {}
+  EnumerateLayer() : SolverLayer(&layerSeries<"enumerate">) {}
 
   std::optional<LayerAnswer> query(LayerQuery& q) override {
-    q.stats.bump("solver.enum_runs");
+    q.stats.add(statId<"solver.enum_runs">());
     EnumResult r =
         enumerateModels(q.ctx, q.key, q.intervals, q.config.enumeration);
-    if (r.status == EnumStatus::kExhausted) q.stats.bump("solver.exhausted");
+    if (r.status == EnumStatus::kExhausted)
+      q.stats.add(statId<"solver.exhausted">());
     if (q.config.useCache) q.cache.insert(q.key, r);
     publishShared(q, r);
     return LayerAnswer{std::move(r), obs::SolverLayerDetail::kEnumerated};
@@ -160,11 +169,14 @@ class EnumerateLayer final : public SolverLayer {
 
 }  // namespace
 
-SolverLayer::SolverLayer(std::string_view name) : name_(name) {
-  const std::string prefix = "solver.layer." + name_ + ".";
-  queriesKey_ = prefix + "queries";
-  hitsKey_ = prefix + "hits";
-  nanosKey_ = prefix + "nanos";
+LayerSeries::LayerSeries(std::string_view layer) : name(layer) {
+  using support::MetricKind;
+  using support::StatsRegistry;
+  const std::string prefix = "solver.layer." + std::string(layer) + ".";
+  queries = StatsRegistry::id(prefix + "queries");
+  hits = StatsRegistry::id(prefix + "hits");
+  nanos = StatsRegistry::id(prefix + "nanos");
+  latency = StatsRegistry::id(prefix + "latency_ns", MetricKind::kHistogram);
 }
 
 SolverPipeline::SolverPipeline(expr::Context& ctx, const SolverConfig& config,
@@ -180,15 +192,6 @@ SolverPipeline::SolverPipeline(expr::Context& ctx, const SolverConfig& config,
   layers_.push_back(std::make_unique<EnumerateLayer>());
 }
 
-void SolverPipeline::setMetrics(obs::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  if (metrics_ == nullptr) return;
-  for (const auto& layer : layers_) {
-    layer->latencyId_ = metrics_->histogram("solver.layer." + layer->name_ +
-                                            ".latency_ns");
-  }
-}
-
 LayerAnswer SolverPipeline::solve(std::span<const expr::Ref> conjunction,
                                   bool needModel) {
   LayerQuery q{.ctx = ctx_,
@@ -202,8 +205,8 @@ LayerAnswer SolverPipeline::solve(std::span<const expr::Ref> conjunction,
                .needModel = needModel};
   auto last = Clock::now();
   for (const auto& layer : layers_) {
-    ++layer->counters_.queries;
-    stats_.bump(layer->queriesKey_);
+    const LayerSeries& series = layer->series();
+    stats_.add(series.queries);
     auto answer = layer->query(q);
     // One clock read per layer: the delta since the previous read is
     // this layer's time (latency attribution, excluded from run
@@ -213,12 +216,10 @@ LayerAnswer SolverPipeline::solve(std::span<const expr::Ref> conjunction,
         std::chrono::duration_cast<std::chrono::nanoseconds>(now - last)
             .count());
     last = now;
-    layer->counters_.nanos += nanos;
-    stats_.bump(layer->nanosKey_, nanos);
-    if (metrics_ != nullptr) metrics_->observe(layer->latencyId_, nanos);
+    stats_.add(series.nanos, nanos);
+    stats_.observe(series.latency, nanos);
     if (answer) {
-      ++layer->counters_.hits;
-      stats_.bump(layer->hitsKey_);
+      stats_.add(series.hits);
       return std::move(*answer);
     }
   }

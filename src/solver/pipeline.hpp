@@ -20,10 +20,11 @@
 //   enumerate       — complete (bounded) model enumeration; always
 //                     answers
 //
-// Every layer reports hit/miss/latency counters through the stats
-// registry ("solver.layer.<name>.{queries,hits,nanos}") and tags the
-// answers it produces with its obs::SolverLayerDetail, which the trace
-// sink records per query.
+// Every layer reports its traffic through the solver's stats registry,
+// once per visit: "solver.layer.<name>.{queries,hits,nanos}" and the
+// live-only latency histogram "solver.layer.<name>.latency_ns". It tags
+// the answers it produces with its obs::SolverLayerDetail, which the
+// trace sink records per query.
 //
 // Determinism contract (load-bearing — the differential tests in
 // tests/sde/parallel_equivalence_test.cpp enforce it): every layer's
@@ -46,7 +47,6 @@
 #include <vector>
 
 #include "expr/context.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace_event.hpp"
 #include "solver/cache.hpp"
 #include "solver/enum_solver.hpp"
@@ -97,36 +97,35 @@ struct LayerAnswer {
   obs::SolverLayerDetail detail{};
 };
 
-struct LayerCounters {
-  std::uint64_t queries = 0;  // times the layer was consulted
-  std::uint64_t hits = 0;     // times it answered
-  std::uint64_t nanos = 0;    // wall time spent inside the layer
+// The registry series of one layer: how often it was consulted
+// (queries), how often it answered (hits), the wall time spent inside
+// it (nanos) and the distribution of that time (latency, a histogram).
+struct LayerSeries {
+  explicit LayerSeries(std::string_view layer);
+
+  std::string_view name;
+  support::StatsRegistry::Id queries;
+  support::StatsRegistry::Id hits;
+  support::StatsRegistry::Id nanos;
+  support::StatsRegistry::Id latency;
 };
 
 class SolverLayer {
  public:
-  explicit SolverLayer(std::string_view name);
+  // Returns the layer's series, interned on the first call (once per
+  // process and layer, so building a pipeline registers nothing).
+  using Series = const LayerSeries& (*)();
+  explicit SolverLayer(Series series) : series_(series) {}
   virtual ~SolverLayer() = default;
 
-  [[nodiscard]] std::string_view name() const { return name_; }
-  [[nodiscard]] const LayerCounters& counters() const { return counters_; }
+  [[nodiscard]] const LayerSeries& series() const { return series_(); }
+  [[nodiscard]] std::string_view name() const { return series().name; }
 
   // Answers the query or returns nullopt to pass it to the next layer.
   [[nodiscard]] virtual std::optional<LayerAnswer> query(LayerQuery& q) = 0;
 
  private:
-  friend class SolverPipeline;
-  std::string name_;
-  LayerCounters counters_;
-  // Precomputed registry keys ("solver.layer.<name>.hits", ...) so the
-  // per-query hot path never builds strings.
-  std::string queriesKey_;
-  std::string hitsKey_;
-  std::string nanosKey_;
-  // Live-metrics histogram id ("solver.layer.<name>.latency_ns"),
-  // registered once by setMetrics so the per-query path is one atomic
-  // bump per layer.
-  obs::MetricsRegistry::Id latencyId_ = 0;
+  Series series_;
 };
 
 class SolverPipeline {
@@ -142,12 +141,6 @@ class SolverPipeline {
   void setSharedCache(SharedQueryStore* shared) { shared_ = shared; }
   [[nodiscard]] SharedQueryStore* sharedCache() const { return shared_; }
 
-  // Live metrics plane, pointer-guarded like the trace sink: null (the
-  // default) costs one compare per layer. Registers one latency
-  // histogram per layer on attach.
-  void setMetrics(obs::MetricsRegistry* metrics);
-  [[nodiscard]] obs::MetricsRegistry* metrics() const { return metrics_; }
-
   [[nodiscard]] const std::vector<std::unique_ptr<SolverLayer>>& layers()
       const {
     return layers_;
@@ -159,7 +152,6 @@ class SolverPipeline {
   QueryCache& cache_;
   support::StatsRegistry& stats_;
   SharedQueryStore* shared_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
   std::vector<std::unique_ptr<SolverLayer>> layers_;
 };
 

@@ -4,6 +4,8 @@
 
 namespace sde::solver {
 
+using support::statId;
+
 void Solver::traceQuery(obs::SolverLayerDetail detail, std::size_t conjuncts,
                         EnumStatus status) {
   if (trace_ == nullptr) return;
@@ -21,7 +23,7 @@ void Solver::traceQuery(obs::SolverLayerDetail detail, std::size_t conjuncts,
 
 EnumResult Solver::solveConjunction(std::span<const expr::Ref> conjunction,
                                     bool needModel) {
-  stats_.bump("solver.queries");
+  stats_.add(statId<"solver.queries">());
   if (recorder_) recorder_(conjunction, needModel);
   if (!config_.usePipeline) return solveConjunctionMonolithic(conjunction);
 
@@ -38,7 +40,7 @@ EnumResult Solver::solveConjunctionMonolithic(
   // Constant shortcuts.
   for (expr::Ref c : conjunction) {
     if (c->isFalse()) {
-      stats_.bump("solver.constant_refutations");
+      stats_.add(statId<"solver.constant_refutations">());
       traceQuery(obs::SolverLayerDetail::kConstant, conjunction.size(),
                  EnumStatus::kUnsat);
       return {EnumStatus::kUnsat, {}};
@@ -50,13 +52,13 @@ EnumResult Solver::solveConjunctionMonolithic(
 
   if (config_.useCache) {
     if (const EnumResult* hit = cache_.lookup(key)) {
-      stats_.bump("solver.cache_hits");
+      stats_.add(statId<"solver.cache_hits">());
       traceQuery(obs::SolverLayerDetail::kCacheHit, conjunction.size(),
                  hit->status);
       return *hit;
     }
     if (auto model = cache_.reuseModel(ctx_, key)) {
-      stats_.bump("solver.model_reuse_hits");
+      stats_.add(statId<"solver.model_reuse_hits">());
       traceQuery(obs::SolverLayerDetail::kModelReuse, conjunction.size(),
                  EnumStatus::kSat);
       EnumResult r{EnumStatus::kSat, std::move(*model)};
@@ -68,7 +70,7 @@ EnumResult Solver::solveConjunctionMonolithic(
   expr::IntervalEnv env;
   if (config_.useIntervals) {
     if (checkIntervals(key, env) == Feasibility::kInfeasible) {
-      stats_.bump("solver.interval_refutations");
+      stats_.add(statId<"solver.interval_refutations">());
       traceQuery(obs::SolverLayerDetail::kInterval, conjunction.size(),
                  EnumStatus::kUnsat);
       EnumResult r{EnumStatus::kUnsat, {}};
@@ -77,9 +79,10 @@ EnumResult Solver::solveConjunctionMonolithic(
     }
   }
 
-  stats_.bump("solver.enum_runs");
+  stats_.add(statId<"solver.enum_runs">());
   EnumResult r = enumerateModels(ctx_, key, env, config_.enumeration);
-  if (r.status == EnumStatus::kExhausted) stats_.bump("solver.exhausted");
+  if (r.status == EnumStatus::kExhausted)
+    stats_.add(statId<"solver.exhausted">());
   traceQuery(obs::SolverLayerDetail::kEnumerated, conjunction.size(),
              r.status);
   if (config_.useCache) cache_.insert(key, r);
@@ -107,7 +110,7 @@ bool Solver::mayBeTrue(const ConstraintSet& constraints, expr::Ref cond) {
   std::vector<expr::Ref> conj;
   if (config_.useIndependence) {
     conj = sliceForQuery(ctx_, all, cond);
-    stats_.bump("solver.sliced_away", all.size() - conj.size());
+    stats_.add(statId<"solver.sliced_away">(), all.size() - conj.size());
   } else {
     conj = all;
   }
@@ -159,7 +162,7 @@ std::optional<expr::Assignment> Solver::getModel(
     const EnumResult r = solveConjunction(component, /*needModel=*/true);
     if (r.status == EnumStatus::kUnsat) return std::nullopt;
     if (r.status == EnumStatus::kExhausted) {
-      stats_.bump("solver.model_exhausted");
+      stats_.add(statId<"solver.model_exhausted">());
       return std::nullopt;
     }
     for (const auto& [var, value] : r.model.entries()) merged.set(var, value);

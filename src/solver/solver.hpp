@@ -82,12 +82,6 @@ class Solver final : public SolverClient {
   // Engine::setTraceSink / setProfiler.
   void setTraceSink(obs::TraceSink* sink) { trace_ = sink; }
   void setProfiler(obs::PhaseProfiler* profiler) { profiler_ = profiler; }
-  // Live metrics registry (per-layer latency histograms); nullptr by
-  // default, forwarded to the pipeline.
-  void setMetrics(obs::MetricsRegistry* metrics) {
-    pipeline_.setMetrics(metrics);
-  }
-
   // Captures every solved conjunction (post-slicing, pre-pipeline) —
   // the raw query stream of a run, which bench_solver records from a
   // real exploration and replays against differently composed

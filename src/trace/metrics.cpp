@@ -9,8 +9,9 @@ Engine::Sampler MetricsRecorder::sampler() {
     samples_.push_back(MetricSample{
         engine.wallSeconds(), engine.virtualNow(), engine.numStates(),
         engine.simulatedMemoryBytes(), engine.mapper().numGroups(),
-        engine.eventsProcessed(), engine.stats().get("engine.merges"),
-        engine.stats().get("engine.loop_summaries")});
+        engine.eventsProcessed(),
+        engine.stats().get(support::statId<"engine.merges">()),
+        engine.stats().get(support::statId<"engine.loop_summaries">())});
   };
 }
 

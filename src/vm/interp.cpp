@@ -6,6 +6,8 @@
 
 namespace sde::vm {
 
+using support::statId;
+
 namespace {
 
 // Applies a 64-bit ALU operation through the expression builder.
@@ -72,13 +74,13 @@ void Interpreter::setReg(ExecutionState& state, std::uint8_t index,
 void Interpreter::kill(ExecutionState& state, std::string_view why) {
   state.status = StateStatus::kKilled;
   state.failureMessage = std::string(why);
-  stats_.bump("vm.killed");
+  stats_.add(statId<"vm.killed">());
 }
 
 std::uint64_t Interpreter::concretize(ExecutionState& state,
                                       expr::Ref value) {
   if (value->isConstant()) return value->value();
-  stats_.bump("vm.concretizations");
+  stats_.add(statId<"vm.concretizations">());
   const auto v = solver_.getValue(state.constraints, value);
   SDE_ASSERT(v.has_value(),
              "concretize on an infeasible state (engine must not schedule "
@@ -193,11 +195,11 @@ void Interpreter::runEvent(ExecutionState& state, Entry entry,
     for (ExecutionState* child : forked) worklist.push_back(child);
   }
   // The per-instruction counter is accumulated locally and flushed once
-  // per event: a per-step StatsRegistry::bump is a string-keyed map
-  // lookup and dominated the old hot path. Observers only read stats
-  // between events, so the visible trajectory is unchanged.
+  // per event, keeping the step loop free of registry writes. Observers
+  // only read stats between events, so the visible trajectory is
+  // unchanged.
   if (effects_.instructions != 0)
-    stats_.bump("vm.instructions", effects_.instructions);
+    stats_.add(statId<"vm.instructions">(), effects_.instructions);
   SDE_ASSERT(parkedCount_ == 0, "merge tokens must resolve by event end");
 }
 
@@ -259,7 +261,7 @@ bool Interpreter::step(ExecutionState& state, EffectSink& sink,
           nextPc = fallPc;
           break;
         case solver::Validity::kUnknown: {
-          stats_.bump("vm.forks");
+          stats_.add(statId<"vm.forks">());
           ++effects_.forks;
           const std::size_t branchPc = state.pc;
           ExecutionState& child = sink.forkState(state);
@@ -310,7 +312,7 @@ bool Interpreter::step(ExecutionState& state, EffectSink& sink,
     case Op::kFail:
       state.status = StateStatus::kFailed;
       state.failureMessage = std::string(state.program().string(ins.str));
-      stats_.bump("vm.failures");
+      stats_.add(statId<"vm.failures">());
       return false;
     case Op::kAlloc: {
       const std::uint64_t cells = concretize(state, reg(state, ins.b));
@@ -367,7 +369,7 @@ bool Interpreter::step(ExecutionState& state, EffectSink& sink,
           ctx_.variable(name, static_cast<unsigned>(ins.imm));
       state.symbolics.push_back(var);
       setReg(state, ins.a, ctx_.zext(var, 64));
-      stats_.bump("vm.symbolics");
+      stats_.add(statId<"vm.symbolics">());
       ++effects_.symbolicsMinted;
       break;
     }
@@ -376,7 +378,7 @@ bool Interpreter::step(ExecutionState& state, EffectSink& sink,
       if (cond->isTrue()) break;
       if (cond->isFalse() || !solver_.mayBeTrue(state.constraints, cond)) {
         state.status = StateStatus::kInfeasible;
-        stats_.bump("vm.infeasible_assumes");
+        stats_.add(statId<"vm.infeasible_assumes">());
         return false;
       }
       state.constraints.add(cond);
@@ -390,7 +392,7 @@ bool Interpreter::step(ExecutionState& state, EffectSink& sink,
         kill(state, "send with invalid payload object");
         return false;
       }
-      stats_.bump("vm.sends");
+      stats_.add(statId<"vm.sends">());
       ++effects_.sends;
       // Advance pc before the callback: the mapping algorithm may fork
       // `state` itself (it never does — senders are not forked — but the
@@ -638,7 +640,7 @@ dispatch_top:
           pc = fallPc;
           break;
         case solver::Validity::kUnknown: {
-          stats_.bump("vm.forks");
+          stats_.add(statId<"vm.forks">());
           ++effects_.forks;
           flushSteps();
           state.pc = pc;  // the fork clones the branch pc, as in step()
@@ -684,7 +686,7 @@ dispatch_top:
   OPCASE(kFail) {
     state.status = StateStatus::kFailed;
     state.failureMessage = std::string(state.program().string(d->str));
-    stats_.bump("vm.failures");
+    stats_.add(statId<"vm.failures">());
     goto done;
   }
 
@@ -750,7 +752,7 @@ dispatch_top:
     const expr::Ref var = ctx.variable(name, static_cast<unsigned>(d->imm));
     state.symbolics.push_back(var);
     regs[d->a] = ctx.zext(var, 64);
-    stats_.bump("vm.symbolics");
+    stats_.add(statId<"vm.symbolics">());
     ++effects_.symbolicsMinted;
     ++pc;
     DISPATCH();
@@ -761,7 +763,7 @@ dispatch_top:
     if (!cond->isTrue()) {
       if (cond->isFalse() || !solver_.mayBeTrue(state.constraints, cond)) {
         state.status = StateStatus::kInfeasible;
-        stats_.bump("vm.infeasible_assumes");
+        stats_.add(statId<"vm.infeasible_assumes">());
         goto done;
       }
       state.constraints.add(cond);
@@ -778,7 +780,7 @@ dispatch_top:
       kill(state, "send with invalid payload object");
       goto done;
     }
-    stats_.bump("vm.sends");
+    stats_.add(statId<"vm.sends">());
     ++effects_.sends;
     // Advance pc and sync the state before the callback, as in step().
     ++pc;
@@ -1032,7 +1034,7 @@ bool Interpreter::needsGuardSplit(ExecutionState& state) const {
 
 void Interpreter::splitLastGuard(ExecutionState& state, EffectSink& sink,
                                  std::vector<ExecutionState*>& worklist) {
-  stats_.bump("vm.merge_splits");
+  stats_.add(statId<"vm.merge_splits">());
   const auto [feasTrue, feasFalse] = merger_.feasiblePolarities(state);
   SDE_ASSERT(feasTrue || feasFalse,
              "merged state with no syntactically feasible guard polarity");

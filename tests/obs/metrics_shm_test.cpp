@@ -29,10 +29,12 @@ struct SegmentGuard {
   ~SegmentGuard() { ShmMetricsPlane::unlinkSegment(name); }
 };
 
+using support::StatsRegistry;
+
 MetricsSnapshot snapshotWith(const std::string& name, std::uint64_t value) {
-  MetricsRegistry reg;
-  reg.add(reg.counter(name), value);
-  return reg.snapshot();
+  StatsRegistry reg;
+  reg.add(StatsRegistry::id(name), value);
+  return snapshotFromStats(reg);
 }
 
 TEST(ShmMetricsPlane, PublishReadRoundtripAcrossAttach) {
@@ -70,9 +72,9 @@ TEST(ShmMetricsPlane, PeakGaugesAggregateWithMax) {
   const auto plane = ShmMetricsPlane::create(guard.name, config);
   const std::uint64_t peaks[4] = {120, 450, 90, 301};
   for (std::uint32_t slot = 0; slot < 4; ++slot) {
-    MetricsRegistry reg;
-    reg.setMax(reg.gauge("engine.peak_states"), peaks[slot]);
-    ASSERT_TRUE(plane->publish(slot, reg.snapshot()));
+    StatsRegistry reg;
+    reg.maxOf(StatsRegistry::id("engine.peak_states"), peaks[slot]);
+    ASSERT_TRUE(plane->publish(slot, snapshotFromStats(reg)));
   }
   EXPECT_EQ(plane->aggregate().value("engine.peak_states"), 450u);
 }
@@ -85,10 +87,11 @@ TEST(ShmMetricsPlane, OversizeSnapshotIsDroppedKeepingThePrevious) {
   const auto plane = ShmMetricsPlane::create(guard.name, config);
   ASSERT_TRUE(plane->publish(0, snapshotWith("small", 1)));
 
-  MetricsRegistry big;
+  StatsRegistry big;
   for (int i = 0; i < 64; ++i)
-    big.add(big.counter("some.rather.long.metric.name." + std::to_string(i)));
-  EXPECT_FALSE(plane->publish(0, big.snapshot()));
+    big.add(StatsRegistry::id("some.rather.long.metric.name." +
+                              std::to_string(i)));
+  EXPECT_FALSE(plane->publish(0, snapshotFromStats(big)));
   // The previous snapshot is still intact.
   const auto read = plane->read(0);
   ASSERT_TRUE(read.has_value());

@@ -1,102 +1,26 @@
-// MetricsRegistry / MetricsSnapshot battery: registry semantics, the
-// shared max-vs-sum fold rule against StatsRegistry::mergeFrom (the
-// 4-worker peak regression of ISSUE 8), codec roundtrip fuzz with
-// truncation/magic/version rejection, quantiles and the Prometheus
-// exposition.
+// MetricsSnapshot battery: the shared max-vs-sum fold rule against
+// StatsRegistry::mergeFrom (the 4-worker peak regression of the first
+// metrics plane), rendering a registry into a snapshot, codec roundtrip
+// fuzz with truncation/magic/version rejection, quantiles and the
+// Prometheus exposition.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <thread>
-#include <vector>
+#include <string>
+#include <string_view>
 
 #include "snapshot/error.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
-#include "trace/scenario.hpp"
 
 namespace sde::obs {
 namespace {
 
-TEST(MetricsRegistry, CountersGaugesAndIdempotentRegistration) {
-  MetricsRegistry reg;
-  const auto forks = reg.counter("engine.forks_total");
-  const auto peak = reg.gauge("engine.peak_states");
-  EXPECT_EQ(forks, reg.counter("engine.forks_total"));  // same name, same id
+using support::StatsRegistry;
 
-  reg.add(forks);
-  reg.add(forks, 41);
-  reg.set(peak, 10);
-  reg.setMax(peak, 7);   // lower: ignored
-  reg.setMax(peak, 25);  // higher: taken
-
-  const MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.value("engine.forks_total"), 42u);
-  EXPECT_EQ(snap.value("engine.peak_states"), 25u);
-  EXPECT_EQ(snap.find("engine.forks_total")->kind, MetricKind::kCounter);
-  EXPECT_EQ(snap.find("engine.peak_states")->kind, MetricKind::kGauge);
-}
-
-TEST(MetricsRegistry, HistogramObservationsLandInLog2Buckets) {
-  MetricsRegistry reg;
-  const auto lat = reg.histogram("solver.layer.cache.latency_ns");
-  reg.observe(lat, 0);
-  reg.observe(lat, 1);
-  reg.observe(lat, 2);
-  reg.observe(lat, 3);
-  reg.observe(lat, 1024);
-
-  const MetricsSnapshot snap = reg.snapshot();
-  const MetricPoint* point = snap.find("solver.layer.cache.latency_ns");
-  ASSERT_NE(point, nullptr);
-  EXPECT_EQ(point->kind, MetricKind::kHistogram);
-  EXPECT_EQ(point->count, 5u);
-  EXPECT_EQ(point->sum, 1030u);
-  EXPECT_EQ(point->buckets[0], 1u);   // value 0
-  EXPECT_EQ(point->buckets[1], 1u);   // value 1
-  EXPECT_EQ(point->buckets[2], 2u);   // values 2, 3
-  EXPECT_EQ(point->buckets[11], 1u);  // 1024 = 2^10 -> bucket 11
-}
-
-TEST(MetricsRegistry, ResetZeroesValuesButKeepsRegistrations) {
-  MetricsRegistry reg;
-  const auto c = reg.counter("a.b");
-  const auto h = reg.histogram("a.h");
-  reg.add(c, 9);
-  reg.observe(h, 100);
-  reg.reset();
-  const MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.value("a.b"), 0u);
-  EXPECT_EQ(snap.find("a.h")->count, 0u);
-  // Ids remain valid after reset.
-  reg.add(c, 3);
-  EXPECT_EQ(reg.snapshot().value("a.b"), 3u);
-}
-
-TEST(MetricsRegistry, ConcurrentBumpsLoseNothing) {
-  MetricsRegistry reg;
-  const auto c = reg.counter("hot.counter");
-  const auto h = reg.histogram("hot.histogram");
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        reg.add(c);
-        reg.observe(h, static_cast<std::uint64_t>(t * kPerThread + i));
-      }
-    });
-  for (auto& thread : threads) thread.join();
-  const MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.value("hot.counter"),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(snap.find("hot.histogram")->count,
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
-}
-
-// The ISSUE 8 regression: a *.peak_* gauge folds with max across 4
+// The 4-worker peak regression: a *.peak_* gauge folds with max across
 // fleet workers, and the metrics-side fold agrees exactly with
 // StatsRegistry::mergeFrom because both run through support::foldCounter.
 TEST(MetricsSnapshot, PeakGaugeFoldsWithMaxAcrossFourWorkers) {
@@ -104,16 +28,12 @@ TEST(MetricsSnapshot, PeakGaugeFoldsWithMaxAcrossFourWorkers) {
   const std::uint64_t forks[4] = {10, 20, 30, 40};
 
   MetricsSnapshot merged;
-  support::StatsRegistry mergedStats;
+  StatsRegistry mergedStats;
   for (int w = 0; w < 4; ++w) {
-    MetricsRegistry reg;
-    reg.setMax(reg.gauge("engine.peak_states"), peaks[w]);
-    reg.add(reg.counter("engine.forks_total"), forks[w]);
-    merged.merge(reg.snapshot());
-
-    support::StatsRegistry workerStats;
-    workerStats.maxOf("engine.peak_states", peaks[w]);
-    workerStats.bump("engine.forks_total", forks[w]);
+    StatsRegistry workerStats;
+    workerStats.maxOf(StatsRegistry::id("engine.peak_states"), peaks[w]);
+    workerStats.add(StatsRegistry::id("engine.forks_total"), forks[w]);
+    merged.merge(snapshotFromStats(workerStats));
     mergedStats.mergeFrom(workerStats);
   }
 
@@ -124,16 +44,18 @@ TEST(MetricsSnapshot, PeakGaugeFoldsWithMaxAcrossFourWorkers) {
 }
 
 TEST(MetricsSnapshot, MergeAddsHistogramsAndAdoptMissingKeepsExisting) {
-  MetricsRegistry a;
-  a.observe(a.histogram("h"), 5);
-  a.observe(a.histogram("h"), 6);
-  MetricsRegistry b;
-  b.observe(b.histogram("h"), 1000);
+  const StatsRegistry::Id h =
+      StatsRegistry::id("h", support::MetricKind::kHistogram);
+  StatsRegistry a;
+  a.observe(h, 5);
+  a.observe(h, 6);
+  StatsRegistry b;
+  b.observe(h, 1000);
 
-  MetricsSnapshot merged = a.snapshot();
-  merged.merge(b.snapshot());
-  EXPECT_EQ(merged.find("h")->count, 3u);
-  EXPECT_EQ(merged.find("h")->sum, 1011u);
+  MetricsSnapshot merged = snapshotFromStats(a);
+  merged.merge(snapshotFromStats(b));
+  EXPECT_EQ(merged.find("h")->histogram.count, 3u);
+  EXPECT_EQ(merged.find("h")->histogram.sum, 1011u);
 
   MetricsSnapshot exact;
   MetricPoint point;
@@ -151,9 +73,9 @@ TEST(MetricsSnapshot, MergeAddsHistogramsAndAdoptMissingKeepsExisting) {
 }
 
 TEST(MetricsSnapshot, SnapshotFromStatsLiftsPeaksToGaugesVerbatim) {
-  support::StatsRegistry stats;
-  stats.bump("engine.forks", 17);
-  stats.maxOf("engine.peak_memory_bytes", 123456);
+  StatsRegistry stats;
+  stats.add(StatsRegistry::id("engine.forks"), 17);
+  stats.maxOf(StatsRegistry::id("engine.peak_memory_bytes"), 123456);
   const MetricsSnapshot snap = snapshotFromStats(stats);
   EXPECT_EQ(snap.find("engine.forks")->kind, MetricKind::kCounter);
   EXPECT_EQ(snap.find("engine.peak_memory_bytes")->kind, MetricKind::kGauge);
@@ -172,12 +94,8 @@ TEST(MetricsCodec, RoundtripFuzz) {
       point.kind = static_cast<MetricKind>(kindPick);
       if (point.kind == MetricKind::kHistogram) {
         const std::size_t observations = rng.below(50);
-        for (std::size_t o = 0; o < observations; ++o) {
-          const std::uint64_t v = rng.next() >> rng.below(64);
-          ++point.count;
-          point.sum += v;
-          ++point.buckets[histogramBucketOf(v)];
-        }
+        for (std::size_t o = 0; o < observations; ++o)
+          point.histogram.observe(rng.next() >> rng.below(64));
       } else {
         point.value = rng.next();
       }
@@ -192,9 +110,9 @@ TEST(MetricsCodec, RoundtripFuzz) {
       ASSERT_NE(decoded, nullptr) << name;
       EXPECT_EQ(decoded->kind, point.kind);
       EXPECT_EQ(decoded->value, point.value);
-      EXPECT_EQ(decoded->count, point.count);
-      EXPECT_EQ(decoded->sum, point.sum);
-      EXPECT_EQ(decoded->buckets, point.buckets);
+      EXPECT_EQ(decoded->histogram.count, point.histogram.count);
+      EXPECT_EQ(decoded->histogram.sum, point.histogram.sum);
+      EXPECT_EQ(decoded->histogram.buckets, point.histogram.buckets);
     }
     // Deterministic encoding: same snapshot, same bytes.
     EXPECT_EQ(encodeMetricsSnapshot(back), bytes);
@@ -202,10 +120,10 @@ TEST(MetricsCodec, RoundtripFuzz) {
 }
 
 TEST(MetricsCodec, RejectsTruncationMagicAndVersion) {
-  MetricsRegistry reg;
-  reg.add(reg.counter("a"), 1);
-  reg.observe(reg.histogram("b"), 500);
-  const std::string bytes = encodeMetricsSnapshot(reg.snapshot());
+  StatsRegistry reg;
+  reg.add(StatsRegistry::id("a"), 1);
+  reg.observe(StatsRegistry::id("b", support::MetricKind::kHistogram), 500);
+  const std::string bytes = encodeMetricsSnapshot(snapshotFromStats(reg));
 
   // Truncation at every prefix length must throw, never crash or
   // fabricate data.
@@ -228,16 +146,10 @@ TEST(MetricsCodec, RejectsTruncationMagicAndVersion) {
 TEST(MetricsHistogram, QuantileHitsBucketUpperBounds) {
   MetricPoint point;
   point.kind = MetricKind::kHistogram;
-  for (int i = 0; i < 90; ++i) {
-    ++point.count;
-    ++point.buckets[histogramBucketOf(3)];  // bucket 2, bound 3
-    point.sum += 3;
-  }
-  for (int i = 0; i < 10; ++i) {
-    ++point.count;
-    ++point.buckets[histogramBucketOf(1000)];  // bucket 10, bound 1023
-    point.sum += 1000;
-  }
+  for (int i = 0; i < 90; ++i) point.histogram.observe(3);    // bucket 2
+  for (int i = 0; i < 10; ++i) point.histogram.observe(1000);  // bucket 10
+  ASSERT_EQ(histogramBucketBound(histogramBucketOf(3)), 3u);
+  ASSERT_EQ(histogramBucketBound(histogramBucketOf(1000)), 1023u);
   EXPECT_EQ(histogramQuantile(point, 0.5), 3u);
   EXPECT_EQ(histogramQuantile(point, 0.9), 3u);
   EXPECT_EQ(histogramQuantile(point, 0.95), 1023u);
@@ -248,12 +160,14 @@ TEST(MetricsHistogram, QuantileHitsBucketUpperBounds) {
 }
 
 TEST(MetricsPrometheus, RendersFamiliesTenantsAndHistograms) {
-  MetricsRegistry reg;
-  reg.add(reg.counter("engine.forks_total"), 5);
-  reg.add(reg.counter("serve.tenant.alice.preemptions"), 2);
-  reg.add(reg.counter("serve.tenant.bob.preemptions"), 3);
-  reg.observe(reg.histogram("solver.layer.cache.latency_ns"), 100);
-  const std::string text = renderPrometheus(reg.snapshot());
+  StatsRegistry reg;
+  reg.add(StatsRegistry::id("engine.forks_total"), 5);
+  reg.add(StatsRegistry::id("serve.tenant.alice.preemptions"), 2);
+  reg.add(StatsRegistry::id("serve.tenant.bob.preemptions"), 3);
+  reg.observe(StatsRegistry::id("solver.layer.cache.latency_ns",
+                                support::MetricKind::kHistogram),
+              100);
+  const std::string text = renderPrometheus(snapshotFromStats(reg));
 
   EXPECT_NE(text.find("# TYPE sde_engine_forks_total counter\n"),
             std::string::npos);
@@ -291,35 +205,57 @@ TEST(MetricsPrometheus, RendersFamiliesTenantsAndHistograms) {
   }
 }
 
-// Observability must be free of observer effects: attaching a metrics
-// registry to an engine changes counters, never the exploration. The
-// stats registry doubles as the digest here — it records the full
-// event/fork/termination history of the run.
-TEST(MetricsEngine, AttachingMetricsChangesNoExplorationResult) {
-  trace::CollectScenarioConfig config;
-  config.gridWidth = 4;
-  config.gridHeight = 4;
-  config.simulationTime = 2000;
+// Tenant names may contain dots (validateJobSpec accepts any non-empty
+// tenant); the per-tenant series names are single words, so the split is
+// at the last dot. Each family renders as one group under one TYPE line
+// even though its tenants' series interleave in name order.
+TEST(MetricsPrometheus, DottedTenantsKeepTheirLabelAndFamiliesStayGrouped) {
+  MetricsSnapshot snap;
+  const auto counter = [&snap](const std::string& name, std::uint64_t value) {
+    MetricPoint point;
+    point.value = value;
+    snap.points.emplace(name, point);
+  };
+  counter("serve.tenant.team.a.jobs_submitted", 2);
+  counter("serve.tenant.team.a.preemptions", 1);
+  counter("serve.tenant.zed.jobs_submitted", 5);
+  counter("serve.tenant.zed.preemptions", 4);
+  const std::string text = renderPrometheus(snap);
 
-  trace::CollectScenario plain(config);
-  const trace::ScenarioResult bare = plain.run();
+  EXPECT_NE(text.find("sde_serve_jobs_submitted{tenant=\"team.a\"} 2\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("sde_serve_preemptions{tenant=\"team.a\"} 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("tenant=\"team\""), std::string::npos) << text;
+  for (const std::string family :
+       {"sde_serve_jobs_submitted", "sde_serve_preemptions"}) {
+    const std::string type = "# TYPE " + family + " counter\n";
+    const std::size_t at = text.find(type);
+    ASSERT_NE(at, std::string::npos) << text;
+    EXPECT_EQ(at, text.rfind(type)) << text;
+    // Both tenants' samples follow their family's TYPE line directly.
+    const std::size_t first = at + type.size();
+    const std::size_t second = text.find('\n', first) + 1;
+    const std::size_t end = text.find('\n', second) + 1;
+    EXPECT_EQ(text.compare(first, family.size(), family), 0) << text;
+    EXPECT_EQ(text.compare(second, family.size(), family), 0) << text;
+    EXPECT_TRUE(end == text.size() || text.compare(end, 1, "#") == 0)
+        << text;
+  }
+}
 
-  trace::CollectScenario instrumented(config);
-  MetricsRegistry metrics;
-  instrumented.engine().setMetrics(&metrics);
-  const trace::ScenarioResult observed = instrumented.run();
-
-  EXPECT_EQ(observed.states, bare.states);
-  EXPECT_EQ(observed.events, bare.events);
-  EXPECT_EQ(observed.packets, bare.packets);
-  EXPECT_EQ(observed.groups, bare.groups);
-  EXPECT_EQ(instrumented.engine().stats().report(),
-            plain.engine().stats().report());
-
-  // And the live counters agree with the run they watched.
-  const MetricsSnapshot snap = metrics.snapshot();
-  EXPECT_EQ(snap.value("engine.events"), bare.events);
-  EXPECT_GT(snap.value("engine.forks_total"), 0u);
+// The split sde_top shares with the exposition.
+TEST(MetricsPrometheus, TenantSeriesSplitAtTheLastDot) {
+  std::string_view tenant;
+  std::string_view series;
+  ASSERT_TRUE(
+      splitTenantSeries("serve.tenant.team.a.queue_wait_ms", tenant, series));
+  EXPECT_EQ(tenant, "team.a");
+  EXPECT_EQ(series, "queue_wait_ms");
+  EXPECT_FALSE(splitTenantSeries("serve.tenant.alice", tenant, series));
+  EXPECT_FALSE(splitTenantSeries("serve.slots_total", tenant, series));
 }
 
 }  // namespace

@@ -167,12 +167,15 @@ TEST_F(FleetStatusJson, DoneJobsCarryStatesAndMetricsObjectRides) {
   result.states = 37;
   snapshot::writeJobResultFile(snapshot::jobDonePath(dir_, 1), result);
 
-  obs::MetricsRegistry reg;
-  reg.add(reg.counter("engine.forks_total"), 12);
-  reg.observe(reg.histogram("solver.layer.cache.latency_ns"), 256);
+  using support::StatsRegistry;
+  StatsRegistry reg;
+  reg.add(StatsRegistry::id("engine.forks_total"), 12);
+  reg.observe(StatsRegistry::id("solver.layer.cache.latency_ns",
+                                support::MetricKind::kHistogram),
+              256);
   {
     std::ofstream os(snapshot::metricsSnapshotPath(dir_), std::ios::binary);
-    os << obs::encodeMetricsSnapshot(reg.snapshot());
+    os << obs::encodeMetricsSnapshot(obs::snapshotFromStats(reg));
   }
 
   const FleetRunStatus status = inspectFleetRun(dir_);

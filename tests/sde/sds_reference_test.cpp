@@ -60,7 +60,7 @@ class ReferenceSds {
   std::vector<ExecutionState*> onTransmit(const ExecutionState& sender,
                                           NodeId dst, MapperRuntime& runtime) {
     support::StatsRegistry& stats = runtime.stats();
-    stats.bump("map.transmissions");
+    stats.add(support::statId<"map.transmissions">());
     const NodeId src = sender.node();
     const std::vector<std::size_t> sending = byActual_.at(&sender);
     std::set<std::size_t> senderDstates;
@@ -84,9 +84,10 @@ class ReferenceSds {
           needFork = needFork || !senderDstates.contains(virtuals_[v].dstate) ||
                      rivalled(virtuals_[v].dstate);
       if (!needFork) continue;
-      stats.bump("map.sds.target_copy_elements", target->forkCopyCost());
+      stats.add(support::statId<"map.sds.target_copy_elements">(),
+                target->forkCopyCost());
       ExecutionState& copy = runtime.forkState(*target);
-      stats.bump("map.targets_forked");
+      stats.add(support::statId<"map.targets_forked">());
       nonReceiving[target] = &copy;
       const std::vector<std::size_t> snapshot = byActual_.at(target);
       for (const std::size_t v : snapshot)
@@ -96,7 +97,7 @@ class ReferenceSds {
     for (const std::size_t vs : sending) {
       const std::size_t old = virtuals_[vs].dstate;
       if (!rivalled(old)) continue;
-      stats.bump("map.sds.virtual_conflict_resolutions");
+      stats.add(support::statId<"map.sds.virtual_conflict_resolutions">());
       const std::size_t fresh = dstates_.size();
       dstates_.emplace_back(numNodes_);
       std::erase(dstates_[old][src], vs);
@@ -111,9 +112,9 @@ class ReferenceSds {
           if (node == dst) {
             if (nonReceiving.contains(actual))
               rebind(v, nonReceiving[actual]);
-            stats.bump("map.sds.virtual_targets_forked");
+            stats.add(support::statId<"map.sds.virtual_targets_forked">());
           } else {
-            stats.bump("map.sds.virtual_bystanders_forked");
+            stats.add(support::statId<"map.sds.virtual_bystanders_forked">());
           }
         }
       }

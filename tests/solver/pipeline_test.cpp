@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <thread>
 #include <vector>
@@ -101,13 +102,25 @@ TEST_F(PipelineTest, EveryLayerReportsTrafficThroughStats) {
   sat.add(ctx.ult(x, k(5)));
   EXPECT_TRUE(solver.mayBeTrue(sat, ctx.eq(x, k(2))));
 
+  // Every visit is counted once, in the solver's registry: queries, hits
+  // and nanos as scalars, and the same visit's latency in the layer's
+  // histogram (a live-only series).
+  std::map<std::string, std::uint64_t> latencyCounts;
+  for (const auto& series : solver.stats().series())
+    if (series.histogram != nullptr)
+      latencyCounts[series.name] = series.histogram->count;
   for (const auto& layer : solver.pipeline().layers()) {
     const std::string prefix = "solver.layer." + std::string(layer->name());
-    EXPECT_GT(solver.stats().get(prefix + ".queries"), 0u)
-        << "no traffic through layer " << layer->name();
-    EXPECT_EQ(solver.stats().get(prefix + ".queries"),
-              layer->counters().queries);
-    EXPECT_EQ(solver.stats().get(prefix + ".hits"), layer->counters().hits);
+    const LayerSeries& series = layer->series();
+    const std::uint64_t queries = solver.stats().get(prefix + ".queries");
+    EXPECT_GT(queries, 0u) << "no traffic through layer " << layer->name();
+    EXPECT_EQ(solver.stats().get(series.queries), queries);
+    EXPECT_EQ(solver.stats().get(series.hits),
+              solver.stats().get(prefix + ".hits"));
+    EXPECT_LE(solver.stats().get(series.hits), queries);
+    EXPECT_EQ(latencyCounts[prefix + ".latency_ns"], queries);
+    EXPECT_EQ(solver.stats().all().count(prefix + ".latency_ns"), 0u)
+        << "histograms stay out of the post-run rendering";
   }
   // The exact cache answered the repeated query; enumeration answered
   // the first.

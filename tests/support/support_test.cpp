@@ -5,7 +5,6 @@
 
 #include "support/hash.hpp"
 #include "support/rng.hpp"
-#include "support/stats.hpp"
 
 namespace sde::support {
 namespace {
@@ -69,76 +68,6 @@ TEST(Rng, RangeIsInclusiveAndCoversEndpoints) {
     seen.insert(v);
   }
   EXPECT_EQ(seen.size(), 5u);
-}
-
-TEST(Stats, BumpAndGet) {
-  StatsRegistry stats;
-  EXPECT_EQ(stats.get("x"), 0u);
-  stats.bump("x");
-  stats.bump("x", 4);
-  EXPECT_EQ(stats.get("x"), 5u);
-}
-
-TEST(Stats, MaxOfKeepsMaximum) {
-  StatsRegistry stats;
-  stats.maxOf("peak", 10);
-  stats.maxOf("peak", 3);
-  stats.maxOf("peak", 12);
-  EXPECT_EQ(stats.get("peak"), 12u);
-}
-
-TEST(Stats, IsPeakCounterMatchesAPeakNameComponent) {
-  EXPECT_TRUE(isPeakCounter("engine.peak_states"));
-  EXPECT_TRUE(isPeakCounter("engine.peak_memory_bytes"));
-  EXPECT_TRUE(isPeakCounter("peak"));
-  EXPECT_TRUE(isPeakCounter("peak_states"));
-  EXPECT_TRUE(isPeakCounter("a.peak.b"));
-  // Substring hits inside a component are NOT peaks: these are running
-  // totals and must be summed by mergeFrom.
-  EXPECT_FALSE(isPeakCounter("solver.peakiness"));
-  EXPECT_FALSE(isPeakCounter("engine.speaker_events"));
-  EXPECT_FALSE(isPeakCounter("engine.repeak"));
-  EXPECT_FALSE(isPeakCounter(""));
-  EXPECT_FALSE(isPeakCounter("engine.forks_total"));
-  EXPECT_FALSE(isPeakCounter("engine.PEAK_states"));  // case-sensitive
-}
-
-TEST(Stats, MergeFromSumsCountersThatMerelyContainPeak) {
-  // Regression: "speaker" contains "peak" as a substring; a naive
-  // substring rule would max-fold it and a fleet of workers would
-  // under-report the total.
-  StatsRegistry a;
-  StatsRegistry b;
-  a.bump("engine.speaker_events", 5);
-  b.bump("engine.speaker_events", 3);
-  a.mergeFrom(b);
-  EXPECT_EQ(a.get("engine.speaker_events"), 8u);  // summed, not max(5,3)
-}
-
-TEST(Stats, MergeFromMaxesPeaksAndSumsTheRest) {
-  StatsRegistry a;
-  StatsRegistry b;
-  a.set("engine.peak_states", 10);
-  b.set("engine.peak_states", 7);
-  a.bump("engine.forks_total", 5);
-  b.bump("engine.forks_total", 3);
-  b.bump("only.in.other", 2);
-  a.mergeFrom(b);
-  EXPECT_EQ(a.get("engine.peak_states"), 10u);  // fleet peak: max, not 17
-  EXPECT_EQ(a.get("engine.forks_total"), 8u);   // running total: sum
-  EXPECT_EQ(a.get("only.in.other"), 2u);
-
-  // A peak missing on the left adopts the right-hand value unchanged.
-  StatsRegistry c;
-  c.mergeFrom(a);
-  EXPECT_EQ(c.get("engine.peak_states"), 10u);
-}
-
-TEST(Stats, ReportListsAllCountersSorted) {
-  StatsRegistry stats;
-  stats.bump("b");
-  stats.bump("a", 2);
-  EXPECT_EQ(stats.report(), "a = 2\nb = 1\n");
 }
 
 }  // namespace

@@ -249,7 +249,7 @@ int statusText(const FleetRunStatus& status) {
     for (const auto& [name, point] : status.metrics.points) {
       if (point.kind == sde::obs::MetricKind::kHistogram) {
         std::printf("  %-40s count %llu p50 %llu p99 %llu\n", name.c_str(),
-                    static_cast<unsigned long long>(point.count),
+                    static_cast<unsigned long long>(point.histogram.count),
                     static_cast<unsigned long long>(
                         sde::obs::histogramQuantile(point, 0.5)),
                     static_cast<unsigned long long>(

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -35,19 +36,6 @@ struct TenantRow {
   std::uint64_t queueWaitP99 = 0;
 };
 
-// Splits "serve.tenant.<tenant>.<rest>" into its tenant and series
-// parts; empty tenant when the name is not a tenant series.
-bool splitTenantSeries(const std::string& name, std::string& tenant,
-                       std::string& series) {
-  constexpr std::string_view kPrefix = "serve.tenant.";
-  if (name.rfind(kPrefix, 0) != 0) return false;
-  const std::size_t dot = name.find('.', kPrefix.size());
-  if (dot == std::string::npos) return false;
-  tenant = name.substr(kPrefix.size(), dot - kPrefix.size());
-  series = name.substr(dot + 1);
-  return true;
-}
-
 void renderFrame(const std::vector<serve::JobStatus>& jobs,
                  const obs::MetricsSnapshot& snap,
                  const std::map<std::uint64_t, std::uint64_t>& lastEvents,
@@ -59,10 +47,10 @@ void renderFrame(const std::vector<serve::JobStatus>& jobs,
 
   std::map<std::string, TenantRow> tenants;
   for (const auto& [name, point] : snap.points) {
-    std::string tenant;
-    std::string series;
-    if (!splitTenantSeries(name, tenant, series)) continue;
-    TenantRow& row = tenants[tenant];
+    std::string_view tenant;
+    std::string_view series;
+    if (!obs::splitTenantSeries(name, tenant, series)) continue;
+    TenantRow& row = tenants[std::string(tenant)];
     if (series == "slots_in_use") {
       row.slotsInUse = point.value;
     } else if (series == "run_slot_ms") {
@@ -123,7 +111,8 @@ void renderFrame(const std::vector<serve::JobStatus>& jobs,
   bool solverHeader = false;
   for (const auto& [name, point] : snap.points) {
     if (name.rfind("solver.layer.", 0) != 0 ||
-        point.kind != obs::MetricKind::kHistogram || point.count == 0)
+        point.kind != obs::MetricKind::kHistogram ||
+        point.histogram.count == 0)
       continue;
     if (!solverHeader) {
       std::printf("%-44s %10s %10s %10s\n", "SOLVER LAYER", "CALLS",
@@ -131,7 +120,7 @@ void renderFrame(const std::vector<serve::JobStatus>& jobs,
       solverHeader = true;
     }
     std::printf("%-44s %10llu %10llu %10llu\n", name.c_str(),
-                static_cast<unsigned long long>(point.count),
+                static_cast<unsigned long long>(point.histogram.count),
                 static_cast<unsigned long long>(
                     obs::histogramQuantile(point, 0.5)),
                 static_cast<unsigned long long>(
