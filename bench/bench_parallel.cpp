@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
     }
 
     // Threads-vs-processes: the same plan as a multi-process fleet.
-    std::uint64_t shmHits = 0;
+    std::uint64_t sharedHits = 0;
     if (options.fleet > 0) {
       namespace fs = std::filesystem;
       const fs::path dir =
@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
       fleet.checkpointDir = dir.string();
       const FleetResult run =
           trace::runCollectFleet(config, fleet, options.vars);
-      shmHits = run.shmHits;
+      sharedHits = run.result.stats.get("solver.layer.shared_cache.hits");
       if (run.result.fingerprintDigest() != digest) digestsAgree = false;
 
       char label[40];
@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
                 options.fleet > 0 ? " and the process fleet" : "");
     if (options.fleet > 0)
       std::printf("fleet shm query cache: %llu cross-process hits\n",
-                  static_cast<unsigned long long>(shmHits));
+                  static_cast<unsigned long long>(sharedHits));
     std::printf("\n");
     if (!digestsAgree) return 1;
   }

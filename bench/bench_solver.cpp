@@ -293,7 +293,7 @@ void runSharedCacheExperiment(bool quick) {
     csv << name << ",4," << (shared ? "on" : "off") << ','
         << run.result.stats.get("solver.queries") << ','
         << run.result.stats.get("solver.enum_runs") << ','
-        << run.result.stats.get("solver.shared_hits") << ',' << selfNanos
+        << run.result.stats.get("solver.layer.shared_cache.hits") << ',' << selfNanos
         << ',' << run.result.wallSeconds << '\n';
     std::printf(
         "shared cache %-3s (%s, 4 workers): solver self-time %.2f ms, "
@@ -303,7 +303,7 @@ void runSharedCacheExperiment(bool quick) {
         static_cast<unsigned long long>(
             run.result.stats.get("solver.enum_runs")),
         static_cast<unsigned long long>(
-            run.result.stats.get("solver.shared_hits")));
+            run.result.stats.get("solver.layer.shared_cache.hits")));
   }
   std::printf("wrote bench_results/solver_shared_cache.csv\n");
 }

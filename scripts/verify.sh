@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification: tier-1 build + test suite, then a ThreadSanitizer
 # build running the concurrency-sensitive tests (thread pool, parallel
-# partitioned execution, durable resume, the counter store) and an
+# partitioned execution, durable resume, the counter store, the shared
+# query store driven from threads) and an
 # AddressSanitizer build
 # running the full suite (the snapshot codec hand-rolls binary framing,
 # exactly where ASan earns its keep). Run from anywhere; builds live in
@@ -86,15 +87,19 @@ echo "=== merge smoke: merged fleet == unmerged fleet testcase digest, fewer sta
 ./build/tools/sde_fleet launch "$FLEET_SMOKE/m-on" --processes 2 \
   --nodes '5*5' --time 4000 --vars 2 --testcases --merge --loop-summarize \
   > "$FLEET_SMOKE/m-on.out"
-TC_OFF=$(grep -o 'testcase digest [0-9a-f]*' "$FLEET_SMOKE/m-off.out")
-TC_ON=$(grep -o 'testcase digest [0-9a-f]*' "$FLEET_SMOKE/m-on.out")
-test -n "$TC_OFF" && test "$TC_OFF" = "$TC_ON" \
+# sde_fleet pads the label with spaces; capture the 16 hex digits
+# themselves, and refuse an empty capture on either side.
+TC_OFF=$(grep -oE 'testcase digest +[0-9a-f]{16}' "$FLEET_SMOKE/m-off.out" \
+  | grep -oE '[0-9a-f]{16}$' || true)
+TC_ON=$(grep -oE 'testcase digest +[0-9a-f]{16}' "$FLEET_SMOKE/m-on.out" \
+  | grep -oE '[0-9a-f]{16}$' || true)
+test -n "$TC_OFF" && test -n "$TC_ON" && test "$TC_OFF" = "$TC_ON" \
   || { echo "merge testcase digest mismatch: off='$TC_OFF' on='$TC_ON'"; exit 1; }
 STATES_OFF=$(grep -o 'total states *[0-9]*' "$FLEET_SMOKE/m-off.out" | grep -o '[0-9]*$')
 STATES_ON=$(grep -o 'total states *[0-9]*' "$FLEET_SMOKE/m-on.out" | grep -o '[0-9]*$')
 test "$STATES_ON" -lt "$STATES_OFF" \
   || { echo "merging did not reduce states: on=$STATES_ON off=$STATES_OFF"; exit 1; }
-echo "merge smoke: $TC_OFF on both, states $STATES_OFF -> $STATES_ON"
+echo "merge smoke: testcase digest $TC_OFF on both, states $STATES_OFF -> $STATES_ON"
 
 echo "=== serve smoke: submit, SIGKILL the daemon mid-job, restart, digests match direct runs ==="
 SERVE_SMOKE=$(mktemp -d)
@@ -226,10 +231,13 @@ ctest --test-dir build-release --output-on-failure -j
 echo "=== release: PVector/CowVec model oracle ==="
 ./build-release/tests/pvector_model_tests
 
-echo "=== release: shm query cache property battery, repeated ==="
+echo "=== release: shared query store property battery, repeated ==="
 # Concurrent writers racing on one key must publish it once: repeat the
-# multi-process battery so a rare interleaving gets many chances to show.
-./build-release/tests/solver_tests --gtest_filter='ShmCachePropertyTest.*' \
+# multi-process battery and the threads-of-one-process battery (the
+# thread runner's traffic) so a rare interleaving gets many chances to
+# show.
+./build-release/tests/solver_tests \
+  --gtest_filter='ShmCachePropertyTest.*:PipelineTest.SharedCacheNeverFabricatesResultsUnderConcurrency' \
   --gtest_repeat=100 --gtest_brief=1
 
 echo "=== release: memory ledger oracle battery ==="
@@ -239,12 +247,18 @@ echo "=== tsan: configure + build (SDE_SANITIZE=thread) ==="
 cmake -B build-tsan -S . -DSDE_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j --target support_tests sde_tests snapshot_tests \
-  merge_tests
+  merge_tests solver_tests
 
 echo "=== tsan: thread pool + parallel execution + resume tests ==="
+# The parallel runs share one shm query store between their pool
+# threads, so *Parallel* drives the store from threads too.
 ./build-tsan/tests/support_tests --gtest_filter='*ThreadPool*'
 ./build-tsan/tests/sde_tests --gtest_filter='*Parallel*'
 ./build-tsan/tests/snapshot_tests --gtest_filter='*Resume*:*CrashRecovery*'
+
+echo "=== tsan: shared query store from the threads of one process ==="
+./build-tsan/tests/solver_tests \
+  --gtest_filter='PipelineTest.SharedCache*'
 
 echo "=== tsan: counter store ==="
 # Registries are owned by one thread each; the process-wide name table is

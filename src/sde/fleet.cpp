@@ -151,7 +151,7 @@ struct WorkerContext {
   const EngineFactory* factory = nullptr;
   const PartitionPlan* plan = nullptr;
   const FleetConfig* config = nullptr;
-  solver::SharedQueryStore* shared = nullptr;  // inherited shm mapping
+  solver::ShmQueryCache* shared = nullptr;  // inherited shm mapping
   // Live metrics: the inherited shm plane mapping (null when off). Slot
   // i publishes into plane slot i+1; slot 0 belongs to the coordinator.
   // `finished` holds the stats of the completed jobs this worker ran or
@@ -303,7 +303,7 @@ bool workerRunOneJob(WorkerContext& w) {
       SDE_ASSERT(engine != nullptr, "engine factory returned null");
       engine->setDecisionFilter(std::unordered_map<std::string, bool>(
           job.forced.begin(), job.forced.end()));
-      if (w.shared != nullptr) engine->solver().setSharedCache(w.shared);
+      engine->solver().setSharedCache(w.shared);
       return engine;
     };
     std::unique_ptr<Engine> engine = makeEngine();
@@ -679,7 +679,7 @@ class Coordinator {
       w.factory = &factory_;
       w.plan = &plan_;
       w.config = &config_;
-      w.shared = (shm_ != nullptr && config_.shmQueryCache) ? shm_ : nullptr;
+      w.shared = shm_;
       w.metricsPlane = metricsPlane_;
       w.pc = pc_;
       try {
@@ -1099,64 +1099,34 @@ FleetResult runFleet(const EngineFactory& factory, const PartitionPlan& plan,
   const bool resuming =
       snapshot::prepareRunDir(dir, manifest, config.resume);
 
-  // Shared-memory query cache: create (or re-attach to) the segment
-  // BEFORE forking, so every worker inherits the mapping.
-  std::unique_ptr<solver::ShmQueryCache> shm;
-  bool shmDegraded = false;
-  std::string shmName = config.shmName;
-  const bool derivedName = shmName.empty();
-  if (config.shmQueryCache) {
-    if (derivedName)
-      shmName = "/sde_qc_" + std::to_string(static_cast<long>(::getpid()));
-    solver::ShmCacheConfig shmConfig;
-    shmConfig.bytes = config.shmBytes;
-    if (!derivedName && solver::ShmQueryCache::segmentExists(shmName)) {
-      try {
-        shm = solver::ShmQueryCache::attach(shmName);
-      } catch (const solver::ShmCacheError& e) {
-        // Torn/truncated/stale segment: degrade to a cold cache.
-        support::logError("fleet", e.what());
-        solver::ShmQueryCache::unlinkSegment(shmName);
-        shmDegraded = true;
-      }
-    }
-    if (shm == nullptr) {
-      try {
-        shm = solver::ShmQueryCache::create(shmName, shmConfig);
-      } catch (const solver::ShmCacheError&) {
-        // Stale name from a crashed fleet of this pid's predecessor.
-        solver::ShmQueryCache::unlinkSegment(shmName);
-        shm = solver::ShmQueryCache::create(shmName, shmConfig);
-      }
-    }
-    // Warm start: seed the segment from the durable sidecar.
-    if (resuming) {
-      const fs::path sidecar = snapshot::sharedCachePath(dir.string());
-      if (fs::exists(sidecar)) {
-        try {
-          std::ifstream in(sidecar, std::ios::binary);
-          for (auto& [key, value] : snapshot::readSharedCacheEntries(in))
-            shm->insert(key, std::move(value));
-        } catch (const snapshot::SnapshotError& e) {
-          support::logError("snapshot", e.what());
-        }
-      }
-    }
-  }
+  // Shared query store: opened BEFORE forking, so every worker (and
+  // every respawn) inherits the mapping.
+  snapshot::SharedStore shared;
+  if (config.shmQueryCache)
+    shared = snapshot::openSharedStore(
+        config.shmName, resuming ? snapshot::sharedCachePath(dir.string()) : "");
 
   // Live metrics plane: created before forking (workers inherit the
   // mapping), one slot per worker plus slot 0 for the coordinator. A
-  // creation failure degrades to no live plane — the durable merge
-  // still produces exact post-run metrics.
+  // derived name is unlinked as soon as the plane is mapped, since
+  // nothing outside this fleet attaches to it; an explicit one (an
+  // embedding service attaching mid-run) is unlinked when the run
+  // returns. A creation failure degrades to no live plane — the durable
+  // merge still produces exact post-run metrics.
   std::unique_ptr<obs::ShmMetricsPlane> metricsPlane;
-  std::string metricsName = config.metricsShmName;
+  std::string namedPlane;
   if (config.shmMetrics) {
-    if (metricsName.empty())
-      metricsName = "/sde_mx_" + std::to_string(static_cast<long>(::getpid()));
+    const bool derived = config.metricsShmName.empty();
+    const std::string name = derived ? solver::privateSegmentName("/sde_mx_")
+                                     : config.metricsShmName;
     obs::ShmMetricsConfig metricsConfig;
     metricsConfig.slots = config.processes + 1;
     try {
-      metricsPlane = obs::ShmMetricsPlane::create(metricsName, metricsConfig);
+      metricsPlane = obs::ShmMetricsPlane::create(name, metricsConfig);
+      if (derived)
+        obs::ShmMetricsPlane::unlinkSegment(name);
+      else
+        namedPlane = name;
     } catch (const obs::ShmMetricsError& e) {
       support::logError("fleet", e.what());
     }
@@ -1164,35 +1134,17 @@ FleetResult runFleet(const EngineFactory& factory, const PartitionPlan& plan,
 
   FleetResult result;
   try {
-    Coordinator coordinator(factory, plan, config, shm.get(),
+    Coordinator coordinator(factory, plan, config, shared.cache.get(),
                             metricsPlane.get());
     result = coordinator.run();
   } catch (...) {
-    if (shm != nullptr && derivedName)
-      solver::ShmQueryCache::unlinkSegment(shmName);
-    if (metricsPlane != nullptr)
-      obs::ShmMetricsPlane::unlinkSegment(metricsName);
+    if (!namedPlane.empty()) obs::ShmMetricsPlane::unlinkSegment(namedPlane);
     throw;
   }
-  result.shmDegraded = shmDegraded;
-  if (shm != nullptr) {
-    result.shmEntries = shm->entries();
-    result.shmHits = shm->hits();
-    result.shmMisses = shm->misses();
-    result.shmInserts = shm->inserts();
-    result.shmDropped = shm->dropped();
-    // Leave the warm cache behind durably; the segment itself dies with
-    // the machine (or right now, for derived names).
-    try {
-      snapshot::atomicWriteFile(
-          fs::path(snapshot::sharedCachePath(dir.string())),
-          [&](std::ostream& os) {
-            snapshot::writeSharedCacheEntries(os, shm->sortedEntries());
-          });
-    } catch (const snapshot::SnapshotError& e) {
-      support::logError("snapshot", e.what());
-    }
-    if (derivedName) solver::ShmQueryCache::unlinkSegment(shmName);
+  result.shmDegraded = shared.degraded;
+  if (shared.cache != nullptr) {
+    result.shmEntries = shared.cache->entries();
+    snapshot::persistSharedStore(*shared.cache, dir.string());
   }
   if (config.shmMetrics) {
     // Exact totals win: the merged post-run stats are rendered verbatim,
@@ -1218,9 +1170,8 @@ FleetResult runFleet(const EngineFactory& factory, const PartitionPlan& plan,
         support::logError("snapshot", e.what());
       }
     }
-    if (metricsPlane != nullptr)
-      obs::ShmMetricsPlane::unlinkSegment(metricsName);
   }
+  if (!namedPlane.empty()) obs::ShmMetricsPlane::unlinkSegment(namedPlane);
   return result;
 }
 

@@ -43,14 +43,17 @@
 //     maxWorkerRestarts). Workers set PR_SET_PDEATHSIG so a dead
 //     coordinator reaps its fleet instead of leaking it.
 //
-//   * Shared-memory query cache. The PR 5 SharedQueryCache promoted to
-//     a process-external store (solver/shm_cache.hpp): the coordinator
-//     creates (or, on resume, attaches) the segment, seeds it from the
-//     durable shared_cache.bin sidecar, and every worker's solver
-//     shares queries through it live. A torn pre-existing segment
-//     degrades to a cold cache (FleetResult::shmDegraded), never to an
+//   * Shared query store (solver/shm_cache.hpp), the same one the
+//     thread runner uses, opened through the same path
+//     (snapshot::openSharedStore): the coordinator creates the segment
+//     (or attaches a named one), seeds it from the durable
+//     shared_cache.bin sidecar on a resume, and every worker's solver
+//     shares queries through the inherited mapping live. A run-private
+//     segment is unlinked as soon as it is mapped, so a SIGKILLed
+//     coordinator leaves nothing in /dev/shm. A torn named segment
+//     degrades to a cold store (FleetResult::shmDegraded), never to an
 //     error, and never to different exploration results — the store
-//     contract guarantees digest equality with the cache on or off.
+//     contract guarantees digest equality with the store on or off.
 //
 // Merge: after shutdown the coordinator loads every job's .done file in
 // job-id order and folds them through the same finalizeParallelResult
@@ -120,17 +123,19 @@ struct FleetConfig {
   bool collectScenarioFingerprints = true;
   bool collectStateFingerprints = true;
   bool collectTestcases = false;
-  // The process-external shared query cache. Off runs every worker with
-  // fully isolated caches; exploration results are identical either
-  // way (the digest gate of fleet_equivalence_test).
+  // The shared query store. Off runs every worker with fully isolated
+  // caches; exploration results are identical either way (the digest
+  // gate of fleet_equivalence_test). The store's traffic is counted in
+  // each solver's stats (solver.layer.shared_cache.{queries,hits}) and
+  // so reaches result.stats like every other counter.
   bool shmQueryCache = true;
-  // POSIX shm name of the segment ("/sde_qc_..."). Empty derives a
-  // per-run name from the coordinator pid. When a segment of this name
-  // already exists, the coordinator tries to attach (warm cache across
-  // fleets); a torn/foreign/stale segment is unlinked and replaced by a
-  // fresh cold one (FleetResult::shmDegraded).
+  // POSIX shm name of the segment ("/sde_qc_..."). Empty makes the
+  // segment run-private (see snapshot::openSharedStore). When a segment
+  // of this name already exists, the coordinator attaches it (a warm
+  // store across fleets); a torn/foreign/stale segment is unlinked and
+  // replaced by a fresh cold one (FleetResult::shmDegraded). The name
+  // outlives the run.
   std::string shmName;
-  std::size_t shmBytes = 32u << 20;
   // --- Live metrics plane (obs/metrics.hpp + obs/metrics_shm.hpp) -----------
   // On: each worker seqlock-publishes, into its slot of a POSIX shm
   // metrics segment at the status cadence and after every job, the
@@ -143,9 +148,10 @@ struct FleetConfig {
   // Purely observational: exploration digests are identical with the
   // plane on or off.
   bool shmMetrics = true;
-  // POSIX shm name of the metrics segment ("/sde_mx_..."). Empty
-  // derives a per-run name from the coordinator pid. An embedding
-  // service passes a deterministic name so it can attach mid-run.
+  // POSIX shm name of the metrics segment ("/sde_mx_..."). Empty makes
+  // the plane run-private: its name is unlinked as soon as it is
+  // mapped. An embedding service passes a deterministic name so it can
+  // attach mid-run; that name is unlinked when the run returns.
   std::string metricsShmName;
   // REQUIRED — the durable job queue lives here (manifest, .ckpt/.done
   // files; see snapshot/manifest.hpp). Same layout as the thread
@@ -153,8 +159,9 @@ struct FleetConfig {
   std::string checkpointDir;
   std::uint64_t checkpointEveryEvents = 256;
   // Resume from checkpointDir: .done jobs load instead of running,
-  // suspended jobs continue from their .ckpt, the shm cache seeds from
-  // the shared_cache.bin sidecar. Manifest mismatch throws.
+  // suspended jobs continue from their .ckpt, the shared store seeds
+  // from the shared_cache.bin sidecar (written when a run returns).
+  // Manifest mismatch throws.
   bool resume = false;
   std::string scenarioSpec;
   // Non-empty: per-job trace files (trace_job<id>.trc) merged into
@@ -209,13 +216,13 @@ struct FleetResult {
   // the names the stats do not cover. Also written durably to
   // <checkpointDir>/metrics.sde for completed runs.
   obs::MetricsSnapshot metrics;
-  // Shared-memory cache outcome (zeros when shmQueryCache is off).
-  bool shmDegraded = false;  // pre-existing segment was torn; ran cold
-  std::uint64_t shmEntries = 0;
-  std::uint64_t shmHits = 0;
-  std::uint64_t shmMisses = 0;
-  std::uint64_t shmInserts = 0;
-  std::uint64_t shmDropped = 0;
+  // Shared store outcome (false/0 when shmQueryCache is off). Its
+  // traffic is in result.stats: solver.layer.shared_cache.hits, and
+  // misses as .queries minus .hits.
+  bool shmDegraded = false;  // a named segment was torn (ran cold), or
+                             // no segment could be created (ran without)
+  std::uint64_t shmEntries = 0;  // the segment's size at return; a named
+                                 // segment counts earlier fleets' entries
 };
 
 // Runs `plan` over config.processes forked workers. The factory is

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -16,7 +15,6 @@
 #include "sde/testcase.hpp"
 #include "snapshot/manifest.hpp"
 #include "snapshot/shared_cache_io.hpp"
-#include "solver/shared_cache.hpp"
 #include "support/hash.hpp"
 #include "support/logging.hpp"
 #include "support/thread_pool.hpp"
@@ -359,27 +357,12 @@ ParallelResult runPartitioned(const EngineFactory& factory,
     resuming = snapshot::prepareRunDir(dir, manifest, config.resume);
   }
 
-  // Live cross-worker query sharing: one cache for the whole fleet,
-  // attached to every job's solver. Durable runs persist it as the
-  // shared_cache.bin sidecar (checkpoint format v4) so a resumed run
-  // keeps the warm cache; a torn or missing sidecar degrades to a cold
-  // start, never to an error.
-  std::unique_ptr<solver::SharedQueryCache> sharedCache;
-  std::mutex sharedCacheFileMu;
-  const fs::path sharedCacheFile =
-      durable ? fs::path(snapshot::sharedCachePath(dir.string())) : fs::path();
-  if (config.sharedQueryCache) {
-    sharedCache = std::make_unique<solver::SharedQueryCache>();
-    if (resuming && fs::exists(sharedCacheFile)) {
-      try {
-        std::ifstream in(sharedCacheFile, std::ios::binary);
-        snapshot::readSharedCache(in, *sharedCache);
-      } catch (const snapshot::SnapshotError& e) {
-        support::logError("snapshot", e.what());
-        sharedCache->clear();
-      }
-    }
-  }
+  // Live cross-job query sharing: one run-private store attached to
+  // every job's solver, seeded from the sidecar on a resume.
+  snapshot::SharedStore shared;
+  if (config.sharedQueryCache)
+    shared = snapshot::openSharedStore(
+        "", resuming ? snapshot::sharedCachePath(dir.string()) : "");
 
   const unsigned workers = std::max<unsigned>(
       1, std::min<unsigned>(config.workers,
@@ -410,8 +393,7 @@ ParallelResult runPartitioned(const EngineFactory& factory,
           engine->setDecisionFilter(std::unordered_map<std::string, bool>(
               job.forced.begin(), job.forced.end()));
           if (caps != nullptr) engine->setSharedCaps(caps.get());
-          if (sharedCache != nullptr)
-            engine->solver().setSharedCache(sharedCache.get());
+          engine->solver().setSharedCache(shared.cache.get());
           return engine;
         };
         std::unique_ptr<Engine> engine = makeEngine();
@@ -450,16 +432,6 @@ ParallelResult runPartitioned(const EngineFactory& factory,
               [&](const Engine& e) {
                 snapshot::atomicWriteFile(
                     ckpt, [&](std::ostream& os) { e.checkpoint(os); });
-                // Piggyback the shared-cache sidecar on the job cadence
-                // (serialized: jobs checkpoint concurrently and the
-                // atomic-write temp file is path-derived).
-                if (sharedCache != nullptr) {
-                  std::lock_guard<std::mutex> lock(sharedCacheFileMu);
-                  snapshot::atomicWriteFile(
-                      sharedCacheFile, [&](std::ostream& os) {
-                        snapshot::writeSharedCache(os, *sharedCache);
-                      });
-                }
               },
               config.checkpointEveryEvents);
         }
@@ -485,18 +457,12 @@ ParallelResult runPartitioned(const EngineFactory& factory,
     pool.wait();
   }
 
-  // Final sidecar write: leave the fully warm cache behind so a later
-  // resume (e.g. after a cap-triggered abort) starts from everything
-  // the whole fleet solved.
-  if (durable && sharedCache != nullptr) {
-    try {
-      snapshot::atomicWriteFile(sharedCacheFile, [&](std::ostream& os) {
-        snapshot::writeSharedCache(os, *sharedCache);
-      });
-    } catch (const snapshot::SnapshotError& e) {
-      support::logError("snapshot", e.what());
-    }
-  }
+  // Leave the warm store behind, once, so a later resume (after a cap
+  // abort, say) starts from everything the run solved. A hard crash
+  // leaves the previous sidecar or none: the resume starts colder, and
+  // the store contract keeps its digest.
+  if (durable && shared.cache != nullptr)
+    snapshot::persistSharedStore(*shared.cache, dir.string());
 
   // Deterministic merge barrier: fold the jobs in id order.
   finalizeParallelResult(result, plan, config);

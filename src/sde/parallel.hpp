@@ -9,13 +9,14 @@
 // plan's variables forced through the engine's decision filter, so the
 // jobs explore disjoint slices of the legacy search tree and never
 // share mutable engine state — workers need no locks around engine
-// internals. The one deliberately shared structure is the
-// SharedQueryCache the runner attaches to every job's solver: workers
-// consult it live and publish canonical results, so a query one job
-// solved is never enumerated again anywhere in the fleet. Its contract
-// (context-independent keys, canonical values only — see
-// solver/shared_cache.hpp) keeps every determinism guarantee below
-// intact with the cache on or off.
+// internals. The one deliberately shared structure is the query store
+// the runner attaches to every job's solver: a run-private shm segment
+// (solver/shm_cache.hpp), opened the same way the fleet opens its own
+// (snapshot::openSharedStore). Jobs consult it live and publish
+// canonical results, so a query one job solved is never enumerated
+// again in the run. Its contract (context-independent keys, canonical
+// values only — see solver/shared_cache.hpp) keeps every determinism
+// guarantee below intact with the store on or off.
 //
 // Determinism: the plan depends only on (variables, seed), jobs are
 // merged in job-id order at a barrier, and each engine is sequential —
@@ -75,10 +76,12 @@ struct ParallelConfig {
   std::uint64_t maxTotalStates = 0;
   std::uint64_t maxTotalMemoryBytes = 0;
   double maxWallSeconds = 0;
-  // Live cross-worker query sharing: one SharedQueryCache attached to
-  // every job's solver for the duration of the run. Off reverts to
-  // fully isolated per-job caches. Exploration results are identical
-  // either way; only solver work changes.
+  // Live cross-job query sharing: one shared store attached to every
+  // job's solver for the duration of the run. Off reverts to fully
+  // isolated per-job caches. Exploration results are identical either
+  // way; only solver work changes. Durable runs write the store to the
+  // shared_cache.bin sidecar when the run returns and seed it from
+  // there on a resume.
   bool sharedQueryCache = true;
   // --- Durable runs (snapshot subsystem) -------------------------------------
   // Non-empty: the run is crash-tolerant. The directory receives a run

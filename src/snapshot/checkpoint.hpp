@@ -47,9 +47,9 @@ inline constexpr std::string_view kCheckpointTrailer = "SDEEND";
 // (like the memory blob table) so structural sharing — and the
 // all-component simulated-memory accounting — survives restore.
 // v4: the query-cache section gains the subsumption layer's model pool
-// (after the recent-model deque), and a parallel run's warm
-// SharedQueryCache persists as a shared_cache.bin sidecar in the
-// checkpoint directory (see writeSharedCache/readSharedCache).
+// (after the recent-model deque), and a partitioned run's warm shared
+// query store persists as a shared_cache.bin sidecar in the checkpoint
+// directory (see snapshot/shared_cache_io.hpp).
 // v5: state merging and loop summarization. Each state carries its
 // recursive MergeGuard side tables (after executedInstructions), the
 // engine scalars gain the merge-guard allocator, the loop-summary

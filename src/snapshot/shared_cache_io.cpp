@@ -1,11 +1,14 @@
 #include "snapshot/shared_cache_io.hpp"
 
 #include <filesystem>
+#include <fstream>
 #include <istream>
 #include <ostream>
 
+#include "snapshot/manifest.hpp"
 #include "snapshot/reader.hpp"
 #include "snapshot/writer.hpp"
+#include "support/logging.hpp"
 
 namespace sde::snapshot {
 
@@ -42,13 +45,14 @@ SharedCacheEntries readSharedCacheEntries(std::istream& is) {
     throw SnapshotError("shared-cache sidecar format " +
                         std::to_string(format) + " (expected " +
                         std::to_string(kSharedCacheFormat) + ")");
+  // Counts come from the file, so nothing is reserved from them: a
+  // corrupt count runs into the end of the stream (SnapshotError), not
+  // into an allocation it cannot make.
   SharedCacheEntries entries;
   const std::uint64_t numEntries = in.u64();
-  entries.reserve(numEntries);
   for (std::uint64_t i = 0; i < numEntries; ++i) {
     solver::SharedQueryKey key;
     const std::uint64_t terms = in.u64();
-    key.reserve(terms);
     for (std::uint64_t t = 0; t < terms; ++t) key.push_back(in.u64());
     solver::SharedQueryResult result;
     const std::uint8_t status = in.u8();
@@ -56,7 +60,6 @@ SharedCacheEntries readSharedCacheEntries(std::istream& is) {
       throw SnapshotError("unknown solver status in shared-cache sidecar");
     result.status = static_cast<solver::EnumStatus>(status);
     const std::uint64_t bindings = in.u64();
-    result.model.reserve(bindings);
     for (std::uint64_t b = 0; b < bindings; ++b) {
       solver::SharedBinding binding;
       binding.name = in.str();
@@ -69,19 +72,61 @@ SharedCacheEntries readSharedCacheEntries(std::istream& is) {
   return entries;
 }
 
-void writeSharedCache(std::ostream& os,
-                      const solver::SharedQueryCache& cache) {
-  writeSharedCacheEntries(os, cache.sortedEntries());
-}
-
-void readSharedCache(std::istream& is, solver::SharedQueryCache& cache) {
-  cache.clear();
-  for (auto& [key, result] : readSharedCacheEntries(is))
-    cache.insert(std::move(key), std::move(result));
-}
-
 std::string sharedCachePath(const std::string& checkpointDir) {
   return (std::filesystem::path(checkpointDir) / "shared_cache.bin").string();
+}
+
+SharedStore openSharedStore(const std::string& shmName,
+                            const std::string& seedFrom) {
+  using solver::ShmQueryCache;
+  SharedStore store;
+  const bool runPrivate = shmName.empty();
+  const std::string name =
+      runPrivate ? solver::privateSegmentName("/sde_qc_") : shmName;
+  if (!runPrivate && ShmQueryCache::segmentExists(name)) {
+    try {
+      store.cache = ShmQueryCache::attach(name);
+    } catch (const solver::ShmCacheError& e) {
+      support::logError("solver", e.what());
+      store.degraded = true;
+    }
+  }
+  if (store.cache == nullptr) {
+    // Replaces a torn segment, or a leftover of a crashed run that had
+    // this name.
+    ShmQueryCache::unlinkSegment(name);
+    try {
+      store.cache = ShmQueryCache::create(name);
+    } catch (const solver::ShmCacheError& e) {
+      support::logError("solver", std::string(e.what()) +
+                                      "; running without a shared store");
+      store.degraded = true;
+      return store;
+    }
+    if (runPrivate) ShmQueryCache::unlinkSegment(name);
+  }
+  if (!seedFrom.empty() && std::filesystem::exists(seedFrom)) {
+    try {
+      std::ifstream in(seedFrom, std::ios::binary);
+      for (const auto& [key, result] : readSharedCacheEntries(in))
+        store.cache->insert(key, result);
+    } catch (const SnapshotError& e) {
+      support::logError("snapshot", std::string(e.what()) +
+                                        "; starting with a cold shared store");
+    }
+  }
+  return store;
+}
+
+void persistSharedStore(const solver::ShmQueryCache& cache,
+                        const std::string& checkpointDir) {
+  try {
+    atomicWriteFile(sharedCachePath(checkpointDir), [&](std::ostream& os) {
+      writeSharedCacheEntries(os, cache.sortedEntries());
+    });
+  } catch (const SnapshotError& e) {
+    support::logError("snapshot", e.what());
+  }
 }
 
 }  // namespace sde::snapshot

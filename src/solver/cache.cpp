@@ -112,22 +112,6 @@ std::optional<expr::Assignment> QueryCache::reusePoolModel(
   return reuseFrom(poolModels_, ctx, constraints);
 }
 
-void QueryCache::mergeFrom(const QueryCache& other) {
-  for (const auto& [key, result] : other.results_) {
-    const auto [it, inserted] = results_.emplace(key, result);
-    if (inserted && it->second.status == EnumStatus::kUnsat)
-      indexResult(it->first, it->second);
-  }
-  for (auto it = other.recentModels_.rbegin(); it != other.recentModels_.rend();
-       ++it)
-    recentModels_.push_front(*it);
-  while (recentModels_.size() > maxRecentModels_) recentModels_.pop_back();
-  for (auto it = other.poolModels_.rbegin(); it != other.poolModels_.rend();
-       ++it)
-    poolModels_.push_front(*it);
-  while (poolModels_.size() > maxPoolModels_) poolModels_.pop_back();
-}
-
 void QueryCache::restoreSnapshot(
     std::vector<std::pair<QueryKey, EnumResult>> results,
     std::deque<expr::Assignment> recentModels,

@@ -5,6 +5,9 @@
 // result store — a cached UNSAT key that is a *subset* of the query
 // proves the query UNSAT, and any cached model satisfying the query
 // proves it SAT (KLEE-style counterexample reuse) — all hit very often.
+// Each solver owns one. The partition jobs of a run share solved queries
+// across their solvers live, through the run's shared store
+// (shared_cache.hpp), never by merging caches.
 #pragma once
 
 #include <cstdint>
@@ -64,16 +67,6 @@ class QueryCache {
   [[nodiscard]] std::optional<expr::Assignment> reusePoolModel(
       const expr::Context& ctx,
       std::span<const expr::Ref> constraints) const;
-
-  // Merges `other` into this cache (the legacy post-run barrier of the
-  // parallel execution mode, kept for offline aggregation; live runs
-  // share through SharedQueryCache instead). Result entries are
-  // unioned — when both caches solved the same canonical key the
-  // results are necessarily equal, so existing entries win — and the
-  // model windows keep the newest models of both caches up to their
-  // retention bounds. Merging never fabricates an entry for a
-  // constraint set neither cache actually solved.
-  void mergeFrom(const QueryCache& other);
 
   [[nodiscard]] std::size_t size() const { return results_.size(); }
   [[nodiscard]] std::size_t numRecentModels() const {

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "solver/shared_cache.hpp"
+#include "solver/shm_cache.hpp"
 #include "support/assert.hpp"
 
 namespace sde::solver {
@@ -123,7 +124,6 @@ class SharedCacheLayer final : public SolverLayer {
     if (q.shared == nullptr) return std::nullopt;
     const auto hit = q.shared->lookup(makeSharedQueryKey(q.key));
     if (!hit) return std::nullopt;
-    q.stats.add(statId<"solver.shared_hits">());
     EnumResult r = fromSharedResult(q.ctx, *hit);
     // Fold the hit into the local cache exactly as if this worker had
     // computed it: the shared value is canonical, so the local cache
@@ -201,7 +201,7 @@ LayerAnswer SolverPipeline::solve(std::span<const expr::Ref> conjunction,
                .key = {},
                .intervals = {},
                .cache = cache_,
-               .shared = config_.useSharedCache ? shared_ : nullptr,
+               .shared = shared_,
                .needModel = needModel};
   auto last = Clock::now();
   for (const auto& layer : layers_) {

@@ -15,7 +15,8 @@
 //                     proves UNSAT), then model-pool counterexample
 //                     reuse (a cached model satisfying the query proves
 //                     SAT, KLEE-style)
-//   shared-cache    — the cross-worker SharedQueryCache, consulted live
+//   shared-cache    — the run's shared store (ShmQueryCache), consulted
+//                     live
 //   interval        — interval-arithmetic refutation
 //   enumerate       — complete (bounded) model enumeration; always
 //                     answers
@@ -30,7 +31,7 @@
 // tests/sde/parallel_equivalence_test.cpp enforce it): every layer's
 // answer must be a pure function of the query and of local state that
 // itself evolved purely. The shared-cache layer stays transparent by
-// only ever holding canonical results (interval refutations and
+// only ever publishing canonical results (interval refutations and
 // enumerated models — enumeration orders variables context-
 // independently, so every worker would compute the identical result)
 // and by folding hits into the local cache exactly as if computed
@@ -55,7 +56,7 @@
 
 namespace sde::solver {
 
-class SharedQueryStore;
+class ShmQueryCache;
 
 struct SolverConfig {
   bool useIndependence = true;
@@ -68,8 +69,6 @@ struct SolverConfig {
   // The subsumption stage (UNSAT-subset + model pool). The recent-model
   // reuse window predates the pipeline and is governed by useCache.
   bool useSubsumption = true;
-  // Gate for consulting/publishing an attached SharedQueryCache.
-  bool useSharedCache = true;
   EnumConfig enumeration;
 };
 
@@ -82,7 +81,7 @@ struct LayerQuery {
   QueryKey key;                            // filled by canonicalize
   expr::IntervalEnv intervals;             // filled by the interval layer
   QueryCache& cache;
-  SharedQueryStore* shared = nullptr;
+  ShmQueryCache* shared = nullptr;
   // Whether the caller consumes the model (getValue/getModel) or only
   // the status (mayBeTrue and friends). Model-pool reuse answers only
   // status-only queries: its models are genuine but need not match the
@@ -138,8 +137,7 @@ class SolverPipeline {
   [[nodiscard]] LayerAnswer solve(std::span<const expr::Ref> conjunction,
                                   bool needModel);
 
-  void setSharedCache(SharedQueryStore* shared) { shared_ = shared; }
-  [[nodiscard]] SharedQueryStore* sharedCache() const { return shared_; }
+  void setSharedCache(ShmQueryCache* shared) { shared_ = shared; }
 
   [[nodiscard]] const std::vector<std::unique_ptr<SolverLayer>>& layers()
       const {
@@ -151,7 +149,7 @@ class SolverPipeline {
   const SolverConfig& config_;
   QueryCache& cache_;
   support::StatsRegistry& stats_;
-  SharedQueryStore* shared_ = nullptr;
+  ShmQueryCache* shared_ = nullptr;
   std::vector<std::unique_ptr<SolverLayer>> layers_;
 };
 

@@ -38,76 +38,4 @@ EnumResult fromSharedResult(expr::Context& ctx,
   return local;
 }
 
-std::size_t SharedQueryCache::KeyHash::operator()(
-    const SharedQueryKey& key) const {
-  support::Hasher h;
-  for (const std::uint64_t v : key) h.u64(v);
-  return static_cast<std::size_t>(h.digest());
-}
-
-SharedQueryCache::SharedQueryCache(std::size_t shards) {
-  // Round up to a power of two so shard selection is a mask.
-  std::size_t n = 1;
-  while (n < shards) n <<= 1;
-  shards_ = std::vector<Shard>(n);
-  shardMask_ = n - 1;
-}
-
-SharedQueryCache::Shard& SharedQueryCache::shardFor(
-    const SharedQueryKey& key) const {
-  return shards_[KeyHash{}(key)&shardMask_];
-}
-
-std::optional<SharedQueryResult> SharedQueryCache::lookup(
-    const SharedQueryKey& key) const {
-  Shard& shard = shardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
-}
-
-void SharedQueryCache::insert(const SharedQueryKey& key,
-                              SharedQueryResult result) {
-  Shard& shard = shardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.emplace(key, std::move(result)).second)
-    inserts_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::size_t SharedQueryCache::size() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.map.size();
-  }
-  return total;
-}
-
-void SharedQueryCache::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-  }
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  inserts_.store(0, std::memory_order_relaxed);
-}
-
-std::vector<std::pair<SharedQueryKey, SharedQueryResult>>
-SharedQueryCache::sortedEntries() const {
-  std::vector<std::pair<SharedQueryKey, SharedQueryResult>> entries;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    entries.insert(entries.end(), shard.map.begin(), shard.map.end());
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return entries;
-}
-
 }  // namespace sde::solver

@@ -1,48 +1,40 @@
-// Cross-worker shared query cache (the live replacement for the old
-// post-run-only per-worker cache merge).
+// The context-independent rendering of a solved query, shared live
+// between the partition jobs of one run (threads of the thread runner,
+// worker processes of a fleet) through solver::ShmQueryCache.
 //
-// Partition jobs of a parallel run explore overlapping constraint
-// prefixes — "Divide, Conquer and Verify"-style sharing of solved
-// queries across workers is where most redundant solver time goes. Each
-// worker's solver consults this cache *during* exploration and
-// publishes the results it computes, so a query any worker has already
-// solved is never enumerated again anywhere in the fleet.
+// Partition jobs explore overlapping constraint prefixes — "Divide,
+// Conquer and Verify"-style sharing of solved queries across jobs is
+// where most redundant solver time goes. Each job's solver consults the
+// store *during* exploration and publishes the results it computes, so
+// a query any job has already solved is never enumerated again.
 //
 // Two properties make live sharing safe:
 //
-//  * Context independence. Workers own disjoint expr::Contexts, so Refs
-//    cannot cross threads. Keys are the sorted structural-hash vectors
-//    of the canonical query key (variables hash by name, so the same
+//  * Context independence. Jobs own disjoint expr::Contexts, so Refs
+//    cannot cross jobs. Keys are the sorted structural-hash vectors of
+//    the canonical query key (variables hash by name, so the same
 //    conjunction built in any context produces the same key), and
 //    models are serialized per variable as (name, width, value) and
 //    re-interned by the consumer.
 //
-//  * Canonical values only. The cache accepts exclusively results whose
+//  * Canonical values only. The store accepts exclusively results whose
 //    content is a pure function of the structural key — interval
 //    refutations and enumerated models (enumeration orders variables by
 //    structural hash, not by context-local interning ids, exactly so
-//    that every worker would compute the identical model). History-
+//    that every job would compute the identical model). History-
 //    dependent answers (recent-model reuse, subsumption) are never
 //    published. First writer wins; because values are canonical, the
 //    winner is irrelevant and exploration results stay byte-identical
-//    for any worker count, with the cache on or off.
-//
-// Internally the key space is sharded over independently locked
-// buckets (mutex striping), so concurrent workers rarely contend.
+//    for any worker count, with the store attached or not.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "expr/context.hpp"
-#include "expr/eval.hpp"
 #include "solver/cache.hpp"
 #include "solver/enum_solver.hpp"
-#include "support/hash.hpp"
 
 namespace sde::solver {
 
@@ -50,8 +42,8 @@ namespace sde::solver {
 // hash of each conjunct, in key order (the key is already sorted by
 // hash). Equal conjunction sets produce equal hash vectors in every
 // context; distinct sets collide only on a 64-bit structural-hash
-// collision (the same astronomically-unlikely event the per-worker
-// cache's hash-sorted key order already relies on).
+// collision (the same astronomically-unlikely event the per-job cache's
+// hash-sorted key order already relies on).
 using SharedQueryKey = std::vector<std::uint64_t>;
 
 [[nodiscard]] SharedQueryKey makeSharedQueryKey(const QueryKey& key);
@@ -75,88 +67,9 @@ struct SharedQueryResult {
   [[nodiscard]] bool operator==(const SharedQueryResult&) const = default;
 };
 
-// Converts between worker-local results and the shared representation.
+// Converts between job-local results and the shared representation.
 [[nodiscard]] SharedQueryResult toSharedResult(const EnumResult& result);
 [[nodiscard]] EnumResult fromSharedResult(expr::Context& ctx,
                                           const SharedQueryResult& result);
-
-// The store interface the solver pipeline shares queries through. Two
-// implementations: the in-process mutex-striped SharedQueryCache below
-// (threads of one partitioned run) and the process-external
-// solver::ShmQueryCache (worker processes of a fleet run, see
-// shm_cache.hpp). Both obey the same contract — context-independent
-// keys, canonical values only, first writer wins — so exploration
-// results are byte-identical whichever store (or none) is attached.
-class SharedQueryStore {
- public:
-  virtual ~SharedQueryStore() = default;
-
-  // Thread-safe. Returns the cached result by value (a reference could
-  // dangle or point into concurrently mutated storage).
-  [[nodiscard]] virtual std::optional<SharedQueryResult> lookup(
-      const SharedQueryKey& key) const = 0;
-
-  // Thread-safe. First writer wins: once a key holds a result, later
-  // inserts (necessarily equal — only canonical values are published)
-  // are dropped. Best-effort: a full fixed-size store may drop inserts.
-  virtual void insert(const SharedQueryKey& key,
-                      SharedQueryResult result) = 0;
-};
-
-class SharedQueryCache final : public SharedQueryStore {
- public:
-  explicit SharedQueryCache(std::size_t shards = 16);
-  SharedQueryCache(const SharedQueryCache&) = delete;
-  SharedQueryCache& operator=(const SharedQueryCache&) = delete;
-
-  // Thread-safe. Returns the cached result by value (a reference would
-  // dangle once another thread rehashes the shard).
-  [[nodiscard]] std::optional<SharedQueryResult> lookup(
-      const SharedQueryKey& key) const override;
-
-  // Thread-safe. First writer wins: once a key holds a result, later
-  // inserts (necessarily equal — only canonical values are published)
-  // are dropped.
-  void insert(const SharedQueryKey& key, SharedQueryResult result) override;
-
-  // Thread-safe counters (relaxed; reporting only).
-  [[nodiscard]] std::uint64_t hits() const {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t inserts() const {
-    return inserts_.load(std::memory_order_relaxed);
-  }
-
-  // Thread-safe (each shard locked in turn) but not atomic across
-  // shards: concurrent inserts may or may not be counted.
-  [[nodiscard]] std::size_t size() const;
-  void clear();
-
-  // Deterministic enumeration for snapshot serialization: every entry,
-  // sorted by key. Same cross-shard caveat as size().
-  [[nodiscard]] std::vector<std::pair<SharedQueryKey, SharedQueryResult>>
-  sortedEntries() const;
-
-  struct KeyHash {
-    std::size_t operator()(const SharedQueryKey& key) const;
-  };
-
- private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<SharedQueryKey, SharedQueryResult, KeyHash> map;
-  };
-
-  [[nodiscard]] Shard& shardFor(const SharedQueryKey& key) const;
-
-  mutable std::vector<Shard> shards_;
-  std::size_t shardMask_ = 0;
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> inserts_{0};
-};
 
 }  // namespace sde::solver

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 
@@ -18,7 +19,8 @@ namespace {
 constexpr char kMagic[8] = {'S', 'D', 'E', 'S', 'H', 'M', 'Q', 'C'};
 // Bumped on any header or slot layout change; attach() rejects every
 // other version (no migration, same policy as the snapshot formats).
-constexpr std::uint32_t kLayoutVersion = 2;
+// Version 3 dropped the header's traffic counters.
+constexpr std::uint32_t kLayoutVersion = 3;
 // Two-phase init: the creator publishes this marker only after the
 // header geometry is fully written, so an attacher racing a crashed
 // creator sees a not-ready segment, never half-written geometry.
@@ -39,6 +41,18 @@ constexpr std::uint64_t kPublishedBit = 1;
 // report a miss, which is always sound).
 constexpr std::uint64_t kMaxProbe = 128;
 
+// Bounds on the per-entry geometry, far above any useful value, so that
+// a slot's size (and a table's, checked by division) cannot overflow
+// u64 however a header was written.
+constexpr std::uint32_t kMaxGeometryField = 1u << 16;
+
+bool validGeometry(std::uint32_t maxConjuncts, std::uint32_t maxBindings,
+                   std::uint32_t nameBytes) {
+  return nameBytes >= 2 && nameBytes <= kMaxGeometryField &&
+         maxConjuncts != 0 && maxConjuncts <= kMaxGeometryField &&
+         maxBindings != 0 && maxBindings <= kMaxGeometryField;
+}
+
 std::uint64_t keyDigest(const SharedQueryKey& key) {
   support::Hasher h;
   for (const std::uint64_t v : key) h.u64(v);
@@ -51,9 +65,15 @@ std::uint64_t keyDigest(const SharedQueryKey& key) {
 
 }  // namespace
 
+std::string privateSegmentName(std::string_view prefix) {
+  static std::atomic<std::uint64_t> sequence{0};
+  return std::string(prefix) + std::to_string(static_cast<long>(::getpid())) +
+         "_" + std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
+}
+
 // The header is a fixed prelude of the segment; every field is written
-// by the creator before the ready marker, except the atomics, which any
-// attached process may bump.
+// by the creator before the ready marker, except `entries`, which every
+// publishing insert bumps.
 struct ShmQueryCache::Header {
   char magic[8];
   std::uint32_t version;
@@ -65,10 +85,6 @@ struct ShmQueryCache::Header {
   std::uint32_t pad1;
   std::atomic<std::uint64_t> ready;
   std::atomic<std::uint64_t> entries;
-  std::atomic<std::uint64_t> hits;
-  std::atomic<std::uint64_t> misses;
-  std::atomic<std::uint64_t> inserts;
-  std::atomic<std::uint64_t> dropped;
 };
 
 // One open-addressed table slot. The variable-size tail (key hashes,
@@ -129,9 +145,28 @@ ShmQueryCache::Slot* ShmQueryCache::slotAt(std::uint64_t index) const {
   return reinterpret_cast<Slot*>(table + index * slotBytes());
 }
 
-ShmQueryCache::ShmQueryCache(std::string name, int fd, void* base,
-                             std::size_t bytes)
-    : name_(std::move(name)), fd_(fd), base_(base), mappedBytes_(bytes) {}
+SharedQueryResult ShmQueryCache::resultAt(const Slot& slot) const {
+  const Header& h = header();
+  const std::uint64_t nameAligned = (std::uint64_t{h.nameBytes} + 7) & ~7ull;
+  SharedQueryResult result;
+  result.status = static_cast<EnumStatus>(slot.status);
+  const char* cursor =
+      reinterpret_cast<const char*>(slot.keyHashes() + h.maxConjuncts);
+  for (std::uint32_t b = 0; b < slot.numBindings; ++b) {
+    const auto* payload = reinterpret_cast<const SlotBinding*>(cursor);
+    const char* name = cursor + sizeof(SlotBinding);
+    // The writer NUL-terminates within nameBytes; strnlen guards a
+    // (theoretically impossible) unterminated name anyway.
+    result.model.push_back(SharedBinding{
+        std::string(name, ::strnlen(name, h.nameBytes)), payload->width,
+        payload->value});
+    cursor += sizeof(SlotBinding) + nameAligned;
+  }
+  return result;
+}
+
+ShmQueryCache::ShmQueryCache(int fd, void* base, std::size_t bytes)
+    : fd_(fd), base_(base), mappedBytes_(bytes) {}
 
 ShmQueryCache::~ShmQueryCache() {
   if (base_ != nullptr) ::munmap(base_, mappedBytes_);
@@ -140,8 +175,8 @@ ShmQueryCache::~ShmQueryCache() {
 
 std::unique_ptr<ShmQueryCache> ShmQueryCache::create(
     const std::string& name, const ShmCacheConfig& config) {
-  if (config.nameBytes < 2 || config.maxConjuncts == 0 ||
-      config.maxBindings == 0)
+  if (!validGeometry(config.maxConjuncts, config.maxBindings,
+                     config.nameBytes))
     throw ShmCacheError("shm cache: degenerate geometry");
   const std::uint64_t slotSize =
       slotBytesFor(config.maxConjuncts, config.maxBindings, config.nameBytes);
@@ -172,7 +207,7 @@ std::unique_ptr<ShmQueryCache> ShmQueryCache::create(
   // ftruncate zero-fills, so every slot already reads kSlotEmpty; only
   // the header needs explicit initialization.
   auto cache = std::unique_ptr<ShmQueryCache>(
-      new ShmQueryCache(name, fd, base, config.bytes));
+      new ShmQueryCache(fd, base, config.bytes));
   Header& h = cache->header();
   std::memcpy(h.magic, kMagic, sizeof(kMagic));
   h.version = kLayoutVersion;
@@ -181,10 +216,6 @@ std::unique_ptr<ShmQueryCache> ShmQueryCache::create(
   h.maxBindings = config.maxBindings;
   h.nameBytes = config.nameBytes;
   h.entries.store(0, std::memory_order_relaxed);
-  h.hits.store(0, std::memory_order_relaxed);
-  h.misses.store(0, std::memory_order_relaxed);
-  h.inserts.store(0, std::memory_order_relaxed);
-  h.dropped.store(0, std::memory_order_relaxed);
   h.ready.store(kReadyMarker, std::memory_order_release);
   return cache;
 }
@@ -211,7 +242,7 @@ std::unique_ptr<ShmQueryCache> ShmQueryCache::attach(const std::string& name) {
     throw ShmCacheError("mmap(" + name + ") failed");
   }
   auto cache =
-      std::unique_ptr<ShmQueryCache>(new ShmQueryCache(name, fd, base, bytes));
+      std::unique_ptr<ShmQueryCache>(new ShmQueryCache(fd, base, bytes));
 
   const Header& h = cache->header();
   if (std::memcmp(h.magic, kMagic, sizeof(kMagic)) != 0)
@@ -223,18 +254,21 @@ std::unique_ptr<ShmQueryCache> ShmQueryCache::attach(const std::string& name) {
   if (h.ready.load(std::memory_order_acquire) != kReadyMarker)
     throw ShmCacheError("segment " + name +
                         " was never fully initialized (creator crashed?)");
-  if (h.nameBytes < 2 || h.maxConjuncts == 0 || h.maxBindings == 0 ||
+  if (!validGeometry(h.maxConjuncts, h.maxBindings, h.nameBytes) ||
       h.capacity == 0)
     throw ShmCacheError("segment " + name + " has degenerate geometry");
-  // The geometry must fit the mapping exactly as created: a segment
-  // truncated after creation would otherwise SIGBUS on first probe.
-  const std::uint64_t need =
-      sizeof(Header) + h.capacity * slotBytesFor(h.maxConjuncts, h.maxBindings,
-                                                 h.nameBytes);
-  if (need > bytes)
+  // The table must fit the mapping: a segment truncated after creation
+  // would otherwise SIGBUS on first probe, and a capacity whose product
+  // with the slot size wraps would index outside it. Division cannot
+  // wrap.
+  const std::uint64_t fit =
+      (bytes - sizeof(Header)) /
+      slotBytesFor(h.maxConjuncts, h.maxBindings, h.nameBytes);
+  if (h.capacity > fit)
     throw ShmCacheError("segment " + name + " is torn: header advertises " +
-                        std::to_string(need) + " bytes but only " +
-                        std::to_string(bytes) + " are mapped");
+                        std::to_string(h.capacity) + " slots but only " +
+                        std::to_string(fit) + " fit the " +
+                        std::to_string(bytes) + " mapped bytes");
   return cache;
 }
 
@@ -249,82 +283,37 @@ bool ShmQueryCache::segmentExists(const std::string& name) {
   return true;
 }
 
-std::size_t ShmQueryCache::capacitySlots() const {
-  return static_cast<std::size_t>(header().capacity);
-}
-
 std::uint64_t ShmQueryCache::entries() const {
   return header().entries.load(std::memory_order_relaxed);
-}
-std::uint64_t ShmQueryCache::hits() const {
-  return header().hits.load(std::memory_order_relaxed);
-}
-std::uint64_t ShmQueryCache::misses() const {
-  return header().misses.load(std::memory_order_relaxed);
-}
-std::uint64_t ShmQueryCache::inserts() const {
-  return header().inserts.load(std::memory_order_relaxed);
-}
-std::uint64_t ShmQueryCache::dropped() const {
-  return header().dropped.load(std::memory_order_relaxed);
 }
 
 std::optional<SharedQueryResult> ShmQueryCache::lookup(
     const SharedQueryKey& key) const {
-  Header& h = header();  // counters in the segment are logically mutable
-  if (key.empty() || key.size() > h.maxConjuncts) {
-    h.misses.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
+  const Header& h = header();
+  if (key.empty() || key.size() > h.maxConjuncts) return std::nullopt;
   const std::uint64_t digest = keyDigest(key);
   const std::uint64_t probes = std::min<std::uint64_t>(kMaxProbe, h.capacity);
   for (std::uint64_t i = 0; i < probes; ++i) {
     const Slot* slot = slotAt(((digest >> 1) + i) % h.capacity);
     const std::uint64_t state = slot->state.load(std::memory_order_acquire);
     if (state == kSlotEmpty) break;  // claimed slots: keep probing
-    if (state != (digest | kPublishedBit) || slot->keyLen != key.size())
+    if (state != (digest | kPublishedBit) || slot->keyLen != key.size() ||
+        slot->numBindings > h.maxBindings)
       continue;
     if (!std::equal(key.begin(), key.end(), slot->keyHashes())) continue;
-
-    SharedQueryResult result;
-    result.status = static_cast<EnumStatus>(slot->status);
-    result.model.reserve(slot->numBindings);
-    const std::uint64_t nameAligned = (std::uint64_t{h.nameBytes} + 7) & ~7ull;
-    const char* cursor =
-        reinterpret_cast<const char*>(slot->keyHashes() + h.maxConjuncts);
-    for (std::uint32_t b = 0; b < slot->numBindings; ++b) {
-      const auto* payload = reinterpret_cast<const SlotBinding*>(cursor);
-      const char* name = cursor + sizeof(SlotBinding);
-      SharedBinding binding;
-      // The writer NUL-terminates within nameBytes; strnlen guards a
-      // (theoretically impossible) unterminated name anyway.
-      binding.name.assign(name, ::strnlen(name, h.nameBytes));
-      binding.width = payload->width;
-      binding.value = payload->value;
-      result.model.push_back(std::move(binding));
-      cursor += sizeof(SlotBinding) + nameAligned;
-    }
-    h.hits.fetch_add(1, std::memory_order_relaxed);
-    return result;
+    return resultAt(*slot);
   }
-  h.misses.fetch_add(1, std::memory_order_relaxed);
   return std::nullopt;
 }
 
-void ShmQueryCache::insert(const SharedQueryKey& key,
-                           SharedQueryResult result) {
+InsertOutcome ShmQueryCache::insert(const SharedQueryKey& key,
+                                    const SharedQueryResult& result) {
   Header& h = header();
   if (key.empty() || key.size() > h.maxConjuncts ||
-      result.model.size() > h.maxBindings) {
-    h.dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  for (const SharedBinding& binding : result.model) {
-    if (binding.name.size() + 1 > h.nameBytes) {
-      h.dropped.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-  }
+      result.model.size() > h.maxBindings)
+    return InsertOutcome::kDropped;
+  for (const SharedBinding& binding : result.model)
+    if (binding.name.size() + 1 > h.nameBytes) return InsertOutcome::kDropped;
 
   const std::uint64_t digest = keyDigest(key);
   const std::uint64_t probes = std::min<std::uint64_t>(kMaxProbe, h.capacity);
@@ -339,10 +328,10 @@ void ShmQueryCache::insert(const SharedQueryKey& key,
       // First writer wins: our key claimed (mid-write, or by a writer
       // that died) or already published means drop. A published
       // digest twin with a different key is the one reason to go on.
-      if ((state & kPublishedBit) == 0) return;
+      if ((state & kPublishedBit) == 0) return InsertOutcome::kPresent;
       if (slot->keyLen == key.size() &&
           std::equal(key.begin(), key.end(), slot->keyHashes()))
-        return;
+        return InsertOutcome::kPresent;
       continue;
     }
 
@@ -364,35 +353,23 @@ void ShmQueryCache::insert(const SharedQueryKey& key,
     }
     slot->state.store(digest | kPublishedBit, std::memory_order_release);
     h.entries.fetch_add(1, std::memory_order_relaxed);
-    h.inserts.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return InsertOutcome::kPublished;
   }
-  h.dropped.fetch_add(1, std::memory_order_relaxed);
+  return InsertOutcome::kDropped;
 }
 
 std::vector<std::pair<SharedQueryKey, SharedQueryResult>>
 ShmQueryCache::sortedEntries() const {
   const Header& h = header();
   std::vector<std::pair<SharedQueryKey, SharedQueryResult>> entries;
-  const std::uint64_t nameAligned = (std::uint64_t{h.nameBytes} + 7) & ~7ull;
   for (std::uint64_t i = 0; i < h.capacity; ++i) {
     const Slot* slot = slotAt(i);
-    if ((slot->state.load(std::memory_order_acquire) & kPublishedBit) == 0)
+    if ((slot->state.load(std::memory_order_acquire) & kPublishedBit) == 0 ||
+        slot->keyLen > h.maxConjuncts || slot->numBindings > h.maxBindings)
       continue;
-    SharedQueryKey key(slot->keyHashes(), slot->keyHashes() + slot->keyLen);
-    SharedQueryResult result;
-    result.status = static_cast<EnumStatus>(slot->status);
-    const char* cursor =
-        reinterpret_cast<const char*>(slot->keyHashes() + h.maxConjuncts);
-    for (std::uint32_t b = 0; b < slot->numBindings; ++b) {
-      const auto* payload = reinterpret_cast<const SlotBinding*>(cursor);
-      const char* name = cursor + sizeof(SlotBinding);
-      result.model.push_back(SharedBinding{
-          std::string(name, ::strnlen(name, h.nameBytes)), payload->width,
-          payload->value});
-      cursor += sizeof(SlotBinding) + nameAligned;
-    }
-    entries.emplace_back(std::move(key), std::move(result));
+    entries.emplace_back(
+        SharedQueryKey(slot->keyHashes(), slot->keyHashes() + slot->keyLen),
+        resultAt(*slot));
   }
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });

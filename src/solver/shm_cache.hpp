@@ -1,18 +1,19 @@
-// Process-external shared query cache: the SharedQueryCache promoted to
-// a fixed-size POSIX shared-memory segment so the *fleet* execution mode
-// (sde/fleet.hpp — worker processes, not threads) keeps the live
-// cross-worker hit rate of parallel runs.
+// The shared query store: one fixed-size POSIX shared-memory segment
+// that the partition jobs of a run share solved queries through, live.
+// The fleet's worker processes inherit its mapping through fork; the
+// thread runner's pool threads share the same mapping in one process.
+// snapshot::openSharedStore (snapshot/shared_cache_io.hpp) is the one
+// path both runners open, seed and persist it through.
 //
 // Layout: one versioned header followed by a fixed table of
-// open-addressed slots. The in-process cache's mutex striping becomes
-// per-slot atomic publication here — a process-shared mutex can be
-// leaked forever by a SIGKILLed holder, while a slot-claim CAS cannot
-// wedge anybody:
+// open-addressed slots. Publication is per-slot and atomic — a
+// process-shared mutex can be leaked forever by a SIGKILLed holder,
+// while a slot-claim CAS cannot wedge anybody:
 //
 //   * insert claims a slot (state empty -> claimed for its key digest,
 //     one CAS), writes the payload, then publishes (state -> published,
 //     release store). A writer that meets a claim for its own key stops,
-//     so one key is published at most once. A worker killed mid-write
+//     so one key is published at most once. A writer killed mid-write
 //     leaves the slot claimed forever; other keys probe past it, and its
 //     own key stays a miss. One slot is wasted, nothing blocks, nothing
 //     is torn.
@@ -20,25 +21,28 @@
 //     no updates, no deletes), so a lookup that sees `published`
 //     (acquire load) reads a complete, final payload.
 //
-// Everything else follows the SharedQueryStore contract (see
-// shared_cache.hpp): context-independent keys, canonical values only,
-// so exploration stays byte-identical with the segment attached or not.
-// The store is best-effort by design — a full table or an oversize
-// entry drops the insert, never the correctness.
+// Everything else follows the contract in shared_cache.hpp:
+// context-independent keys, canonical values only, so exploration stays
+// byte-identical with the segment attached or not. The store is
+// best-effort by design — a full table or an oversize entry drops the
+// insert, never the correctness. It counts nothing: a lookup's outcome
+// is counted by the solver that asked (solver.layer.shared_cache.*),
+// an insert's outcome is returned to the caller, and the header keeps
+// only the segment's size (entries), which outlives any one run.
 //
 // Robustness: attach() validates magic, layout version, the two-phase
-// init marker and the geometry against the actual segment size before
-// touching the table; any mismatch (torn, truncated, foreign, stale
-// layout) throws ShmCacheError and the fleet runner degrades to a cold
-// cache rather than reading garbage.
+// init marker and the geometry (bounded fields, a table that fits the
+// actual segment size) before touching the table; any mismatch (torn,
+// truncated, foreign, stale layout) throws ShmCacheError and the caller
+// degrades to a cold store rather than reading garbage.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -63,11 +67,24 @@ struct ShmCacheConfig {
   std::uint32_t nameBytes = 40;  // per binding, including the NUL
 };
 
-class ShmQueryCache final : public SharedQueryStore {
+// A segment name no live run uses: `prefix`, the pid and a process-wide
+// sequence number, so concurrent runs in one process never collide.
+[[nodiscard]] std::string privateSegmentName(std::string_view prefix);
+
+// What an insert did with its entry.
+enum class InsertOutcome : std::uint8_t {
+  kPublished,  // this call published the entry
+  kPresent,    // the key was already published (or claimed) — first
+               // writer wins
+  kDropped,    // over the per-entry bounds, or the probe window is full
+};
+
+class ShmQueryCache {
  public:
   // Creates a fresh segment `name` (a POSIX shm name, "/sde_qc_...").
   // Fails with ShmCacheError if the name exists or the segment cannot
-  // be sized. The creating process should unlinkSegment() when done.
+  // be sized. The name stays until unlinkSegment(); a run-private
+  // segment unlinks it as soon as the mapping exists.
   [[nodiscard]] static std::unique_ptr<ShmQueryCache> create(
       const std::string& name, const ShmCacheConfig& config = {});
 
@@ -85,32 +102,26 @@ class ShmQueryCache final : public SharedQueryStore {
   // its validity — attach() judges that).
   [[nodiscard]] static bool segmentExists(const std::string& name);
 
-  ~ShmQueryCache() override;
+  ~ShmQueryCache();
   ShmQueryCache(const ShmQueryCache&) = delete;
   ShmQueryCache& operator=(const ShmQueryCache&) = delete;
 
-  // SharedQueryStore. Safe to call concurrently from any process
-  // attached to the segment (and from any thread).
+  // Safe to call concurrently from any process attached to the segment
+  // and from any thread. A lookup copies the result out of the segment.
   [[nodiscard]] std::optional<SharedQueryResult> lookup(
-      const SharedQueryKey& key) const override;
-  void insert(const SharedQueryKey& key, SharedQueryResult result) override;
+      const SharedQueryKey& key) const;
+  // First writer wins: once a key holds a result, later inserts
+  // (necessarily equal — only canonical values are published) leave it.
+  InsertOutcome insert(const SharedQueryKey& key,
+                       const SharedQueryResult& result);
 
-  [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] std::size_t capacitySlots() const;
-  // Published entries, fleet-wide (header counter).
+  // Entries published into this segment by every process and run that
+  // ever attached it (a named segment carries earlier fleets' entries).
   [[nodiscard]] std::uint64_t entries() const;
-  // Fleet-wide counters, aggregated in the segment header across every
-  // attached process (relaxed; reporting only).
-  [[nodiscard]] std::uint64_t hits() const;
-  [[nodiscard]] std::uint64_t misses() const;
-  [[nodiscard]] std::uint64_t inserts() const;
-  // Inserts dropped because the table was full (probe limit) or the
-  // entry exceeded the per-entry bounds.
-  [[nodiscard]] std::uint64_t dropped() const;
 
   // Deterministic enumeration of every published entry, sorted by key —
-  // feeds the durable shared_cache.bin sidecar so a resumed fleet
-  // starts warm even though the segment itself died with the machine.
+  // feeds the durable shared_cache.bin sidecar so a resumed run starts
+  // warm even though the segment itself died with its run.
   [[nodiscard]] std::vector<std::pair<SharedQueryKey, SharedQueryResult>>
   sortedEntries() const;
 
@@ -118,16 +129,18 @@ class ShmQueryCache final : public SharedQueryStore {
   struct Header;
   struct Slot;
 
-  ShmQueryCache(std::string name, int fd, void* base, std::size_t bytes);
+  ShmQueryCache(int fd, void* base, std::size_t bytes);
 
   [[nodiscard]] Header& header() const;
   [[nodiscard]] Slot* slotAt(std::uint64_t index) const;
+  // The result a published slot holds; its counts must be within the
+  // header geometry (a slot whose counts are not reads as empty).
+  [[nodiscard]] SharedQueryResult resultAt(const Slot& slot) const;
   [[nodiscard]] std::uint64_t slotBytes() const;
   [[nodiscard]] static std::uint64_t slotBytesFor(std::uint32_t maxConjuncts,
                                                  std::uint32_t maxBindings,
                                                  std::uint32_t nameBytes);
 
-  std::string name_;
   int fd_ = -1;
   void* base_ = nullptr;
   std::size_t mappedBytes_ = 0;

@@ -57,19 +57,16 @@ class Solver final : public SolverClient {
   [[nodiscard]] const support::StatsRegistry& stats() const { return stats_; }
   support::StatsRegistry& stats() { return stats_; }
   [[nodiscard]] expr::Context& context() const override { return ctx_; }
-  // The query cache, exposed for checkpointing and the offline merge of
-  // per-worker caches (live runs share through the SharedQueryCache).
+  // The query cache, exposed for checkpointing.
   [[nodiscard]] QueryCache& cache() { return cache_; }
   [[nodiscard]] const QueryCache& cache() const { return cache_; }
 
-  // Attaches the cross-worker shared cache (not owned; must outlive
-  // this solver). The pipeline consults it live on every query that
-  // misses the local layers and publishes canonical results back.
-  void setSharedCache(SharedQueryStore* shared) {
+  // Attaches the run's shared query store (not owned; must outlive this
+  // solver). The pipeline consults it live on every query that misses
+  // the local layers and publishes canonical results back; the layer's
+  // series count the traffic (solver.layer.shared_cache.{queries,hits}).
+  void setSharedCache(ShmQueryCache* shared) {
     pipeline_.setSharedCache(shared);
-  }
-  [[nodiscard]] SharedQueryStore* sharedCache() const {
-    return pipeline_.sharedCache();
   }
 
   [[nodiscard]] const SolverPipeline& pipeline() const { return pipeline_; }

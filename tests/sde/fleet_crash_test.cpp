@@ -9,7 +9,8 @@
 //    job checkpoint — the respawned worker must RESUME that job from
 //    its .ckpt (mid-job recovery, not just re-lease).
 //  - whole fleet: SIGKILL the coordinator process itself mid-run, then
-//    resume the directory in-process — the durable-queue contract.
+//    resume the directory in-process — the durable-queue contract — and
+//    find none of its run-private shm segments left behind.
 //
 // Kill-once gates live on the file system (sentinel files), never in
 // captured memory: a respawned worker restarts from the identical fork
@@ -79,6 +80,18 @@ std::uint64_t crashFreeDigest(const trace::CollectScenarioConfig& config,
   threads.workers = 2;
   return trace::runCollectPartitioned(config, threads, vars)
       .result.fingerprintDigest();
+}
+
+// Whether /dev/shm holds a segment a process with `pid` derived from
+// `prefix`: "<prefix><pid>" or "<prefix><pid>_<sequence>".
+bool derivedSegmentLeft(const std::string& prefix, pid_t pid) {
+  const std::string stem = prefix + std::to_string(static_cast<long>(pid));
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator("/dev/shm", ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name == stem || name.starts_with(stem + "_")) return true;
+  }
+  return false;
 }
 
 // Kills `slot` workers once per sentinel when they lease `jobId`.
@@ -205,13 +218,14 @@ TEST(FleetCrashTest, KilledCoordinatorRunIsResumableFromTheDirectory) {
   const pid_t child = fork();
   ASSERT_NE(child, -1) << "fork failed";
   if (child == 0) {
-    // Child: run a whole fleet (coordinator + its workers). PDEATHSIG
-    // in the workers reaps the grandchildren when we are SIGKILLed.
+    // Child: run a whole fleet (coordinator + its workers), with the
+    // shared query store and the live metrics plane on, both under
+    // derived names. PDEATHSIG in the workers reaps the grandchildren
+    // when we are SIGKILLed.
     FleetConfig fleet;
     fleet.processes = 2;
     fleet.checkpointDir = dir.string();
     fleet.checkpointEveryEvents = 16;
-    fleet.shmQueryCache = false;  // nobody left to unlink the segment
     try {
       (void)trace::runCollectFleet(config, fleet, /*vars=*/3);
     } catch (...) {
@@ -244,6 +258,12 @@ TEST(FleetCrashTest, KilledCoordinatorRunIsResumableFromTheDirectory) {
   }
   ASSERT_TRUE(fs::exists(snapshot::manifestPath(dir)))
       << "coordinator died before writing the manifest";
+  // Run-private segments are unlinked as soon as they are mapped, so a
+  // SIGKILLed coordinator leaks neither.
+  EXPECT_FALSE(derivedSegmentLeft("sde_qc_", child))
+      << "the killed coordinator left its query store in /dev/shm";
+  EXPECT_FALSE(derivedSegmentLeft("sde_mx_", child))
+      << "the killed coordinator left its metrics plane in /dev/shm";
 
   // Resume the directory with a fresh fleet.
   FleetConfig resume;
@@ -316,8 +336,17 @@ TEST(FleetCrashTest, WarmSegmentFromAPriorFleetIsReattached) {
   EXPECT_EQ(warm.result.outcome, RunOutcome::kCompleted);
   EXPECT_FALSE(warm.shmDegraded);
   EXPECT_EQ(warm.result.fingerprintDigest(), cold.result.fingerprintDigest());
-  // The second fleet started warm: it found entries it never inserted.
-  EXPECT_GT(warm.shmHits, 0u);
+  // The second fleet started warm: its own solvers found entries they
+  // never inserted, and every shared-layer query of its own was a hit
+  // (the first fleet published all of them). The segment counts no
+  // traffic, so nothing of the first fleet's leaks into these numbers.
+  const auto& stats = warm.result.stats;
+  EXPECT_GT(stats.get("solver.layer.shared_cache.hits"), 0u);
+  EXPECT_EQ(stats.get("solver.layer.shared_cache.queries"),
+            stats.get("solver.layer.shared_cache.hits"))
+      << "the second fleet missed a query the first fleet published";
+  EXPECT_EQ(warm.shmEntries, cold.shmEntries)
+      << "the second fleet published a query the first fleet had not";
 
   solver::ShmQueryCache::unlinkSegment(shmName);
   fs::remove_all(dir1);

@@ -122,7 +122,8 @@ TEST_P(FleetEquivalenceTest, TestcasesMatchThreadRunner) {
   EXPECT_EQ(run.result.fingerprintDigest(),
             reference.result.fingerprintDigest());
   EXPECT_EQ(run.result.testcases, reference.result.testcases);
-  EXPECT_GT(run.shmHits, 0u);  // sharing actually happened
+  // Sharing actually happened.
+  EXPECT_GT(run.result.stats.get("solver.layer.shared_cache.hits"), 0u);
   fs::remove_all(dir);
 }
 

@@ -6,7 +6,7 @@
 
 #include "sde/explode.hpp"
 #include "sde/testcase.hpp"
-#include "solver/shared_cache.hpp"
+#include "snapshot/shared_cache_io.hpp"
 #include "trace/scenario.hpp"
 
 namespace sde {
@@ -19,8 +19,10 @@ TEST(SolverSmokeTest, EveryPipelineLayerSeesTrafficOnTheExampleScenario) {
   config.simulationTime = 3000;
   trace::CollectScenario scenario(config);
 
-  solver::SharedQueryCache shared;
-  scenario.engine().solver().setSharedCache(&shared);
+  // A run-private store, opened as the runners open theirs.
+  const snapshot::SharedStore shared = snapshot::openSharedStore("", "");
+  ASSERT_NE(shared.cache, nullptr);
+  scenario.engine().solver().setSharedCache(shared.cache.get());
   ASSERT_EQ(scenario.run().outcome, RunOutcome::kCompleted);
 
   // Exploration branches in the failure models; the solver-heavy phase

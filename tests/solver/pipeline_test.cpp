@@ -1,20 +1,33 @@
 // The layered solver pipeline: canonical-key hygiene, the subsumption
 // stores, per-layer counters, pipeline-vs-monolithic equivalence, and
-// the cross-worker SharedQueryCache (including the concurrent
-// never-fabricates-a-result property).
+// the shared query store as the thread runner drives it — one mapping,
+// many threads (including the concurrent never-fabricates-a-result
+// property).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "solver/shared_cache.hpp"
+#include "solver/shm_cache.hpp"
 #include "solver/solver.hpp"
 
 namespace sde::solver {
 namespace {
+
+// A run-private store, as the runners open one: created, then unlinked
+// at once (the mapping lives on until the store is destroyed).
+std::unique_ptr<ShmQueryCache> privateStore() {
+  const std::string name = privateSegmentName("/sde_pipeline_test_");
+  auto store = ShmQueryCache::create(name);
+  ShmQueryCache::unlinkSegment(name);
+  return store;
+}
 
 class PipelineTest : public ::testing::Test {
  protected:
@@ -172,47 +185,42 @@ TEST_F(PipelineTest, PipelineMatchesMonolithicOnRandomQueries) {
   }
 }
 
-// --- SharedQueryCache --------------------------------------------------------
+// --- The shared query store ------------------------------------------------
 
 TEST_F(PipelineTest, SharedCacheRoundTripsAcrossContexts) {
-  SharedQueryCache shared;
+  const auto shared = privateStore();
   Solver producer(ctx);
-  producer.setSharedCache(&shared);
+  producer.setSharedCache(shared.get());
   ConstraintSet cs;
   cs.add(ctx.ult(x, k(5)));
   EXPECT_TRUE(producer.mayBeTrue(cs, ctx.eq(x, k(2))));
-  EXPECT_GT(shared.inserts(), 0u);
+  EXPECT_GT(shared->entries(), 0u);
 
   // A second worker with its *own* context poses the same conjunction
   // and is answered from the shared cache, not by enumeration.
   expr::Context ctx2;
   Solver consumer(ctx2, {});
-  consumer.setSharedCache(&shared);
+  consumer.setSharedCache(shared.get());
   expr::Ref x2 = ctx2.variable("x", 8);
   ConstraintSet cs2;
   cs2.add(ctx2.ult(x2, ctx2.constant(5, 8)));
   EXPECT_TRUE(consumer.mayBeTrue(cs2, ctx2.eq(x2, ctx2.constant(2, 8))));
-  EXPECT_GT(consumer.stats().get("solver.shared_hits"), 0u);
-  EXPECT_EQ(consumer.stats().get("solver.enum_runs"), 0u);
+  // The consumer's own registry counts the traffic: every shared-layer
+  // visit was a hit.
+  const auto& stats = consumer.stats();
+  EXPECT_GT(stats.get("solver.layer.shared_cache.hits"), 0u);
+  EXPECT_EQ(stats.get("solver.layer.shared_cache.hits"),
+            stats.get("solver.layer.shared_cache.queries"));
+  EXPECT_EQ(stats.get("solver.enum_runs"), 0u);
 }
 
-TEST_F(PipelineTest, SharedCacheFirstWriterWins) {
-  SharedQueryCache shared;
-  const SharedQueryKey key{42};
-  shared.insert(key, {EnumStatus::kUnsat, {}});
-  SharedQueryResult rival{EnumStatus::kSat, {{"x", 8, 1}}};
-  shared.insert(key, rival);
-  const auto held = shared.lookup(key);
-  ASSERT_TRUE(held.has_value());
-  EXPECT_EQ(held->status, EnumStatus::kUnsat);
-  EXPECT_EQ(shared.size(), 1u);
-}
-
-// Property: under concurrent insert/lookup the cache never returns a
-// result for a key no worker actually solved (published), and what it
-// returns is exactly what was published for that key.
+// Property: under concurrent insert/lookup from the threads of one
+// process (the thread runner's traffic) the store never returns a
+// result for a key no thread actually published, what it returns is
+// exactly what was published for that key, and each key is published
+// by exactly one insert.
 TEST_F(PipelineTest, SharedCacheNeverFabricatesResultsUnderConcurrency) {
-  SharedQueryCache shared(/*shards=*/8);
+  const auto shared = privateStore();
   constexpr std::uint64_t kUniverse = 512;  // keys {0..511}
   constexpr int kWriters = 4;
   constexpr int kReaders = 4;
@@ -227,15 +235,19 @@ TEST_F(PipelineTest, SharedCacheNeverFabricatesResultsUnderConcurrency) {
     return r;
   };
 
-  // Each writer publishes a pseudo-random half of the universe.
+  // Each writer publishes a pseudo-random half of the universe and
+  // keeps the keys its own inserts published.
   std::vector<std::vector<std::uint64_t>> published(kWriters);
+  std::vector<std::vector<std::uint64_t>> won(kWriters);
   std::vector<std::thread> threads;
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([&, w] {
       std::mt19937_64 rng(1000 + w);
       for (int i = 0; i < 2000; ++i) {
         const std::uint64_t key = rng() % kUniverse;
-        shared.insert({key}, valueFor(key));
+        const InsertOutcome outcome = shared->insert({key}, valueFor(key));
+        EXPECT_NE(outcome, InsertOutcome::kDropped) << "key " << key;
+        if (outcome == InsertOutcome::kPublished) won[w].push_back(key);
         published[w].push_back(key);
       }
     });
@@ -248,7 +260,7 @@ TEST_F(PipelineTest, SharedCacheNeverFabricatesResultsUnderConcurrency) {
       std::mt19937_64 rng(9000 + r);
       for (int i = 0; i < 4000; ++i) {
         const std::uint64_t key = rng() % kUniverse;
-        if (const auto result = shared.lookup({key}))
+        if (const auto result = shared->lookup({key}))
           hits[r].emplace_back(key, *result);
       }
     });
@@ -258,6 +270,15 @@ TEST_F(PipelineTest, SharedCacheNeverFabricatesResultsUnderConcurrency) {
   std::vector<bool> wasPublished(kUniverse, false);
   for (const auto& keys : published)
     for (const std::uint64_t key : keys) wasPublished[key] = true;
+  // First writer wins: every inserted key was published exactly once.
+  std::vector<int> wins(kUniverse, 0);
+  for (const auto& keys : won)
+    for (const std::uint64_t key : keys) ++wins[key];
+  for (std::uint64_t key = 0; key < kUniverse; ++key)
+    EXPECT_EQ(wins[key], wasPublished[key] ? 1 : 0) << "key " << key;
+  EXPECT_EQ(shared->entries(),
+            static_cast<std::uint64_t>(
+                std::count(wasPublished.begin(), wasPublished.end(), true)));
   for (const auto& readerHits : hits) {
     for (const auto& [key, result] : readerHits) {
       ASSERT_LT(key, kUniverse);

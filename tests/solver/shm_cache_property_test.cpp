@@ -1,13 +1,14 @@
-// Property tests of the process-external shared query store
-// (solver/shm_cache.hpp). The store inherits the SharedQueryStore
-// contract — canonical values only, first writer wins — so its central
+// Property tests of the shared query store (solver/shm_cache.hpp). The
+// store keeps the contract of solver/shared_cache.hpp — canonical
+// values only, first writer wins — so its central
 // soundness property is *no fabrication*: anything a lookup ever
 // returns, from any process, is byte-equal to a value some process
 // actually inserted for exactly that key. The tests drive that with
 // genuinely concurrent multi-process readers/writers over one segment,
 // plus the attach()-time rejection matrix (truncated, torn, version-
-// mismatched, never-initialized segments must throw ShmCacheError, the
-// signal the fleet runner turns into a cold-cache degrade).
+// mismatched, never-initialized segments and headers whose geometry
+// does not fit the segment must throw ShmCacheError, the signal the
+// runners turn into a cold-store degrade).
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -71,7 +72,9 @@ TEST(ShmCachePropertyTest, InsertLookupRoundtripAndFirstWriterWins) {
   auto cache = ShmQueryCache::create(seg.name);
 
   for (std::uint64_t i = 0; i < 200; ++i)
-    cache->insert(canonicalKey(i), canonicalResult(i));
+    EXPECT_EQ(cache->insert(canonicalKey(i), canonicalResult(i)),
+              InsertOutcome::kPublished)
+        << "entry " << i;
   EXPECT_EQ(cache->entries(), 200u);
 
   for (std::uint64_t i = 0; i < 200; ++i) {
@@ -84,7 +87,8 @@ TEST(ShmCachePropertyTest, InsertLookupRoundtripAndFirstWriterWins) {
   // for an existing key must be ignored, not overwrite.
   SharedQueryResult conflicting = canonicalResult(7);
   conflicting.model.push_back(SharedBinding{"intruder", 8, 0xdeadbeef});
-  cache->insert(canonicalKey(7), conflicting);
+  EXPECT_EQ(cache->insert(canonicalKey(7), conflicting),
+            InsertOutcome::kPresent);
   EXPECT_EQ(*cache->lookup(canonicalKey(7)), canonicalResult(7));
   EXPECT_EQ(cache->entries(), 200u);
 }
@@ -99,9 +103,7 @@ TEST(ShmCachePropertyTest, OversizeEntriesAreDroppedNotTruncated) {
 
   const auto expectDropped = [&](const SharedQueryKey& key,
                                  const SharedQueryResult& result) {
-    const std::uint64_t before = cache->dropped();
-    cache->insert(key, result);
-    EXPECT_EQ(cache->dropped(), before + 1);
+    EXPECT_EQ(cache->insert(key, result), InsertOutcome::kDropped);
     EXPECT_FALSE(cache->lookup(key).has_value());
   };
 
@@ -168,7 +170,7 @@ TEST(ShmCachePropertyTest, MultiProcessReadersWritersNeverFabricate) {
 
   // Parent verification over the whole table: every published entry is
   // canonical, every canonical entry (the slices covered all of them)
-  // is present, and counters are coherent.
+  // is present, and each was published once.
   std::map<SharedQueryKey, SharedQueryResult> canon;
   for (std::uint64_t i = 0; i < kUniverse; ++i)
     canon.emplace(canonicalKey(i), canonicalResult(i));
@@ -197,7 +199,8 @@ TEST(ShmCachePropertyTest, AWriterStoppedBeforePublishingWastesOnlyItsSlot) {
   config.bytes = 1u << 20;
   auto cache = ShmQueryCache::create(seg.name, config);
   const SharedQueryKey stuck = canonicalKey(5);
-  cache->insert(stuck, canonicalResult(5));
+  ASSERT_EQ(cache->insert(stuck, canonicalResult(5)),
+            InsertOutcome::kPublished);
   ASSERT_EQ(cache->entries(), 1u);
 
   const int fd = ::shm_open(seg.name.c_str(), O_RDWR, 0600);
@@ -219,7 +222,8 @@ TEST(ShmCachePropertyTest, AWriterStoppedBeforePublishingWastesOnlyItsSlot) {
   ::close(fd);
 
   EXPECT_FALSE(cache->lookup(stuck).has_value());
-  cache->insert(stuck, canonicalResult(5));
+  EXPECT_EQ(cache->insert(stuck, canonicalResult(5)),
+            InsertOutcome::kPresent);
   EXPECT_FALSE(cache->lookup(stuck).has_value())
       << "a second writer published a key that is already claimed";
   EXPECT_TRUE(cache->sortedEntries().empty());
@@ -234,6 +238,39 @@ TEST(ShmCachePropertyTest, AWriterStoppedBeforePublishingWastesOnlyItsSlot) {
     EXPECT_EQ(*hit, canonicalResult(i)) << "entry " << i;
   }
   EXPECT_EQ(cache->sortedEntries().size(), 200u);
+}
+
+// A published slot whose counts overrun the slot (a foreign writer, a
+// flipped bit) must read as a miss, never be decoded past its end. The
+// slot's prelude is the state word, then keyLen and numBindings (u32
+// each), right before the key hashes.
+TEST(ShmCachePropertyTest, APublishedSlotWithOverrunningCountsReadsAsAMiss) {
+  const ScopedSegment seg(freshName("overrun"));
+  ShmCacheConfig config;
+  config.bytes = 1u << 20;
+  auto cache = ShmQueryCache::create(seg.name, config);
+  const SharedQueryKey key = canonicalKey(6);
+  ASSERT_EQ(cache->insert(key, canonicalResult(6)), InsertOutcome::kPublished);
+
+  const int fd = ::shm_open(seg.name.c_str(), O_RDWR, 0600);
+  ASSERT_GE(fd, 0);
+  void* base = ::mmap(nullptr, config.bytes, PROT_READ | PROT_WRITE,
+                      MAP_SHARED, fd, 0);
+  ASSERT_NE(base, MAP_FAILED);
+  auto* words = static_cast<std::uint64_t*>(base);
+  const std::size_t numWords = config.bytes / sizeof(std::uint64_t);
+  std::size_t keyAt = numWords;
+  for (std::size_t i = 3; i < numWords; ++i)
+    if (words[i] == key.front()) keyAt = i;
+  ASSERT_LT(keyAt, numWords) << "the published key is not in the segment";
+  const std::uint32_t overrun = 0xffffffffu;
+  std::memcpy(reinterpret_cast<char*>(&words[keyAt - 2]) + 4, &overrun,
+              sizeof(overrun));
+  ::munmap(base, config.bytes);
+  ::close(fd);
+
+  EXPECT_FALSE(cache->lookup(key).has_value());
+  EXPECT_TRUE(cache->sortedEntries().empty());
 }
 
 TEST(ShmCacheRejectionTest, MissingSegment) {
@@ -295,6 +332,27 @@ TEST(ShmCacheRejectionTest, TornGeometryAfterTruncation) {
   ASSERT_GE(fd, 0);
   ASSERT_EQ(::ftruncate(fd, 8192), 0);
   ::close(fd);
+  EXPECT_THROW((void)ShmQueryCache::attach(seg.name), ShmCacheError);
+}
+
+TEST(ShmCacheRejectionTest, CapacityWhoseTableSizeWrapsIsRejected) {
+  const ScopedSegment seg(freshName("wrap"));
+  { auto cache = ShmQueryCache::create(seg.name); }
+
+  // Rewrite the capacity (the u64 after the magic, the version and its
+  // padding) to 2^61 slots. A default slot is 2,200 bytes = 8 * 275, so
+  // the table's size 2^61 * 2,200 = 2^64 * 275 wraps to 0 in u64: an
+  // attach that multiplies would accept the header and probe far
+  // outside the mapping.
+  const int fd = ::shm_open(seg.name.c_str(), O_RDWR, 0600);
+  ASSERT_GE(fd, 0);
+  void* base = ::mmap(nullptr, 4096, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+  ASSERT_NE(base, MAP_FAILED);
+  const std::uint64_t wrapping = std::uint64_t{1} << 61;
+  std::memcpy(static_cast<char*>(base) + 16, &wrapping, sizeof(wrapping));
+  ::munmap(base, 4096);
+  ::close(fd);
+
   EXPECT_THROW((void)ShmQueryCache::attach(seg.name), ShmCacheError);
 }
 

@@ -125,7 +125,7 @@ bool parseCommon(int argc, char** argv, int first, Options& options) {
   return true;
 }
 
-void printFleetResult(const FleetResult& fleet) {
+void printFleetResult(const FleetResult& fleet, bool sharing) {
   const ParallelResult& result = fleet.result;
   std::printf("outcome            %s\n",
               std::string(runOutcomeName(result.outcome)).c_str());
@@ -141,11 +141,22 @@ void printFleetResult(const FleetResult& fleet) {
   std::printf("worker deaths      %llu (respawns %llu)\n",
               static_cast<unsigned long long>(fleet.workerDeaths),
               static_cast<unsigned long long>(fleet.respawns));
-  std::printf("shm cache          entries %llu, hits %llu, misses %llu%s\n",
-              static_cast<unsigned long long>(fleet.shmEntries),
-              static_cast<unsigned long long>(fleet.shmHits),
-              static_cast<unsigned long long>(fleet.shmMisses),
-              fleet.shmDegraded ? " (degraded: torn segment discarded)" : "");
+  // This run's shared-store traffic, from the solvers' own counters
+  // (the segment counts only its entries, which a named segment carries
+  // over from earlier fleets).
+  const std::uint64_t sharedQueries =
+      result.stats.get("solver.layer.shared_cache.queries");
+  const std::uint64_t sharedHits =
+      result.stats.get("solver.layer.shared_cache.hits");
+  if (sharing)
+    std::printf("shm cache          entries %llu, hits %llu, misses %llu%s\n",
+                static_cast<unsigned long long>(fleet.shmEntries),
+                static_cast<unsigned long long>(sharedHits),
+                static_cast<unsigned long long>(sharedQueries - sharedHits),
+                fleet.shmDegraded ? " (degraded: torn segment discarded)"
+                                  : "");
+  else
+    std::printf("shm cache          off\n");
   std::printf("wall seconds       %.3f\n", result.wallSeconds);
   std::printf("fingerprint digest %016llx\n",
               static_cast<unsigned long long>(result.fingerprintDigest()));
@@ -213,7 +224,7 @@ int launch(const fs::path& dir, const Options& options, bool resume) {
                 dir.string().c_str());
     return 3;
   }
-  printFleetResult(result);
+  printFleetResult(result, options.shmCache);
   return result.result.outcome == RunOutcome::kCompleted ? 0 : 2;
 }
 
