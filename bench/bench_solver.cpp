@@ -283,7 +283,7 @@ void runSharedCacheExperiment(bool quick) {
     ParallelConfig parallel;
     parallel.workers = 4;
     parallel.collectTestcases = true;
-    parallel.sharedQueryCache = shared;
+    parallel.shmQueryCache = shared;
     const trace::PartitionedCollectResult run =
         trace::runCollectPartitioned(config, parallel, /*vars=*/2);
     std::uint64_t selfNanos = 0;

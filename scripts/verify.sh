@@ -101,9 +101,33 @@ test "$STATES_ON" -lt "$STATES_OFF" \
   || { echo "merging did not reduce states: on=$STATES_ON off=$STATES_OFF"; exit 1; }
 echo "merge smoke: testcase digest $TC_OFF on both, states $STATES_OFF -> $STATES_ON"
 
+echo "=== cross-runner resume smoke: a fleet directory resumed by the thread runner ==="
+# Both runners run every job through one job runner over one directory
+# layout. Launch a fleet, delete one job's .done and corrupt another's
+# fingerprint count, then resume the directory with the thread runner
+# (sde_checkpoint): both jobs re-run, and the digest is the launch's.
+RESUME_SMOKE=$(mktemp -d)
+trap 'rm -rf "$TRACE_SMOKE" "$FLEET_SMOKE" "$RESUME_SMOKE"' EXIT
+./build/tools/sde_fleet launch "$RESUME_SMOKE/run" --processes 2 \
+  --nodes '5*5' --time 4000 --vars 2 --testcases > "$RESUME_SMOKE/launch.out"
+rm "$RESUME_SMOKE/run/job_0.done"
+# A .done file's scenario-fingerprint count is the u64 at byte 73; bit 0
+# of its top byte makes the count overrun the file.
+printf '\x01' | dd of="$RESUME_SMOKE/run/job_1.done" bs=1 seek=80 \
+  conv=notrunc status=none
+./build/tools/sde_checkpoint resume "$RESUME_SMOKE/run" --workers 2 \
+  --testcases > "$RESUME_SMOKE/resume.out"
+D_LAUNCH=$(grep -oE 'fingerprint digest +[0-9a-f]{16}' \
+  "$RESUME_SMOKE/launch.out" | grep -oE '[0-9a-f]{16}$' || true)
+D_RESUME=$(grep -oE 'fingerprint digest +[0-9a-f]{16}' \
+  "$RESUME_SMOKE/resume.out" | grep -oE '[0-9a-f]{16}$' || true)
+test -n "$D_LAUNCH" && test -n "$D_RESUME" && test "$D_LAUNCH" = "$D_RESUME" \
+  || { echo "cross-runner resume mismatch: launch='$D_LAUNCH' resume='$D_RESUME'"; exit 1; }
+echo "cross-runner resume: fingerprint digest $D_LAUNCH on both"
+
 echo "=== serve smoke: submit, SIGKILL the daemon mid-job, restart, digests match direct runs ==="
 SERVE_SMOKE=$(mktemp -d)
-trap 'rm -rf "$TRACE_SMOKE" "$FLEET_SMOKE" "$SERVE_SMOKE"' EXIT
+trap 'rm -rf "$TRACE_SMOKE" "$FLEET_SMOKE" "$RESUME_SMOKE" "$SERVE_SMOKE"' EXIT
 SERVE_SOCK="$SERVE_SMOKE/root/serve.sock"
 # A stale socket file from a killed daemon still exists while the new
 # daemon rebinds, so wait with a real status round trip, not -S.
@@ -137,13 +161,13 @@ SERVE_D1=$(./build/tools/sde_submit fetch "$SERVE_SOCK" 1 digest.txt)
 SERVE_D2=$(./build/tools/sde_submit fetch "$SERVE_SOCK" 2 digest.txt)
 ./build/tools/sde_submit shutdown "$SERVE_SOCK"
 wait "$SERVE_PID"
-# Reference digests from direct fleet runs of the identical plans
-# (shm cache off to mirror the service runner's configuration; the
-# digest is cache-invariant either way).
+# Reference digests from direct fleet runs of the identical plans (the
+# shared store on, as in the service runner; the digest is
+# store-invariant either way).
 ./build/tools/sde_fleet launch "$SERVE_SMOKE/d1" --processes 2 --vars 2 \
-  --nodes '5*5' --time 12000 --no-shm-cache > "$SERVE_SMOKE/d1.out"
+  --nodes '5*5' --time 12000 > "$SERVE_SMOKE/d1.out"
 ./build/tools/sde_fleet launch "$SERVE_SMOKE/d2" --processes 2 --vars 2 \
-  --nodes '4*4' --time 3000 --no-shm-cache > "$SERVE_SMOKE/d2.out"
+  --nodes '4*4' --time 3000 > "$SERVE_SMOKE/d2.out"
 # digest.txt is decimal, sde_fleet prints hex; bash $(( )) wraps both
 # mod 2^64 identically, so -eq compares the full u64.
 DIRECT_D1=$(( 16#$(grep -o 'digest [0-9a-f]*' "$SERVE_SMOKE/d1.out" | head -1 | cut -d' ' -f2) ))
@@ -154,7 +178,7 @@ echo "serve digests survive SIGKILL+restart: job1=$SERVE_D1 job2=$SERVE_D2"
 
 echo "=== metrics smoke: daemon-fetched counters == post-run stats dump, Prometheus parses ==="
 METRICS_SMOKE=$(mktemp -d)
-trap 'rm -rf "$TRACE_SMOKE" "$FLEET_SMOKE" "$SERVE_SMOKE" "$METRICS_SMOKE"' EXIT
+trap 'rm -rf "$TRACE_SMOKE" "$FLEET_SMOKE" "$RESUME_SMOKE" "$SERVE_SMOKE" "$METRICS_SMOKE"' EXIT
 METRICS_SOCK="$METRICS_SMOKE/root/serve.sock"
 metrics_wait() {
   for _ in $(seq 100); do
@@ -247,14 +271,18 @@ echo "=== tsan: configure + build (SDE_SANITIZE=thread) ==="
 cmake -B build-tsan -S . -DSDE_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j --target support_tests sde_tests snapshot_tests \
-  merge_tests solver_tests
+  merge_tests solver_tests fleet_tests
 
 echo "=== tsan: thread pool + parallel execution + resume tests ==="
 # The parallel runs share one shm query store between their pool
-# threads, so *Parallel* drives the store from threads too.
+# threads, so *Parallel* drives the store from threads too. The /Threads
+# resume cases run the job runner both runners share on pool threads,
+# over a seeded store and over a corrupt .done file.
 ./build-tsan/tests/support_tests --gtest_filter='*ThreadPool*'
 ./build-tsan/tests/sde_tests --gtest_filter='*Parallel*'
 ./build-tsan/tests/snapshot_tests --gtest_filter='*Resume*:*CrashRecovery*'
+./build-tsan/tests/fleet_tests \
+  --gtest_filter='*/SharedStoreResumeTest.*/Threads:*/DoneFileResumeTest.*/Threads'
 
 echo "=== tsan: shared query store from the threads of one process ==="
 ./build-tsan/tests/solver_tests \

@@ -92,7 +92,6 @@ void Engine::boot() {
     states_.push_back(std::move(state));
   }
   stats_.set(statId<"engine.initial_states">(), initial.size());
-  if (sharedCaps_ != nullptr) sharedCaps_->noteStatesCreated(initial.size());
   mapper_->registerInitialStates(initial);
   for (ExecutionState* state : initial) {
     scheduler_.registerState(*state);
@@ -135,7 +134,6 @@ ExecutionState& Engine::cloneInternal(ExecutionState& original) {
   stats_.add(statId<"engine.fork_copied_elements">(), lastForkCopiedElements_);
   stats_.add(statId<"engine.fork_shared_chunks">(), lastForkSharedChunks_);
   stats_.maxOf(statId<"engine.peak_states">(), states_.size());
-  if (sharedCaps_ != nullptr) sharedCaps_->noteStatesCreated(1);
   return ref;
 }
 
@@ -596,8 +594,6 @@ std::optional<RunOutcome> Engine::checkCaps() {
   // checkpoint written NOW, not after more exploration.
   if (suspendRequested_.load(std::memory_order_relaxed))
     return RunOutcome::kSuspended;
-  if (sharedCaps_ != nullptr)
-    if (const auto shared = sharedCaps_->check()) return *shared;
   if (config_.maxStates != 0 && states_.size() >= config_.maxStates)
     return RunOutcome::kAbortedStates;
   if (config_.maxEvents != 0 && eventsProcessed_ >= config_.maxEvents)
@@ -642,18 +638,9 @@ RunOutcome Engine::run(std::uint64_t untilVirtualTime) {
     if (eventsProcessed_ >= nextSampleAt) {
       // The memory cap is checked at sampling points only, so it may
       // overshoot by up to one gap (DESIGN.md §9).
-      if (config_.maxSimulatedMemoryBytes != 0 ||
-          (sharedCaps_ != nullptr && sharedCaps_->tracksMemory())) {
+      if (config_.maxSimulatedMemoryBytes != 0) {
         obs::ScopedPhase phase(profiler_, obs::Phase::kSampling);
-        const std::uint64_t memory = simulatedMemoryBytes();
-        if (sharedCaps_ != nullptr && sharedCaps_->tracksMemory()) {
-          sharedCaps_->noteMemoryDelta(
-              static_cast<std::int64_t>(memory) -
-              static_cast<std::int64_t>(lastReportedMemoryBytes_));
-          lastReportedMemoryBytes_ = memory;
-        }
-        if (config_.maxSimulatedMemoryBytes != 0 &&
-            memory >= config_.maxSimulatedMemoryBytes) {
+        if (simulatedMemoryBytes() >= config_.maxSimulatedMemoryBytes) {
           outcome = RunOutcome::kAbortedMemory;
           break;
         }
@@ -788,9 +775,6 @@ RunOutcome Engine::run(std::uint64_t untilVirtualTime) {
     // captures the exact abort point, so a resumed run (with the cap
     // lifted) completes as if never interrupted.
     if (checkpointSink_) checkpointSink_(*this);
-    // A locally tripped cap aborts the whole fleet: partition jobs are
-    // only comparable when every job saw the same caps fire.
-    if (sharedCaps_ != nullptr) sharedCaps_->latch(outcome);
   }
   return outcome;
 }

@@ -38,17 +38,15 @@ struct EngineConfig {
   // Virtual-time units a packet spends in flight per hop.
   std::uint64_t linkLatency = 1;
   // Resource caps emulating the paper's 40 GB abort of COB (0 = off).
+  // They are per engine, so in a partitioned run each job stops at its
+  // own cap; the abort-time checkpoint lets a resume built without the
+  // cap finish the job as if never interrupted.
   std::uint64_t maxStates = 0;
   std::uint64_t maxSimulatedMemoryBytes = 0;
   std::uint64_t maxEvents = 0;  // guards against event storms (broadcast
                                 // loops produce exponentially many packets
                                 // without creating new states)
   double maxWallSeconds = 0;
-  // Worker threads of the parallel execution mode (sde/parallel.hpp).
-  // Each Engine instance stays single-threaded; this is the fleet size
-  // the partitioned runner spreads jobs over. 1 = current sequential
-  // behavior.
-  unsigned workers = 1;
   // Metric sampling / memory-cap checking cadence, in processed events.
   std::uint64_t sampleEveryEvents = 16;
   // Grow the sampling gap with the state count: max(sampleEveryEvents,
@@ -95,83 +93,6 @@ enum class RunOutcome : std::uint8_t {
 
 [[nodiscard]] std::string_view runOutcomeName(RunOutcome outcome);
 
-// Fleet-wide resource caps for a partitioned run (the paper's 40 GB
-// cap-abort semantics, §IV-B, lifted to many engines): every engine
-// checks the abort latch on each event, contributes its state count and
-// sampled memory to the fleet totals, and the first worker to trip a
-// cap latches the abort for everyone. All members are lock-free;
-// engines on other threads observe the latch at their next event.
-class SharedCaps {
- public:
-  SharedCaps(std::uint64_t maxTotalStates, std::uint64_t maxTotalMemoryBytes,
-             double maxWallSeconds)
-      : maxTotalStates_(maxTotalStates),
-        maxTotalMemoryBytes_(maxTotalMemoryBytes),
-        maxWallSeconds_(maxWallSeconds),
-        start_(std::chrono::steady_clock::now()) {}
-
-  void noteStatesCreated(std::uint64_t n) {
-    totalStates_.fetch_add(n, std::memory_order_relaxed);
-  }
-  // Engines report the change in their simulated-memory footprint at
-  // sampling points (the same cadence the single-threaded memory cap
-  // uses).
-  void noteMemoryDelta(std::int64_t delta) {
-    totalMemory_.fetch_add(delta, std::memory_order_relaxed);
-  }
-
-  // Latches `reason` if no abort is latched yet (first cap wins).
-  void latch(RunOutcome reason) {
-    std::uint8_t expected = kNotLatched;
-    latched_.compare_exchange_strong(expected,
-                                     static_cast<std::uint8_t>(reason),
-                                     std::memory_order_relaxed);
-  }
-
-  // Called by every engine on every event: the latched abort, or a
-  // freshly tripped cap (which this call latches).
-  [[nodiscard]] std::optional<RunOutcome> check() {
-    const std::uint8_t latched = latched_.load(std::memory_order_relaxed);
-    if (latched != kNotLatched) return static_cast<RunOutcome>(latched);
-    if (maxTotalStates_ != 0 &&
-        totalStates_.load(std::memory_order_relaxed) >= maxTotalStates_) {
-      latch(RunOutcome::kAbortedStates);
-    } else if (maxTotalMemoryBytes_ != 0 &&
-               totalMemory_.load(std::memory_order_relaxed) >=
-                   static_cast<std::int64_t>(maxTotalMemoryBytes_)) {
-      latch(RunOutcome::kAbortedMemory);
-    } else if (maxWallSeconds_ != 0 &&
-               std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start_)
-                       .count() >= maxWallSeconds_) {
-      latch(RunOutcome::kAbortedWallTime);
-    } else {
-      return std::nullopt;
-    }
-    return static_cast<RunOutcome>(latched_.load(std::memory_order_relaxed));
-  }
-
-  [[nodiscard]] bool aborted() const {
-    return latched_.load(std::memory_order_relaxed) != kNotLatched;
-  }
-  // Whether engines need to meter memory for these caps at all.
-  [[nodiscard]] bool tracksMemory() const { return maxTotalMemoryBytes_ != 0; }
-  [[nodiscard]] std::uint64_t totalStates() const {
-    return totalStates_.load(std::memory_order_relaxed);
-  }
-
- private:
-  static constexpr std::uint8_t kNotLatched = 0xFF;
-
-  std::uint64_t maxTotalStates_;
-  std::uint64_t maxTotalMemoryBytes_;
-  double maxWallSeconds_;
-  std::chrono::steady_clock::time_point start_;
-  std::atomic<std::uint64_t> totalStates_{0};
-  std::atomic<std::int64_t> totalMemory_{0};
-  std::atomic<std::uint8_t> latched_{kNotLatched};
-};
-
 class Engine {
  public:
   Engine(const os::NetworkPlan& plan, MapperKind mapperKind,
@@ -197,17 +118,14 @@ class Engine {
   // variable name ("n<node>.<label>.<k>") appears here are not forked —
   // the engine takes only the mapped branch (true = the failure branch)
   // and adds the same path constraint the corresponding branch of an
-  // unfiltered run would carry. This is how the parallel runner turns
-  // one exploration into disjoint partition jobs, and how a recorded
-  // decision log replays a specific dscenario.
+  // unfiltered run would carry. This is how the job runner of both
+  // partitioned runners (runPartitionJob) turns one exploration into
+  // disjoint partition jobs, and how a recorded decision log replays a
+  // specific dscenario.
   void setDecisionFilter(
       std::unordered_map<std::string, bool> forcedDecisions) {
     decisionFilter_ = std::move(forcedDecisions);
   }
-
-  // Attaches fleet-wide caps (cooperative abort across the engines of a
-  // partitioned run). The SharedCaps object must outlive all runs.
-  void setSharedCaps(SharedCaps* caps) { sharedCaps_ = caps; }
 
   // Cooperative external suspend: the current (or next) run() returns
   // RunOutcome::kSuspended at its next event boundary, after triggering
@@ -424,7 +342,6 @@ class Engine {
   std::uint64_t lastCheckpointAt_ = 0;  // not serialized: a resumed run
                                         // restarts its cadence
   std::unordered_map<std::string, bool> decisionFilter_;
-  SharedCaps* sharedCaps_ = nullptr;
   std::atomic<bool> suspendRequested_{false};
   obs::TraceSink* trace_ = nullptr;
   obs::PhaseProfiler* profiler_ = nullptr;
@@ -433,7 +350,6 @@ class Engine {
   // re-report a termination, which the validator tolerates for resumed
   // streams).
   std::unordered_set<StateId> traceTerminated_;
-  std::uint64_t lastReportedMemoryBytes_ = 0;
   support::StatsRegistry stats_;
   InterpSink interpSink_;
   Runtime mapperRuntime_;

@@ -15,11 +15,9 @@
 #include <csignal>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 
 #include "obs/metrics_shm.hpp"
-#include "obs/trace_io.hpp"
 #include "snapshot/manifest.hpp"
 #include "snapshot/shared_cache_io.hpp"
 #include "solver/shm_cache.hpp"
@@ -31,6 +29,13 @@ namespace {
 
 namespace fs = std::filesystem;
 using support::statId;
+
+// Replacement workers forked across the whole run before the
+// coordinator gives up with FleetError.
+constexpr std::uint64_t kMaxWorkerRestarts = 16;
+// No frame from any worker for this long: the fleet is declared wedged,
+// its workers are killed and FleetError is thrown.
+constexpr int kWatchdogSeconds = 120;
 
 // ---------------------------------------------------------------------------
 // Frame protocol. Every message is one fixed-size length-prefixed frame
@@ -158,7 +163,6 @@ struct WorkerContext {
   // found done, plus the phase profiles of the jobs it ran.
   obs::ShmMetricsPlane* metricsPlane = nullptr;
   support::StatsRegistry finished;
-  ParallelConfig pc;  // collect flags for collectJobResult
 
   FrameReader reader;
   std::uint32_t next = 0;
@@ -263,107 +267,27 @@ void workerDrainCommands(WorkerContext& w) {
   }
 }
 
-// Runs the job at w.next. Returns true if the run was interrupted by a
-// fleet suspend (checkpoint written, kSuspended reported — the caller
-// must exit instead of advancing).
+// Runs the job at w.next through the job runner both runners share,
+// adding what only a fleet worker does: the chaos hooks, the live
+// metrics, the protocol pump and the suspend handle. Returns true if
+// the run was interrupted by a fleet suspend (checkpoint written,
+// kSuspended reported — the caller must exit instead of advancing).
 bool workerRunOneJob(WorkerContext& w) {
   const PartitionJob& job = w.plan->jobs[w.next];
   const FleetConfig& config = *w.config;
   if (config.chaos.beforeJob) config.chaos.beforeJob(w.slot, job.id);
 
-  const fs::path dir = config.checkpointDir;
-  const fs::path done = snapshot::jobDonePath(dir, job.id);
-  const fs::path ckpt = snapshot::jobCheckpointPath(dir, job.id);
-
-  bool executed = false;
-  RunOutcome outcome = RunOutcome::kCompleted;
-  std::uint64_t states = 0;
-  std::uint64_t events = 0;
-  bool haveResult = false;
-  // Completed jobs are never re-run — re-leasing after a crash is
-  // idempotent because this check precedes any engine construction.
-  if (fs::exists(done)) {
-    try {
-      const JobResult prior = snapshot::readJobResultFile(done);
-      outcome = prior.outcome;
-      states = prior.states;
-      events = prior.events;
-      haveResult = true;
-      w.finished.mergeFrom(prior.stats);
-      workerPublishMetrics(w);
-    } catch (const snapshot::SnapshotError&) {
-      // Torn .done (hard machine crash): re-run the job.
-    }
-  }
-
-  if (!haveResult) {
-    executed = true;
-    const auto makeEngine = [&] {
-      std::unique_ptr<Engine> engine = (*w.factory)(job);
-      SDE_ASSERT(engine != nullptr, "engine factory returned null");
-      engine->setDecisionFilter(std::unordered_map<std::string, bool>(
-          job.forced.begin(), job.forced.end()));
-      engine->solver().setSharedCache(w.shared);
-      return engine;
-    };
-    std::unique_ptr<Engine> engine = makeEngine();
-
-    // Per-job wall-clock attribution, added to the finished totals after
-    // the run. Digest-safe: profiler output never feeds the engine's
-    // registries.
-    obs::PhaseProfiler metricsProfiler;
-    if (w.metricsPlane != nullptr) engine->setProfiler(&metricsProfiler);
-
-    // Tracing: sink installed before restore so a resumed job continues
-    // the suspended run's sequence numbering (same as the thread
-    // runner).
-    std::ofstream traceOs;
-    std::unique_ptr<obs::StreamTraceSink> traceSink;
-    if (!config.traceDir.empty()) {
-      traceOs.open(jobTracePath(config.traceDir, job.id),
-                   std::ios::binary | std::ios::trunc);
-      obs::TraceHeader header;
-      header.numNodes = engine->topology().numNodes();
-      header.stream = job.id;
-      header.mapper = std::string(engine->mapper().name());
-      header.scenario = config.scenarioSpec;
-      traceSink = std::make_unique<obs::StreamTraceSink>(traceOs, header);
-      engine->setTraceSink(traceSink.get());
-    }
-
-    // Any checkpoint present belongs to this run (the coordinator
-    // cleared foreign files at startup): resume it — this is both the
-    // config.resume path and the cheap continuation of a re-leased job
-    // whose previous owner was killed mid-shard.
-    if (fs::exists(ckpt)) {
-      try {
-        std::ifstream in(ckpt, std::ios::binary);
-        engine->restore(in);
-      } catch (const snapshot::SnapshotError&) {
-        engine = makeEngine();  // torn checkpoint: restart from scratch
-        if (traceSink != nullptr) engine->setTraceSink(traceSink.get());
-        if (w.metricsPlane != nullptr) engine->setProfiler(&metricsProfiler);
-      }
-    }
-    // Visible to the command pump so a kSuspendFleet arriving mid-run
-    // aborts this engine; a suspend that raced job startup is applied
-    // here instead of being lost.
-    w.runningEngine = engine.get();
-    if (w.suspend) engine->requestSuspend();
-
-    engine->setCheckpointSink(
-        [&](const Engine& e) {
-          snapshot::atomicWriteFile(ckpt,
-                                    [&](std::ostream& os) { e.checkpoint(os); });
-          if (config.chaos.onCheckpoint)
-            config.chaos.onCheckpoint(w.slot, job.id);
-        },
-        config.checkpointEveryEvents);
-
+  // Per-job wall-clock attribution, added to the finished totals after
+  // the run. Digest-safe: profiler output never feeds the engine's
+  // registries.
+  obs::PhaseProfiler metricsProfiler;
+  std::uint64_t lastStatusEvents = 0;
+  JobHooks hooks;
+  hooks.onEngine = [&](Engine& engine) {
+    if (w.metricsPlane != nullptr) engine.setProfiler(&metricsProfiler);
     // The sampler hook doubles as the mid-job protocol pump: answer
     // steals and refresh the coordinator's mirror of our frontier.
-    std::uint64_t lastStatusEvents = 0;
-    engine->setSampler([&](const Engine& e) {
+    engine.setSampler([&](const Engine& e) {
       workerDrainCommands(w);
       if (e.eventsProcessed() - lastStatusEvents >=
           std::max<std::uint64_t>(1, config.statusEveryEvents)) {
@@ -378,61 +302,41 @@ bool workerRunOneJob(WorkerContext& w) {
         workerPublishMetrics(w, &e);
       }
     });
+    // Visible to the command pump so a kSuspendFleet arriving mid-run
+    // aborts this engine; a suspend that raced job startup is applied
+    // here instead of being lost.
+    w.runningEngine = &engine;
+    if (w.suspend) engine.requestSuspend();
+  };
+  if (config.chaos.onCheckpoint)
+    hooks.onCheckpoint = [&] { config.chaos.onCheckpoint(w.slot, job.id); };
 
-    outcome = engine->run(w.pc.horizon);
-    w.runningEngine = nullptr;
-    if (outcome == RunOutcome::kSuspended) {
-      // The abort path already wrote the checkpoint. Report and bail —
-      // no result extraction for a job that is deliberately unfinished.
-      if (traceSink != nullptr) {
-        engine->setTraceSink(nullptr);
-        try {
-          traceSink->close();
-        } catch (const obs::TraceError& e) {
-          support::logError("trace", e.what());
-        }
-      }
-      metricsProfiler.profile().toStats(w.finished);
-      workerPublishMetrics(w, engine.get());
-      Frame suspendedFrame;
-      suspendedFrame.type = FrameType::kSuspended;
-      suspendedFrame.a = job.id;
-      suspendedFrame.c = engine->numStates();
-      suspendedFrame.d = engine->eventsProcessed();
-      workerSend(w, suspendedFrame);
-      return true;
-    }
-    const JobResult result = collectJobResult(*engine, job, w.pc, outcome);
-    if (traceSink != nullptr) {
-      engine->setTraceSink(nullptr);
-      try {
-        traceSink->close();
-      } catch (const obs::TraceError& e) {
-        support::logError("trace", e.what());
-      }
-    }
-    if (outcome == RunOutcome::kCompleted) {
-      snapshot::writeJobResultFile(done, result);
-      std::error_code ec;
-      fs::remove(ckpt, ec);  // superseded by the .done file
-      // Only completed jobs reach the post-run merge, through their .done
-      // files; a cap-aborted job resumes with its counts restored.
-      w.finished.mergeFrom(result.stats);
-    }
-    states = result.states;
-    events = result.events;
-    metricsProfiler.profile().toStats(w.finished);
-    workerPublishMetrics(w);
+  const JobRun run = runPartitionJob(*w.factory, job, config, w.shared, hooks);
+  w.runningEngine = nullptr;
+  const JobResult& result = run.result;
+  // Only completed jobs reach the post-run merge, through their .done
+  // files; a cap-aborted job resumes with its counts restored. A
+  // suspended job's counts stay in the live view: this worker exits
+  // next.
+  if (result.outcome == RunOutcome::kCompleted ||
+      result.outcome == RunOutcome::kSuspended)
+    w.finished.mergeFrom(result.stats);
+  if (run.executed) metricsProfiler.profile().toStats(w.finished);
+  workerPublishMetrics(w);
+
+  Frame frame;
+  frame.a = job.id;
+  frame.c = result.states;
+  frame.d = result.events;
+  if (result.outcome == RunOutcome::kSuspended) {
+    frame.type = FrameType::kSuspended;
+    workerSend(w, frame);
+    return true;
   }
-
-  Frame doneFrame;
-  doneFrame.type = FrameType::kJobDone;
-  doneFrame.a = job.id;
-  doneFrame.b = (executed ? 1u : 0u) |
-                (static_cast<std::uint32_t>(outcome) << 8);
-  doneFrame.c = states;
-  doneFrame.d = events;
-  workerSend(w, doneFrame);
+  frame.type = FrameType::kJobDone;
+  frame.b = (run.executed ? 1u : 0u) |
+            (static_cast<std::uint32_t>(result.outcome) << 8);
+  workerSend(w, frame);
   ++w.next;
   return false;
 }
@@ -531,14 +435,6 @@ class Coordinator {
          {statId<"fleet.steals">(), statId<"fleet.respawns">(),
           statId<"fleet.worker_deaths">(), statId<"fleet.suspends">()})
       coordinatorStats_.add(id, 0);
-    pc_.horizon = config.horizon;
-    pc_.collectScenarioFingerprints = config.collectScenarioFingerprints;
-    pc_.collectStateFingerprints = config.collectStateFingerprints;
-    pc_.collectTestcases = config.collectTestcases;
-    pc_.checkpointDir = config.checkpointDir;
-    pc_.checkpointEveryEvents = config.checkpointEveryEvents;
-    pc_.scenarioSpec = config.scenarioSpec;
-    pc_.traceDir = config.traceDir;
   }
 
   ~Coordinator() { killAll(); }
@@ -681,7 +577,6 @@ class Coordinator {
       w.config = &config_;
       w.shared = shm_;
       w.metricsPlane = metricsPlane_;
-      w.pc = pc_;
       try {
         workerMain(w);
       } catch (...) {
@@ -769,12 +664,11 @@ class Coordinator {
     }
     if (activity) {
       lastActivity_ = std::chrono::steady_clock::now();
-    } else if (config_.watchdogSeconds > 0 &&
-               std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             lastActivity_)
-                       .count() > config_.watchdogSeconds) {
+    } else if (std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - lastActivity_)
+                   .count() > kWatchdogSeconds) {
       throw FleetError("fleet watchdog: no worker progress for " +
-                       std::to_string(config_.watchdogSeconds) + "s");
+                       std::to_string(kWatchdogSeconds) + "s");
     }
   }
 
@@ -969,7 +863,7 @@ class Coordinator {
   }
 
   [[nodiscard]] bool respawnPossible() const {
-    return result_.respawns < config_.maxWorkerRestarts;
+    return result_.respawns < kMaxWorkerRestarts;
   }
 
   void reapAll() {
@@ -1034,7 +928,7 @@ class Coordinator {
         job.events = report.events;
       }
     }
-    finalizeParallelResult(pr, plan_, pc_);
+    finalizeParallelResult(pr, plan_, config_);
   }
 
   const EngineFactory& factory_;
@@ -1044,7 +938,6 @@ class Coordinator {
   obs::ShmMetricsPlane* metricsPlane_;
   // The coordinator's own counters (fleet.*), published into slot 0.
   support::StatsRegistry coordinatorStats_;
-  ParallelConfig pc_;
 
   std::vector<SlotState> slots_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pool_;

@@ -6,9 +6,11 @@
 // jobs over N forked worker *processes* — the test-depth/prefix
 // partitioning view: the 2^B partition jobs are a prefix enumeration of
 // the failure-decision space, and a *shard* is a contiguous job-id
-// range a worker leases. Because each job is a complete shared-nothing
-// engine run, a worker process needs nothing from anyone else to make
-// progress; everything cross-process is coordination:
+// range a worker leases. A worker runs each job through runPartitionJob,
+// the job runner a pool thread of the thread runner uses too. Because
+// each job is a complete shared-nothing engine run, a worker process
+// needs nothing from anyone else to make progress; everything
+// cross-process is coordination:
 //
 //   * Durable job queue. The PR 2 checkpoint substrate IS the queue:
 //     the run directory's manifest fixes the job table, `job_<id>.ckpt`
@@ -40,8 +42,9 @@
 //
 //   * Death handling. POLLHUP/EOF on a status pipe → drain, waitpid,
 //     re-lease the mirror range to the pool, fork a replacement (up to
-//     maxWorkerRestarts). Workers set PR_SET_PDEATHSIG so a dead
-//     coordinator reaps its fleet instead of leaking it.
+//     16 per run). Workers set PR_SET_PDEATHSIG so a dead coordinator
+//     reaps its fleet instead of leaking it; a fleet that sends no frame
+//     for 120 s is declared wedged.
 //
 //   * Shared query store (solver/shm_cache.hpp), the same one the
 //     thread runner uses, opened through the same path
@@ -103,15 +106,20 @@ struct FleetChaos {
   std::function<void(unsigned slot, std::uint32_t jobId)> onCheckpoint;
 };
 
-struct FleetConfig {
-  unsigned processes = 1;     // worker processes to fork
-  std::uint64_t horizon = 0;  // virtual-time horizon passed to run()
+// The fleet's settings on top of the run settings both runners share
+// (RunConfig, sde/parallel.hpp). checkpointDir is REQUIRED here — the
+// durable job queue lives there, in the thread runner's durable layout,
+// so sde_checkpoint understands fleet runs. A resume also seeds the
+// shared store from the shared_cache.bin sidecar (written when a run
+// returns).
+struct FleetConfig : RunConfig {
+  unsigned processes = 1;  // worker processes to fork
   // --- Graceful suspend (the embed-able coordinator API) ---------------------
   // Polled by the coordinator between protocol rounds (~5x/s). Returning
   // true triggers a fleet-wide graceful suspend: every worker checkpoints
   // its in-flight job (engine abort path -> job_<id>.ckpt) and exits
   // cleanly, runFleet returns with FleetResult::suspended set, and a
-  // later run with FleetConfig::resume finishes the run losslessly —
+  // later run with RunConfig::resume finishes the run losslessly —
   // same digest as an uninterrupted run. This is how an embedding
   // service preempts a fleet without losing work.
   std::function<bool()> stopRequested;
@@ -120,21 +128,12 @@ struct FleetConfig {
   // daemon-managed fleet processes: SIGTERM means "checkpoint and yield",
   // SIGKILL still degrades to the crash-recovery path.
   bool installSigtermSuspend = false;
-  bool collectScenarioFingerprints = true;
-  bool collectStateFingerprints = true;
-  bool collectTestcases = false;
-  // The shared query store. Off runs every worker with fully isolated
-  // caches; exploration results are identical either way (the digest
-  // gate of fleet_equivalence_test). The store's traffic is counted in
-  // each solver's stats (solver.layer.shared_cache.{queries,hits}) and
-  // so reaches result.stats like every other counter.
-  bool shmQueryCache = true;
-  // POSIX shm name of the segment ("/sde_qc_..."). Empty makes the
-  // segment run-private (see snapshot::openSharedStore). When a segment
-  // of this name already exists, the coordinator attaches it (a warm
-  // store across fleets); a torn/foreign/stale segment is unlinked and
-  // replaced by a fresh cold one (FleetResult::shmDegraded). The name
-  // outlives the run.
+  // POSIX shm name of the shared query store's segment ("/sde_qc_...").
+  // Empty makes the segment run-private (see snapshot::openSharedStore).
+  // When a segment of this name already exists, the coordinator attaches
+  // it (a warm store across fleets); a torn/foreign/stale segment is
+  // unlinked and replaced by a fresh cold one (FleetResult::shmDegraded).
+  // The name outlives the run.
   std::string shmName;
   // --- Live metrics plane (obs/metrics.hpp + obs/metrics_shm.hpp) -----------
   // On: each worker seqlock-publishes, into its slot of a POSIX shm
@@ -153,35 +152,12 @@ struct FleetConfig {
   // mapped. An embedding service passes a deterministic name so it can
   // attach mid-run; that name is unlinked when the run returns.
   std::string metricsShmName;
-  // REQUIRED — the durable job queue lives here (manifest, .ckpt/.done
-  // files; see snapshot/manifest.hpp). Same layout as the thread
-  // runner's durable mode, so sde_checkpoint understands fleet runs.
-  std::string checkpointDir;
-  std::uint64_t checkpointEveryEvents = 256;
-  // Resume from checkpointDir: .done jobs load instead of running,
-  // suspended jobs continue from their .ckpt, the shared store seeds
-  // from the shared_cache.bin sidecar (written when a run returns).
-  // Manifest mismatch throws.
-  bool resume = false;
-  std::string scenarioSpec;
-  // Non-empty: per-job trace files (trace_job<id>.trc) merged into
-  // <traceDir>/merged.trc after the run, exactly like the thread
-  // runner. Note: with a live shared cache, kSolverQuery layer
-  // attribution is timing-dependent — byte-compare merged traces only
-  // with the cache off (digests are safe either way).
-  std::string traceDir;
   // Status-frame cadence, in processed events per worker.
   std::uint64_t statusEveryEvents = 256;
   // Initial shard leases as contiguous [lo, hi) job-id ranges, one per
   // worker slot (tests use this to force skew). Empty = even split.
   // Ranges must be disjoint and cover all jobs.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> initialLeases;
-  // Replacement workers forked across the whole run before the
-  // coordinator gives up with FleetError.
-  unsigned maxWorkerRestarts = 16;
-  // No frame from any worker for this long → the fleet is declared
-  // wedged: workers are killed and FleetError thrown. 0 disables.
-  double watchdogSeconds = 120;
   FleetChaos chaos;
 };
 

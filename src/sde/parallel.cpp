@@ -23,7 +23,7 @@
 namespace sde {
 
 JobResult collectJobResult(Engine& engine, const PartitionJob& job,
-                           const ParallelConfig& config, RunOutcome outcome) {
+                           const RunConfig& config, RunOutcome outcome) {
   JobResult result;
   result.jobId = job.id;
   result.outcome = outcome;
@@ -151,7 +151,7 @@ std::string jobTracePath(const std::string& traceDir, std::uint32_t jobId) {
 }
 
 void finalizeParallelResult(ParallelResult& result, const PartitionPlan& plan,
-                            const ParallelConfig& config) {
+                            const RunConfig& config) {
   namespace fs = std::filesystem;
   std::set<std::uint64_t> scenarioPrints;
   std::set<std::uint64_t> statePrints;
@@ -321,20 +321,113 @@ std::vector<std::string> expandedScenarioTestcases(
   return result;
 }
 
+JobRun runPartitionJob(const EngineFactory& factory, const PartitionJob& job,
+                      const RunConfig& config, solver::ShmQueryCache* shared,
+                      const JobHooks& hooks) {
+  namespace fs = std::filesystem;
+  JobRun run;
+  const bool durable = !config.checkpointDir.empty();
+  const fs::path done = snapshot::jobDonePath(config.checkpointDir, job.id);
+  const fs::path ckpt =
+      snapshot::jobCheckpointPath(config.checkpointDir, job.id);
+
+  // Completed jobs are never re-run: their recorded result is the
+  // result (checked before any engine is even constructed). A fresh
+  // start deleted every per-job file, so the file's presence is the rule.
+  if (durable && fs::exists(done)) {
+    try {
+      run.result = snapshot::readJobResultFile(done);
+      return run;
+    } catch (const snapshot::SnapshotError&) {
+      // Torn or corrupt .done file: re-run the job.
+    }
+  }
+  run.executed = true;
+
+  const auto makeEngine = [&] {
+    std::unique_ptr<Engine> engine = factory(job);
+    SDE_ASSERT(engine != nullptr, "engine factory returned null");
+    engine->setDecisionFilter(std::unordered_map<std::string, bool>(
+        job.forced.begin(), job.forced.end()));
+    engine->solver().setSharedCache(shared);
+    if (hooks.onEngine) hooks.onEngine(*engine);
+    return engine;
+  };
+  std::unique_ptr<Engine> engine = makeEngine();
+
+  // Tracing: the sink is installed *before* restore so a resumed job
+  // continues the suspended run's sequence numbering (the file itself
+  // restarts — the pre-crash events live in the old process's file,
+  // which this open truncates).
+  std::ofstream traceOs;
+  std::unique_ptr<obs::StreamTraceSink> traceSink;
+  if (!config.traceDir.empty()) {
+    traceOs.open(jobTracePath(config.traceDir, job.id),
+                 std::ios::binary | std::ios::trunc);
+    obs::TraceHeader header;
+    header.numNodes = engine->topology().numNodes();
+    header.stream = job.id;
+    header.mapper = std::string(engine->mapper().name());
+    header.scenario = config.scenarioSpec;
+    traceSink = std::make_unique<obs::StreamTraceSink>(traceOs, header);
+    engine->setTraceSink(traceSink.get());
+  }
+
+  // Any checkpoint present belongs to this run: a resume, or a job
+  // re-leased after its fleet worker was killed mid-job.
+  if (durable && fs::exists(ckpt)) {
+    try {
+      std::ifstream in(ckpt, std::ios::binary);
+      engine->restore(in);
+    } catch (const snapshot::SnapshotError&) {
+      engine = makeEngine();  // torn checkpoint: restart from scratch
+      if (traceSink != nullptr) engine->setTraceSink(traceSink.get());
+    }
+  }
+  if (durable) {
+    engine->setCheckpointSink(
+        [&](const Engine& e) {
+          snapshot::atomicWriteFile(
+              ckpt, [&](std::ostream& os) { e.checkpoint(os); });
+          if (hooks.onCheckpoint) hooks.onCheckpoint();
+        },
+        config.checkpointEveryEvents);
+  }
+
+  const RunOutcome outcome = engine->run(config.horizon);
+  if (outcome == RunOutcome::kSuspended) {
+    // The abort path already wrote the checkpoint; nothing is extracted
+    // from a job that is deliberately unfinished.
+    run.result.jobId = job.id;
+    run.result.outcome = outcome;
+    run.result.states = engine->numStates();
+    run.result.events = engine->eventsProcessed();
+    engine->mergeStatsInto(run.result.stats);
+  } else {
+    run.result = collectJobResult(*engine, job, config, outcome);
+  }
+  if (traceSink != nullptr) {
+    engine->setTraceSink(nullptr);
+    try {
+      traceSink->close();
+    } catch (const obs::TraceError& e) {
+      support::logError("trace", e.what());
+    }
+  }
+  if (durable && outcome == RunOutcome::kCompleted) {
+    snapshot::writeJobResultFile(done, run.result);
+    std::error_code ec;
+    fs::remove(ckpt, ec);  // superseded by the .done file
+  }
+  return run;
+}
+
 ParallelResult runPartitioned(const EngineFactory& factory,
                               const PartitionPlan& plan,
                               const ParallelConfig& config) {
   SDE_ASSERT(factory != nullptr, "runPartitioned needs an engine factory");
   SDE_ASSERT(!plan.jobs.empty(), "empty partition plan");
   const auto start = std::chrono::steady_clock::now();
-
-  std::unique_ptr<SharedCaps> caps;
-  if (config.maxTotalStates != 0 || config.maxTotalMemoryBytes != 0 ||
-      config.maxWallSeconds != 0) {
-    caps = std::make_unique<SharedCaps>(config.maxTotalStates,
-                                        config.maxTotalMemoryBytes,
-                                        config.maxWallSeconds);
-  }
 
   ParallelResult result;
   result.jobs.resize(plan.jobs.size());
@@ -344,25 +437,23 @@ ParallelResult runPartitioned(const EngineFactory& factory,
   // degrades to a fresh start); a fresh start clears leftover per-job
   // files so checkpoints of an older run can never leak into this one.
   namespace fs = std::filesystem;
-  const bool tracing = !config.traceDir.empty();
-  const fs::path traceDirPath = config.traceDir;
-  if (tracing) fs::create_directories(traceDirPath);
+  if (!config.traceDir.empty()) fs::create_directories(config.traceDir);
   const bool durable = !config.checkpointDir.empty();
-  const fs::path dir = config.checkpointDir;
   bool resuming = false;
   if (durable) {
-    fs::create_directories(dir);
+    fs::create_directories(config.checkpointDir);
     const snapshot::RunManifest manifest{config.scenarioSpec, config.horizon,
                                          plan};
-    resuming = snapshot::prepareRunDir(dir, manifest, config.resume);
+    resuming =
+        snapshot::prepareRunDir(config.checkpointDir, manifest, config.resume);
   }
 
   // Live cross-job query sharing: one run-private store attached to
   // every job's solver, seeded from the sidecar on a resume.
   snapshot::SharedStore shared;
-  if (config.sharedQueryCache)
+  if (config.shmQueryCache)
     shared = snapshot::openSharedStore(
-        "", resuming ? snapshot::sharedCachePath(dir.string()) : "");
+        "", resuming ? snapshot::sharedCachePath(config.checkpointDir) : "");
 
   const unsigned workers = std::max<unsigned>(
       1, std::min<unsigned>(config.workers,
@@ -371,87 +462,9 @@ ParallelResult runPartitioned(const EngineFactory& factory,
     support::ThreadPool pool(workers);
     for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
       pool.submit([&, i] {
-        const PartitionJob& job = plan.jobs[i];
-
-        // Completed jobs are never re-run: their recorded result is the
-        // result (checked before any engine is even constructed).
-        if (resuming) {
-          const fs::path done = snapshot::jobDonePath(dir, job.id);
-          if (fs::exists(done)) {
-            try {
-              result.jobs[i] = snapshot::readJobResultFile(done);
-              return;
-            } catch (const snapshot::SnapshotError&) {
-              // Torn .done file (hard crash mid-write): re-run the job.
-            }
-          }
-        }
-
-        const auto makeEngine = [&] {
-          std::unique_ptr<Engine> engine = factory(job);
-          SDE_ASSERT(engine != nullptr, "engine factory returned null");
-          engine->setDecisionFilter(std::unordered_map<std::string, bool>(
-              job.forced.begin(), job.forced.end()));
-          if (caps != nullptr) engine->setSharedCaps(caps.get());
-          engine->solver().setSharedCache(shared.cache.get());
-          return engine;
-        };
-        std::unique_ptr<Engine> engine = makeEngine();
-
-        // Tracing: the sink is installed *before* restore so a resumed
-        // job continues the suspended run's sequence numbering (the
-        // file itself restarts — the pre-crash events live in the old
-        // process's file, which this open truncates).
-        std::ofstream traceOs;
-        std::unique_ptr<obs::StreamTraceSink> traceSink;
-        if (tracing) {
-          traceOs.open(jobTracePath(config.traceDir, job.id),
-                       std::ios::binary | std::ios::trunc);
-          obs::TraceHeader header;
-          header.numNodes = engine->topology().numNodes();
-          header.stream = job.id;
-          header.mapper = std::string(engine->mapper().name());
-          header.scenario = config.scenarioSpec;
-          traceSink = std::make_unique<obs::StreamTraceSink>(traceOs, header);
-          engine->setTraceSink(traceSink.get());
-        }
-
-        const fs::path ckpt =
-            durable ? snapshot::jobCheckpointPath(dir, job.id) : fs::path();
-        if (resuming && fs::exists(ckpt)) {
-          try {
-            std::ifstream in(ckpt, std::ios::binary);
-            engine->restore(in);
-          } catch (const snapshot::SnapshotError&) {
-            engine = makeEngine();  // torn checkpoint: restart from scratch
-            if (traceSink != nullptr) engine->setTraceSink(traceSink.get());
-          }
-        }
-        if (durable) {
-          engine->setCheckpointSink(
-              [&](const Engine& e) {
-                snapshot::atomicWriteFile(
-                    ckpt, [&](std::ostream& os) { e.checkpoint(os); });
-              },
-              config.checkpointEveryEvents);
-        }
-
-        const RunOutcome outcome = engine->run(config.horizon);
-        result.jobs[i] = collectJobResult(*engine, job, config, outcome);
-        if (traceSink != nullptr) {
-          engine->setTraceSink(nullptr);
-          try {
-            traceSink->close();
-          } catch (const obs::TraceError& e) {
-            support::logError("trace", e.what());
-          }
-        }
-        if (durable && outcome == RunOutcome::kCompleted) {
-          snapshot::writeJobResultFile(snapshot::jobDonePath(dir, job.id),
-                                       result.jobs[i]);
-          std::error_code ec;
-          fs::remove(ckpt, ec);  // superseded by the .done file
-        }
+        result.jobs[i] = runPartitionJob(factory, plan.jobs[i], config,
+                                         shared.cache.get())
+                             .result;
       });
     }
     pool.wait();
@@ -462,7 +475,7 @@ ParallelResult runPartitioned(const EngineFactory& factory,
   // leaves the previous sidecar or none: the resume starts colder, and
   // the store contract keeps its digest.
   if (durable && shared.cache != nullptr)
-    snapshot::persistSharedStore(*shared.cache, dir.string());
+    snapshot::persistSharedStore(*shared.cache, config.checkpointDir);
 
   // Deterministic merge barrier: fold the jobs in id order.
   finalizeParallelResult(result, plan, config);

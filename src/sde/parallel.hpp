@@ -9,8 +9,10 @@
 // plan's variables forced through the engine's decision filter, so the
 // jobs explore disjoint slices of the legacy search tree and never
 // share mutable engine state — workers need no locks around engine
-// internals. The one deliberately shared structure is the query store
-// the runner attaches to every job's solver: a run-private shm segment
+// internals. A pool thread runs each job through runPartitionJob, the
+// job runner fleet workers use too (sde/fleet.hpp). The one
+// deliberately shared structure is the query store the runner attaches
+// to every job's solver: a run-private shm segment
 // (solver/shm_cache.hpp), opened the same way the fleet opens its own
 // (snapshot::openSharedStore). Jobs consult it live and publish
 // canonical results, so a query one job solved is never enumerated
@@ -40,6 +42,10 @@
 #include "sde/engine.hpp"
 #include "support/stats.hpp"
 
+namespace sde::solver {
+class ShmQueryCache;
+}  // namespace sde::solver
+
 namespace sde {
 
 // One slice of the search tree: run the engine with every listed
@@ -60,47 +66,47 @@ struct PartitionPlan {
 [[nodiscard]] PartitionPlan planPartitions(
     std::span<const std::string> variables, std::uint64_t seed = 0);
 
-struct ParallelConfig {
-  unsigned workers = 1;        // thread-pool size (jobs stay sequential)
-  std::uint64_t horizon = 0;   // virtual-time horizon passed to run()
+// What both runners read: the thread runner's ParallelConfig and the
+// fleet's FleetConfig (sde/fleet.hpp) derive from it, and the job
+// runner, the extraction pass and the merge below take it.
+struct RunConfig {
+  std::uint64_t horizon = 0;  // virtual-time horizon passed to run()
   bool collectScenarioFingerprints = true;
   bool collectStateFingerprints = true;
   // Generate canonical test cases for every owned dscenario (solver
   // work per dscenario — keep off for large runs).
   bool collectTestcases = false;
-  // Fleet-wide cooperative caps (0 = off). When a cap trips, the abort
-  // latches and every job observes it at its next event; capped runs
-  // abort deterministically in *which* cap fired, but not in how far
-  // each job got, so the equivalence oracles only apply to runs that
-  // did not trip a cap.
-  std::uint64_t maxTotalStates = 0;
-  std::uint64_t maxTotalMemoryBytes = 0;
-  double maxWallSeconds = 0;
-  // Live cross-job query sharing: one shared store attached to every
-  // job's solver for the duration of the run. Off reverts to fully
-  // isolated per-job caches. Exploration results are identical either
-  // way; only solver work changes. Durable runs write the store to the
-  // shared_cache.bin sidecar when the run returns and seed it from
-  // there on a resume.
-  bool sharedQueryCache = true;
+  // Live cross-job query sharing: one shm store (solver/shm_cache.hpp)
+  // attached to every job's solver for the duration of the run. Off
+  // runs every job with fully isolated caches. Exploration results are
+  // identical either way; only solver work changes, and the store's
+  // traffic is counted in each solver's stats
+  // (solver.layer.shared_cache.{queries,hits}). Durable runs write the
+  // store to the shared_cache.bin sidecar when the run returns and seed
+  // it from there on a resume.
+  bool shmQueryCache = true;
   // --- Durable runs (snapshot subsystem) -------------------------------------
   // Non-empty: the run is crash-tolerant. The directory receives a run
   // manifest, one periodic checkpoint per unfinished job and one .done
   // file per completed job (see snapshot/manifest.hpp for the layout).
+  // A job whose .done file exists and decodes is loaded instead of run,
+  // and a job whose checkpoint exists continues from it; a fresh start
+  // deletes every per-job file first. The fleet requires a directory
+  // (it is the fleet's job queue); a thread run without one touches no
+  // file.
   std::string checkpointDir;
   // Minimum processed events between two checkpoints of one job (the
   // cadence rides the engine's sampling hook; 0 checkpoints only when a
-  // resource cap aborts a job).
+  // resource cap aborts a job or a suspend stops it).
   std::uint64_t checkpointEveryEvents = 256;
-  // Resume from `checkpointDir`: completed jobs are loaded from their
-  // .done files and never re-run, suspended jobs continue from their
-  // last checkpoint, everything else starts fresh. The directory's
-  // manifest must describe this run (variables, jobs, horizon, spec) —
-  // a mismatch throws snapshot::SnapshotError rather than silently
-  // mixing two runs. A missing manifest degrades to a fresh start.
+  // Resume from `checkpointDir`: its manifest must describe this run
+  // (variables, jobs, horizon, spec) — a mismatch throws
+  // snapshot::SnapshotError rather than silently mixing two runs. A
+  // missing manifest degrades to a fresh start.
   bool resume = false;
   // Opaque scenario descriptor recorded in the manifest so external
-  // tools (sde_checkpoint resume) can rebuild the engine factory.
+  // tools (sde_checkpoint resume, sde_fleet resume) can rebuild the
+  // engine factory.
   std::string scenarioSpec;
   // --- Tracing (obs/) --------------------------------------------------------
   // Non-empty: every job streams a structured event trace to
@@ -108,8 +114,15 @@ struct ParallelConfig {
   // merge barrier the runner stitches all job traces into
   // <traceDir>/merged.trc. The merge is keyed on virtual time and
   // per-stream sequence numbers only (the stitchSamples contract), so
-  // the merged file is byte-identical for any worker count.
+  // the merged file is byte-identical for any worker or process count.
+  // With a live shared store, kSolverQuery layer attribution is
+  // timing-dependent: byte-compare merged traces only with the store
+  // off (digests are safe either way).
   std::string traceDir;
+};
+
+struct ParallelConfig : RunConfig {
+  unsigned workers = 1;  // thread-pool size (jobs stay sequential)
 };
 
 // Everything observable about one finished partition job. All fields
@@ -155,10 +168,10 @@ struct ParallelResult {
 
 // Builds the engine for one job: a fresh Engine over the same network
 // plan and configuration every time. Called from worker threads
-// concurrently — must not touch shared mutable data. The runner applies
-// the job's decision filter and the shared caps afterwards, so the
-// factory only constructs and configures scenario-level detail (failure
-// model, boot globals, samplers).
+// concurrently — must not touch shared mutable data. The job runner
+// applies the job's decision filter and the shared store afterwards, so
+// the factory only constructs and configures scenario-level detail
+// (failure model, boot globals, samplers, per-engine caps).
 using EngineFactory =
     std::function<std::unique_ptr<Engine>(const PartitionJob&)>;
 
@@ -185,17 +198,50 @@ using EngineFactory =
     std::span<ExecutionState* const> scenario);
 
 // --- Building blocks shared with the fleet runner (sde/fleet.hpp) ----------
-// The thread runner above and the multi-process fleet produce their
-// digests through the same extraction and merge code, which is what
-// makes "fleet digest == partitioned digest" a structural property
-// rather than a re-implementation kept in sync by tests alone.
+// The thread runner above and the multi-process fleet run every job
+// through the same job runner and produce their digests through the
+// same extraction and merge code, which is what makes "fleet digest ==
+// partitioned digest" a structural property rather than a
+// re-implementation kept in sync by tests alone.
 
 // The deterministic per-job extraction pass: run outcome, sizes, and —
 // after the ownership rule — the job's share of the dscenario universe.
 [[nodiscard]] JobResult collectJobResult(Engine& engine,
                                          const PartitionJob& job,
-                                         const ParallelConfig& config,
+                                         const RunConfig& config,
                                          RunOutcome outcome);
+
+// What a runner adds to runPartitionJob; empty hooks are skipped.
+struct JobHooks {
+  // Applied to every engine the job runner builds, before any restore —
+  // including the rebuild after a torn checkpoint.
+  std::function<void(Engine&)> onEngine;
+  // Runs right after each checkpoint of the job was written.
+  std::function<void()> onCheckpoint;
+};
+
+struct JobRun {
+  // Loaded from the job's .done file or extracted after the run. A run
+  // that returned kSuspended is deliberately unfinished: only its id,
+  // outcome, sizes and counters are filled.
+  JobResult result;
+  bool executed = false;  // an engine ran (false: loaded from .done)
+};
+
+// Runs one partition job, the same way in both runners: build the
+// engine with `factory`, force the job's decisions, attach `shared`
+// (may be null), open the job's trace before any restore (so a resumed
+// job continues the suspended run's sequence numbering), run to
+// config.horizon, extract the result and close the trace. In a durable
+// run (config.checkpointDir set) a job whose .done file exists and
+// decodes is loaded instead of run, an existing checkpoint is restored
+// (a torn one rebuilds the engine), and a completed run writes the
+// .done file and removes the checkpoint.
+[[nodiscard]] JobRun runPartitionJob(const EngineFactory& factory,
+                                     const PartitionJob& job,
+                                     const RunConfig& config,
+                                     solver::ShmQueryCache* shared,
+                                     const JobHooks& hooks = {});
 
 // Per-job trace file location inside a trace directory
 // ("trace_job<id>.trc", stream id = job id).
@@ -208,6 +254,6 @@ using EngineFactory =
 // existing per-job trace files into <traceDir>/merged.trc in job-id
 // order. Does not touch result.wallSeconds.
 void finalizeParallelResult(ParallelResult& result, const PartitionPlan& plan,
-                            const ParallelConfig& config);
+                            const RunConfig& config);
 
 }  // namespace sde

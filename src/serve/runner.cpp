@@ -131,10 +131,6 @@ int runJobInProcess(const fs::path& jobDir, const JobSpec& spec) {
     fleet.resume = fs::exists(snapshot::manifestPath(queue));
     fleet.installSigtermSuspend = true;
     fleet.collectTestcases = spec.collectTestcases;
-    // Each runner is its own fleet; a per-run shm segment would work,
-    // but jobs are preempted and resumed often in a busy service and a
-    // cold cache is always digest-safe. Keep the moving parts few.
-    fleet.shmQueryCache = false;
     // Deterministic metrics-plane name so the daemon can attach to the
     // live plane of a running job without any coordination channel.
     fleet.metricsShmName = metricsShmNameFor(jobDir);

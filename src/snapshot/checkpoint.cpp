@@ -907,8 +907,6 @@ void Engine::restore(std::istream& is) {
     states_.push_back(std::move(state));
   }
   booted_ = booted;
-  if (sharedCaps_ != nullptr && !states_.empty())
-    sharedCaps_->noteStatesCreated(states_.size());
 
   const std::uint64_t staleDrops = in.u64();
   const std::uint64_t numEntries = in.u64();

@@ -112,18 +112,18 @@ RunManifest readManifest(const std::filesystem::path& dir) {
   RunManifest manifest;
   manifest.scenarioSpec = in.str();
   manifest.horizon = in.u64();
+  // Counts come from the file, so nothing is reserved from them: a
+  // corrupt count runs into the end of the stream (SnapshotError), not
+  // into an allocation it cannot make.
   const std::uint64_t numVariables = in.u64();
-  manifest.plan.variables.reserve(numVariables);
   for (std::uint64_t i = 0; i < numVariables; ++i)
     manifest.plan.variables.push_back(in.str());
   const std::uint64_t numJobs = in.u64();
-  manifest.plan.jobs.reserve(numJobs);
   for (std::uint64_t i = 0; i < numJobs; ++i) {
     PartitionJob job;
     job.id = in.u32();
     job.seed = in.u64();
     const std::uint64_t numForced = in.u64();
-    job.forced.reserve(numForced);
     for (std::uint64_t f = 0; f < numForced; ++f) {
       std::string name = in.str();
       const bool value = in.b();
@@ -195,16 +195,15 @@ JobResult readJobResult(std::istream& is) {
   result.scenariosRepresented = in.u64();
   result.scenariosOwned = in.u64();
   result.wallSeconds = in.f64();
+  // Counts come from the file: nothing is reserved from them (see
+  // readManifest).
   const std::uint64_t numScenarioPrints = in.u64();
-  result.scenarioFingerprints.reserve(numScenarioPrints);
   for (std::uint64_t i = 0; i < numScenarioPrints; ++i)
     result.scenarioFingerprints.push_back(in.u64());
   const std::uint64_t numStatePrints = in.u64();
-  result.stateFingerprints.reserve(numStatePrints);
   for (std::uint64_t i = 0; i < numStatePrints; ++i)
     result.stateFingerprints.push_back(in.u64());
   const std::uint64_t numTestcases = in.u64();
-  result.testcases.reserve(numTestcases);
   for (std::uint64_t i = 0; i < numTestcases; ++i)
     result.testcases.push_back(in.str(1u << 24));
   const std::uint64_t numCounters = in.u64();

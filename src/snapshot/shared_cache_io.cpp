@@ -3,23 +3,29 @@
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
+#include <sstream>
 
 #include "snapshot/manifest.hpp"
 #include "snapshot/reader.hpp"
 #include "snapshot/writer.hpp"
+#include "support/hash.hpp"
 #include "support/logging.hpp"
 
 namespace sde::snapshot {
 
 namespace {
-// Bumped with kCheckpointVersion whenever the sidecar layout changes.
-constexpr std::uint32_t kSharedCacheFormat = 1;
+// Bumped whenever the sidecar layout changes. Format 2 added the
+// trailing checksum.
+constexpr std::uint32_t kSharedCacheFormat = 2;
+constexpr std::size_t kChecksumBytes = 8;
 }  // namespace
 
 void writeSharedCacheEntries(std::ostream& os,
                              const SharedCacheEntries& entries) {
-  Writer out(os);
+  std::ostringstream payload;
+  Writer out(payload);
   out.magic(kSharedCacheMagic);
   out.u32(kSharedCacheFormat);
   out.u64(entries.size());
@@ -34,17 +40,35 @@ void writeSharedCacheEntries(std::ostream& os,
       out.u64(binding.value);
     }
   }
-  if (!out.ok()) throw SnapshotError("shared-cache sidecar write failed");
+  const std::string bytes = std::move(payload).str();
+  Writer file(os);
+  file.raw(bytes.data(), bytes.size());
+  file.u64(support::fnv1a(bytes));
+  if (!file.ok()) throw SnapshotError("shared-cache sidecar write failed");
 }
 
 SharedCacheEntries readSharedCacheEntries(std::istream& is) {
-  Reader in(is);
+  const std::string bytes{std::istreambuf_iterator<char>(is),
+                          std::istreambuf_iterator<char>()};
+  std::istringstream payload(bytes);
+  Reader in(payload);
   in.expectMagic(kSharedCacheMagic, "not a shared-cache sidecar");
   const std::uint32_t format = in.u32();
   if (format != kSharedCacheFormat)
     throw SnapshotError("shared-cache sidecar format " +
                         std::to_string(format) + " (expected " +
                         std::to_string(kSharedCacheFormat) + ")");
+  // The trailing checksum covers every byte before it, so a flipped bit
+  // is rejected before any entry is decoded, let alone seeded into a
+  // store.
+  if (bytes.size() < kMagicSize + 4 + kChecksumBytes)
+    throw SnapshotError("shared-cache sidecar truncated before its checksum");
+  const std::size_t payloadSize = bytes.size() - kChecksumBytes;
+  std::istringstream trailer(bytes.substr(payloadSize));
+  if (Reader(trailer).u64() !=
+      support::fnv1a(std::string_view(bytes).substr(0, payloadSize)))
+    throw SnapshotError("shared-cache sidecar checksum mismatch");
+
   // Counts come from the file, so nothing is reserved from them: a
   // corrupt count runs into the end of the stream (SnapshotError), not
   // into an allocation it cannot make.

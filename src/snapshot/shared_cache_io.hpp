@@ -28,12 +28,15 @@ inline constexpr std::string_view kSharedCacheMagic = "SDESHC";
 using SharedCacheEntries =
     std::vector<std::pair<solver::SharedQueryKey, solver::SharedQueryResult>>;
 
-// Writes `entries` (expected key-sorted for deterministic bytes).
+// Writes `entries` (expected key-sorted for deterministic bytes):
+// magic, format, the entries, and an FNV-1a checksum over every byte
+// before it.
 void writeSharedCacheEntries(std::ostream& os,
                              const SharedCacheEntries& entries);
 
 // Parses a sidecar stream. Throws SnapshotError on framing or version
-// mismatch and on any truncated or corrupt count, never anything else.
+// mismatch, on a checksum mismatch (any flipped bit) and on any
+// truncated or corrupt count, never anything else.
 [[nodiscard]] SharedCacheEntries readSharedCacheEntries(std::istream& is);
 
 // The sidecar's location inside a checkpoint directory.

@@ -185,7 +185,7 @@ TEST(FleetTraceTest, MergedTraceMatchesThreadRunnerByteForByte) {
   const fs::path threadCkpt = freshDir("fleet_trc_threads_ckpt");
   ParallelConfig threads;
   threads.workers = 2;
-  threads.sharedQueryCache = false;
+  threads.shmQueryCache = false;
   threads.traceDir = threadTraces.string();
   // Durable on both sides: the merged-trace header embeds the recorded
   // scenario spec, so the thread run must record one too.

@@ -165,7 +165,7 @@ TEST(SolverPipelineDifferentialTest,
         ParallelConfig parallel;
         parallel.workers = workers;
         parallel.collectTestcases = true;
-        parallel.sharedQueryCache = shared;
+        parallel.shmQueryCache = shared;
         const trace::PartitionedCollectResult run =
             trace::runCollectPartitioned(config, parallel, /*vars=*/2);
         ASSERT_EQ(run.result.outcome, RunOutcome::kCompleted);
@@ -184,24 +184,6 @@ TEST(SolverPipelineDifferentialTest,
       }
     }
   }
-}
-
-TEST(ParallelCapsTest, SharedStateCapAbortsTheWholeFleet) {
-  const auto config = smallGrid(MapperKind::kSds, 6000);
-  ParallelConfig parallel;
-  parallel.workers = 4;
-  parallel.maxTotalStates = 120;  // well below the uncapped total
-  parallel.collectScenarioFingerprints = false;
-  parallel.collectStateFingerprints = false;
-  const trace::PartitionedCollectResult run =
-      trace::runCollectPartitioned(config, parallel, /*vars=*/2);
-
-  EXPECT_EQ(run.result.outcome, RunOutcome::kAbortedStates);
-  // The latch is cooperative: every job stopped early with the same
-  // outcome (none ran to completion past the fleet cap).
-  for (const JobResult& job : run.result.jobs)
-    EXPECT_EQ(job.outcome, RunOutcome::kAbortedStates)
-        << "job " << job.jobId;
 }
 
 TEST(ParallelReplayTest, DecisionLogReplaysOneScenario) {

@@ -1,19 +1,25 @@
-// The one shared query store, seen from both runners (the thread runner
-// and the fleet open, seed and persist it through the same path,
+// The durable files of a run, seen from both runners (the thread runner
+// and the fleet run every job through one job runner and open, seed and
+// persist the shared query store through one path,
 // snapshot/shared_cache_io.hpp):
 //  - a run resumed from a finished run's manifest and sidecar alone
 //    re-runs every job against the seeded store, and its own stats show
 //    shared hits and no shared-layer miss;
-//  - a resume over a corrupt sidecar starts cold and still reaches the
+//  - a resume over a corrupt sidecar — a count that overruns the file,
+//    or a flipped model value — starts cold and still reaches the
 //    uninterrupted run's digest;
-//  - the sidecar decoder meets every truncation and every single-bit
-//    flip of a real sidecar by decoding or by throwing SnapshotError.
+//  - a resume over a .done file with a corrupt count re-runs that job
+//    and reaches the uninterrupted run's digest;
+//  - the sidecar, .done and manifest decoders meet every truncation and
+//    every single-bit flip of a real file by decoding or by throwing
+//    SnapshotError, and the sidecar's checksum rejects every flip.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -121,27 +127,51 @@ TEST_P(SharedStoreResumeTest, WarmResumeHitsTheSeededStoreOnEveryQuery) {
   fs::remove_all(dir);
 }
 
+// Byte offset of the first model value in a sidecar (see
+// writeSharedCacheEntries for the layout); 0 when no entry has one.
+std::size_t firstModelValueOffset(const std::string& sidecar) {
+  std::istringstream in(sidecar);
+  std::size_t offset = 8 + 4 + 8;  // magic, format, entry count
+  for (const auto& [key, result] : snapshot::readSharedCacheEntries(in)) {
+    offset += 8 + 8 * key.size() + 1 + 8;  // terms, key, status, bindings
+    if (!result.model.empty())
+      return offset + 8 + result.model.front().name.size() + 4;
+    for (const solver::SharedBinding& binding : result.model)
+      offset += 8 + binding.name.size() + 4 + 8;
+  }
+  return 0;
+}
+
 TEST_P(SharedStoreResumeTest, CorruptSidecarResumesColdToTheSameDigest) {
   const fs::path dir = freshDir("shared_store_corrupt");
   const ParallelResult cold = runDurable(GetParam(), dir, /*resume=*/false);
   ASSERT_EQ(cold.outcome, RunOutcome::kCompleted);
-
-  // Flip the top byte of the entry count (a u64 after the 8-byte magic
-  // and the u32 format): the count now promises entries the file does
-  // not hold.
   const fs::path sidecar = snapshot::sharedCachePath(dir.string());
-  std::string bytes = readBytes(sidecar);
-  ASSERT_GT(bytes.size(), 20u);
-  bytes[19] = static_cast<char>(bytes[19] ^ 0xff);
-  writeBytes(sidecar, bytes);
+  const std::string intact = readBytes(sidecar);
+  ASSERT_GT(intact.size(), 20u);
 
-  keepManifestAndSidecar(dir);
-  const ParallelResult resumed = runDurable(GetParam(), dir, /*resume=*/true);
-  ASSERT_EQ(resumed.outcome, RunOutcome::kCompleted);
-  EXPECT_EQ(resumed.fingerprintDigest(), cold.fingerprintDigest());
-  EXPECT_EQ(resumed.testcases, cold.testcases);
-  // Cold: the store had to be filled again.
-  EXPECT_GT(resumed.stats.get("solver.enum_runs"), 0u);
+  // Two corruptions: the top byte of the entry count (a u64 after the
+  // 8-byte magic and the u32 format) flipped, so the count promises
+  // entries the file does not hold; and bit 0 of a model value flipped,
+  // which decodes to a wrong model unless the checksum catches it.
+  std::string badCount = intact;
+  badCount[19] = static_cast<char>(badCount[19] ^ 0xff);
+  std::string badValue = intact;
+  const std::size_t value = firstModelValueOffset(intact);
+  ASSERT_NE(value, 0u) << "no entry carries a model";
+  badValue[value] = static_cast<char>(badValue[value] ^ 1);
+
+  for (const std::string& corrupt : {badCount, badValue}) {
+    keepManifestAndSidecar(dir);
+    writeBytes(sidecar, corrupt);
+    const ParallelResult resumed =
+        runDurable(GetParam(), dir, /*resume=*/true);
+    ASSERT_EQ(resumed.outcome, RunOutcome::kCompleted);
+    EXPECT_EQ(resumed.fingerprintDigest(), cold.fingerprintDigest());
+    EXPECT_EQ(resumed.testcases, cold.testcases);
+    // Cold: the store had to be filled again.
+    EXPECT_GT(resumed.stats.get("solver.enum_runs"), 0u);
+  }
   fs::remove_all(dir);
 }
 
@@ -149,18 +179,72 @@ INSTANTIATE_TEST_SUITE_P(Runners, SharedStoreResumeTest,
                          ::testing::Values(Runner::kThreads, Runner::kFleet),
                          runnerName);
 
-// True when decoding `bytes` returns or throws SnapshotError; false for
-// any other exception (a std::length_error from trusting a corrupt
-// count, say).
-bool decodesOrRejects(const std::string& bytes) {
-  std::istringstream in(bytes);
+class DoneFileResumeTest : public ::testing::TestWithParam<Runner> {};
+
+TEST_P(DoneFileResumeTest, CorruptCountReRunsTheJobToTheSameDigest) {
+  const fs::path dir = freshDir("done_corrupt_count");
+  const ParallelResult cold = runDurable(GetParam(), dir, /*resume=*/false);
+  ASSERT_EQ(cold.outcome, RunOutcome::kCompleted);
+
+  // Flip the top byte of job 1's scenario-fingerprint count, the u64 at
+  // byte 73 (after the 8-byte magic, the u32 version, the u32 job id,
+  // the u8 outcome and seven 8-byte fields): the count now promises far
+  // more fingerprints than the file holds.
+  const fs::path done = snapshot::jobDonePath(dir, 1);
+  std::string bytes = readBytes(done);
+  ASSERT_GT(bytes.size(), 81u);
+  bytes[80] = static_cast<char>(bytes[80] ^ 0x01);
+  writeBytes(done, bytes);
+  EXPECT_THROW((void)snapshot::readJobResultFile(done),
+               snapshot::SnapshotError);
+
+  const ParallelResult resumed = runDurable(GetParam(), dir, /*resume=*/true);
+  ASSERT_EQ(resumed.outcome, RunOutcome::kCompleted);
+  EXPECT_EQ(resumed.fingerprintDigest(), cold.fingerprintDigest());
+  EXPECT_EQ(resumed.testcases, cold.testcases);
+  // The job ran again and left a .done file that decodes.
+  EXPECT_EQ(snapshot::readJobResultFile(done).scenarioFingerprints,
+            cold.jobs[1].scenarioFingerprints);
+  fs::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(Runners, DoneFileResumeTest,
+                         ::testing::Values(Runner::kThreads, Runner::kFleet),
+                         runnerName);
+
+// True when `decode` returns or throws SnapshotError; false for any
+// other exception (a std::length_error or std::bad_alloc from trusting a
+// corrupt count, say).
+bool decodesOrRejects(const std::function<void()>& decode) {
   try {
-    (void)snapshot::readSharedCacheEntries(in);
+    decode();
   } catch (const snapshot::SnapshotError&) {
   } catch (...) {
     return false;
   }
   return true;
+}
+
+// Every truncation and every single-bit flip of `bytes` decodes or is
+// rejected by `decode`.
+void expectEveryMutantDecodesOrIsRejected(
+    const std::string& bytes,
+    const std::function<void(const std::string&)>& decode) {
+  for (std::size_t length = 0; length < bytes.size(); ++length)
+    EXPECT_TRUE(decodesOrRejects([&] { decode(bytes.substr(0, length)); }))
+        << "truncated to " << length << " bytes";
+  std::string flipped = bytes;
+  for (std::size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    EXPECT_TRUE(decodesOrRejects([&] { decode(flipped); }))
+        << "bit " << bit << " flipped";
+    flipped[bit / 8] = bytes[bit / 8];
+  }
+}
+
+void decodeSidecar(const std::string& bytes) {
+  std::istringstream in(bytes);
+  (void)snapshot::readSharedCacheEntries(in);
 }
 
 TEST(SharedCacheSidecarTest, EveryTruncationAndBitFlipDecodesOrIsRejected) {
@@ -175,16 +259,61 @@ TEST(SharedCacheSidecarTest, EveryTruncationAndBitFlipDecodesOrIsRejected) {
     ASSERT_FALSE(snapshot::readSharedCacheEntries(in).empty())
         << "the run published nothing; the battery would be vacuous";
   }
+  expectEveryMutantDecodesOrIsRejected(sidecar, decodeSidecar);
 
-  for (std::size_t length = 0; length < sidecar.size(); ++length)
-    EXPECT_TRUE(decodesOrRejects(sidecar.substr(0, length)))
-        << "truncated to " << length << " bytes";
+  // The checksum leaves no flip to decode: every one is rejected before
+  // an entry could reach a store.
   std::string flipped = sidecar;
   for (std::size_t bit = 0; bit < 8 * sidecar.size(); ++bit) {
     flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
-    EXPECT_TRUE(decodesOrRejects(flipped)) << "bit " << bit << " flipped";
+    EXPECT_THROW(decodeSidecar(flipped), snapshot::SnapshotError)
+        << "bit " << bit << " flipped";
     flipped[bit / 8] = sidecar[bit / 8];
   }
+}
+
+// The .done and manifest batteries run over a small real run: a 3x3 grid
+// with one partition variable, test cases on.
+fs::path smallDurableRun(const std::string& name) {
+  trace::CollectScenarioConfig config;
+  config.gridWidth = 3;
+  config.gridHeight = 3;
+  config.simulationTime = 2000;
+  ParallelConfig durable;
+  durable.collectTestcases = true;
+  const fs::path dir = freshDir(name);
+  durable.checkpointDir = dir.string();
+  EXPECT_EQ(trace::runCollectPartitioned(config, durable, /*vars=*/1)
+                .result.outcome,
+            RunOutcome::kCompleted);
+  return dir;
+}
+
+TEST(DoneFileDecoderTest, EveryTruncationAndBitFlipDecodesOrIsRejected) {
+  const fs::path dir = smallDurableRun("done_fuzz");
+  const std::string done = readBytes(snapshot::jobDonePath(dir, 0));
+  fs::remove_all(dir);
+  {
+    std::istringstream in(done);
+    const JobResult result = snapshot::readJobResult(in);
+    ASSERT_FALSE(result.scenarioFingerprints.empty());
+    ASSERT_FALSE(result.testcases.empty());
+  }
+  expectEveryMutantDecodesOrIsRejected(done, [](const std::string& bytes) {
+    std::istringstream in(bytes);
+    (void)snapshot::readJobResult(in);
+  });
+}
+
+TEST(ManifestDecoderTest, EveryTruncationAndBitFlipDecodesOrIsRejected) {
+  const fs::path dir = smallDurableRun("manifest_fuzz");
+  const std::string manifest = readBytes(snapshot::manifestPath(dir));
+  ASSERT_EQ(snapshot::readManifest(dir).plan.jobs.size(), 2u);
+  expectEveryMutantDecodesOrIsRejected(manifest, [&](const std::string& bytes) {
+    writeBytes(snapshot::manifestPath(dir), bytes);
+    (void)snapshot::readManifest(dir);
+  });
+  fs::remove_all(dir);
 }
 
 }  // namespace

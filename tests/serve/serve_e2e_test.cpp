@@ -81,15 +81,15 @@ SubmitRequest request(const trace::CollectScenarioConfig& scenario,
 }
 
 // The oracle: run the identical scenario as a direct fleet and take its
-// digest. Flags mirror the service runner's (testcases off, cold cache
-// is digest-safe either way).
+// digest. Flags mirror the service runner's (shared store on, test
+// cases as the job asked for them).
 std::uint64_t directDigest(const trace::CollectScenarioConfig& scenario,
-                           const std::string& name) {
+                           const std::string& name, bool testcases = false) {
   const fs::path dir = freshRoot("direct_" + name);
   FleetConfig fleet;
   fleet.processes = 2;
   fleet.checkpointDir = dir.string();
-  fleet.shmQueryCache = false;
+  fleet.collectTestcases = testcases;
   return trace::runCollectFleet(scenario, fleet, 2)
       .result.fingerprintDigest();
 }
@@ -304,6 +304,43 @@ TEST(ServeE2eTest, HigherPriorityPreemptsAndFinishesFirst) {
   const JobStatus lowFinal = client.watch(low);
   EXPECT_EQ(lowFinal.state, JobState::kDone);
   EXPECT_EQ(lowFinal.digest, directDigest(longScenario(), "preempt_low"));
+
+  shutdownAndReap(socket, daemon);
+}
+
+// A served job shares queries through the shared store, across a
+// preemption too: the resumed attempt seeds the store from the sidecar
+// its first attempt left behind.
+TEST(ServeE2eTest, PreemptedJobWithTestcasesSharesQueriesAndKeepsItsDigest) {
+  if (sanitizersActive()) GTEST_SKIP() << "forks real fleets";
+  const fs::path root = freshRoot("preempt_store");
+  const std::string socket = (root / "serve.sock").string();
+  const pid_t daemon = spawnDaemon(testConfig(root, 2));
+  ASSERT_TRUE(waitForDaemon(socket, 20.0));
+
+  Client client(socket);
+  SubmitRequest lowRequest = request(longScenario(), "batch", 0, 2);
+  lowRequest.collectTestcases = true;
+  const std::uint64_t low = client.submit(lowRequest);
+  (void)waitForJob(client, low, [](const JobStatus& s) {
+    return s.state == JobState::kRunning && s.eventsSeen > 0;
+  });
+  const std::uint64_t high =
+      client.submit(request(smallScenario(), "vip", 5, 2));
+  EXPECT_EQ(client.watch(high).state, JobState::kDone);
+  EXPECT_NE(statusOf(client, low).state, JobState::kDone)
+      << "the job finished before it could be preempted";
+
+  const JobStatus lowFinal = client.watch(low);
+  EXPECT_EQ(lowFinal.state, JobState::kDone);
+  EXPECT_EQ(lowFinal.digest,
+            directDigest(longScenario(), "preempt_store_low", true));
+  std::istringstream stats(client.fetch(low, "stats.txt"));
+  std::uint64_t sharedHits = 0;
+  for (std::string line; std::getline(stats, line);)
+    if (line.starts_with("solver.layer.shared_cache.hits = "))
+      sharedHits = std::stoull(line.substr(line.find('=') + 2));
+  EXPECT_GT(sharedHits, 0u);
 
   shutdownAndReap(socket, daemon);
 }

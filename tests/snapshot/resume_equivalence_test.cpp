@@ -4,10 +4,11 @@
 // and SDS, interrupting a partitioned run at an arbitrary checkpoint
 // and resuming yields a merged fingerprint digest *byte-identical* to
 // the uninterrupted run — tested for 1 and 4 workers. The interruption
-// is forced deterministically through the fleet-wide state cap (a
-// ParallelConfig knob, deliberately not part of the run manifest, so
-// the resume can lift it), which makes every job suspend through the
-// abort-time checkpoint exactly as a kill would.
+// is forced deterministically through a per-engine state cap: pass 1
+// runs engines built with the cap under the uncapped scenario's run
+// identity, so the resume (with the uncapped scenario) lifts it, and
+// every capped job suspends through the abort-time checkpoint exactly
+// as a kill would.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -39,6 +40,34 @@ fs::path freshRunDir(const std::string& name) {
   return dir;
 }
 
+constexpr std::size_t kVars = 2;
+
+// A durable run of `config` whose engines stop at a per-engine state cap
+// far below a job's total. The manifest records the uncapped scenario,
+// so a resume of `config` is the same run with the cap lifted.
+ParallelResult runCapped(const trace::CollectScenarioConfig& config,
+                         ParallelConfig durable) {
+  trace::CollectScenarioConfig capped = config;
+  capped.engine.maxStates = 60;
+  const trace::CollectScenario scenario(capped);
+  durable.horizon = config.simulationTime;
+  durable.checkpointEveryEvents = 64;
+  durable.scenarioSpec = trace::encodeCollectScenarioSpec(config, kVars);
+  return runPartitioned(scenario.engineFactory(),
+                        planPartitions(scenario.partitionVariables(kVars)),
+                        durable);
+}
+
+// Whether some job of `run` stopped mid-run at the cap and left its
+// abort-time checkpoint in `dir`.
+bool someJobStoppedMidRun(const ParallelResult& run, const fs::path& dir) {
+  for (const JobResult& job : run.jobs)
+    if (job.outcome == RunOutcome::kAbortedStates &&
+        fs::exists(snapshot::jobCheckpointPath(dir, job.jobId)))
+      return true;
+  return false;
+}
+
 class ResumeEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<MapperKind, unsigned>> {};
 
@@ -58,23 +87,21 @@ TEST_P(ResumeEquivalenceTest, InterruptedRunResumesToTheIdenticalDigest) {
       "resume_" + std::string(mapperKindName(mapper)) + "_w" +
       std::to_string(workers));
 
-  // Pass 1: durable run under a fleet state cap far below the total —
-  // the whole fleet aborts, every unfinished job leaving its abort-time
-  // checkpoint behind.
+  // Pass 1: durable run under a per-engine state cap far below a job's
+  // total — every job that reaches the cap aborts, leaving its
+  // abort-time checkpoint behind.
   ParallelConfig interrupted = base;
   interrupted.checkpointDir = dir.string();
-  interrupted.checkpointEveryEvents = 64;
-  interrupted.maxTotalStates = 120;
-  const trace::PartitionedCollectResult pass1 =
-      trace::runCollectPartitioned(config, interrupted, /*vars=*/2);
-  ASSERT_EQ(pass1.result.outcome, RunOutcome::kAbortedStates);
+  const ParallelResult pass1 = runCapped(config, interrupted);
+  ASSERT_EQ(pass1.outcome, RunOutcome::kAbortedStates);
   ASSERT_TRUE(fs::exists(snapshot::manifestPath(dir)));
   bool anyArtifact = false;
-  for (std::uint32_t job = 0; job < pass1.result.jobs.size(); ++job)
+  for (std::uint32_t job = 0; job < pass1.jobs.size(); ++job)
     anyArtifact = anyArtifact || fs::exists(snapshot::jobCheckpointPath(
                                      dir, job)) ||
                   fs::exists(snapshot::jobDonePath(dir, job));
   ASSERT_TRUE(anyArtifact) << "aborted run left no per-job artifacts";
+  ASSERT_TRUE(someJobStoppedMidRun(pass1, dir));
 
   // Pass 2: resume with the cap lifted.
   ParallelConfig resume = base;
@@ -141,14 +168,12 @@ TEST(ResumeValidationTest, FreshStartClearsStaleArtifacts) {
   const fs::path dir = freshRunDir("fresh_start");
   const auto config = smallGrid(MapperKind::kSds, 4000);
 
-  ParallelConfig capped;
-  capped.workers = 2;
-  capped.checkpointDir = dir.string();
-  capped.checkpointEveryEvents = 64;
-  capped.maxTotalStates = 120;
-  ASSERT_EQ(trace::runCollectPartitioned(config, capped, /*vars=*/2)
-                .result.outcome,
-            RunOutcome::kAbortedStates);
+  ParallelConfig durable;
+  durable.workers = 2;
+  durable.checkpointDir = dir.string();
+  const ParallelResult capped = runCapped(config, durable);
+  ASSERT_EQ(capped.outcome, RunOutcome::kAbortedStates);
+  ASSERT_TRUE(someJobStoppedMidRun(capped, dir));
 
   // Without --resume the directory is restarted from scratch: stale
   // suspended checkpoints must not leak into the new run.
