@@ -194,6 +194,7 @@ metrics_wait
 ./build/tools/sde_submit submit "$METRICS_SOCK" --tenant alice --processes 2 \
   --vars 2 --nodes '4*4' --time 3000 --testcases >/dev/null
 ./build/tools/sde_submit watch "$METRICS_SOCK" 1 >/dev/null
+./build/tools/sde_submit status "$METRICS_SOCK" 1 > "$METRICS_SMOKE/status.txt"
 # One frame through the live MetricsRequest path (service-wide).
 ./build/tools/sde_top "$METRICS_SOCK" --once > "$METRICS_SMOKE/top.txt"
 grep -q 'slots' "$METRICS_SMOKE/top.txt"
@@ -225,9 +226,19 @@ while read -r NAME _ VALUE; do
     || { echo "metrics mismatch: $NAME stats=$VALUE prom=$PROM_VALUE"; MISMATCH=1; }
 done < "$METRICS_SMOKE/stats.txt"
 test "$MISMATCH" -eq 0
+# Progress is the engine's own count: the done job's status line carries
+# the post-run totals, events processed and states created.
+stat_of() { awk -v n="$1" '$1 == n {print $3}' "$METRICS_SMOKE/stats.txt"; }
+STATUS_EVENTS=$(sed -n 's/.* events=\([0-9]*\).*/\1/p' "$METRICS_SMOKE/status.txt")
+STATUS_STATES=$(sed -n 's/.* states=\([0-9]*\).*/\1/p' "$METRICS_SMOKE/status.txt")
+WANT_EVENTS=$(stat_of engine.events)
+WANT_STATES=$(( $(stat_of engine.initial_states) + $(stat_of engine.forks_total) ))
+test "$STATUS_EVENTS" = "$WANT_EVENTS" && test "$STATUS_STATES" = "$WANT_STATES" \
+  || { echo "progress mismatch: status events=$STATUS_EVENTS states=$STATUS_STATES," \
+         "stats.txt engine.events=$WANT_EVENTS initial_states+forks_total=$WANT_STATES"; exit 1; }
 ./build/tools/sde_submit shutdown "$METRICS_SOCK"
 wait "$METRICS_PID"
-echo "metrics smoke: live fetch agrees with post-run stats"
+echo "metrics smoke: live fetch and progress agree with post-run stats"
 
 echo "=== meter identity: benchmark output check at seed 0 ==="
 # The memory ledger must bill exactly what the audit walk counts: the

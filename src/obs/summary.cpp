@@ -37,94 +37,93 @@ std::string at(std::size_t index, const TraceEvent& event) {
 
 }  // namespace
 
-void SummaryBuilder::add(const TraceEvent& event) {
-  const auto kindIndex = static_cast<std::size_t>(event.kind);
-  if (kindIndex < summary_.countsByKind.size())
-    ++summary_.countsByKind[kindIndex];
-  ++summary_.eventsByStream[event.stream];
-  if (eventsSeen_ == 0) summary_.firstTime = event.time;
-  ++eventsSeen_;
-  summary_.lastTime = event.time;
-
-  switch (event.kind) {
-    case TraceEventKind::kStateFork:
-      ++summary_.forksByNode[event.node];
-      switch (static_cast<ForkCause>(event.detail)) {
-        case ForkCause::kBranch: ++summary_.forksBranch; break;
-        case ForkCause::kFailure: ++summary_.forksFailure; break;
-        case ForkCause::kMapping: ++summary_.forksMapping; break;
-      }
-      break;
-    case TraceEventKind::kPacketTransmit: {
-      auto [it, inserted] = txIndex_.try_emplace(
-          event.packetId, summary_.forkingTransmissions.size());
-      if (inserted) {
-        TransmissionForks tx;
-        tx.packetId = event.packetId;
-        tx.src = event.node;
-        tx.dst = event.peer;
-        tx.time = event.time;
-        summary_.forkingTransmissions.push_back(tx);
-      }
-      break;
+TraceSummary summarizeTrace(const TraceFile& trace) {
+  TraceSummary summary;
+  // Keyed by packet id so a transmission's fork bill aggregates even if
+  // a mapper reports it in several invocations (COW conflict rounds).
+  std::unordered_map<std::uint64_t, std::size_t> txIndex;
+  const auto transmission =
+      [&](const TraceEvent& event) -> TransmissionForks& {
+    const auto [it, inserted] = txIndex.try_emplace(
+        event.packetId, summary.forkingTransmissions.size());
+    if (inserted) {
+      TransmissionForks tx;
+      tx.packetId = event.packetId;
+      tx.src = event.node;
+      tx.dst = event.peer;
+      tx.time = event.time;
+      summary.forkingTransmissions.push_back(tx);
     }
-    case TraceEventKind::kMappingInvoked: {
-      summary_.targetsForked += event.a;
-      summary_.bystandersForked += event.b;
-      auto [it, inserted] = txIndex_.try_emplace(
-          event.packetId, summary_.forkingTransmissions.size());
-      if (inserted) {
-        TransmissionForks tx;
-        tx.packetId = event.packetId;
-        tx.src = event.node;
-        tx.dst = event.peer;
-        tx.time = event.time;
-        summary_.forkingTransmissions.push_back(tx);
-      }
-      TransmissionForks& tx = summary_.forkingTransmissions[it->second];
-      tx.targetsForked += event.a;
-      tx.bystandersForked += event.b;
-      break;
-    }
-    case TraceEventKind::kGroupFork:
-      ++summary_.groupForks;
-      if (static_cast<GroupForkDetail>(event.detail) ==
-          GroupForkDetail::kScenarioFork)
-        summary_.scenarioCopies += event.b;
-      break;
-    case TraceEventKind::kStateMerge:
-      summary_.mergeRemovedStates += event.a;
-      ++summary_.mergesByNode[event.node];
-      break;
-    case TraceEventKind::kSolverQuery:
-      ++summary_.solverQueries;
-      switch (static_cast<SolverLayerDetail>(event.detail)) {
-        case SolverLayerDetail::kConstant: ++summary_.solverConstant; break;
-        case SolverLayerDetail::kCacheHit: ++summary_.solverCacheHits; break;
-        case SolverLayerDetail::kModelReuse:
-          ++summary_.solverModelReuse;
-          break;
-        case SolverLayerDetail::kInterval:
-          ++summary_.solverIntervalRefuted;
-          break;
-        case SolverLayerDetail::kEnumerated:
-          ++summary_.solverEnumerated;
-          break;
-        case SolverLayerDetail::kSubsumption:
-          ++summary_.solverSubsumption;
-          break;
-        case SolverLayerDetail::kSharedCache:
-          ++summary_.solverSharedCache;
-          break;
-      }
-      break;
-    default:
-      break;
+    return summary.forkingTransmissions[it->second];
+  };
+  if (!trace.events.empty()) {
+    summary.firstTime = trace.events.front().time;
+    summary.lastTime = trace.events.back().time;
   }
-}
 
-TraceSummary SummaryBuilder::finish() const {
-  TraceSummary summary = summary_;
+  for (const TraceEvent& event : trace.events) {
+    const auto kindIndex = static_cast<std::size_t>(event.kind);
+    if (kindIndex < summary.countsByKind.size())
+      ++summary.countsByKind[kindIndex];
+    ++summary.eventsByStream[event.stream];
+
+    switch (event.kind) {
+      case TraceEventKind::kStateFork:
+        ++summary.forksByNode[event.node];
+        switch (static_cast<ForkCause>(event.detail)) {
+          case ForkCause::kBranch: ++summary.forksBranch; break;
+          case ForkCause::kFailure: ++summary.forksFailure; break;
+          case ForkCause::kMapping: ++summary.forksMapping; break;
+        }
+        break;
+      case TraceEventKind::kPacketTransmit:
+        (void)transmission(event);
+        break;
+      case TraceEventKind::kMappingInvoked: {
+        summary.targetsForked += event.a;
+        summary.bystandersForked += event.b;
+        TransmissionForks& tx = transmission(event);
+        tx.targetsForked += event.a;
+        tx.bystandersForked += event.b;
+        break;
+      }
+      case TraceEventKind::kGroupFork:
+        ++summary.groupForks;
+        if (static_cast<GroupForkDetail>(event.detail) ==
+            GroupForkDetail::kScenarioFork)
+          summary.scenarioCopies += event.b;
+        break;
+      case TraceEventKind::kStateMerge:
+        summary.mergeRemovedStates += event.a;
+        ++summary.mergesByNode[event.node];
+        break;
+      case TraceEventKind::kSolverQuery:
+        ++summary.solverQueries;
+        switch (static_cast<SolverLayerDetail>(event.detail)) {
+          case SolverLayerDetail::kConstant: ++summary.solverConstant; break;
+          case SolverLayerDetail::kCacheHit: ++summary.solverCacheHits; break;
+          case SolverLayerDetail::kModelReuse:
+            ++summary.solverModelReuse;
+            break;
+          case SolverLayerDetail::kInterval:
+            ++summary.solverIntervalRefuted;
+            break;
+          case SolverLayerDetail::kEnumerated:
+            ++summary.solverEnumerated;
+            break;
+          case SolverLayerDetail::kSubsumption:
+            ++summary.solverSubsumption;
+            break;
+          case SolverLayerDetail::kSharedCache:
+            ++summary.solverSharedCache;
+            break;
+        }
+        break;
+      default:
+        break;
+    }
+  }
+
   // Only transmissions that actually charged forks rank; heaviest
   // first, equal bills by earlier packet id (deterministic).
   std::erase_if(summary.forkingTransmissions,
@@ -136,12 +135,6 @@ TraceSummary SummaryBuilder::finish() const {
               return a.packetId < b.packetId;
             });
   return summary;
-}
-
-TraceSummary summarizeTrace(const TraceFile& trace) {
-  SummaryBuilder builder;
-  for (const TraceEvent& event : trace.events) builder.add(event);
-  return builder.finish();
 }
 
 std::vector<std::string> validateTrace(const TraceFile& trace) {

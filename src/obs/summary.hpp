@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/trace_io.hpp"
@@ -81,26 +80,6 @@ struct TraceSummary {
   [[nodiscard]] std::uint64_t count(TraceEventKind kind) const {
     return countsByKind[static_cast<std::size_t>(kind)];
   }
-};
-
-// Incremental form of summarizeTrace: feed events as they arrive (a
-// live tail of a growing trace — see obs/tail.hpp), snapshot the
-// aggregate at any point with finish(). finish() is pure — it copies,
-// prunes and ranks the transmission table — so a live progress stream
-// can snapshot repeatedly while events keep flowing in. Feeding the
-// whole file then calling finish() is exactly summarizeTrace.
-class SummaryBuilder {
- public:
-  void add(const TraceEvent& event);
-  [[nodiscard]] TraceSummary finish() const;
-  [[nodiscard]] std::uint64_t eventsSeen() const { return eventsSeen_; }
-
- private:
-  TraceSummary summary_;
-  // Keyed by packet id so a transmission's fork bill aggregates even if
-  // a mapper reports it in several invocations (COW conflict rounds).
-  std::unordered_map<std::uint64_t, std::size_t> txIndex_;
-  std::uint64_t eventsSeen_ = 0;
 };
 
 [[nodiscard]] TraceSummary summarizeTrace(const TraceFile& trace);

@@ -47,7 +47,7 @@ enum class FrameType : std::uint8_t {
   kSteal = 2,       // coord -> worker: split your pending shard; seq = a
   kShutdown = 3,    // coord -> worker: exit cleanly
   kIdle = 4,        // worker -> coord: shard exhausted, want work
-  kStatus = 5,      // worker -> coord: next=a, hi=b, states=c, events=d
+  kStatus = 5,      // worker -> coord: next=a, hi=b
   kJobDone = 6,     // worker -> coord: job=a, executed|outcome<<8=b,
                     //                  states=c, events=d
   kStealReply = 7,  // worker -> coord: seq=a, victimNext=b,
@@ -157,8 +157,9 @@ struct WorkerContext {
   const PartitionPlan* plan = nullptr;
   const FleetConfig* config = nullptr;
   solver::ShmQueryCache* shared = nullptr;  // inherited shm mapping
-  // Live metrics: the inherited shm plane mapping (null when off). Slot
-  // i publishes into plane slot i+1; slot 0 belongs to the coordinator.
+  // Live metrics: the inherited shm plane mapping (null if it could not
+  // be created). Slot i publishes into plane slot i+1; slot 0 belongs to
+  // the coordinator.
   // `finished` holds the stats of the completed jobs this worker ran or
   // found done, plus the phase profiles of the jobs it ran.
   obs::ShmMetricsPlane* metricsPlane = nullptr;
@@ -296,8 +297,6 @@ bool workerRunOneJob(WorkerContext& w) {
         status.type = FrameType::kStatus;
         status.a = w.next;
         status.b = w.hi;
-        status.c = e.numStates();
-        status.d = e.eventsProcessed();
         workerSend(w, status);
         workerPublishMetrics(w, &e);
       }
@@ -477,13 +476,11 @@ class Coordinator {
     }
     reapAll();
     publishCoordinatorMetrics();
-    if (config_.shmMetrics) {
-      // The live view: every published worker slot plus our own. Exact
-      // totals are grafted on top from the durable merge in runFleet.
-      result_.metrics = metricsPlane_ != nullptr
-                            ? metricsPlane_->aggregate()
-                            : obs::snapshotFromStats(coordinatorStats_);
-    }
+    // The live view: every published worker slot plus our own. Exact
+    // totals are grafted on top from the durable merge in runFleet.
+    result_.metrics = metricsPlane_ != nullptr
+                          ? metricsPlane_->aggregate()
+                          : obs::snapshotFromStats(coordinatorStats_);
 
     if (suspending_ && completed_ != numJobs) {
       // Deliberately unfinished: count what the durable queue holds and
@@ -1008,21 +1005,19 @@ FleetResult runFleet(const EngineFactory& factory, const PartitionPlan& plan,
   // merge still produces exact post-run metrics.
   std::unique_ptr<obs::ShmMetricsPlane> metricsPlane;
   std::string namedPlane;
-  if (config.shmMetrics) {
-    const bool derived = config.metricsShmName.empty();
-    const std::string name = derived ? solver::privateSegmentName("/sde_mx_")
-                                     : config.metricsShmName;
-    obs::ShmMetricsConfig metricsConfig;
-    metricsConfig.slots = config.processes + 1;
-    try {
-      metricsPlane = obs::ShmMetricsPlane::create(name, metricsConfig);
-      if (derived)
-        obs::ShmMetricsPlane::unlinkSegment(name);
-      else
-        namedPlane = name;
-    } catch (const obs::ShmMetricsError& e) {
-      support::logError("fleet", e.what());
-    }
+  const bool derived = config.metricsShmName.empty();
+  const std::string name = derived ? solver::privateSegmentName("/sde_mx_")
+                                   : config.metricsShmName;
+  obs::ShmMetricsConfig metricsConfig;
+  metricsConfig.slots = config.processes + 1;
+  try {
+    metricsPlane = obs::ShmMetricsPlane::create(name, metricsConfig);
+    if (derived)
+      obs::ShmMetricsPlane::unlinkSegment(name);
+    else
+      namedPlane = name;
+  } catch (const obs::ShmMetricsError& e) {
+    support::logError("fleet", e.what());
   }
 
   FleetResult result;
@@ -1039,29 +1034,25 @@ FleetResult runFleet(const EngineFactory& factory, const PartitionPlan& plan,
     result.shmEntries = shared.cache->entries();
     snapshot::persistSharedStore(*shared.cache, dir.string());
   }
-  if (config.shmMetrics) {
-    // Exact totals win: the merged post-run stats are rendered verbatim,
-    // then live-only series (latency histograms, profile bridges,
-    // fleet.* counters) are adopted for the names stats do not carry.
-    // The live totals equal the exact ones unless a worker died with
-    // its slot's last publication. A suspended run has no merged stats —
-    // the live view stands alone.
-    obs::MetricsSnapshot merged;
-    if (!result.suspended)
-      merged = obs::snapshotFromStats(result.result.stats);
-    merged.adoptMissing(result.metrics);
-    result.metrics = std::move(merged);
-    if (!result.suspended) {
-      try {
-        const std::string bytes = obs::encodeMetricsSnapshot(result.metrics);
-        snapshot::atomicWriteFile(
-            snapshot::metricsSnapshotPath(dir), [&](std::ostream& os) {
-              os.write(bytes.data(),
-                       static_cast<std::streamsize>(bytes.size()));
-            });
-      } catch (const snapshot::SnapshotError& e) {
-        support::logError("snapshot", e.what());
-      }
+  // Exact totals win: the merged post-run stats are rendered verbatim,
+  // then live-only series (latency histograms, profile bridges, fleet.*
+  // counters) are adopted for the names stats do not carry. The live
+  // totals equal the exact ones unless a worker died with its slot's
+  // last publication. A suspended run has no merged stats — the live
+  // view stands alone.
+  obs::MetricsSnapshot merged;
+  if (!result.suspended) merged = obs::snapshotFromStats(result.result.stats);
+  merged.adoptMissing(result.metrics);
+  result.metrics = std::move(merged);
+  if (!result.suspended) {
+    try {
+      const std::string bytes = obs::encodeMetricsSnapshot(result.metrics);
+      snapshot::atomicWriteFile(
+          snapshot::metricsSnapshotPath(dir), [&](std::ostream& os) {
+            os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+          });
+    } catch (const snapshot::SnapshotError& e) {
+      support::logError("snapshot", e.what());
     }
   }
   if (!namedPlane.empty()) obs::ShmMetricsPlane::unlinkSegment(namedPlane);

@@ -136,17 +136,19 @@ struct FleetConfig : RunConfig {
   // The name outlives the run.
   std::string shmName;
   // --- Live metrics plane (obs/metrics.hpp + obs/metrics_shm.hpp) -----------
-  // On: each worker seqlock-publishes, into its slot of a POSIX shm
-  // metrics segment at the status cadence and after every job, the
-  // stats of the jobs it finished plus the running engine's registries
-  // (engine, interpreter and solver counters with the per-layer solver
-  // latency histograms) and its jobs' phase profiles — the numbers the
-  // post-run merge folds, so live totals equal post-run totals. The
-  // coordinator publishes its fleet.* counters into slot 0 and writes
-  // the merged snapshot to the durable metrics.sde sidecar at the end.
-  // Purely observational: exploration digests are identical with the
-  // plane on or off.
-  bool shmMetrics = true;
+  // Every fleet creates one: each worker seqlock-publishes, into its
+  // slot of a POSIX shm metrics segment at the status cadence and after
+  // every job, the stats of the jobs it finished plus the running
+  // engine's registries (engine, interpreter and solver counters with
+  // the per-layer solver latency histograms) and its jobs' phase
+  // profiles — the numbers the post-run merge folds, so live totals
+  // equal post-run totals. The coordinator publishes its fleet.*
+  // counters into slot 0 and writes the merged snapshot to the durable
+  // metrics.sde sidecar at the end. The plane is sde_serve's progress
+  // feed for a running job. Purely observational: a plane that cannot
+  // be created is logged and the run goes on without it, with the same
+  // digests.
+  //
   // POSIX shm name of the metrics segment ("/sde_mx_..."). Empty makes
   // the plane run-private: its name is unlinked as soon as it is
   // mapped. An embedding service passes a deterministic name so it can
@@ -184,8 +186,8 @@ struct FleetResult {
   // every executed job counts exactly 1 — the no-double-execution
   // oracle of the stealing tests.
   std::vector<std::uint32_t> executedCounts;
-  // Merged metrics snapshot (empty when shmMetrics is off): the post-run
-  // merged StatsRegistry rendered verbatim into the metrics value space —
+  // Merged metrics snapshot: the post-run merged StatsRegistry rendered
+  // verbatim into the metrics value space —
   // so every counter the stats carry is bit-exact even when a worker
   // died and took its live totals with it — plus live-plane-only series
   // (latency histograms, fleet.* counters, profile bridges) adopted for

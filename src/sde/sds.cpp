@@ -423,27 +423,44 @@ void SdsMapper::snapshotLoad(snapshot::Reader& in,
   nextDstateId_ = in.u64();
   liveVirtuals_ = in.u64();
 
+  // Counts come from the file, so nothing is sized or reserved from
+  // them: every loop reads as it goes, and a corrupt count runs into the
+  // end of the stream (SnapshotError). That is why the dstates are read
+  // before the pool's dstate references are resolved.
   const std::uint64_t poolSize = in.u64();
   struct PendingVirtual {
     StateId actual = 0;
     std::uint64_t dstate = 0;
   };
-  std::vector<PendingVirtual> pending(poolSize);
+  std::vector<PendingVirtual> pending;
   for (std::uint64_t i = 0; i < poolSize; ++i) {
-    pending[i].actual = in.u64();
-    pending[i].dstate = in.u64();
+    PendingVirtual& next = pending.emplace_back();
+    next.actual = in.u64();
+    next.dstate = in.u64();
+    virtualPool_.emplace_back().id = i;
   }
+
+  const auto virtualAt = [this](std::uint64_t id) -> VState& {
+    if (id >= virtualPool_.size())
+      throw snapshot::SnapshotError(
+          "SDS snapshot references an unknown virtual state");
+    return virtualPool_[id];
+  };
 
   const std::uint64_t numDstates = in.u64();
   for (std::uint64_t i = 0; i < numDstates; ++i) {
     VDState& dstate = dstates_.emplace_back();
     dstate.id = i;
     dstate.byNode.resize(numNodes_);
+    for (NodeId node = 0; node < numNodes_; ++node) {
+      const std::uint64_t count = in.u64();
+      for (std::uint64_t m = 0; m < count; ++m)
+        dstate.byNode[node].push_back(&virtualAt(in.u64()));
+    }
   }
 
   for (std::uint64_t i = 0; i < poolSize; ++i) {
-    VState& v = virtualPool_.emplace_back();
-    v.id = i;
+    VState& v = virtualPool_[i];
     if (pending[i].actual == kDeadVirtualSentinel) {
       if (pending[i].dstate != kDeadVirtualSentinel)
         throw snapshot::SnapshotError("SDS snapshot has a half-dead virtual");
@@ -458,22 +475,6 @@ void SdsMapper::snapshotLoad(snapshot::Reader& in,
     v.dstate = &dstates_[pending[i].dstate];
   }
 
-  const auto virtualAt = [this](std::uint64_t id) -> VState& {
-    if (id >= virtualPool_.size())
-      throw snapshot::SnapshotError(
-          "SDS snapshot references an unknown virtual state");
-    return virtualPool_[id];
-  };
-
-  for (VDState& dstate : dstates_) {
-    for (NodeId node = 0; node < numNodes_; ++node) {
-      const std::uint64_t count = in.u64();
-      dstate.byNode[node].reserve(count);
-      for (std::uint64_t m = 0; m < count; ++m)
-        dstate.byNode[node].push_back(&virtualAt(in.u64()));
-    }
-  }
-
   const std::uint64_t numActuals = in.u64();
   for (std::uint64_t i = 0; i < numActuals; ++i) {
     ExecutionState* actual = resolve(in.u64());
@@ -482,7 +483,6 @@ void SdsMapper::snapshotLoad(snapshot::Reader& in,
           "SDS snapshot references an unknown state");
     const std::uint64_t count = in.u64();
     std::vector<VState*>& virtuals = actualFor(*actual).virtuals;
-    virtuals.reserve(count);
     for (std::uint64_t m = 0; m < count; ++m)
       virtuals.push_back(&virtualAt(in.u64()));
   }

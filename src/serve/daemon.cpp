@@ -157,8 +157,10 @@ void Daemon::reapRunners() {
     }
     if (record.state == JobState::kDone && config_.retainJobs > 0) {
       for (const std::uint64_t pruned :
-           pruneResults(config_.root, config_.retainJobs))
+           pruneResults(config_.root, config_.retainJobs)) {
         jobs_.erase(pruned);
+        progress_.erase(pruned);
+      }
     }
   }
 }
@@ -226,7 +228,6 @@ void Daemon::startJob(std::uint64_t jobId) {
   runner.lastCharge = std::chrono::steady_clock::now();
   running_.emplace(jobId, std::move(runner));
   record.state = JobState::kRunning;
-  liveCounters_[jobId] = {0, 0};
   const auto queued = queuedSince_.find(jobId);
   if (queued != queuedSince_.end()) {
     const double waitedMs =
@@ -249,36 +250,25 @@ void Daemon::preemptJob(std::uint64_t jobId) {
 }
 
 void Daemon::refreshProgress() {
-  for (auto& [jobId, runner] : running_) {
-    const fs::path queue = jobQueueDir(jobDir(config_.root, jobId));
-    if (!fs::exists(queue)) continue;
-    for (const auto& entry : fs::directory_iterator(queue)) {
-      const std::string name = entry.path().filename().string();
-      if (name.rfind("trace_job", 0) != 0 || entry.path().extension() != ".trc")
-        continue;
-      auto [it, inserted] = runner.tailers.try_emplace(
-          entry.path().string(), nullptr);
-      if (inserted)
-        it->second = std::make_unique<obs::TraceTailer>(entry.path().string());
+  for (const auto& [jobId, runner] : running_) {
+    try {
+      progress_[jobId] = progressOf(livePlaneOf(jobId));
+    } catch (const obs::ShmMetricsError&) {
+      // Plane not up: the job keeps its last reading.
     }
-    std::uint64_t events = 0;
-    std::uint64_t states = 0;
-    for (auto& [path, tailer] : runner.tailers) {
-      try {
-        tailer->poll();
-      } catch (const obs::TraceError&) {
-        // A worker truncated/rewrote its file mid-poll; drop and re-arm
-        // next tick.
-        tailer = std::make_unique<obs::TraceTailer>(path);
-        continue;
-      }
-      events += tailer->eventsSeen();
-      const obs::TraceSummary summary = tailer->summary();
-      states += summary.count(obs::TraceEventKind::kStateCreate) +
-                summary.count(obs::TraceEventKind::kStateFork);
-    }
-    liveCounters_[jobId] = {events, states};
   }
+}
+
+Daemon::Progress Daemon::progressOf(const obs::MetricsSnapshot& snap) {
+  return {snap.value("engine.events"),
+          snap.value("engine.initial_states") +
+              snap.value("engine.forks_total")};
+}
+
+obs::MetricsSnapshot Daemon::livePlaneOf(std::uint64_t jobId) const {
+  return obs::ShmMetricsPlane::attach(
+             metricsShmNameFor(jobDir(config_.root, jobId)))
+      ->aggregate();
 }
 
 JobStatus Daemon::statusOf(const JobRecord& record) {
@@ -295,13 +285,23 @@ JobStatus Daemon::statusOf(const JobRecord& record) {
   for (std::uint32_t part = 0; part < status.partsTotal; ++part)
     if (fs::exists(snapshot::jobDonePath(jobQueueDir(dir), part)))
       ++status.partsDone;
-  const auto live = liveCounters_.find(record.id);
-  if (live != liveCounters_.end()) {
-    status.eventsSeen = live->second.first;
-    status.statesSeen = live->second.second;
-  }
-  if (status.state == JobState::kDone)
+  Progress progress;
+  if (const auto last = progress_.find(record.id); last != progress_.end())
+    progress = last->second;
+  if (status.state == JobState::kDone) {
     status.digest = parseDigestArtifact(dir);
+    // The published post-run stats, so the final frame equals stats.txt,
+    // also after a daemon restart.
+    if (const auto bytes = readArtifact(dir, "metrics.sde")) {
+      try {
+        progress = progressOf(obs::decodeMetricsSnapshot(*bytes));
+      } catch (const snapshot::SnapshotError&) {
+        // Torn artifact: the job keeps its last live reading.
+      }
+    }
+  }
+  status.eventsSeen = progress.events;
+  status.statesSeen = progress.states;
   return status;
 }
 
@@ -499,9 +499,7 @@ void Daemon::handleMetricsRequest(Client& client,
     }
     if (running_.count(request.jobId) > 0) {
       try {
-        const auto plane =
-            obs::ShmMetricsPlane::attach(metricsShmNameFor(dir));
-        const obs::MetricsSnapshot snap = plane->aggregate();
+        const obs::MetricsSnapshot snap = livePlaneOf(request.jobId);
         sendTo(client, MetricsReply{obs::renderPrometheus(snap),
                                     obs::encodeMetricsSnapshot(snap)});
       } catch (const obs::ShmMetricsError& e) {
@@ -523,9 +521,7 @@ void Daemon::handleMetricsRequest(Client& client,
   obs::MetricsSnapshot snap = obs::snapshotFromStats(metrics_);
   for (const auto& [jobId, runner] : running_) {
     try {
-      const auto plane = obs::ShmMetricsPlane::attach(
-          metricsShmNameFor(jobDir(config_.root, jobId)));
-      snap.merge(plane->aggregate());
+      snap.merge(livePlaneOf(jobId));
     } catch (const obs::ShmMetricsError&) {
       // Plane not up (or already torn down) — that job simply does not
       // contribute to this poll.

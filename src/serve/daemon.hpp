@@ -16,8 +16,9 @@
 //
 // Scheduling is delegated to the pure Scheduler (scheduler.hpp); the
 // daemon's tick translates its decisions into fork/SIGTERM, reaps
-// children with waitpid(WNOHANG), derives job states from disk, tails
-// running jobs' trace files (obs/tail.hpp) for live progress frames,
+// children with waitpid(WNOHANG), derives job states from disk, reads
+// running jobs' progress from their fleets' live metrics planes
+// (obs/metrics_shm.hpp) — a done job's from its published metrics.sde —
 // and applies retention after each completion.
 #pragma once
 
@@ -32,7 +33,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/tail.hpp"
 #include "serve/job.hpp"
 #include "serve/protocol.hpp"
 #include "serve/scheduler.hpp"
@@ -74,9 +74,13 @@ class Daemon {
     pid_t pid = -1;
     std::chrono::steady_clock::time_point lastCharge;
     bool preempting = false;
-    // Live progress: one tailer per fleet worker trace file, recreated
-    // whenever the runner (re)starts because resume truncates them.
-    std::map<std::string, std::unique_ptr<obs::TraceTailer>> tailers;
+  };
+  // A job's progress in the engine's own counts: engine.events, and
+  // engine.initial_states + engine.forks_total — the totals stats.txt
+  // reports.
+  struct Progress {
+    std::uint64_t events = 0;
+    std::uint64_t states = 0;
   };
 
   void tick();
@@ -90,6 +94,14 @@ class Daemon {
   void serviceClient(Client& client);
   void handleMessage(Client& client, const Message& message);
   void handleMetricsRequest(Client& client, const MetricsRequest& request);
+  // The aggregate of a running job's live metrics plane, the segment
+  // its fleet publishes into (metricsShmNameFor). Attached afresh on
+  // every read: a SIGKILLed runner leaves its segment behind and the
+  // next runner's fleet replaces it, so a mapping held across a runner
+  // restart would keep reading a dead plane. Throws
+  // obs::ShmMetricsError while the plane is not up.
+  [[nodiscard]] obs::MetricsSnapshot livePlaneOf(std::uint64_t jobId) const;
+  [[nodiscard]] static Progress progressOf(const obs::MetricsSnapshot& snap);
   void noteTenant(const std::string& tenant);
   void refreshSlotGauges();
   [[nodiscard]] JobStatus statusOf(const JobRecord& record);
@@ -105,10 +117,11 @@ class Daemon {
   std::uint64_t nextId_ = 1;
   std::map<std::uint64_t, RunningJob> running_;
   std::vector<std::unique_ptr<Client>> clients_;
-  // Cached live counters per running job (survive until the next
-  // refresh; terminal states keep the last observed values).
-  std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>
-      liveCounters_;  // jobId -> {eventsSeen, statesSeen}
+  // Last plane reading per job that ran under this daemon. A job whose
+  // plane is not up (runner just forked, or the plane could not be
+  // created) and a failed, cancelled or suspended job keep theirs; a
+  // done job reports its metrics.sde instead.
+  std::map<std::uint64_t, Progress> progress_;
   // Service accounting: per-tenant queue-wait histograms, run
   // slot-milliseconds, preemptions and slot-occupancy gauges. Written
   // and rendered by the poll loop only. A MetricsRequest with jobId 0

@@ -72,7 +72,11 @@ struct JobStatus {
   JobState state = JobState::kQueued;
   std::uint32_t partsDone = 0;   // fleet partition jobs completed
   std::uint32_t partsTotal = 0;  // 2^partitionVariables
-  std::uint64_t eventsSeen = 0;  // live, from tailing worker traces
+  // Progress in the engine's own counts: engine.events and
+  // engine.initial_states + engine.forks_total, from the job's live
+  // metrics plane while it runs and from its metrics.sde once done, so
+  // a done job reports its stats.txt totals.
+  std::uint64_t eventsSeen = 0;
   std::uint64_t statesSeen = 0;
   std::uint64_t digest = 0;  // fingerprint digest once done, else 0
   std::string error;         // failure reason once failed

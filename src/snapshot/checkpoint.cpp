@@ -8,6 +8,7 @@
 
 #include "expr/context.hpp"
 #include "support/pvector.hpp"
+#include "support/stats.hpp"
 #include "sde/engine.hpp"
 #include "snapshot/reader.hpp"
 #include "snapshot/writer.hpp"
@@ -17,33 +18,16 @@
 // reusable pieces declared in checkpoint.hpp. Section order in the file
 // format mirrors restore-time data dependencies: expressions before
 // anything holding a Ref, memory blobs before states, states before the
-// scheduler and the mapper (both reference states by id).
+// scheduler and the mapper (both reference states by id). Counts come
+// from the file, so the decoders size and reserve nothing from them: a
+// corrupt count runs into the end of the stream (SnapshotError), not
+// into an allocation it cannot make.
 
 namespace sde::snapshot {
 
 namespace {
 
 constexpr std::uint32_t kNullRef = 0xFFFFFFFFu;
-
-void writeStats(Writer& out, const support::StatsRegistry& stats,
-                std::string_view skip = {}) {
-  std::map<std::string, std::uint64_t> counters = stats.all();
-  if (!skip.empty()) counters.erase(std::string(skip));
-  out.u64(counters.size());
-  for (const auto& [name, value] : counters) {
-    out.str(name);
-    out.u64(value);
-  }
-}
-
-void readStats(Reader& in, support::StatsRegistry& stats) {
-  stats.clear();
-  const std::uint64_t count = in.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::string name = in.str();
-    stats.set(support::StatsRegistry::id(name), in.u64());
-  }
-}
 
 // Assignments are unordered maps; serialize entries sorted by variable
 // id so identical runs write identical bytes.
@@ -77,6 +61,26 @@ expr::Assignment readAssignment(Reader& in, const expr::Context& ctx) {
 }
 
 }  // namespace
+
+void writeStats(Writer& out, const support::StatsRegistry& stats,
+                std::string_view skip) {
+  std::map<std::string, std::uint64_t> counters = stats.all();
+  if (!skip.empty()) counters.erase(std::string(skip));
+  out.u64(counters.size());
+  for (const auto& [name, value] : counters) {
+    out.str(name);
+    out.u64(value);
+  }
+}
+
+void readStats(Reader& in, support::StatsRegistry& stats) {
+  stats.clear();
+  const std::uint64_t count = in.u64();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::string name = in.str();
+    stats.set(support::StatsRegistry::id(name), in.u64());
+  }
+}
 
 void writeRef(Writer& out, expr::Ref ref) {
   out.u32(ref == nullptr ? kNullRef : ref->id());
@@ -316,7 +320,6 @@ vm::MergeGuard readMergeGuard(Reader& in, const expr::Context& ctx) {
   guard.conjunct = readRef(in, ctx);
   const auto readRefs = [&in, &ctx](std::vector<expr::Ref>& refs) {
     const std::uint64_t count = in.u64();
-    refs.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) refs.push_back(readRef(in, ctx));
   };
   readRefs(guard.ifTrue);
@@ -324,7 +327,6 @@ vm::MergeGuard readMergeGuard(Reader& in, const expr::Context& ctx) {
   const auto readDecisions =
       [&in, &ctx](std::vector<vm::DecisionRecord>& decisions) {
         const std::uint64_t count = in.u64();
-        decisions.reserve(count);
         for (std::uint64_t i = 0; i < count; ++i)
           decisions.push_back(readDecisionRecord(in, ctx));
       };
@@ -333,7 +335,6 @@ vm::MergeGuard readMergeGuard(Reader& in, const expr::Context& ctx) {
   guard.decSplit = in.u64();
   const auto readSub = [&in, &ctx](std::vector<vm::MergeGuard>& sub) {
     const std::uint64_t count = in.u64();
-    sub.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i)
       sub.push_back(readMergeGuard(in, ctx));
   };
@@ -341,7 +342,6 @@ vm::MergeGuard readMergeGuard(Reader& in, const expr::Context& ctx) {
   readSub(guard.subFalse);
   const auto readObjs = [&in](std::vector<std::uint64_t>& objs) {
     const std::uint64_t count = in.u64();
-    objs.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) objs.push_back(in.u64());
   };
   readObjs(guard.objsTrueOnly);
@@ -369,7 +369,6 @@ vm::PendingEvent readPendingEvent(Reader& in, const expr::Context& ctx) {
   event.a = in.u64();
   event.b = in.u64();
   const std::uint64_t cells = in.u64();
-  event.payload.reserve(cells);
   for (std::uint64_t c = 0; c < cells; ++c)
     event.payload.push_back(readRef(in, ctx));
   event.seq = in.u64();
@@ -396,14 +395,12 @@ ChunkRefs<T> readChunkTable(Reader& in, ReadElem readElem) {
   using Chunk = typename support::PVector<T>::Chunk;
   const std::uint64_t count = in.u64();
   ChunkRefs<T> chunks;
-  chunks.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t size = in.u64();
     if (size != support::PVector<T>::chunkCapacity())
       throw SnapshotError("sequence chunk has the wrong size "
                           "(corrupt checkpoint)");
     std::vector<T> items;
-    items.reserve(size);
     for (std::uint64_t c = 0; c < size; ++c) items.push_back(readElem());
     chunks.push_back(std::make_shared<const Chunk>(std::move(items)));
   }
@@ -429,7 +426,6 @@ support::PVector<T> readSequence(Reader& in, const ChunkRefs<T>& table,
   std::shared_ptr<const typename Sequence::Spine> spine;
   if (numChunks != 0) {
     auto building = std::make_shared<typename Sequence::Spine>();
-    building->reserve(numChunks);
     for (std::uint64_t i = 0; i < numChunks; ++i) {
       const std::uint64_t index = in.u64();
       if (index >= table.size())
@@ -442,7 +438,6 @@ support::PVector<T> readSequence(Reader& in, const ChunkRefs<T>& table,
   if (tailSize >= Sequence::chunkCapacity())
     throw SnapshotError("sequence tail over-full (corrupt checkpoint)");
   std::vector<T> tail;
-  tail.reserve(tailSize);
   for (std::uint64_t i = 0; i < tailSize; ++i) tail.push_back(readElem());
   Sequence seq;
   seq.restoreSnapshot(std::move(spine), std::move(tail));
@@ -540,7 +535,6 @@ void readStateBody(
   state.pc = in.u64();
 
   const std::uint64_t frames = in.u64();
-  state.callStack.reserve(frames);
   for (std::uint64_t i = 0; i < frames; ++i)
     state.callStack.push_back(static_cast<std::size_t>(in.u64()));
 
@@ -596,7 +590,6 @@ void readStateBody(
   state.executedInstructions = in.u64();
 
   const std::uint64_t guards = in.u64();
-  state.mergeGuards.reserve(guards);
   for (std::uint64_t i = 0; i < guards; ++i)
     state.mergeGuards.push_back(readMergeGuard(in, ctx));
 }
@@ -640,11 +633,9 @@ void readQueryCache(Reader& in, const expr::Context& ctx,
                     solver::QueryCache& cache) {
   const std::uint64_t numResults = in.u64();
   std::vector<std::pair<solver::QueryKey, solver::EnumResult>> results;
-  results.reserve(numResults);
   for (std::uint64_t i = 0; i < numResults; ++i) {
     solver::QueryKey key;
     const std::uint64_t terms = in.u64();
-    key.reserve(terms);
     for (std::uint64_t t = 0; t < terms; ++t) key.push_back(readRef(in, ctx));
     solver::EnumResult result;
     const std::uint8_t status = in.u8();
@@ -833,11 +824,9 @@ void Engine::restore(std::istream& is) {
 
   std::vector<std::shared_ptr<vm::AddressSpace::Payload>> blobs;
   const std::uint64_t numBlobs = in.u64();
-  blobs.reserve(numBlobs);
   for (std::uint64_t i = 0; i < numBlobs; ++i) {
     vm::AddressSpace::Cells cells;
     const std::uint64_t size = in.u64();
-    cells.reserve(size);
     for (std::uint64_t c = 0; c < size; ++c) cells.push_back(readRef(in, ctx_));
     blobs.push_back(
         std::make_shared<vm::AddressSpace::Payload>(std::move(cells)));
@@ -851,11 +840,9 @@ void Engine::restore(std::istream& is) {
   tables.decisions = readChunkTable<ExecutionState::DecisionRecord>(
       in, [&in, this]() { return readDecisionRecord(in, ctx_); });
   const std::uint64_t numQueues = in.u64();
-  tables.queues.reserve(numQueues);
   for (std::uint64_t i = 0; i < numQueues; ++i) {
     std::vector<vm::PendingEvent> queue;
     const std::uint64_t size = in.u64();
-    queue.reserve(size);
     for (std::uint64_t e = 0; e < size; ++e)
       queue.push_back(readPendingEvent(in, ctx_));
     tables.queues.push_back(
@@ -892,6 +879,10 @@ void Engine::restore(std::istream& is) {
     throw SnapshotError("checkpoint header/body state counts disagree");
   for (std::uint64_t i = 0; i < numStates; ++i) {
     const StateId id = in.u64();
+    // Ids index the engine's dense per-state tables (notePriceChange).
+    if (id >= nextStateId_)
+      throw SnapshotError("checkpoint state id " + std::to_string(id) +
+                          " was never allocated");
     const NodeId node = in.u32();
     const auto programIt = programOf.find(node);
     if (programIt == programOf.end())
@@ -911,7 +902,6 @@ void Engine::restore(std::istream& is) {
   const std::uint64_t staleDrops = in.u64();
   const std::uint64_t numEntries = in.u64();
   std::vector<Scheduler::Entry> entries;
-  entries.reserve(numEntries);
   for (std::uint64_t i = 0; i < numEntries; ++i) {
     Scheduler::Entry entry;
     entry.time = in.u64();

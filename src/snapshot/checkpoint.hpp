@@ -31,6 +31,9 @@
 namespace sde::expr {
 class Context;
 }
+namespace sde::support {
+class StatsRegistry;
+}
 
 namespace sde::snapshot {
 
@@ -69,6 +72,14 @@ void readExprTable(Reader& in, expr::Context& ctx);
 // Nullable Ref as a u32 node id (null = sentinel).
 void writeRef(Writer& out, expr::Ref ref);
 [[nodiscard]] expr::Ref readRef(Reader& in, const expr::Context& ctx);
+
+// --- Stats section (checkpoints and .done files) -----------------------------
+// A u64 count, then every written series as a name/u64 pair, sorted by
+// name; `skip` names one series to leave out. readStats replaces the
+// registry's contents with what it reads.
+void writeStats(Writer& out, const support::StatsRegistry& stats,
+                std::string_view skip = {});
+void readStats(Reader& in, support::StatsRegistry& stats);
 
 // --- Header sniffing (CLI inspect / validate) --------------------------------
 // Reads only the fixed-size prefix of a checkpoint stream: framing tag,

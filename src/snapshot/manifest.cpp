@@ -1,9 +1,9 @@
 #include "snapshot/manifest.hpp"
 
 #include <fstream>
-#include <map>
 #include <string>
 
+#include "snapshot/checkpoint.hpp"
 #include "snapshot/reader.hpp"
 #include "snapshot/writer.hpp"
 
@@ -173,12 +173,7 @@ void writeJobResult(std::ostream& os, const JobResult& result) {
   for (const std::uint64_t print : result.stateFingerprints) out.u64(print);
   out.u64(result.testcases.size());
   for (const std::string& testcase : result.testcases) out.str(testcase);
-  const std::map<std::string, std::uint64_t> counters = result.stats.all();
-  out.u64(counters.size());
-  for (const auto& [name, value] : counters) {
-    out.str(name);
-    out.u64(value);
-  }
+  writeStats(out, result.stats);
 }
 
 JobResult readJobResult(std::istream& is) {
@@ -206,11 +201,7 @@ JobResult readJobResult(std::istream& is) {
   const std::uint64_t numTestcases = in.u64();
   for (std::uint64_t i = 0; i < numTestcases; ++i)
     result.testcases.push_back(in.str(1u << 24));
-  const std::uint64_t numCounters = in.u64();
-  for (std::uint64_t i = 0; i < numCounters; ++i) {
-    const std::string name = in.str();
-    result.stats.set(support::StatsRegistry::id(name), in.u64());
-  }
+  readStats(in, result.stats);
   return result;
 }
 

@@ -7,16 +7,14 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "obs/metrics_shm.hpp"
 #include "sde/fleet.hpp"
 #include "snapshot/manifest.hpp"
+#include "suspend_at_checkpoint.hpp"
 #include "trace/scenario.hpp"
 
 namespace sde {
@@ -56,7 +54,6 @@ struct LiveFleet {
   LiveFleet(const fs::path& dir, const std::string& tag) {
     config.processes = 2;
     config.checkpointDir = dir.string();
-    config.shmMetrics = true;
     config.metricsShmName = planeName(tag);
     config.collectTestcases = true;
     config.stopRequested = [this] {
@@ -110,31 +107,13 @@ TEST(FleetMetricsTest, LivePlaneEqualsPostRunStatsOnAnUninterruptedRun) {
 TEST(FleetMetricsTest, LivePlaneEqualsPostRunStatsWhenJobsResumeMidJob) {
   const fs::path dir = freshDir("fleet_metrics_resume");
   // First run: suspend as soon as any job wrote a checkpoint, so jobs
-  // are cut mid-run (the chaos hook runs in the worker; the stop hook
-  // in the coordinator sees its sentinel on disk). The worker waits in
-  // the hook until the coordinator has requested the suspend, so its
-  // job is still running when kSuspendFleet arrives, however late the
-  // coordinator's poll fires.
+  // are cut mid-run.
   FleetConfig first;
   first.processes = 2;
   first.checkpointDir = dir.string();
   first.checkpointEveryEvents = 64;
   first.collectTestcases = true;
-  const fs::path sentinel = dir / "suspend_now";
-  const fs::path requested = dir / "suspend_requested";
-  first.chaos.onCheckpoint = [sentinel, requested](unsigned, std::uint32_t) {
-    std::ofstream(sentinel).put('x');
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (!fs::exists(requested) &&
-           std::chrono::steady_clock::now() < deadline)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  };
-  first.stopRequested = [&sentinel, &requested] {
-    if (!fs::exists(sentinel)) return false;
-    std::ofstream(requested).put('x');
-    return true;
-  };
+  suspendAtFirstCheckpoint(first, dir);
   const FleetResult suspended =
       trace::runCollectFleet(scenarioConfig(), first, kVars);
   ASSERT_TRUE(suspended.suspended);

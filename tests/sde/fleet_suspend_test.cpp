@@ -12,11 +12,11 @@
 #include <chrono>
 #include <csignal>
 #include <filesystem>
-#include <fstream>
 #include <thread>
 
 #include "sde/fleet.hpp"
 #include "snapshot/manifest.hpp"
+#include "suspend_at_checkpoint.hpp"
 #include "trace/scenario.hpp"
 
 namespace sde {
@@ -33,8 +33,12 @@ trace::CollectScenarioConfig scenarioConfig() {
   return config;
 }
 
+// One directory per process, so a --gtest_repeat loop next to ctest
+// never shares a run directory with the suite's own run of a test.
 fs::path freshDir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / ("sde_" + name);
+  const fs::path dir =
+      fs::path(::testing::TempDir()) /
+      ("sde_" + name + "_" + std::to_string(static_cast<long>(::getpid())));
   fs::remove_all(dir);
   return dir;
 }
@@ -108,6 +112,7 @@ TEST(FleetSuspendTest, StopHookSuspendsAndResumeMatchesReferenceDigest) {
     // match.
     EXPECT_EQ(first.result.fingerprintDigest(), expected);
   }
+  fs::remove_all(dir);
 }
 
 // A suspend request that lands mid-job exercises the engine abort path:
@@ -122,13 +127,7 @@ TEST(FleetSuspendTest, MidJobSuspendLeavesResumableCheckpoint) {
   fleet.checkpointDir = dir.string();
   fleet.shmQueryCache = false;
   fleet.checkpointEveryEvents = 64;
-  // Trip the stop hook from inside the run: the chaos checkpoint hook
-  // runs in the worker process, so signal through the file system.
-  const fs::path sentinel = dir / "suspend_now";
-  fleet.chaos.onCheckpoint = [sentinel](unsigned, std::uint32_t) {
-    std::ofstream(sentinel).put('x');
-  };
-  fleet.stopRequested = [&sentinel] { return fs::exists(sentinel); };
+  suspendAtFirstCheckpoint(fleet, dir);
 
   const FleetResult first = trace::runCollectFleet(config, fleet, kVars);
   ASSERT_TRUE(first.suspended);
@@ -148,6 +147,7 @@ TEST(FleetSuspendTest, MidJobSuspendLeavesResumableCheckpoint) {
       trace::runCollectFleet(config, resumeConfig, kVars);
   EXPECT_EQ(second.result.fingerprintDigest(),
             referenceDigest(config, kVars));
+  fs::remove_all(dir);
 }
 
 // Merge mode across suspend/restore: a merged exploration interrupted
@@ -167,11 +167,7 @@ TEST(FleetSuspendTest, MergedMidJobSuspendResumesToMergedReferenceDigest) {
   fleet.checkpointDir = dir.string();
   fleet.shmQueryCache = false;
   fleet.checkpointEveryEvents = 64;
-  const fs::path sentinel = dir / "suspend_now";
-  fleet.chaos.onCheckpoint = [sentinel](unsigned, std::uint32_t) {
-    std::ofstream(sentinel).put('x');
-  };
-  fleet.stopRequested = [&sentinel] { return fs::exists(sentinel); };
+  suspendAtFirstCheckpoint(fleet, dir);
 
   const FleetResult first = trace::runCollectFleet(config, fleet, kVars);
   ASSERT_TRUE(first.suspended);
@@ -243,6 +239,7 @@ TEST(FleetSuspendTest, SigtermSuspendsChildFleetAndResumeCompletes) {
   EXPECT_FALSE(final_.suspended);
   EXPECT_EQ(final_.result.fingerprintDigest(),
             referenceDigest(config, kVars));
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -8,11 +8,14 @@
 //  - a resume over a corrupt sidecar — a count that overruns the file,
 //    or a flipped model value — starts cold and still reaches the
 //    uninterrupted run's digest;
-//  - a resume over a .done file with a corrupt count re-runs that job
-//    and reaches the uninterrupted run's digest;
+//  - a resume over a .done file with a corrupt count re-runs that job,
+//    and one over a checkpoint with a corrupt count restarts that job,
+//    and both reach the uninterrupted run's digest;
 //  - the sidecar, .done and manifest decoders meet every truncation and
 //    every single-bit flip of a real file by decoding or by throwing
-//    SnapshotError, and the sidecar's checksum rejects every flip.
+//    SnapshotError, and the sidecar's checksum rejects every flip; the
+//    checkpoint decoder meets every truncation and every byte's top-bit
+//    flip of each mapper's real checkpoint the same way.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -24,9 +27,12 @@
 #include <sstream>
 #include <string>
 
+#include "expr/context.hpp"
 #include "sde/fleet.hpp"
+#include "snapshot/checkpoint.hpp"
 #include "snapshot/error.hpp"
 #include "snapshot/manifest.hpp"
+#include "snapshot/reader.hpp"
 #include "snapshot/shared_cache_io.hpp"
 #include "trace/scenario.hpp"
 
@@ -62,23 +68,38 @@ fs::path freshDir(const std::string& name) {
   return dir;
 }
 
-// A durable run with test-case generation (the traffic that reaches the
-// shared store) over `dir`.
-ParallelResult runDurable(Runner runner, const fs::path& dir, bool resume) {
+// smallGrid with a per-engine state cap far below a job's total, so
+// every job stops early and leaves a checkpoint.
+trace::CollectScenarioConfig cappedGrid() {
+  trace::CollectScenarioConfig config = smallGrid();
+  config.engine.maxStates = 20;
+  return config;
+}
+
+// A durable run of smallGrid with test-case generation (the traffic that
+// reaches the shared store) over `dir`, its engines built from `engines`.
+// The manifest always records smallGrid, so a resume of a cappedGrid run
+// is the same run with the cap lifted.
+ParallelResult runDurable(
+    Runner runner, const fs::path& dir, bool resume,
+    const trace::CollectScenarioConfig& engines = smallGrid()) {
+  const std::string spec = trace::encodeCollectScenarioSpec(smallGrid(), kVars);
   if (runner == Runner::kThreads) {
     ParallelConfig threads;
     threads.workers = 2;
     threads.collectTestcases = true;
     threads.checkpointDir = dir.string();
     threads.resume = resume;
-    return trace::runCollectPartitioned(smallGrid(), threads, kVars).result;
+    threads.scenarioSpec = spec;
+    return trace::runCollectPartitioned(engines, threads, kVars).result;
   }
   FleetConfig fleet;
   fleet.processes = 2;
   fleet.collectTestcases = true;
   fleet.checkpointDir = dir.string();
   fleet.resume = resume;
-  return trace::runCollectFleet(smallGrid(), fleet, kVars).result;
+  fleet.scenarioSpec = spec;
+  return trace::runCollectFleet(engines, fleet, kVars).result;
 }
 
 // Leaves only the manifest and the sidecar: every job of a resume then
@@ -212,6 +233,60 @@ INSTANTIATE_TEST_SUITE_P(Runners, DoneFileResumeTest,
                          ::testing::Values(Runner::kThreads, Runner::kFleet),
                          runnerName);
 
+// Byte offset of a checkpoint's memory-blob count, the u64 that follows
+// the header and the expression table.
+std::size_t blobCountOffset(const std::string& checkpoint) {
+  std::istringstream is(checkpoint, std::ios::binary);
+  (void)snapshot::inspectCheckpointHeader(is);
+  snapshot::Reader in(is);
+  expr::Context ctx;
+  snapshot::readExprTable(in, ctx);
+  return static_cast<std::size_t>(is.tellg());
+}
+
+// Restores `bytes` into an engine built like a smallGrid job's.
+void restoreSmallGridJob(const std::string& bytes) {
+  const trace::CollectScenario scenario(smallGrid());
+  const std::unique_ptr<Engine> engine = scenario.engineFactory()({});
+  std::istringstream in(bytes, std::ios::binary);
+  engine->restore(in);
+}
+
+class CheckpointResumeTest : public ::testing::TestWithParam<Runner> {};
+
+TEST_P(CheckpointResumeTest, CorruptCountRestartsTheJobToTheSameDigest) {
+  const fs::path reference = freshDir("ckpt_corrupt_reference");
+  const ParallelResult cold =
+      runDurable(GetParam(), reference, /*resume=*/false);
+  ASSERT_EQ(cold.outcome, RunOutcome::kCompleted);
+  fs::remove_all(reference);
+
+  const fs::path dir = freshDir("ckpt_corrupt_count");
+  (void)runDurable(GetParam(), dir, /*resume=*/false, cappedGrid());
+  const fs::path checkpoint = snapshot::jobCheckpointPath(dir, 1);
+  ASSERT_TRUE(fs::exists(checkpoint)) << "the capped run left no checkpoint";
+
+  // Set the top bit of job 1's memory-blob count: the count now promises
+  // far more blobs than the file holds.
+  std::string bytes = readBytes(checkpoint);
+  ASSERT_NO_THROW(restoreSmallGridJob(bytes));
+  const std::size_t count = blobCountOffset(bytes);
+  ASSERT_LT(count + 8, bytes.size());
+  bytes[count + 7] = static_cast<char>(bytes[count + 7] ^ 0x80);
+  writeBytes(checkpoint, bytes);
+  EXPECT_THROW(restoreSmallGridJob(bytes), snapshot::SnapshotError);
+
+  const ParallelResult resumed = runDurable(GetParam(), dir, /*resume=*/true);
+  ASSERT_EQ(resumed.outcome, RunOutcome::kCompleted);
+  EXPECT_EQ(resumed.fingerprintDigest(), cold.fingerprintDigest());
+  EXPECT_EQ(resumed.testcases, cold.testcases);
+  fs::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(Runners, CheckpointResumeTest,
+                         ::testing::Values(Runner::kThreads, Runner::kFleet),
+                         runnerName);
+
 // True when `decode` returns or throws SnapshotError; false for any
 // other exception (a std::length_error or std::bad_alloc from trusting a
 // corrupt count, say).
@@ -226,15 +301,17 @@ bool decodesOrRejects(const std::function<void()>& decode) {
 }
 
 // Every truncation and every single-bit flip of `bytes` decodes or is
-// rejected by `decode`.
+// rejected by `decode`. `flips` masks the bits flipped in each byte.
 void expectEveryMutantDecodesOrIsRejected(
     const std::string& bytes,
-    const std::function<void(const std::string&)>& decode) {
+    const std::function<void(const std::string&)>& decode,
+    std::uint8_t flips = 0xff) {
   for (std::size_t length = 0; length < bytes.size(); ++length)
     EXPECT_TRUE(decodesOrRejects([&] { decode(bytes.substr(0, length)); }))
         << "truncated to " << length << " bytes";
   std::string flipped = bytes;
   for (std::size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
+    if ((flips >> (bit % 8) & 1) == 0) continue;
     flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
     EXPECT_TRUE(decodesOrRejects([&] { decode(flipped); }))
         << "bit " << bit << " flipped";
@@ -304,6 +381,45 @@ TEST(DoneFileDecoderTest, EveryTruncationAndBitFlipDecodesOrIsRejected) {
     (void)snapshot::readJobResult(in);
   });
 }
+
+// The checkpoint battery runs over each mapper's engine checkpointed
+// mid-run on a 2x2 grid with state merging on, after its first merges,
+// so the merge side tables are in the file too.
+class CheckpointDecoderTest : public ::testing::TestWithParam<MapperKind> {};
+
+TEST_P(CheckpointDecoderTest,
+       EveryTruncationAndTopBitFlipRestoresOrIsRejected) {
+  trace::CollectScenarioConfig config;
+  config.gridWidth = 2;
+  config.gridHeight = 2;
+  config.simulationTime = 4000;
+  config.mapper = GetParam();
+  config.engine.mergeStates = true;
+  trace::CollectScenario scenario(config);
+  ASSERT_EQ(scenario.engine().run(1500), RunOutcome::kCompleted);
+  ASSERT_GT(scenario.engine().stats().get("engine.merges"), 0u);
+  std::ostringstream out(std::ios::binary);
+  scenario.engine().checkpoint(out);
+  const std::string checkpoint = out.str();
+
+  const EngineFactory factory = scenario.engineFactory();
+  const auto restore = [&](const std::string& bytes) {
+    const std::unique_ptr<Engine> engine = factory({});
+    std::istringstream in(bytes, std::ios::binary);
+    engine->restore(in);
+  };
+  ASSERT_NO_THROW(restore(checkpoint));
+  // Of the bit flips, each byte's top bit: the one that makes a count
+  // overrun the file. Every bit would take eight times the restores.
+  expectEveryMutantDecodesOrIsRejected(checkpoint, restore, 0x80);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Mappers, CheckpointDecoderTest,
+    ::testing::Values(MapperKind::kCob, MapperKind::kCow, MapperKind::kSds),
+    [](const ::testing::TestParamInfo<MapperKind>& info) {
+      return std::string(mapperKindName(info.param));
+    });
 
 TEST(ManifestDecoderTest, EveryTruncationAndBitFlipDecodesOrIsRejected) {
   const fs::path dir = smallDurableRun("manifest_fuzz");

@@ -2,6 +2,7 @@
 // real runner/fleet processes underneath, driven through the blocking
 // Client. The invariants under test are the service's headline claims:
 //   * a job's artifacts carry the digest of a direct fleet run,
+//   * a done job's progress equals its post-run stats,
 //   * validation failures travel the wire as readable ErrorReplies,
 //   * SIGKILLing the daemon mid-job loses no accepted work,
 //   * strict priority preempts (suspends) lower-priority jobs,
@@ -16,6 +17,7 @@
 #include <chrono>
 #include <csignal>
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -157,6 +159,29 @@ JobStatus waitForJob(Client& client, std::uint64_t jobId,
   return last;
 }
 
+// The job's published stats.txt as name -> value.
+std::map<std::string, std::uint64_t> fetchStats(Client& client,
+                                                std::uint64_t jobId) {
+  std::map<std::string, std::uint64_t> stats;
+  std::istringstream text(client.fetch(jobId, "stats.txt"));
+  for (std::string line; std::getline(text, line);) {
+    const std::size_t eq = line.find(" = ");
+    if (eq != std::string::npos)
+      stats[line.substr(0, eq)] = std::stoull(line.substr(eq + 3));
+  }
+  return stats;
+}
+
+// A done job's last progress frame reports the post-run totals: the
+// engine's processed events and states created.
+void expectProgressEqualsPostRunStats(Client& client, const JobStatus& final_) {
+  const auto stats = fetchStats(client, final_.jobId);
+  ASSERT_GT(stats.count("engine.events"), 0u);
+  EXPECT_EQ(final_.eventsSeen, stats.at("engine.events"));
+  EXPECT_EQ(final_.statesSeen, stats.at("engine.initial_states") +
+                                   stats.at("engine.forks_total"));
+}
+
 TEST(ServeE2eTest, JobCompletesWithTheDigestOfADirectFleetRun) {
   if (sanitizersActive()) GTEST_SKIP() << "forks real fleets";
   const fs::path root = freshRoot("digest");
@@ -185,9 +210,10 @@ TEST(ServeE2eTest, JobCompletesWithTheDigestOfADirectFleetRun) {
             names.end());
   const std::string digestText = client.fetch(jobId, "digest.txt");
   EXPECT_EQ(std::stoull(digestText), final_.digest);
-  // (Live eventsSeen counters are asserted in the sigkill test, whose
-  // job runs long enough for the tailer to observe it mid-flight; this
-  // one can finish inside a single daemon tick.)
+  expectProgressEqualsPostRunStats(client, final_);
+  // (Live eventsSeen counters on a running job are asserted in the
+  // sigkill test, whose job runs long enough for the plane to be read
+  // mid-flight; this one can finish inside a single daemon tick.)
 
   shutdownAndReap(socket, daemon);
 }
@@ -269,6 +295,7 @@ TEST(ServeE2eTest, DaemonSigkillLosesNoAcceptedJob) {
     const JobStatus final_ = client.watch(jobId);
     EXPECT_EQ(final_.state, JobState::kDone);
     EXPECT_EQ(final_.digest, expected);
+    expectProgressEqualsPostRunStats(client, final_);
   }
   shutdownAndReap(socket, daemon);
 }
@@ -335,12 +362,8 @@ TEST(ServeE2eTest, PreemptedJobWithTestcasesSharesQueriesAndKeepsItsDigest) {
   EXPECT_EQ(lowFinal.state, JobState::kDone);
   EXPECT_EQ(lowFinal.digest,
             directDigest(longScenario(), "preempt_store_low", true));
-  std::istringstream stats(client.fetch(low, "stats.txt"));
-  std::uint64_t sharedHits = 0;
-  for (std::string line; std::getline(stats, line);)
-    if (line.starts_with("solver.layer.shared_cache.hits = "))
-      sharedHits = std::stoull(line.substr(line.find('=') + 2));
-  EXPECT_GT(sharedHits, 0u);
+  auto stats = fetchStats(client, low);
+  EXPECT_GT(stats["solver.layer.shared_cache.hits"], 0u);
 
   shutdownAndReap(socket, daemon);
 }
@@ -400,14 +423,8 @@ TEST(ServeE2eTest, MetricsFetchMatchesPostRunStatsExactly) {
   // Every "name = value" line of the post-run stats dump reappears in
   // the snapshot with the exact same value (snapshotFromStats lifts the
   // merged StatsRegistry verbatim; the live plane only ADDS series).
-  std::istringstream stats(client.fetch(jobId, "stats.txt"));
-  std::string line;
   std::size_t compared = 0;
-  while (std::getline(stats, line)) {
-    const std::size_t eq = line.find(" = ");
-    if (eq == std::string::npos) continue;
-    const std::string name = line.substr(0, eq);
-    const std::uint64_t value = std::stoull(line.substr(eq + 3));
+  for (const auto& [name, value] : fetchStats(client, jobId)) {
     ASSERT_EQ(snap.points.count(name), 1u) << name << " missing from snapshot";
     EXPECT_EQ(snap.value(name), value) << name;
     ++compared;
