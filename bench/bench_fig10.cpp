@@ -25,7 +25,7 @@
 //
 // With --metrics every single-engine run carries the full live metrics
 // plane: the engine's sampler hook publishes a snapshot of its
-// registries into a shm segment at most once a second — the cadence
+// registries into a shared mapping at most once a second — the cadence
 // sde_top polls at. E21 measures the plane's overhead by comparing
 // wall-clock with and without this flag.
 //
@@ -46,8 +46,6 @@
 // trace to DIR/trace_<nodes>_<alg>.trc (inspect with sde_trace) and
 // attaches a phase profiler whose per-phase self-times land both in the
 // trace's profile section and in the printed stats block.
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -215,8 +213,6 @@ int main(int argc, char** argv) {
       // polls at — on the engine's own thread, which owns them.
       // Publishing faster than the consumers poll buys nothing.
       std::unique_ptr<obs::ShmMetricsPlane> benchPlane;
-      const std::string planeName =
-          "/sde_mx_bench_" + std::to_string(::getpid());
       const auto publish = [&benchPlane](const Engine& engine) {
         support::StatsRegistry live;
         engine.mergeStatsInto(live);
@@ -225,7 +221,7 @@ int main(int argc, char** argv) {
         return snap;
       };
       if (options.metrics) {
-        benchPlane = obs::ShmMetricsPlane::create(planeName);
+        benchPlane = std::make_unique<obs::ShmMetricsPlane>();
         scenario.engine().setSampler(
             [inner = scenario.engine().sampler(), &publish,
              last = std::chrono::steady_clock::time_point{}](
@@ -241,15 +237,13 @@ int main(int argc, char** argv) {
       const trace::ScenarioResult result = scenario.run();
       if (options.metrics) {
         const obs::MetricsSnapshot finalSnap = publish(scenario.engine());
-        std::printf("[metrics] %s: %llu events, %llu forks published via %s\n",
+        std::printf("[metrics] %s: %llu events, %llu forks published\n",
                     name.c_str(),
                     static_cast<unsigned long long>(
                         finalSnap.value("engine.events")),
                     static_cast<unsigned long long>(
-                        finalSnap.value("engine.forks_total")),
-                    planeName.c_str());
+                        finalSnap.value("engine.forks_total")));
         benchPlane.reset();
-        obs::ShmMetricsPlane::unlinkSegment(planeName);
       }
       if (!ckpt.empty() && result.outcome == RunOutcome::kCompleted) {
         std::error_code ec;

@@ -21,6 +21,12 @@ echo "=== tier-1: configure + build ==="
 cmake -B build -S . >/dev/null
 cmake --build build -j
 
+# Shared memory is anonymous and inherited through fork, so no test or
+# smoke below may leave a named segment behind: /dev/shm's "sde_" entries
+# are listed now and compared after the fleet, serve and metrics smokes.
+list_sde_shm() { ls /dev/shm 2>/dev/null | grep '^sde_' || true; }
+SHM_BEFORE=$(list_sde_shm)
+
 echo "=== tier-1: ctest ==="
 ctest --test-dir build --output-on-failure -j
 
@@ -239,6 +245,12 @@ test "$STATUS_EVENTS" = "$WANT_EVENTS" && test "$STATUS_STATES" = "$WANT_STATES"
 ./build/tools/sde_submit shutdown "$METRICS_SOCK"
 wait "$METRICS_PID"
 echo "metrics smoke: live fetch and progress agree with post-run stats"
+
+echo "=== shared memory: nothing named left in /dev/shm ==="
+SHM_NEW=$(comm -13 <(echo "$SHM_BEFORE" | sort) <(list_sde_shm | sort))
+test -z "$SHM_NEW" \
+  || { echo "new /dev/shm entries after the smokes:"; echo "$SHM_NEW"; exit 1; }
+echo "shared memory: no new sde_ entry in /dev/shm"
 
 echo "=== meter identity: benchmark output check at seed 0 ==="
 # The memory ledger must bill exactly what the audit walk counts: the

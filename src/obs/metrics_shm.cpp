@@ -1,42 +1,19 @@
 #include "obs/metrics_shm.hpp"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstring>
 
 #include "snapshot/error.hpp"
+#include "support/assert.hpp"
 
 namespace sde::obs {
 
 namespace {
-
-constexpr char kMagic[8] = {'S', 'D', 'E', 'M', 'X', 'P', 'L', 'N'};
-// Bumped on any header or slot layout change; attach() rejects every
-// other version (no migration, same policy as the snapshot formats).
-constexpr std::uint32_t kLayoutVersion = 1;
-// Two-phase init marker, published (release) only after the geometry is
-// fully written — same contract as the shm query cache.
-constexpr std::uint64_t kReadyMarker = 0x4d455452u;  // "METR"
 
 // A reader that keeps colliding with the writer gives up after this
 // many attempts; the slot simply contributes nothing to that poll.
 constexpr int kReadRetries = 64;
 
 }  // namespace
-
-// Fixed prelude of the segment. Everything but `ready` is written by
-// the creator before the ready marker and read-only afterwards.
-struct ShmMetricsPlane::Header {
-  char magic[8];
-  std::uint32_t version;
-  std::uint32_t slots;
-  std::uint64_t slotStride;  // bytes per slot, fixed fields included
-  std::atomic<std::uint64_t> ready;
-};
 
 // One publisher slot: a seqlock word, the payload length, then the
 // payload as whole u64 words so the concurrent torn copy is made of
@@ -56,142 +33,25 @@ struct ShmMetricsPlane::Slot {
 static_assert(sizeof(std::atomic<std::uint64_t>) == sizeof(std::uint64_t),
               "slot word layout assumes lock-free u64 atomics");
 
-ShmMetricsPlane::Header& ShmMetricsPlane::header() const {
-  return *static_cast<Header*>(base_);
+std::uint64_t ShmMetricsPlane::slotStrideFor(const ShmMetricsConfig& config) {
+  SDE_ASSERT(config.slots != 0 && config.slotBytes >= 64,
+             "shm metrics: degenerate geometry");
+  // Payload is stored in whole words; the capacity rounds down to one.
+  return sizeof(Slot) + config.slotBytes / 8 * 8;
 }
 
-std::uint64_t ShmMetricsPlane::slotStride() const {
-  return header().slotStride;
-}
+ShmMetricsPlane::ShmMetricsPlane(const ShmMetricsConfig& config)
+    : slots_(config.slots),
+      slotStride_(slotStrideFor(config)),
+      mapping_(std::uint64_t{slots_} * slotStride_) {}
 
 ShmMetricsPlane::Slot* ShmMetricsPlane::slotAt(std::uint32_t index) const {
-  char* table = static_cast<char*>(base_) + sizeof(Header);
-  return reinterpret_cast<Slot*>(table + std::uint64_t{index} * slotStride());
+  return reinterpret_cast<Slot*>(static_cast<char*>(mapping_.data()) +
+                                 std::uint64_t{index} * slotStride_);
 }
-
-ShmMetricsPlane::ShmMetricsPlane(std::string name, int fd, void* base,
-                                 std::size_t bytes)
-    : name_(std::move(name)), fd_(fd), base_(base), mappedBytes_(bytes) {}
-
-ShmMetricsPlane::~ShmMetricsPlane() {
-  if (base_ != nullptr) ::munmap(base_, mappedBytes_);
-  if (fd_ >= 0) ::close(fd_);
-}
-
-std::unique_ptr<ShmMetricsPlane> ShmMetricsPlane::create(
-    const std::string& name, const ShmMetricsConfig& config) {
-  if (config.slots == 0 || config.slotBytes < 64)
-    throw ShmMetricsError("shm metrics: degenerate geometry");
-  // Payload is stored in whole words; round the capacity down to one.
-  const std::uint64_t payloadWords = config.slotBytes / 8;
-  const std::uint64_t stride = sizeof(Slot) + payloadWords * 8;
-  const std::size_t total = sizeof(Header) + config.slots * stride;
-
-  int fd = ::shm_open(name.c_str(), O_RDWR | O_CREAT | O_EXCL, 0600);
-  if (fd < 0 && errno == EEXIST) {
-    // A previous run of the same job died without unlinking; its
-    // geometry may differ, so replace rather than adopt.
-    ::shm_unlink(name.c_str());
-    fd = ::shm_open(name.c_str(), O_RDWR | O_CREAT | O_EXCL, 0600);
-  }
-  if (fd < 0)
-    throw ShmMetricsError("shm_open(" + name +
-                          ") failed: " + std::strerror(errno));
-  if (::ftruncate(fd, static_cast<off_t>(total)) != 0) {
-    const int err = errno;
-    ::close(fd);
-    ::shm_unlink(name.c_str());
-    throw ShmMetricsError("ftruncate(" + name +
-                          ") failed: " + std::strerror(err));
-  }
-  void* base =
-      ::mmap(nullptr, total, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  if (base == MAP_FAILED) {
-    const int err = errno;
-    ::close(fd);
-    ::shm_unlink(name.c_str());
-    throw ShmMetricsError("mmap(" + name + ") failed: " + std::strerror(err));
-  }
-
-  // ftruncate zero-fills: every slot starts seq=0 (even) bytes=0
-  // ("never published"), which read() already treats as empty.
-  auto plane = std::unique_ptr<ShmMetricsPlane>(
-      new ShmMetricsPlane(name, fd, base, total));
-  Header& h = plane->header();
-  std::memcpy(h.magic, kMagic, sizeof(kMagic));
-  h.version = kLayoutVersion;
-  h.slots = config.slots;
-  h.slotStride = stride;
-  h.ready.store(kReadyMarker, std::memory_order_release);
-  return plane;
-}
-
-std::unique_ptr<ShmMetricsPlane> ShmMetricsPlane::attach(
-    const std::string& name) {
-  const int fd = ::shm_open(name.c_str(), O_RDWR, 0600);
-  if (fd < 0)
-    throw ShmMetricsError("shm_open(" + name +
-                          ") failed: " + std::strerror(errno));
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    throw ShmMetricsError("fstat(" + name + ") failed");
-  }
-  const std::size_t bytes = static_cast<std::size_t>(st.st_size);
-  if (bytes < sizeof(Header)) {
-    ::close(fd);
-    throw ShmMetricsError("shm metrics segment " + name +
-                          " is truncated (smaller than its header)");
-  }
-  void* base =
-      ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  if (base == MAP_FAILED) {
-    ::close(fd);
-    throw ShmMetricsError("mmap(" + name + ") failed");
-  }
-  auto plane =
-      std::unique_ptr<ShmMetricsPlane>(new ShmMetricsPlane(name, fd, base, bytes));
-
-  const Header& h = plane->header();
-  if (std::memcmp(h.magic, kMagic, sizeof(kMagic)) != 0)
-    throw ShmMetricsError("segment " + name +
-                          " is not an SDE shm metrics plane");
-  if (h.version != kLayoutVersion)
-    throw ShmMetricsError("shm metrics layout version " +
-                          std::to_string(h.version) + " (this build expects " +
-                          std::to_string(kLayoutVersion) + ")");
-  if (h.ready.load(std::memory_order_acquire) != kReadyMarker)
-    throw ShmMetricsError("segment " + name +
-                          " was never fully initialized (creator crashed?)");
-  if (h.slots == 0 || h.slotStride < sizeof(Slot) + 8)
-    throw ShmMetricsError("segment " + name + " has degenerate geometry");
-  // The geometry must fit the mapping exactly as created: a segment
-  // truncated after creation would otherwise SIGBUS on first read.
-  const std::uint64_t need =
-      sizeof(Header) + std::uint64_t{h.slots} * h.slotStride;
-  if (need > bytes)
-    throw ShmMetricsError(
-        "segment " + name + " is torn: header advertises " +
-        std::to_string(need) + " bytes, mapping holds " +
-        std::to_string(bytes));
-  return plane;
-}
-
-void ShmMetricsPlane::unlinkSegment(const std::string& name) {
-  ::shm_unlink(name.c_str());
-}
-
-bool ShmMetricsPlane::segmentExists(const std::string& name) {
-  const int fd = ::shm_open(name.c_str(), O_RDONLY, 0600);
-  if (fd < 0) return false;
-  ::close(fd);
-  return true;
-}
-
-std::uint32_t ShmMetricsPlane::slots() const { return header().slots; }
 
 std::uint32_t ShmMetricsPlane::slotCapacityBytes() const {
-  return static_cast<std::uint32_t>(slotStride() - sizeof(Slot));
+  return static_cast<std::uint32_t>(slotStride_ - sizeof(Slot));
 }
 
 bool ShmMetricsPlane::publish(std::uint32_t slot, const MetricsSnapshot& snap) {

@@ -5,13 +5,17 @@
 // fine (pipe frames, files), but *live* numbers must not touch the
 // fleet pipe protocol's hot frames — a status frame is 25 bytes and
 // must stay under PIPE_BUF. So metrics ride the same vehicle the query
-// cache does (solver/shm_cache.hpp): a named POSIX shared-memory
-// segment, created by the coordinator before fork so workers inherit
-// the mapping, attachable by name from the daemon.
+// store does (solver/shm_cache.hpp): an anonymous shared mapping
+// (support/shared_mapping.hpp), made by the process that reads it
+// before it forks the processes that write it. The fleet coordinator
+// makes its own, or is handed one: sde_serve's daemon makes each
+// running job's plane before it forks the job's runner, which is the
+// fleet coordinator, so the daemon reads the plane its job's workers
+// write.
 //
-// Layout: a versioned header, then one fixed-size slot per worker. A
-// slot holds an encoded MetricsSnapshot (obs/metrics.hpp codec) stamped
-// by a seqlock:
+// Layout: one fixed-size slot per publisher; the geometry (slot count,
+// stride) lives in this object, which fork copies. A slot holds an
+// encoded MetricsSnapshot (obs/metrics.hpp codec) stamped by a seqlock:
 //
 //   * publish bumps the slot's sequence word to odd, writes the payload
 //     length and bytes, then bumps it to even (release). Only the slot
@@ -26,28 +30,17 @@
 //
 // A reader that loses every retry — or a worker SIGKILLed mid-publish,
 // leaving the sequence odd forever — costs that slot's contribution for
-// that poll, nothing else. attach() validates magic, layout version,
-// the two-phase ready marker and the geometry against the mapped size
-// before trusting any of it; a mismatch throws ShmMetricsError and the
-// caller runs without a live plane.
+// that poll, nothing else.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <stdexcept>
-#include <string>
 
 #include "obs/metrics.hpp"
+#include "support/shared_mapping.hpp"
 
 namespace sde::obs {
-
-class ShmMetricsError : public std::runtime_error {
- public:
-  explicit ShmMetricsError(const std::string& what)
-      : std::runtime_error(what) {}
-};
 
 struct ShmMetricsConfig {
   // One slot per publisher (fleet workers + one for the coordinator).
@@ -60,23 +53,9 @@ struct ShmMetricsConfig {
 
 class ShmMetricsPlane {
  public:
-  // Creates a fresh segment `name` ("/sde_mx_..."). A stale segment of
-  // the same name (previous crashed run) is unlinked and replaced.
-  [[nodiscard]] static std::unique_ptr<ShmMetricsPlane> create(
-      const std::string& name, const ShmMetricsConfig& config = {});
-
-  // Attaches to an existing segment; throws ShmMetricsError on a
-  // missing, truncated, torn, version-mismatched or foreign segment.
-  [[nodiscard]] static std::unique_ptr<ShmMetricsPlane> attach(
-      const std::string& name);
-
-  // Removes the name from the shm namespace (mappings live on).
-  static void unlinkSegment(const std::string& name);
-  [[nodiscard]] static bool segmentExists(const std::string& name);
-
-  ~ShmMetricsPlane();
-  ShmMetricsPlane(const ShmMetricsPlane&) = delete;
-  ShmMetricsPlane& operator=(const ShmMetricsPlane&) = delete;
+  // Maps a fresh plane, every slot never published. Throws
+  // support::SharedMappingError when the mapping cannot be made.
+  explicit ShmMetricsPlane(const ShmMetricsConfig& config = {});
 
   // Encodes and seqlock-publishes `snap` into `slot`. Returns false
   // (and leaves the previous snapshot in place) when the encoding
@@ -92,9 +71,8 @@ class ShmMetricsPlane {
   // fold with max, counters sum).
   [[nodiscard]] MetricsSnapshot aggregate() const;
 
-  [[nodiscard]] std::uint32_t slots() const;
+  [[nodiscard]] std::uint32_t slots() const { return slots_; }
   [[nodiscard]] std::uint32_t slotCapacityBytes() const;
-  [[nodiscard]] const std::string& name() const { return name_; }
 
   // Reads dropped as torn after the retry budget (reporting only).
   [[nodiscard]] std::uint64_t tornReads() const {
@@ -102,19 +80,15 @@ class ShmMetricsPlane {
   }
 
  private:
-  struct Header;
   struct Slot;
 
-  ShmMetricsPlane(std::string name, int fd, void* base, std::size_t bytes);
-
-  [[nodiscard]] Header& header() const;
   [[nodiscard]] Slot* slotAt(std::uint32_t index) const;
-  [[nodiscard]] std::uint64_t slotStride() const;
+  [[nodiscard]] static std::uint64_t slotStrideFor(
+      const ShmMetricsConfig& config);
 
-  std::string name_;
-  int fd_ = -1;
-  void* base_ = nullptr;
-  std::size_t mappedBytes_ = 0;
+  std::uint32_t slots_;
+  std::uint64_t slotStride_;  // bytes per slot, fixed fields included
+  support::SharedMapping mapping_;
   mutable std::atomic<std::uint64_t> tornReads_{0};
 };
 

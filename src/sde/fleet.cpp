@@ -975,6 +975,13 @@ FleetResult runFleet(const EngineFactory& factory, const PartitionPlan& plan,
   if (config.checkpointDir.empty())
     throw FleetError(
         "fleet runs require a checkpoint directory (the durable job queue)");
+  if (config.metricsPlane != nullptr &&
+      config.metricsPlane->slots() < config.processes + 1)
+    throw FleetError("the metrics plane has " +
+                     std::to_string(config.metricsPlane->slots()) +
+                     " slots; a " + std::to_string(config.processes) +
+                     "-process fleet needs " +
+                     std::to_string(config.processes + 1));
 
   ScopedSigpipeIgnore sigpipe;
   ScopedSigtermSuspend sigterm(config.installSigtermSuspend);
@@ -989,50 +996,36 @@ FleetResult runFleet(const EngineFactory& factory, const PartitionPlan& plan,
   const bool resuming =
       snapshot::prepareRunDir(dir, manifest, config.resume);
 
-  // Shared query store: opened BEFORE forking, so every worker (and
+  // Shared query store: made BEFORE forking, so every worker (and
   // every respawn) inherits the mapping.
-  snapshot::SharedStore shared;
+  std::unique_ptr<solver::ShmQueryCache> shared;
   if (config.shmQueryCache)
     shared = snapshot::openSharedStore(
-        config.shmName, resuming ? snapshot::sharedCachePath(dir.string()) : "");
+        resuming ? snapshot::sharedCachePath(dir.string()) : "");
 
-  // Live metrics plane: created before forking (workers inherit the
-  // mapping), one slot per worker plus slot 0 for the coordinator. A
-  // derived name is unlinked as soon as the plane is mapped, since
-  // nothing outside this fleet attaches to it; an explicit one (an
-  // embedding service attaching mid-run) is unlinked when the run
-  // returns. A creation failure degrades to no live plane — the durable
-  // merge still produces exact post-run metrics.
-  std::unique_ptr<obs::ShmMetricsPlane> metricsPlane;
-  std::string namedPlane;
-  const bool derived = config.metricsShmName.empty();
-  const std::string name = derived ? solver::privateSegmentName("/sde_mx_")
-                                   : config.metricsShmName;
-  obs::ShmMetricsConfig metricsConfig;
-  metricsConfig.slots = config.processes + 1;
-  try {
-    metricsPlane = obs::ShmMetricsPlane::create(name, metricsConfig);
-    if (derived)
-      obs::ShmMetricsPlane::unlinkSegment(name);
-    else
-      namedPlane = name;
-  } catch (const obs::ShmMetricsError& e) {
-    support::logError("fleet", e.what());
+  // Live metrics plane: the caller's, or one made here before forking
+  // (workers inherit the mapping either way), one slot per worker plus
+  // slot 0 for the coordinator. A plane that cannot be made degrades to
+  // no live plane — the durable merge still produces exact post-run
+  // metrics.
+  std::unique_ptr<obs::ShmMetricsPlane> ownPlane;
+  obs::ShmMetricsPlane* metricsPlane = config.metricsPlane;
+  if (metricsPlane == nullptr) {
+    obs::ShmMetricsConfig metricsConfig;
+    metricsConfig.slots = config.processes + 1;
+    try {
+      ownPlane = std::make_unique<obs::ShmMetricsPlane>(metricsConfig);
+      metricsPlane = ownPlane.get();
+    } catch (const support::SharedMappingError& e) {
+      support::logError("fleet", e.what());
+    }
   }
 
-  FleetResult result;
-  try {
-    Coordinator coordinator(factory, plan, config, shared.cache.get(),
-                            metricsPlane.get());
-    result = coordinator.run();
-  } catch (...) {
-    if (!namedPlane.empty()) obs::ShmMetricsPlane::unlinkSegment(namedPlane);
-    throw;
-  }
-  result.shmDegraded = shared.degraded;
-  if (shared.cache != nullptr) {
-    result.shmEntries = shared.cache->entries();
-    snapshot::persistSharedStore(*shared.cache, dir.string());
+  FleetResult result =
+      Coordinator(factory, plan, config, shared.get(), metricsPlane).run();
+  if (shared != nullptr) {
+    result.shmEntries = shared->entries();
+    snapshot::persistSharedStore(*shared, dir.string());
   }
   // Exact totals win: the merged post-run stats are rendered verbatim,
   // then live-only series (latency histograms, profile bridges, fleet.*
@@ -1055,7 +1048,6 @@ FleetResult runFleet(const EngineFactory& factory, const PartitionPlan& plan,
       support::logError("snapshot", e.what());
     }
   }
-  if (!namedPlane.empty()) obs::ShmMetricsPlane::unlinkSegment(namedPlane);
   return result;
 }
 

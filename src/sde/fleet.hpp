@@ -47,15 +47,14 @@
 //     for 120 s is declared wedged.
 //
 //   * Shared query store (solver/shm_cache.hpp), the same one the
-//     thread runner uses, opened through the same path
-//     (snapshot::openSharedStore): the coordinator creates the segment
-//     (or attaches a named one), seeds it from the durable
-//     shared_cache.bin sidecar on a resume, and every worker's solver
-//     shares queries through the inherited mapping live. A run-private
-//     segment is unlinked as soon as it is mapped, so a SIGKILLed
-//     coordinator leaves nothing in /dev/shm. A torn named segment
-//     degrades to a cold store (FleetResult::shmDegraded), never to an
-//     error, and never to different exploration results — the store
+//     thread runner uses, made through the same path
+//     (snapshot::openSharedStore): the coordinator makes the store, an
+//     anonymous shared mapping, before it forks, seeds it from the
+//     durable shared_cache.bin sidecar on a resume, and every worker's
+//     solver shares queries through the inherited mapping live. The
+//     mapping has no name, so a SIGKILLed coordinator leaves nothing in
+//     /dev/shm. A store that cannot be made runs the fleet without
+//     sharing, never with different exploration results — the store
 //     contract guarantees digest equality with the store on or off.
 //
 // Merge: after shutdown the coordinator loads every job's .done file in
@@ -83,6 +82,10 @@
 
 #include "obs/metrics.hpp"
 #include "sde/parallel.hpp"
+
+namespace sde::obs {
+class ShmMetricsPlane;
+}  // namespace sde::obs
 
 namespace sde {
 
@@ -128,32 +131,25 @@ struct FleetConfig : RunConfig {
   // daemon-managed fleet processes: SIGTERM means "checkpoint and yield",
   // SIGKILL still degrades to the crash-recovery path.
   bool installSigtermSuspend = false;
-  // POSIX shm name of the shared query store's segment ("/sde_qc_...").
-  // Empty makes the segment run-private (see snapshot::openSharedStore).
-  // When a segment of this name already exists, the coordinator attaches
-  // it (a warm store across fleets); a torn/foreign/stale segment is
-  // unlinked and replaced by a fresh cold one (FleetResult::shmDegraded).
-  // The name outlives the run.
-  std::string shmName;
   // --- Live metrics plane (obs/metrics.hpp + obs/metrics_shm.hpp) -----------
-  // Every fleet creates one: each worker seqlock-publishes, into its
-  // slot of a POSIX shm metrics segment at the status cadence and after
-  // every job, the stats of the jobs it finished plus the running
-  // engine's registries (engine, interpreter and solver counters with
-  // the per-layer solver latency histograms) and its jobs' phase
-  // profiles — the numbers the post-run merge folds, so live totals
-  // equal post-run totals. The coordinator publishes its fleet.*
-  // counters into slot 0 and writes the merged snapshot to the durable
-  // metrics.sde sidecar at the end. The plane is sde_serve's progress
-  // feed for a running job. Purely observational: a plane that cannot
-  // be created is logged and the run goes on without it, with the same
-  // digests.
+  // Every fleet has one: each worker seqlock-publishes, into its slot of
+  // the plane at the status cadence and after every job, the stats of
+  // the jobs it finished plus the running engine's registries (engine,
+  // interpreter and solver counters with the per-layer solver latency
+  // histograms) and its jobs' phase profiles — the numbers the post-run
+  // merge folds, so live totals equal post-run totals. The coordinator
+  // publishes its fleet.* counters into slot 0 and writes the merged
+  // snapshot to the durable metrics.sde sidecar at the end. Purely
+  // observational: a plane that cannot be made is logged and the run
+  // goes on without it, with the same digests.
   //
-  // POSIX shm name of the metrics segment ("/sde_mx_..."). Empty makes
-  // the plane run-private: its name is unlinked as soon as it is
-  // mapped. An embedding service passes a deterministic name so it can
-  // attach mid-run; that name is unlinked when the run returns.
-  std::string metricsShmName;
+  // The plane to publish into, owned by the caller, who made it before
+  // calling runFleet (the workers inherit its mapping through fork) and
+  // reads it while the fleet runs: sde_serve's daemon passes the plane
+  // of the job it forked this runner for. It needs at least
+  // processes + 1 slots (FleetError otherwise). Null: the fleet makes a
+  // private plane of its own.
+  obs::ShmMetricsPlane* metricsPlane = nullptr;
   // Status-frame cadence, in processed events per worker.
   std::uint64_t statusEveryEvents = 256;
   // Initial shard leases as contiguous [lo, hi) job-id ranges, one per
@@ -194,13 +190,10 @@ struct FleetResult {
   // the names the stats do not cover. Also written durably to
   // <checkpointDir>/metrics.sde for completed runs.
   obs::MetricsSnapshot metrics;
-  // Shared store outcome (false/0 when shmQueryCache is off). Its
-  // traffic is in result.stats: solver.layer.shared_cache.hits, and
-  // misses as .queries minus .hits.
-  bool shmDegraded = false;  // a named segment was torn (ran cold), or
-                             // no segment could be created (ran without)
-  std::uint64_t shmEntries = 0;  // the segment's size at return; a named
-                                 // segment counts earlier fleets' entries
+  // The shared store's size at return (0 when shmQueryCache is off or
+  // no store could be made). Its traffic is in result.stats:
+  // solver.layer.shared_cache.hits, and misses as .queries minus .hits.
+  std::uint64_t shmEntries = 0;
 };
 
 // Runs `plan` over config.processes forked workers. The factory is

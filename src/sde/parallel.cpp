@@ -448,12 +448,12 @@ ParallelResult runPartitioned(const EngineFactory& factory,
         snapshot::prepareRunDir(config.checkpointDir, manifest, config.resume);
   }
 
-  // Live cross-job query sharing: one run-private store attached to
-  // every job's solver, seeded from the sidecar on a resume.
-  snapshot::SharedStore shared;
+  // Live cross-job query sharing: one store attached to every job's
+  // solver, seeded from the sidecar on a resume.
+  std::unique_ptr<solver::ShmQueryCache> shared;
   if (config.shmQueryCache)
     shared = snapshot::openSharedStore(
-        "", resuming ? snapshot::sharedCachePath(config.checkpointDir) : "");
+        resuming ? snapshot::sharedCachePath(config.checkpointDir) : "");
 
   const unsigned workers = std::max<unsigned>(
       1, std::min<unsigned>(config.workers,
@@ -462,9 +462,9 @@ ParallelResult runPartitioned(const EngineFactory& factory,
     support::ThreadPool pool(workers);
     for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
       pool.submit([&, i] {
-        result.jobs[i] = runPartitionJob(factory, plan.jobs[i], config,
-                                         shared.cache.get())
-                             .result;
+        result.jobs[i] =
+            runPartitionJob(factory, plan.jobs[i], config, shared.get())
+                .result;
       });
     }
     pool.wait();
@@ -474,8 +474,8 @@ ParallelResult runPartitioned(const EngineFactory& factory,
   // abort, say) starts from everything the run solved. A hard crash
   // leaves the previous sidecar or none: the resume starts colder, and
   // the store contract keeps its digest.
-  if (durable && shared.cache != nullptr)
-    snapshot::persistSharedStore(*shared.cache, config.checkpointDir);
+  if (durable && shared != nullptr)
+    snapshot::persistSharedStore(*shared, config.checkpointDir);
 
   // Deterministic merge barrier: fold the jobs in id order.
   finalizeParallelResult(result, plan, config);

@@ -12,8 +12,8 @@
 // internals. A pool thread runs each job through runPartitionJob, the
 // job runner fleet workers use too (sde/fleet.hpp). The one
 // deliberately shared structure is the query store the runner attaches
-// to every job's solver: a run-private shm segment
-// (solver/shm_cache.hpp), opened the same way the fleet opens its own
+// to every job's solver: an anonymous shared mapping
+// (solver/shm_cache.hpp), made the same way the fleet makes its own
 // (snapshot::openSharedStore). Jobs consult it live and publish
 // canonical results, so a query one job solved is never enumerated
 // again in the run. Its contract (context-independent keys, canonical

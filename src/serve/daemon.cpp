@@ -13,11 +13,11 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/metrics_shm.hpp"
 #include "serve/results.hpp"
 #include "serve/runner.hpp"
 #include "snapshot/error.hpp"
 #include "snapshot/manifest.hpp"
+#include "support/logging.hpp"
 
 namespace sde::serve {
 
@@ -224,7 +224,19 @@ void Daemon::refreshSlotGauges() {
 void Daemon::startJob(std::uint64_t jobId) {
   JobRecord& record = jobs_.at(jobId);
   RunningJob runner;
-  runner.pid = spawnRunner(jobDir(config_.root, jobId), record.spec);
+  // The job's plane, made before the fork so that the runner's fleet
+  // workers inherit it: one slot per worker plus the coordinator's.
+  obs::ShmMetricsConfig planeConfig;
+  planeConfig.slots = record.spec.processes + 1;
+  try {
+    runner.plane = std::make_unique<obs::ShmMetricsPlane>(planeConfig);
+  } catch (const support::SharedMappingError& e) {
+    support::logError("serve", std::string(e.what()) + "; job " +
+                                   std::to_string(jobId) +
+                                   " runs without a live feed");
+  }
+  runner.pid = spawnRunner(jobDir(config_.root, jobId), record.spec,
+                           runner.plane.get());
   runner.lastCharge = std::chrono::steady_clock::now();
   running_.emplace(jobId, std::move(runner));
   record.state = JobState::kRunning;
@@ -250,13 +262,10 @@ void Daemon::preemptJob(std::uint64_t jobId) {
 }
 
 void Daemon::refreshProgress() {
-  for (const auto& [jobId, runner] : running_) {
-    try {
-      progress_[jobId] = progressOf(livePlaneOf(jobId));
-    } catch (const obs::ShmMetricsError&) {
-      // Plane not up: the job keeps its last reading.
-    }
-  }
+  // A job whose plane is not up keeps its last reading.
+  for (const auto& [jobId, runner] : running_)
+    if (const auto snap = livePlaneOf(runner))
+      progress_[jobId] = progressOf(*snap);
 }
 
 Daemon::Progress Daemon::progressOf(const obs::MetricsSnapshot& snap) {
@@ -265,10 +274,12 @@ Daemon::Progress Daemon::progressOf(const obs::MetricsSnapshot& snap) {
               snap.value("engine.forks_total")};
 }
 
-obs::MetricsSnapshot Daemon::livePlaneOf(std::uint64_t jobId) const {
-  return obs::ShmMetricsPlane::attach(
-             metricsShmNameFor(jobDir(config_.root, jobId)))
-      ->aggregate();
+std::optional<obs::MetricsSnapshot> Daemon::livePlaneOf(
+    const RunningJob& runner) {
+  if (runner.plane == nullptr) return std::nullopt;
+  obs::MetricsSnapshot snap = runner.plane->aggregate();
+  if (snap.empty()) return std::nullopt;
+  return snap;
 }
 
 JobStatus Daemon::statusOf(const JobRecord& record) {
@@ -497,16 +508,16 @@ void Daemon::handleMetricsRequest(Client& client,
       }
       return;
     }
-    if (running_.count(request.jobId) > 0) {
-      try {
-        const obs::MetricsSnapshot snap = livePlaneOf(request.jobId);
-        sendTo(client, MetricsReply{obs::renderPrometheus(snap),
-                                    obs::encodeMetricsSnapshot(snap)});
-      } catch (const obs::ShmMetricsError& e) {
-        // Runner forked but its fleet has not created the plane yet.
-        sendTo(client, ErrorReply{std::string("metrics plane for job ") +
+    if (const auto running = running_.find(request.jobId);
+        running != running_.end()) {
+      if (const auto snap = livePlaneOf(running->second)) {
+        sendTo(client, MetricsReply{obs::renderPrometheus(*snap),
+                                    obs::encodeMetricsSnapshot(*snap)});
+      } else {
+        // Runner forked but its fleet has published nothing yet.
+        sendTo(client, ErrorReply{"metrics plane for job " +
                                   std::to_string(request.jobId) +
-                                  " not readable yet: " + e.what()});
+                                  " not readable yet"});
       }
       return;
     }
@@ -519,14 +530,9 @@ void Daemon::handleMetricsRequest(Client& client,
   // Service-wide: the daemon's own accounting plus whatever every
   // running fleet is publishing right now.
   obs::MetricsSnapshot snap = obs::snapshotFromStats(metrics_);
-  for (const auto& [jobId, runner] : running_) {
-    try {
-      snap.merge(livePlaneOf(jobId));
-    } catch (const obs::ShmMetricsError&) {
-      // Plane not up (or already torn down) — that job simply does not
-      // contribute to this poll.
-    }
-  }
+  // A job whose plane is not up does not contribute to this poll.
+  for (const auto& [jobId, runner] : running_)
+    if (const auto live = livePlaneOf(runner)) snap.merge(*live);
   sendTo(client, MetricsReply{obs::renderPrometheus(snap),
                               obs::encodeMetricsSnapshot(snap)});
 }

@@ -19,7 +19,11 @@
 // children with waitpid(WNOHANG), derives job states from disk, reads
 // running jobs' progress from their fleets' live metrics planes
 // (obs/metrics_shm.hpp) — a done job's from its published metrics.sde —
-// and applies retention after each completion.
+// and applies retention after each completion. The daemon owns each
+// running job's plane: it makes the plane before it forks the job's
+// runner, so the fleet's workers inherit the mapping, and drops it when
+// it reaps the runner. Nothing is left in /dev/shm, however the runner
+// or the daemon ends.
 #pragma once
 
 #include <sys/types.h>
@@ -28,11 +32,13 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/metrics_shm.hpp"
 #include "serve/job.hpp"
 #include "serve/protocol.hpp"
 #include "serve/scheduler.hpp"
@@ -74,6 +80,9 @@ class Daemon {
     pid_t pid = -1;
     std::chrono::steady_clock::time_point lastCharge;
     bool preempting = false;
+    // The job's live metrics plane, which its runner's fleet publishes
+    // into (null: it could not be made, and the job has no live feed).
+    std::unique_ptr<obs::ShmMetricsPlane> plane;
   };
   // A job's progress in the engine's own counts: engine.events, and
   // engine.initial_states + engine.forks_total — the totals stats.txt
@@ -94,13 +103,10 @@ class Daemon {
   void serviceClient(Client& client);
   void handleMessage(Client& client, const Message& message);
   void handleMetricsRequest(Client& client, const MetricsRequest& request);
-  // The aggregate of a running job's live metrics plane, the segment
-  // its fleet publishes into (metricsShmNameFor). Attached afresh on
-  // every read: a SIGKILLed runner leaves its segment behind and the
-  // next runner's fleet replaces it, so a mapping held across a runner
-  // restart would keep reading a dead plane. Throws
-  // obs::ShmMetricsError while the plane is not up.
-  [[nodiscard]] obs::MetricsSnapshot livePlaneOf(std::uint64_t jobId) const;
+  // The aggregate of a running job's live metrics plane; nullopt while
+  // the plane is not up (no slot published yet, or no plane).
+  [[nodiscard]] static std::optional<obs::MetricsSnapshot> livePlaneOf(
+      const RunningJob& runner);
   [[nodiscard]] static Progress progressOf(const obs::MetricsSnapshot& snap);
   void noteTenant(const std::string& tenant);
   void refreshSlotGauges();
@@ -119,13 +125,13 @@ class Daemon {
   std::vector<std::unique_ptr<Client>> clients_;
   // Last plane reading per job that ran under this daemon. A job whose
   // plane is not up (runner just forked, or the plane could not be
-  // created) and a failed, cancelled or suspended job keep theirs; a
-  // done job reports its metrics.sde instead.
+  // made) and a failed, cancelled or suspended job keep theirs; a done
+  // job reports its metrics.sde instead.
   std::map<std::uint64_t, Progress> progress_;
   // Service accounting: per-tenant queue-wait histograms, run
   // slot-milliseconds, preemptions and slot-occupancy gauges. Written
   // and rendered by the poll loop only. A MetricsRequest with jobId 0
-  // merges its snapshot with the live shm planes of every running fleet.
+  // merges its snapshot with the live planes of every running fleet.
   support::StatsRegistry metrics_;
   std::set<std::string> metricTenants_;  // tenants with gauges to refresh
   // When each runnable job last (re)entered the queue — feeds the

@@ -207,9 +207,10 @@ Message decodeMessage(const std::string& payload) {
       }
       case Tag::kStatusReply: {
         StatusReply m;
+        // Counts come from the peer, so nothing is reserved from them: a
+        // count the payload cannot back runs into its end (ServeError).
         const std::uint64_t n = in.u64();
         if (n > 1u << 20) throw ServeError("implausible job count on the wire");
-        m.jobs.reserve(n);
         for (std::uint64_t i = 0; i < n; ++i)
           m.jobs.push_back(readJobStatus(in));
         return m;
@@ -245,7 +246,6 @@ Message decodeMessage(const std::string& payload) {
         const std::uint64_t n = in.u64();
         if (n > 1u << 16)
           throw ServeError("implausible artifact count on the wire");
-        m.names.reserve(n);
         for (std::uint64_t i = 0; i < n; ++i) m.names.push_back(in.str());
         return m;
       }

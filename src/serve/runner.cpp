@@ -10,14 +10,12 @@
 #include <csignal>
 #include <exception>
 #include <fstream>
-#include <sstream>
 
 #include "obs/chrome_export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_io.hpp"
 #include "serve/results.hpp"
 #include "snapshot/manifest.hpp"
-#include "support/hash.hpp"
 #include "trace/scenario.hpp"
 
 namespace sde::serve {
@@ -93,25 +91,14 @@ void publishArtifacts(const fs::path& jobDir, const JobSpec& spec,
 
 }  // namespace
 
-std::string metricsShmNameFor(const fs::path& jobDir) {
-  // weakly_canonical, not canonical: the daemon computes the name while
-  // the directory may not exist yet (queued job) and must still agree
-  // with the runner's later computation.
-  std::error_code ec;
-  fs::path canonical = fs::weakly_canonical(fs::absolute(jobDir), ec);
-  if (ec) canonical = fs::absolute(jobDir).lexically_normal();
-  std::ostringstream name;
-  name << "/sde_mx_" << std::hex << support::fnv1a(canonical.string());
-  return std::move(name).str();
-}
-
 std::uint32_t fleetJobsOf(const JobSpec& spec) {
   const auto decoded = trace::decodeCollectScenarioSpec(spec.scenarioSpec);
   if (!decoded) return 0;
   return 1u << decoded->numPartitionVariables;
 }
 
-int runJobInProcess(const fs::path& jobDir, const JobSpec& spec) {
+int runJobInProcess(const fs::path& jobDir, const JobSpec& spec,
+                    obs::ShmMetricsPlane* plane) {
   try {
     const auto decoded = trace::decodeCollectScenarioSpec(spec.scenarioSpec);
     if (!decoded) {
@@ -131,9 +118,7 @@ int runJobInProcess(const fs::path& jobDir, const JobSpec& spec) {
     fleet.resume = fs::exists(snapshot::manifestPath(queue));
     fleet.installSigtermSuspend = true;
     fleet.collectTestcases = spec.collectTestcases;
-    // Deterministic metrics-plane name so the daemon can attach to the
-    // live plane of a running job without any coordination channel.
-    fleet.metricsShmName = metricsShmNameFor(jobDir);
+    fleet.metricsPlane = plane;
 
     const FleetResult result = trace::runCollectFleet(
         decoded->config, fleet, decoded->numPartitionVariables);
@@ -149,7 +134,8 @@ int runJobInProcess(const fs::path& jobDir, const JobSpec& spec) {
   }
 }
 
-pid_t spawnRunner(const fs::path& jobDir, const JobSpec& spec) {
+pid_t spawnRunner(const fs::path& jobDir, const JobSpec& spec,
+                  obs::ShmMetricsPlane* plane) {
   const pid_t pid = ::fork();
   if (pid < 0) throw ServeError("cannot fork job runner");
   if (pid > 0) return pid;
@@ -171,7 +157,7 @@ pid_t spawnRunner(const fs::path& jobDir, const JobSpec& spec) {
   if (lockFd < 0) ::_exit(kRunnerFailed);
   if (::flock(lockFd, LOCK_EX | LOCK_NB) != 0) ::_exit(kRunnerLocked);
 
-  ::_exit(runJobInProcess(jobDir, spec));
+  ::_exit(runJobInProcess(jobDir, spec, plane));
 }
 
 }  // namespace sde::serve

@@ -7,6 +7,9 @@
 // exists so (a) a SIGTERM preempts exactly one job, (b) a crashing job
 // cannot take the daemon down, and (c) PR_SET_PDEATHSIG turns daemon
 // death into a graceful fleet-wide suspend instead of an orphan fleet.
+// The daemon makes the job's live metrics plane before it forks the
+// runner; the runner hands it to the fleet, whose workers inherit it in
+// turn, so the daemon reads the plane the workers write.
 //
 // Exit codes are the runner's whole status protocol:
 //   0  done — artifacts published atomically to result/
@@ -21,6 +24,10 @@
 
 #include "serve/job.hpp"
 
+namespace sde::obs {
+class ShmMetricsPlane;
+}  // namespace sde::obs
+
 namespace sde::serve {
 
 inline constexpr int kRunnerDone = 0;
@@ -30,24 +37,21 @@ inline constexpr int kRunnerLocked = 5;
 
 // Executes the job synchronously in THIS process (call it in a freshly
 // forked child) and returns the exit code to _exit with. Never throws.
+// The fleet publishes into `plane` (at least spec.processes + 1 slots);
+// null makes it publish into a private plane of its own.
 [[nodiscard]] int runJobInProcess(const std::filesystem::path& jobDir,
-                                  const JobSpec& spec);
+                                  const JobSpec& spec,
+                                  obs::ShmMetricsPlane* plane);
 
 // Forks a runner for `jobDir`: the child takes the job flock, arms
-// PDEATHSIG(SIGTERM), runs runJobInProcess and _exits with its code.
-// Returns the child pid; throws ServeError if fork fails.
+// PDEATHSIG(SIGTERM), runs runJobInProcess with `plane` and _exits with
+// its code. Returns the child pid; throws ServeError if fork fails.
 [[nodiscard]] pid_t spawnRunner(const std::filesystem::path& jobDir,
-                                const JobSpec& spec);
+                                const JobSpec& spec,
+                                obs::ShmMetricsPlane* plane);
 
 // Fleet partition jobs this spec explodes into (2^vars), 0 for an
 // undecodable spec. The daemon uses it for progress fractions.
 [[nodiscard]] std::uint32_t fleetJobsOf(const JobSpec& spec);
-
-// Deterministic POSIX shm name ("/sde_mx_<hash>") of the job's live
-// metrics plane, derived from the job directory path. The runner passes
-// it to the fleet and the daemon attaches by recomputing it — no name
-// ever crosses the wire or touches disk.
-[[nodiscard]] std::string metricsShmNameFor(
-    const std::filesystem::path& jobDir);
 
 }  // namespace sde::serve

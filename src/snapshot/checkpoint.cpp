@@ -865,6 +865,17 @@ void Engine::restore(std::istream& is) {
   snapshot::readStats(in, stats_);
   snapshot::readStats(in, interp_.stats());
   snapshot::readStats(in, solver_.stats());
+  // boot and cloneInternal are the only places that allocate state ids,
+  // and each counts what it allocates, so the allocator equals those
+  // counts. One that does not is corrupt: the next fork would size the
+  // dense per-state tables from it.
+  const std::uint64_t allocated =
+      stats_.get(support::statId<"engine.initial_states">()) +
+      stats_.get(support::statId<"engine.forks_total">());
+  if (nextStateId_ != allocated)
+    throw SnapshotError("checkpoint state-id allocator " +
+                        std::to_string(nextStateId_) + " disagrees with the " +
+                        std::to_string(allocated) + " states it counts");
 
   readQueryCache(in, ctx_, solver_.cache());
 

@@ -100,40 +100,21 @@ std::string sharedCachePath(const std::string& checkpointDir) {
   return (std::filesystem::path(checkpointDir) / "shared_cache.bin").string();
 }
 
-SharedStore openSharedStore(const std::string& shmName,
-                            const std::string& seedFrom) {
-  using solver::ShmQueryCache;
-  SharedStore store;
-  const bool runPrivate = shmName.empty();
-  const std::string name =
-      runPrivate ? solver::privateSegmentName("/sde_qc_") : shmName;
-  if (!runPrivate && ShmQueryCache::segmentExists(name)) {
-    try {
-      store.cache = ShmQueryCache::attach(name);
-    } catch (const solver::ShmCacheError& e) {
-      support::logError("solver", e.what());
-      store.degraded = true;
-    }
-  }
-  if (store.cache == nullptr) {
-    // Replaces a torn segment, or a leftover of a crashed run that had
-    // this name.
-    ShmQueryCache::unlinkSegment(name);
-    try {
-      store.cache = ShmQueryCache::create(name);
-    } catch (const solver::ShmCacheError& e) {
-      support::logError("solver", std::string(e.what()) +
-                                      "; running without a shared store");
-      store.degraded = true;
-      return store;
-    }
-    if (runPrivate) ShmQueryCache::unlinkSegment(name);
+std::unique_ptr<solver::ShmQueryCache> openSharedStore(
+    const std::string& seedFrom) {
+  std::unique_ptr<solver::ShmQueryCache> store;
+  try {
+    store = std::make_unique<solver::ShmQueryCache>();
+  } catch (const support::SharedMappingError& e) {
+    support::logError("solver", std::string(e.what()) +
+                                    "; running without a shared store");
+    return store;
   }
   if (!seedFrom.empty() && std::filesystem::exists(seedFrom)) {
     try {
       std::ifstream in(seedFrom, std::ios::binary);
       for (const auto& [key, result] : readSharedCacheEntries(in))
-        store.cache->insert(key, result);
+        store->insert(key, result);
     } catch (const SnapshotError& e) {
       support::logError("snapshot", std::string(e.what()) +
                                         "; starting with a cold shared store");

@@ -10,19 +10,16 @@
 //    its .ckpt (mid-job recovery, not just re-lease).
 //  - whole fleet: SIGKILL the coordinator process itself mid-run, then
 //    resume the directory in-process — the durable-queue contract — and
-//    find none of its run-private shm segments left behind.
+//    find nothing of its shared memory left in /dev/shm.
 //
 // Kill-once gates live on the file system (sentinel files), never in
 // captured memory: a respawned worker restarts from the identical fork
 // image, so an in-memory "already killed" flag would re-fire forever.
 //
 // All fork()+SIGKILL tests are skipped under sanitizers (their runtimes
-// are not async-kill-safe); the torn-shm-segment cases don't kill
-// anything and run everywhere.
+// are not async-kill-safe).
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -32,12 +29,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 
 #include "sde/fleet.hpp"
 #include "snapshot/manifest.hpp"
-#include "solver/shm_cache.hpp"
 #include "trace/scenario.hpp"
 
 namespace sde {
@@ -82,16 +79,16 @@ std::uint64_t crashFreeDigest(const trace::CollectScenarioConfig& config,
       .result.fingerprintDigest();
 }
 
-// Whether /dev/shm holds a segment a process with `pid` derived from
-// `prefix`: "<prefix><pid>" or "<prefix><pid>_<sequence>".
-bool derivedSegmentLeft(const std::string& prefix, pid_t pid) {
-  const std::string stem = prefix + std::to_string(static_cast<long>(pid));
+// The /dev/shm entries named "sde_...", the prefix of every POSIX shm
+// name this project ever used.
+std::set<std::string> sdeShmEntries() {
+  std::set<std::string> names;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator("/dev/shm", ec)) {
     const std::string name = entry.path().filename().string();
-    if (name == stem || name.starts_with(stem + "_")) return true;
+    if (name.starts_with("sde_")) names.insert(name);
   }
-  return false;
+  return names;
 }
 
 // Kills `slot` workers once per sentinel when they lease `jobId`.
@@ -215,13 +212,13 @@ TEST(FleetCrashTest, KilledCoordinatorRunIsResumableFromTheDirectory) {
   const std::uint64_t want = crashFreeDigest(config, /*vars=*/3);
 
   const fs::path dir = freshDir("crash_coordinator");
+  const std::set<std::string> shmBefore = sdeShmEntries();
   const pid_t child = fork();
   ASSERT_NE(child, -1) << "fork failed";
   if (child == 0) {
     // Child: run a whole fleet (coordinator + its workers), with the
-    // shared query store and the live metrics plane on, both under
-    // derived names. PDEATHSIG in the workers reaps the grandchildren
-    // when we are SIGKILLed.
+    // shared query store and the live metrics plane on. PDEATHSIG in
+    // the workers reaps the grandchildren when we are SIGKILLed.
     FleetConfig fleet;
     fleet.processes = 2;
     fleet.checkpointDir = dir.string();
@@ -258,12 +255,11 @@ TEST(FleetCrashTest, KilledCoordinatorRunIsResumableFromTheDirectory) {
   }
   ASSERT_TRUE(fs::exists(snapshot::manifestPath(dir)))
       << "coordinator died before writing the manifest";
-  // Run-private segments are unlinked as soon as they are mapped, so a
-  // SIGKILLed coordinator leaks neither.
-  EXPECT_FALSE(derivedSegmentLeft("sde_qc_", child))
-      << "the killed coordinator left its query store in /dev/shm";
-  EXPECT_FALSE(derivedSegmentLeft("sde_mx_", child))
-      << "the killed coordinator left its metrics plane in /dev/shm";
+  // The query store and the metrics plane are anonymous mappings, so a
+  // SIGKILLed coordinator leaves nothing in /dev/shm.
+  for (const std::string& name : sdeShmEntries())
+    EXPECT_TRUE(shmBefore.contains(name))
+        << "the killed coordinator left /dev/shm/" << name;
 
   // Resume the directory with a fresh fleet.
   FleetConfig resume;
@@ -275,82 +271,6 @@ TEST(FleetCrashTest, KilledCoordinatorRunIsResumableFromTheDirectory) {
   EXPECT_EQ(resumed.result.outcome, RunOutcome::kCompleted);
   EXPECT_EQ(resumed.result.fingerprintDigest(), want);
   fs::remove_all(dir);
-}
-
-TEST(FleetCrashTest, TornShmSegmentDegradesToAColdCacheNotWrongResults) {
-  const auto config = smallGrid(2500);
-  const std::uint64_t want = crashFreeDigest(config, /*vars=*/3);
-
-  // Plant a segment under the fleet's explicit name that passes
-  // existence checks but fails attach validation: a valid cache
-  // truncated behind its header's back (the "machine died mid-life"
-  // artifact).
-  const std::string shmName =
-      "/sde_torn_test_" + std::to_string(static_cast<long>(::getpid()));
-  { auto planted = solver::ShmQueryCache::create(shmName); }
-  {
-    const int fd = ::shm_open(shmName.c_str(), O_RDWR, 0600);
-    ASSERT_GE(fd, 0);
-    ASSERT_EQ(::ftruncate(fd, 8192), 0);
-    ::close(fd);
-  }
-  ASSERT_TRUE(solver::ShmQueryCache::segmentExists(shmName));
-
-  const fs::path dir = freshDir("crash_torn_shm");
-  FleetConfig fleet;
-  fleet.processes = 2;
-  fleet.checkpointDir = dir.string();
-  fleet.shmName = shmName;
-  const FleetResult run = trace::runCollectFleet(config, fleet, /*vars=*/3);
-
-  EXPECT_TRUE(run.shmDegraded) << "torn segment was silently accepted";
-  ASSERT_EQ(run.result.outcome, RunOutcome::kCompleted);
-  EXPECT_EQ(run.result.fingerprintDigest(), want)
-      << "degraded cache changed the exploration";
-  solver::ShmQueryCache::unlinkSegment(shmName);
-  fs::remove_all(dir);
-}
-
-TEST(FleetCrashTest, WarmSegmentFromAPriorFleetIsReattached) {
-  // The healthy counterpart of the torn case: a first fleet leaves its
-  // explicitly named segment behind, a second fleet re-attaches it and
-  // still produces the identical digest (cache-history independence).
-  const auto config = smallGrid(2500);
-
-  const std::string shmName =
-      "/sde_warm_test_" + std::to_string(static_cast<long>(::getpid()));
-  const fs::path dir1 = freshDir("crash_warm_1");
-  FleetConfig first;
-  first.processes = 2;
-  first.collectTestcases = true;  // generate real cache traffic
-  first.checkpointDir = dir1.string();
-  first.shmName = shmName;
-  const FleetResult cold = trace::runCollectFleet(config, first, /*vars=*/3);
-  ASSERT_EQ(cold.result.outcome, RunOutcome::kCompleted);
-  ASSERT_TRUE(solver::ShmQueryCache::segmentExists(shmName));
-
-  const fs::path dir2 = freshDir("crash_warm_2");
-  FleetConfig second = first;
-  second.checkpointDir = dir2.string();
-  const FleetResult warm = trace::runCollectFleet(config, second, /*vars=*/3);
-  EXPECT_EQ(warm.result.outcome, RunOutcome::kCompleted);
-  EXPECT_FALSE(warm.shmDegraded);
-  EXPECT_EQ(warm.result.fingerprintDigest(), cold.result.fingerprintDigest());
-  // The second fleet started warm: its own solvers found entries they
-  // never inserted, and every shared-layer query of its own was a hit
-  // (the first fleet published all of them). The segment counts no
-  // traffic, so nothing of the first fleet's leaks into these numbers.
-  const auto& stats = warm.result.stats;
-  EXPECT_GT(stats.get("solver.layer.shared_cache.hits"), 0u);
-  EXPECT_EQ(stats.get("solver.layer.shared_cache.queries"),
-            stats.get("solver.layer.shared_cache.hits"))
-      << "the second fleet missed a query the first fleet published";
-  EXPECT_EQ(warm.shmEntries, cold.shmEntries)
-      << "the second fleet published a query the first fleet had not";
-
-  solver::ShmQueryCache::unlinkSegment(shmName);
-  fs::remove_all(dir1);
-  fs::remove_all(dir2);
 }
 
 }  // namespace

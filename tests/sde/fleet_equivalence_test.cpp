@@ -23,6 +23,7 @@
 #include <optional>
 #include <string>
 
+#include "obs/metrics_shm.hpp"
 #include "sde/fleet.hpp"
 #include "trace/scenario.hpp"
 
@@ -86,11 +87,10 @@ TEST_P(FleetEquivalenceTest, DigestMatrixMatchesThreadRunner) {
       EXPECT_EQ(run.respawns, 0u) << combo;
       for (std::size_t job = 0; job < run.executedCounts.size(); ++job)
         EXPECT_EQ(run.executedCounts[job], 1u) << combo << " job " << job;
-      // Without test-case generation this workload's queries are all
-      // answered before the shared layer, so zero traffic is fine here
-      // (TestcasesMatchThreadRunner asserts real hits); the segment
-      // must simply be healthy.
-      if (shm) EXPECT_FALSE(run.shmDegraded) << combo;
+      // Without test-case generation this workload's lookups are all
+      // answered before the shared layer, so the store takes no entry
+      // here; TestcasesMatchThreadRunner checks that it is there and
+      // takes the fleet's solved queries.
       fs::remove_all(dir);
     }
   }
@@ -122,7 +122,9 @@ TEST_P(FleetEquivalenceTest, TestcasesMatchThreadRunner) {
   EXPECT_EQ(run.result.fingerprintDigest(),
             reference.result.fingerprintDigest());
   EXPECT_EQ(run.result.testcases, reference.result.testcases);
-  // Sharing actually happened.
+  // Sharing actually happened: the store took the solved queries and
+  // answered some of them.
+  EXPECT_GT(run.shmEntries, 0u);
   EXPECT_GT(run.result.stats.get("solver.layer.shared_cache.hits"), 0u);
   fs::remove_all(dir);
 }
@@ -227,6 +229,18 @@ TEST(FleetConfigTest, RejectsMissingCheckpointDirAndZeroProcesses) {
   zero.processes = 0;
   zero.checkpointDir = dir.string();
   EXPECT_THROW((void)trace::runCollectFleet(config, zero, /*vars=*/2),
+               FleetError);
+
+  // A caller's metrics plane needs a slot per worker plus the
+  // coordinator's.
+  obs::ShmMetricsConfig twoSlots;
+  twoSlots.slots = 2;
+  obs::ShmMetricsPlane plane(twoSlots);
+  FleetConfig smallPlane;
+  smallPlane.processes = 2;
+  smallPlane.checkpointDir = dir.string();
+  smallPlane.metricsPlane = &plane;
+  EXPECT_THROW((void)trace::runCollectFleet(config, smallPlane, /*vars=*/2),
                FleetError);
   fs::remove_all(dir);
 }

@@ -1,11 +1,9 @@
-// Live equals post-run: the fleet's shm metrics plane, read after the
-// last worker published and before the coordinator's exact-totals merge,
+// Live equals post-run: the fleet's metrics plane, read after the last
+// worker published and before the coordinator's exact-totals merge,
 // carries every post-run counter with its post-run value — on an
 // uninterrupted run and on a run whose jobs resume from mid-job
 // checkpoints (a restored engine carries its pre-suspend counts).
 #include <gtest/gtest.h>
-
-#include <unistd.h>
 
 #include <filesystem>
 #include <memory>
@@ -39,28 +37,22 @@ fs::path freshDir(const std::string& name) {
   return dir;
 }
 
-std::string planeName(const std::string& tag) {
-  return "/sde_mx_live_" + tag + "_" + std::to_string(::getpid());
-}
-
-// A 2-process fleet with the metrics plane on whose stop hook — polled
-// by the coordinator while jobs remain — attaches to the plane. The
-// mapping outlives the segment's unlink at the end of the run, so the
-// plane's last state is readable after runFleet returns.
+// A 2-process fleet with the metrics plane on, publishing into a plane
+// the test made before the run — the way sde_serve's daemon hands a job
+// its plane — so the plane's last state is readable after runFleet
+// returns.
 struct LiveFleet {
   FleetConfig config;
   std::unique_ptr<obs::ShmMetricsPlane> plane;
 
-  LiveFleet(const fs::path& dir, const std::string& tag) {
+  explicit LiveFleet(const fs::path& dir) {
     config.processes = 2;
     config.checkpointDir = dir.string();
-    config.metricsShmName = planeName(tag);
     config.collectTestcases = true;
-    config.stopRequested = [this] {
-      if (plane == nullptr)
-        plane = obs::ShmMetricsPlane::attach(config.metricsShmName);
-      return false;
-    };
+    obs::ShmMetricsConfig planeConfig;
+    planeConfig.slots = config.processes + 1;
+    plane = std::make_unique<obs::ShmMetricsPlane>(planeConfig);
+    config.metricsPlane = plane.get();
   }
 };
 
@@ -96,7 +88,7 @@ void expectLiveEqualsPostRun(const obs::ShmMetricsPlane& plane,
 
 TEST(FleetMetricsTest, LivePlaneEqualsPostRunStatsOnAnUninterruptedRun) {
   const fs::path dir = freshDir("fleet_metrics_live");
-  LiveFleet fleet(dir, "whole");
+  LiveFleet fleet(dir);
   const FleetResult run =
       trace::runCollectFleet(scenarioConfig(), fleet.config, kVars);
   ASSERT_NE(fleet.plane, nullptr);
@@ -123,7 +115,7 @@ TEST(FleetMetricsTest, LivePlaneEqualsPostRunStatsWhenJobsResumeMidJob) {
     anyCheckpoint |= fs::exists(snapshot::jobCheckpointPath(dir, id));
   ASSERT_TRUE(anyCheckpoint);
 
-  LiveFleet resume(dir, "resume");
+  LiveFleet resume(dir);
   resume.config.resume = true;
   const FleetResult run =
       trace::runCollectFleet(scenarioConfig(), resume.config, kVars);

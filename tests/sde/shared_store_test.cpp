@@ -15,19 +15,22 @@
 //    every single-bit flip of a real file by decoding or by throwing
 //    SnapshotError, and the sidecar's checksum rejects every flip; the
 //    checkpoint decoder meets every truncation and every byte's top-bit
-//    flip of each mapper's real checkpoint the same way.
+//    flip of each mapper's real checkpoint the same way, and rejects a
+//    checkpoint whose state-id allocator has its top bit set.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include "expr/context.hpp"
+#include "mutation_battery.hpp"
 #include "sde/fleet.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/error.hpp"
@@ -287,38 +290,6 @@ INSTANTIATE_TEST_SUITE_P(Runners, CheckpointResumeTest,
                          ::testing::Values(Runner::kThreads, Runner::kFleet),
                          runnerName);
 
-// True when `decode` returns or throws SnapshotError; false for any
-// other exception (a std::length_error or std::bad_alloc from trusting a
-// corrupt count, say).
-bool decodesOrRejects(const std::function<void()>& decode) {
-  try {
-    decode();
-  } catch (const snapshot::SnapshotError&) {
-  } catch (...) {
-    return false;
-  }
-  return true;
-}
-
-// Every truncation and every single-bit flip of `bytes` decodes or is
-// rejected by `decode`. `flips` masks the bits flipped in each byte.
-void expectEveryMutantDecodesOrIsRejected(
-    const std::string& bytes,
-    const std::function<void(const std::string&)>& decode,
-    std::uint8_t flips = 0xff) {
-  for (std::size_t length = 0; length < bytes.size(); ++length)
-    EXPECT_TRUE(decodesOrRejects([&] { decode(bytes.substr(0, length)); }))
-        << "truncated to " << length << " bytes";
-  std::string flipped = bytes;
-  for (std::size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
-    if ((flips >> (bit % 8) & 1) == 0) continue;
-    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
-    EXPECT_TRUE(decodesOrRejects([&] { decode(flipped); }))
-        << "bit " << bit << " flipped";
-    flipped[bit / 8] = bytes[bit / 8];
-  }
-}
-
 void decodeSidecar(const std::string& bytes) {
   std::istringstream in(bytes);
   (void)snapshot::readSharedCacheEntries(in);
@@ -336,7 +307,8 @@ TEST(SharedCacheSidecarTest, EveryTruncationAndBitFlipDecodesOrIsRejected) {
     ASSERT_FALSE(snapshot::readSharedCacheEntries(in).empty())
         << "the run published nothing; the battery would be vacuous";
   }
-  expectEveryMutantDecodesOrIsRejected(sidecar, decodeSidecar);
+  test::expectEveryMutantDecodesOrIsRejected<snapshot::SnapshotError>(
+      sidecar, decodeSidecar);
 
   // The checksum leaves no flip to decode: every one is rejected before
   // an entry could reach a store.
@@ -376,42 +348,80 @@ TEST(DoneFileDecoderTest, EveryTruncationAndBitFlipDecodesOrIsRejected) {
     ASSERT_FALSE(result.scenarioFingerprints.empty());
     ASSERT_FALSE(result.testcases.empty());
   }
-  expectEveryMutantDecodesOrIsRejected(done, [](const std::string& bytes) {
-    std::istringstream in(bytes);
-    (void)snapshot::readJobResult(in);
-  });
+  test::expectEveryMutantDecodesOrIsRejected<snapshot::SnapshotError>(
+      done, [](const std::string& bytes) {
+        std::istringstream in(bytes);
+        (void)snapshot::readJobResult(in);
+      });
 }
 
-// The checkpoint battery runs over each mapper's engine checkpointed
+// The checkpoint batteries run over each mapper's engine checkpointed
 // mid-run on a 2x2 grid with state merging on, after its first merges,
 // so the merge side tables are in the file too.
-class CheckpointDecoderTest : public ::testing::TestWithParam<MapperKind> {};
+class CheckpointDecoderTest : public ::testing::TestWithParam<MapperKind> {
+ protected:
+  void SetUp() override {
+    trace::CollectScenarioConfig config;
+    config.gridWidth = 2;
+    config.gridHeight = 2;
+    config.simulationTime = 4000;
+    config.mapper = GetParam();
+    config.engine.mergeStates = true;
+    scenario_ = std::make_unique<trace::CollectScenario>(config);
+    ASSERT_EQ(scenario_->engine().run(1500), RunOutcome::kCompleted);
+    ASSERT_GT(scenario_->engine().stats().get("engine.merges"), 0u);
+    std::ostringstream out(std::ios::binary);
+    scenario_->engine().checkpoint(out);
+    checkpoint_ = out.str();
+    factory_ = scenario_->engineFactory();
+  }
+
+  // Restores `bytes` into a fresh engine of the scenario.
+  void restore(const std::string& bytes) const {
+    const std::unique_ptr<Engine> engine = factory_({});
+    std::istringstream in(bytes, std::ios::binary);
+    engine->restore(in);
+  }
+
+  std::unique_ptr<trace::CollectScenario> scenario_;
+  std::string checkpoint_;
+  EngineFactory factory_;
+};
 
 TEST_P(CheckpointDecoderTest,
        EveryTruncationAndTopBitFlipRestoresOrIsRejected) {
-  trace::CollectScenarioConfig config;
-  config.gridWidth = 2;
-  config.gridHeight = 2;
-  config.simulationTime = 4000;
-  config.mapper = GetParam();
-  config.engine.mergeStates = true;
-  trace::CollectScenario scenario(config);
-  ASSERT_EQ(scenario.engine().run(1500), RunOutcome::kCompleted);
-  ASSERT_GT(scenario.engine().stats().get("engine.merges"), 0u);
-  std::ostringstream out(std::ios::binary);
-  scenario.engine().checkpoint(out);
-  const std::string checkpoint = out.str();
-
-  const EngineFactory factory = scenario.engineFactory();
-  const auto restore = [&](const std::string& bytes) {
-    const std::unique_ptr<Engine> engine = factory({});
-    std::istringstream in(bytes, std::ios::binary);
-    engine->restore(in);
-  };
-  ASSERT_NO_THROW(restore(checkpoint));
+  ASSERT_NO_THROW(restore(checkpoint_));
   // Of the bit flips, each byte's top bit: the one that makes a count
   // overrun the file. Every bit would take eight times the restores.
-  expectEveryMutantDecodesOrIsRejected(checkpoint, restore, 0x80);
+  test::expectEveryMutantDecodesOrIsRejected<snapshot::SnapshotError>(
+      checkpoint_, [this](const std::string& bytes) { restore(bytes); },
+      0x80);
+}
+
+// A state-id allocator with its top bit set passes every count and id
+// check, and the next fork would size the engine's dense per-state table
+// from it. The restore must reject it: the allocator has to equal the
+// ids the restored counters say were allocated. The allocator is the
+// first of the engine scalars, which sit between the pending-event
+// queues and the decision filter (empty here) and the engine's stats
+// section, whose first name starts "engine.": six u64 fields before the
+// section's count.
+TEST_P(CheckpointDecoderTest, AnAllocatorWithItsTopBitSetIsRejected) {
+  const Engine& engine = scenario_->engine();
+  const std::uint64_t allocated = engine.stats().get("engine.initial_states") +
+                                  engine.stats().get("engine.forks_total");
+  const std::size_t firstName = checkpoint_.find("engine.");
+  ASSERT_NE(firstName, std::string::npos);
+  ASSERT_GE(firstName, 8u * 8);
+  const std::size_t allocator = firstName - 8u * 8;
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, checkpoint_.data() + allocator, sizeof(stored));
+  ASSERT_EQ(stored, allocated) << "the allocator is not where the layout "
+                                  "puts it";
+
+  std::string corrupt = checkpoint_;
+  corrupt[allocator + 7] = static_cast<char>(corrupt[allocator + 7] ^ 0x80);
+  EXPECT_THROW(restore(corrupt), snapshot::SnapshotError);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -425,10 +435,11 @@ TEST(ManifestDecoderTest, EveryTruncationAndBitFlipDecodesOrIsRejected) {
   const fs::path dir = smallDurableRun("manifest_fuzz");
   const std::string manifest = readBytes(snapshot::manifestPath(dir));
   ASSERT_EQ(snapshot::readManifest(dir).plan.jobs.size(), 2u);
-  expectEveryMutantDecodesOrIsRejected(manifest, [&](const std::string& bytes) {
-    writeBytes(snapshot::manifestPath(dir), bytes);
-    (void)snapshot::readManifest(dir);
-  });
+  test::expectEveryMutantDecodesOrIsRejected<snapshot::SnapshotError>(
+      manifest, [&](const std::string& bytes) {
+        writeBytes(snapshot::manifestPath(dir), bytes);
+        (void)snapshot::readManifest(dir);
+      });
   fs::remove_all(dir);
 }
 

@@ -19,10 +19,10 @@ TEST(SolverSmokeTest, EveryPipelineLayerSeesTrafficOnTheExampleScenario) {
   config.simulationTime = 3000;
   trace::CollectScenario scenario(config);
 
-  // A run-private store, opened as the runners open theirs.
-  const snapshot::SharedStore shared = snapshot::openSharedStore("", "");
-  ASSERT_NE(shared.cache, nullptr);
-  scenario.engine().solver().setSharedCache(shared.cache.get());
+  // A store made as the runners make theirs.
+  const auto shared = snapshot::openSharedStore("");
+  ASSERT_NE(shared, nullptr);
+  scenario.engine().solver().setSharedCache(shared.get());
   ASSERT_EQ(scenario.run().outcome, RunOutcome::kCompleted);
 
   // Exploration branches in the failure models; the solver-heavy phase

@@ -20,13 +20,10 @@
 namespace sde::solver {
 namespace {
 
-// A run-private store, as the runners open one: created, then unlinked
-// at once (the mapping lives on until the store is destroyed).
+// A store as the runners make one: an anonymous mapping of the default
+// geometry.
 std::unique_ptr<ShmQueryCache> privateStore() {
-  const std::string name = privateSegmentName("/sde_pipeline_test_");
-  auto store = ShmQueryCache::create(name);
-  ShmQueryCache::unlinkSegment(name);
-  return store;
+  return std::make_unique<ShmQueryCache>();
 }
 
 class PipelineTest : public ::testing::Test {

@@ -4,20 +4,18 @@
 // soundness property is *no fabrication*: anything a lookup ever
 // returns, from any process, is byte-equal to a value some process
 // actually inserted for exactly that key. The tests drive that with
-// genuinely concurrent multi-process readers/writers over one segment,
-// plus the attach()-time rejection matrix (truncated, torn, version-
-// mismatched, never-initialized segments and headers whose geometry
-// does not fit the segment must throw ShmCacheError, the signal the
-// runners turn into a cold-store degrade).
+// genuinely concurrent multi-process readers/writers over one inherited
+// mapping, and forge slot bytes through the raw mapping to check that a
+// stopped writer or an overrunning slot costs a miss, never a wrong
+// result.
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,19 +24,6 @@
 
 namespace sde::solver {
 namespace {
-
-std::string freshName(const char* tag) {
-  return "/sde_shmtest_" + std::string(tag) + "_" +
-         std::to_string(static_cast<long>(::getpid()));
-}
-
-// RAII for the shm *name* (mappings clean themselves up via the cache
-// destructor; the name would otherwise outlive the test run).
-struct ScopedSegment {
-  explicit ScopedSegment(std::string n) : name(std::move(n)) {}
-  ~ScopedSegment() { ShmQueryCache::unlinkSegment(name); }
-  std::string name;
-};
 
 // The canonical-entry universe: entry `i` is a pure function of `i`, so
 // every process — writer, reader, verifier — derives the identical
@@ -68,8 +53,7 @@ SharedQueryResult canonicalResult(std::uint64_t i) {
 }
 
 TEST(ShmCachePropertyTest, InsertLookupRoundtripAndFirstWriterWins) {
-  const ScopedSegment seg(freshName("roundtrip"));
-  auto cache = ShmQueryCache::create(seg.name);
+  const auto cache = std::make_unique<ShmQueryCache>();
 
   for (std::uint64_t i = 0; i < 200; ++i)
     EXPECT_EQ(cache->insert(canonicalKey(i), canonicalResult(i)),
@@ -94,12 +78,11 @@ TEST(ShmCachePropertyTest, InsertLookupRoundtripAndFirstWriterWins) {
 }
 
 TEST(ShmCachePropertyTest, OversizeEntriesAreDroppedNotTruncated) {
-  const ScopedSegment seg(freshName("oversize"));
   ShmCacheConfig config;
   config.maxConjuncts = 4;
   config.maxBindings = 2;
   config.nameBytes = 8;
-  auto cache = ShmQueryCache::create(seg.name, config);
+  const auto cache = std::make_unique<ShmQueryCache>(config);
 
   const auto expectDropped = [&](const SharedQueryKey& key,
                                  const SharedQueryResult& result) {
@@ -125,32 +108,30 @@ TEST(ShmCachePropertyTest, OversizeEntriesAreDroppedNotTruncated) {
 }
 
 // The central concurrency property, with real processes: several
-// children hammer one segment — each inserts a (deterministically
+// children hammer one store — each inserts a (deterministically
 // overlapping) slice of the canonical universe while looking up the
 // whole of it — and every value ANY process observes must be canonical.
 // A child that sees a fabricated/torn value exits nonzero.
 TEST(ShmCachePropertyTest, MultiProcessReadersWritersNeverFabricate) {
   constexpr std::uint64_t kUniverse = 300;
   constexpr int kChildren = 4;
-  const ScopedSegment seg(freshName("mp"));
-  auto cache = ShmQueryCache::create(seg.name);
+  const auto cache = std::make_unique<ShmQueryCache>();
 
   std::vector<pid_t> children;
   for (int c = 0; c < kChildren; ++c) {
     const pid_t pid = fork();
     ASSERT_NE(pid, -1) << "fork failed";
     if (pid == 0) {
-      // Child: attach by name (exercising the cross-process path, not
-      // the inherited mapping), write an interleaved slice, read
-      // everything, verify canonicality. _exit keeps gtest machinery
-      // out of the forked copy.
+      // Child: through the mapping it inherited, as a fleet worker
+      // does, write an interleaved slice, read everything, verify
+      // canonicality. _exit keeps gtest machinery out of the forked
+      // copy.
       try {
-        auto mine = ShmQueryCache::attach(seg.name);
         for (std::uint64_t i = static_cast<std::uint64_t>(c);
              i < kUniverse; i += 2)  // slices overlap across children
-          mine->insert(canonicalKey(i), canonicalResult(i));
+          cache->insert(canonicalKey(i), canonicalResult(i));
         for (std::uint64_t i = 0; i < kUniverse; ++i) {
-          const auto hit = mine->lookup(canonicalKey(i));
+          const auto hit = cache->lookup(canonicalKey(i));
           if (hit && *hit != canonicalResult(i)) _exit(3);
         }
       } catch (...) {
@@ -189,37 +170,29 @@ TEST(ShmCachePropertyTest, MultiProcessReadersWritersNeverFabricate) {
 // miss, and a second writer of the same key must stop at that claim
 // instead of publishing the key in the next free slot (first writer
 // wins per key; a race between two writers of one key once published
-// it twice). The stopped writer is simulated from raw segment bytes: a
+// it twice). The stopped writer is simulated from raw mapping bytes: a
 // published slot whose state word (the first of the slot's 24-byte
 // prelude, right before the key hashes) loses its publish bit, the low
 // bit, is a bare claim.
 TEST(ShmCachePropertyTest, AWriterStoppedBeforePublishingWastesOnlyItsSlot) {
-  const ScopedSegment seg(freshName("stopped"));
   ShmCacheConfig config;
   config.bytes = 1u << 20;
-  auto cache = ShmQueryCache::create(seg.name, config);
+  const auto cache = std::make_unique<ShmQueryCache>(config);
   const SharedQueryKey stuck = canonicalKey(5);
   ASSERT_EQ(cache->insert(stuck, canonicalResult(5)),
             InsertOutcome::kPublished);
   ASSERT_EQ(cache->entries(), 1u);
 
-  const int fd = ::shm_open(seg.name.c_str(), O_RDWR, 0600);
-  ASSERT_GE(fd, 0);
-  void* base = ::mmap(nullptr, config.bytes, PROT_READ | PROT_WRITE,
-                      MAP_SHARED, fd, 0);
-  ASSERT_NE(base, MAP_FAILED);
-  auto* words = static_cast<std::uint64_t*>(base);
-  const std::size_t numWords = config.bytes / sizeof(std::uint64_t);
+  auto* words = static_cast<std::uint64_t*>(cache->mapping().data());
+  const std::size_t numWords = cache->mapping().size() / sizeof(std::uint64_t);
   constexpr std::size_t kPreludeWords = 3;
   std::size_t keyAt = numWords;
   for (std::size_t i = kPreludeWords; i < numWords; ++i)
     if (words[i] == stuck.front()) keyAt = i;
-  ASSERT_LT(keyAt, numWords) << "the published key is not in the segment";
+  ASSERT_LT(keyAt, numWords) << "the published key is not in the mapping";
   std::uint64_t& state = words[keyAt - kPreludeWords];
   ASSERT_EQ(state & 1, 1u) << "the slot is not published";
   state &= ~std::uint64_t{1};
-  ::munmap(base, config.bytes);
-  ::close(fd);
 
   EXPECT_FALSE(cache->lookup(stuck).has_value());
   EXPECT_EQ(cache->insert(stuck, canonicalResult(5)),
@@ -245,127 +218,24 @@ TEST(ShmCachePropertyTest, AWriterStoppedBeforePublishingWastesOnlyItsSlot) {
 // slot's prelude is the state word, then keyLen and numBindings (u32
 // each), right before the key hashes.
 TEST(ShmCachePropertyTest, APublishedSlotWithOverrunningCountsReadsAsAMiss) {
-  const ScopedSegment seg(freshName("overrun"));
   ShmCacheConfig config;
   config.bytes = 1u << 20;
-  auto cache = ShmQueryCache::create(seg.name, config);
+  const auto cache = std::make_unique<ShmQueryCache>(config);
   const SharedQueryKey key = canonicalKey(6);
   ASSERT_EQ(cache->insert(key, canonicalResult(6)), InsertOutcome::kPublished);
 
-  const int fd = ::shm_open(seg.name.c_str(), O_RDWR, 0600);
-  ASSERT_GE(fd, 0);
-  void* base = ::mmap(nullptr, config.bytes, PROT_READ | PROT_WRITE,
-                      MAP_SHARED, fd, 0);
-  ASSERT_NE(base, MAP_FAILED);
-  auto* words = static_cast<std::uint64_t*>(base);
-  const std::size_t numWords = config.bytes / sizeof(std::uint64_t);
+  auto* words = static_cast<std::uint64_t*>(cache->mapping().data());
+  const std::size_t numWords = cache->mapping().size() / sizeof(std::uint64_t);
   std::size_t keyAt = numWords;
   for (std::size_t i = 3; i < numWords; ++i)
     if (words[i] == key.front()) keyAt = i;
-  ASSERT_LT(keyAt, numWords) << "the published key is not in the segment";
+  ASSERT_LT(keyAt, numWords) << "the published key is not in the mapping";
   const std::uint32_t overrun = 0xffffffffu;
   std::memcpy(reinterpret_cast<char*>(&words[keyAt - 2]) + 4, &overrun,
               sizeof(overrun));
-  ::munmap(base, config.bytes);
-  ::close(fd);
 
   EXPECT_FALSE(cache->lookup(key).has_value());
   EXPECT_TRUE(cache->sortedEntries().empty());
-}
-
-TEST(ShmCacheRejectionTest, MissingSegment) {
-  EXPECT_FALSE(ShmQueryCache::segmentExists("/sde_shmtest_never_created"));
-  EXPECT_THROW((void)ShmQueryCache::attach("/sde_shmtest_never_created"),
-               ShmCacheError);
-}
-
-TEST(ShmCacheRejectionTest, TruncatedBelowHeader) {
-  const ScopedSegment seg(freshName("tiny"));
-  const int fd = ::shm_open(seg.name.c_str(), O_RDWR | O_CREAT | O_EXCL, 0600);
-  ASSERT_GE(fd, 0);
-  ASSERT_EQ(::ftruncate(fd, 16), 0);
-  ::close(fd);
-  EXPECT_TRUE(ShmQueryCache::segmentExists(seg.name));
-  EXPECT_THROW((void)ShmQueryCache::attach(seg.name), ShmCacheError);
-}
-
-TEST(ShmCacheRejectionTest, ForeignBytesAreNotACache) {
-  const ScopedSegment seg(freshName("foreign"));
-  const int fd = ::shm_open(seg.name.c_str(), O_RDWR | O_CREAT | O_EXCL, 0600);
-  ASSERT_GE(fd, 0);
-  ASSERT_EQ(::ftruncate(fd, 4096), 0);
-  void* base = ::mmap(nullptr, 4096, PROT_WRITE, MAP_SHARED, fd, 0);
-  ASSERT_NE(base, MAP_FAILED);
-  std::memcpy(base, "GARBAGEGARBAGE", 14);
-  ::munmap(base, 4096);
-  ::close(fd);
-  EXPECT_THROW((void)ShmQueryCache::attach(seg.name), ShmCacheError);
-}
-
-TEST(ShmCacheRejectionTest, LayoutVersionMismatch) {
-  const ScopedSegment seg(freshName("version"));
-  { auto cache = ShmQueryCache::create(seg.name); }
-
-  // Poke the version field (a u32 right after the 8-byte magic) to a
-  // future value: a valid segment of a DIFFERENT build must be refused,
-  // never reinterpreted.
-  const int fd = ::shm_open(seg.name.c_str(), O_RDWR, 0600);
-  ASSERT_GE(fd, 0);
-  void* base = ::mmap(nullptr, 4096, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  ASSERT_NE(base, MAP_FAILED);
-  const std::uint32_t bogus = 999;
-  std::memcpy(static_cast<char*>(base) + 8, &bogus, sizeof(bogus));
-  ::munmap(base, 4096);
-  ::close(fd);
-
-  EXPECT_THROW((void)ShmQueryCache::attach(seg.name), ShmCacheError);
-}
-
-TEST(ShmCacheRejectionTest, TornGeometryAfterTruncation) {
-  const ScopedSegment seg(freshName("torn"));
-  { auto cache = ShmQueryCache::create(seg.name); }
-
-  // Shrink the file under the advertised geometry: the header survives
-  // but the table no longer fits — attach must refuse (probing the lost
-  // tail would SIGBUS).
-  const int fd = ::shm_open(seg.name.c_str(), O_RDWR, 0600);
-  ASSERT_GE(fd, 0);
-  ASSERT_EQ(::ftruncate(fd, 8192), 0);
-  ::close(fd);
-  EXPECT_THROW((void)ShmQueryCache::attach(seg.name), ShmCacheError);
-}
-
-TEST(ShmCacheRejectionTest, CapacityWhoseTableSizeWrapsIsRejected) {
-  const ScopedSegment seg(freshName("wrap"));
-  { auto cache = ShmQueryCache::create(seg.name); }
-
-  // Rewrite the capacity (the u64 after the magic, the version and its
-  // padding) to 2^61 slots. A default slot is 2,200 bytes = 8 * 275, so
-  // the table's size 2^61 * 2,200 = 2^64 * 275 wraps to 0 in u64: an
-  // attach that multiplies would accept the header and probe far
-  // outside the mapping.
-  const int fd = ::shm_open(seg.name.c_str(), O_RDWR, 0600);
-  ASSERT_GE(fd, 0);
-  void* base = ::mmap(nullptr, 4096, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  ASSERT_NE(base, MAP_FAILED);
-  const std::uint64_t wrapping = std::uint64_t{1} << 61;
-  std::memcpy(static_cast<char*>(base) + 16, &wrapping, sizeof(wrapping));
-  ::munmap(base, 4096);
-  ::close(fd);
-
-  EXPECT_THROW((void)ShmQueryCache::attach(seg.name), ShmCacheError);
-}
-
-TEST(ShmCacheRejectionTest, NeverInitializedCreatorCrash) {
-  const ScopedSegment seg(freshName("unready"));
-  // Simulate a creator killed between ftruncate and the ready marker: a
-  // right-sized, all-zero segment. Magic check fails first — the
-  // outcome is the same ShmCacheError degrade path.
-  const int fd = ::shm_open(seg.name.c_str(), O_RDWR | O_CREAT | O_EXCL, 0600);
-  ASSERT_GE(fd, 0);
-  ASSERT_EQ(::ftruncate(fd, 1 << 20), 0);
-  ::close(fd);
-  EXPECT_THROW((void)ShmQueryCache::attach(seg.name), ShmCacheError);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 //   sde_fleet launch <dir> [--processes N] [--vars B] [--nodes W*H]
 //                          [--time T] [--mapper cow|sds|cob]
-//                          [--no-shm-cache] [--shm-name /name]
+//                          [--no-shm-cache]
 //                          [--trace-dir D] [--testcases]
 //                          [--merge] [--loop-summarize]
 //                    starts a fresh fleet of the collect scenario with
@@ -48,7 +48,6 @@ struct Options {
   std::uint64_t time = 5000;
   MapperKind mapper = MapperKind::kSds;
   bool shmCache = true;
-  std::string shmName;
   std::string traceDir;
   bool testcases = false;
   bool merge = false;          // state merging at post-dominator joins
@@ -103,10 +102,6 @@ bool parseCommon(int argc, char** argv, int first, Options& options) {
       }
     } else if (std::strcmp(argv[i], "--no-shm-cache") == 0) {
       options.shmCache = false;
-    } else if (std::strcmp(argv[i], "--shm-name") == 0) {
-      const char* v = needValue("--shm-name");
-      if (v == nullptr) return false;
-      options.shmName = v;
     } else if (std::strcmp(argv[i], "--trace-dir") == 0) {
       const char* v = needValue("--trace-dir");
       if (v == nullptr) return false;
@@ -142,19 +137,16 @@ void printFleetResult(const FleetResult& fleet, bool sharing) {
               static_cast<unsigned long long>(fleet.workerDeaths),
               static_cast<unsigned long long>(fleet.respawns));
   // This run's shared-store traffic, from the solvers' own counters
-  // (the segment counts only its entries, which a named segment carries
-  // over from earlier fleets).
+  // (the store counts only its entries).
   const std::uint64_t sharedQueries =
       result.stats.get("solver.layer.shared_cache.queries");
   const std::uint64_t sharedHits =
       result.stats.get("solver.layer.shared_cache.hits");
   if (sharing)
-    std::printf("shm cache          entries %llu, hits %llu, misses %llu%s\n",
+    std::printf("shm cache          entries %llu, hits %llu, misses %llu\n",
                 static_cast<unsigned long long>(fleet.shmEntries),
                 static_cast<unsigned long long>(sharedHits),
-                static_cast<unsigned long long>(sharedQueries - sharedHits),
-                fleet.shmDegraded ? " (degraded: torn segment discarded)"
-                                  : "");
+                static_cast<unsigned long long>(sharedQueries - sharedHits));
   else
     std::printf("shm cache          off\n");
   std::printf("wall seconds       %.3f\n", result.wallSeconds);
@@ -208,7 +200,6 @@ int launch(const fs::path& dir, const Options& options, bool resume) {
   fleet.checkpointDir = dir.string();
   fleet.resume = resume;
   fleet.shmQueryCache = options.shmCache;
-  fleet.shmName = options.shmName;
   fleet.traceDir = options.traceDir;
   fleet.collectTestcases = options.testcases;
 
@@ -288,7 +279,7 @@ int usage() {
       stderr,
       "usage: sde_fleet launch <dir> [--processes N] [--vars B]\n"
       "                 [--nodes W*H] [--time T] [--mapper cow|sds|cob]\n"
-      "                 [--no-shm-cache] [--shm-name /name]\n"
+      "                 [--no-shm-cache]\n"
       "                 [--trace-dir D] [--testcases]\n"
       "       sde_fleet status <dir> [--json]\n"
       "       sde_fleet resume <dir> [--processes N] [--no-shm-cache]\n");
