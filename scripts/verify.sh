@@ -109,9 +109,13 @@ echo "merge smoke: testcase digest $TC_OFF on both, states $STATES_OFF -> $STATE
 
 echo "=== cross-runner resume smoke: a fleet directory resumed by the thread runner ==="
 # Both runners run every job through one job runner over one directory
-# layout. Launch a fleet, delete one job's .done and corrupt another's
-# fingerprint count, then resume the directory with the thread runner
-# (sde_checkpoint): both jobs re-run, and the digest is the launch's.
+# layout. Launch a fleet with test cases, delete one job's .done and
+# corrupt another's fingerprint count, then resume the directory with
+# the thread runner (sde_checkpoint, no --testcases: the run directory
+# records test generation): both jobs re-run, and the digest is the
+# launch's. Then delete every .done and resume with sde_fleet: the
+# fingerprint and test-case digests are the launch's again. A resume
+# that asks for test cases a run never generated is refused.
 RESUME_SMOKE=$(mktemp -d)
 trap 'rm -rf "$TRACE_SMOKE" "$FLEET_SMOKE" "$RESUME_SMOKE"' EXIT
 ./build/tools/sde_fleet launch "$RESUME_SMOKE/run" --processes 2 \
@@ -122,14 +126,31 @@ rm "$RESUME_SMOKE/run/job_0.done"
 printf '\x01' | dd of="$RESUME_SMOKE/run/job_1.done" bs=1 seek=80 \
   conv=notrunc status=none
 ./build/tools/sde_checkpoint resume "$RESUME_SMOKE/run" --workers 2 \
-  --testcases > "$RESUME_SMOKE/resume.out"
-D_LAUNCH=$(grep -oE 'fingerprint digest +[0-9a-f]{16}' \
-  "$RESUME_SMOKE/launch.out" | grep -oE '[0-9a-f]{16}$' || true)
-D_RESUME=$(grep -oE 'fingerprint digest +[0-9a-f]{16}' \
-  "$RESUME_SMOKE/resume.out" | grep -oE '[0-9a-f]{16}$' || true)
+  > "$RESUME_SMOKE/resume.out"
+digest_of() {
+  grep -oE "$1 +[0-9a-f]{16}" "$2" | grep -oE '[0-9a-f]{16}$' || true
+}
+D_LAUNCH=$(digest_of 'fingerprint digest' "$RESUME_SMOKE/launch.out")
+D_RESUME=$(digest_of 'fingerprint digest' "$RESUME_SMOKE/resume.out")
 test -n "$D_LAUNCH" && test -n "$D_RESUME" && test "$D_LAUNCH" = "$D_RESUME" \
   || { echo "cross-runner resume mismatch: launch='$D_LAUNCH' resume='$D_RESUME'"; exit 1; }
-echo "cross-runner resume: fingerprint digest $D_LAUNCH on both"
+rm "$RESUME_SMOKE"/run/job_*.done
+./build/tools/sde_fleet resume "$RESUME_SMOKE/run" --processes 2 \
+  > "$RESUME_SMOKE/fleet-resume.out"
+D_FLEET=$(digest_of 'fingerprint digest' "$RESUME_SMOKE/fleet-resume.out")
+TC_LAUNCH=$(digest_of 'testcase digest' "$RESUME_SMOKE/launch.out")
+TC_FLEET=$(digest_of 'testcase digest' "$RESUME_SMOKE/fleet-resume.out")
+test "$D_LAUNCH" = "$D_FLEET" && test -n "$TC_LAUNCH" \
+  && test "$TC_LAUNCH" = "$TC_FLEET" \
+  || { echo "fleet resume mismatch: launch='$D_LAUNCH/$TC_LAUNCH' resume='$D_FLEET/$TC_FLEET'"; exit 1; }
+./build/tools/sde_fleet launch "$RESUME_SMOKE/plain" --processes 2 \
+  --nodes '5*5' --time 4000 --vars 2 > /dev/null
+if ./build/tools/sde_fleet resume "$RESUME_SMOKE/plain" --testcases \
+  > /dev/null 2>&1; then
+  echo "a resume asking for test cases the run never generated was accepted"
+  exit 1
+fi
+echo "cross-runner resume: fingerprint digest $D_LAUNCH, testcase digest $TC_LAUNCH on every resume"
 
 echo "=== serve smoke: submit, SIGKILL the daemon mid-job, restart, digests match direct runs ==="
 SERVE_SMOKE=$(mktemp -d)
@@ -354,6 +375,11 @@ echo "=== asan: dispatch-mode differential battery ==="
 # arithmetic ASan must bless on every seed.
 ./build-asan/tests/dispatch_tests
 
+echo "=== asan: test-generation differential battery ==="
+# The per-member memo holds pointers to states and their rendered blocks
+# across every dscenario of a job: lifetimes are what ASan checks.
+./build-asan/tests/testgen_tests
+
 echo "=== ubsan: configure + build (SDE_SANITIZE=undefined) ==="
 # UB surfaces in the expr hashing / shift-heavy solver layers and the
 # snapshot codec's byte packing; -fno-sanitize-recover turns any hit
@@ -370,5 +396,8 @@ echo "=== ubsan: dispatch-mode differential battery ==="
 # (shift widths, signed division edge cases); -fno-sanitize-recover
 # turns any UB in a superinstruction into a hard failure.
 ./build-ubsan/tests/dispatch_tests
+
+echo "=== ubsan: test-generation differential battery ==="
+./build-ubsan/tests/testgen_tests
 
 echo "=== verify: all green ==="

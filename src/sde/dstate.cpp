@@ -39,15 +39,14 @@ std::vector<ExecutionState*> StateGroup::all() const {
 }
 
 std::uint64_t scenarioFingerprint(std::span<ExecutionState* const> states) {
-  // XOR of node-keyed mixes: order independent, and node ids keep
-  // distinct nodes from cancelling each other out.
   std::uint64_t h = 0;
-  for (const ExecutionState* state : states)
-    h ^= support::mix64(support::Hasher()
-                            .u64(state->node())
-                            .u64(state->configHash())
-                            .digest());
+  for (const ExecutionState* state : states) h ^= scenarioMemberMix(*state);
   return h;
+}
+
+std::uint64_t scenarioMemberMix(const ExecutionState& state) {
+  return support::mix64(
+      support::Hasher().u64(state.node()).u64(state.configHash()).digest());
 }
 
 bool hasOrWillReceive(const ExecutionState& receiver, std::uint64_t packetId) {

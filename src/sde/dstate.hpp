@@ -56,12 +56,15 @@ class StateGroup {
   std::vector<std::vector<ExecutionState*>> byNode_;
 };
 
-// Order-independent fingerprint of a dscenario: combines the per-state
-// configuration hashes keyed by node. Two dscenarios with the same
-// fingerprint represent the same distributed execution (up to the
-// packet-id renaming configHash already quotients out).
+// Order-independent fingerprint of a dscenario: the XOR of its members'
+// scenarioMemberMix values. Two dscenarios with the same fingerprint
+// represent the same distributed execution (up to the packet-id
+// renaming configHash already quotients out).
 [[nodiscard]] std::uint64_t scenarioFingerprint(
     std::span<ExecutionState* const> states);
+// One member's share of scenarioFingerprint: its configuration hash
+// keyed by node, so distinct nodes never cancel each other out.
+[[nodiscard]] std::uint64_t scenarioMemberMix(const ExecutionState& state);
 
 // --- Communication-history compatibility (conflict detection) -------------
 //

@@ -5,7 +5,8 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <set>
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 
@@ -21,6 +22,117 @@
 #include "vm/merge.hpp"
 
 namespace sde {
+
+namespace {
+
+// Placeholder test case of a dscenario whose joint constraints have no
+// model (or whose model search ran out of budget).
+constexpr std::string_view kUnsatisfiableScenario = "<unsatisfiable scenario>";
+
+// The one test-case renderer. A member's block is its node line and one
+// line per symbolic input; a dscenario renders as its members' blocks in
+// node order, on the per-member and the per-scenario path alike.
+std::string renderTestCase(const TestCase& testCase) {
+  std::ostringstream os;
+  os << "node " << testCase.node;
+  if (!testCase.failureMessage.empty())
+    os << " FAILURE: " << testCase.failureMessage;
+  os << "\n";
+  for (const TestCaseInput& input : testCase.inputs)
+    os << "  " << input.name << " (w" << input.width << ") = " << input.value
+       << "\n";
+  return os.str();
+}
+
+std::string renderScenarioCases(const std::vector<TestCase>& cases) {
+  std::string rendered;
+  for (const TestCase& testCase : cases) rendered += renderTestCase(testCase);
+  return rendered;
+}
+
+// What extraction needs of one member state, computed at most once per
+// job however many dscenarios and groups the state belongs to.
+class MemberMemo {
+ public:
+  explicit MemberMemo(ExecutionState* state)
+      : state_(state), mix_(scenarioMemberMix(*state)) {}
+
+  [[nodiscard]] ExecutionState* state() const { return state_; }
+  [[nodiscard]] std::uint64_t mix() const { return mix_; }
+
+  // The variables the member's path constraints mention.
+  const std::vector<expr::Ref>& variables(const expr::Context& ctx) {
+    if (!variables_) variables_ = state_->constraints.variables(ctx);
+    return *variables_;
+  }
+
+  // The member's rendered test case, solved on first use; nullopt when
+  // its constraints have no model.
+  const std::optional<std::string>& block(solver::SolverClient& solver) {
+    if (!solved_) {
+      if (const auto testCase = generateTestCase(solver, *state_))
+        block_ = renderTestCase(*testCase);
+      solved_ = true;
+    }
+    return block_;
+  }
+
+ private:
+  ExecutionState* state_;
+  std::uint64_t mix_;
+  std::optional<std::vector<expr::Ref>> variables_;
+  bool solved_ = false;
+  std::optional<std::string> block_;
+};
+
+using GroupMembers = std::vector<std::vector<MemberMemo*>>;  // by node
+
+// Is every dscenario's test case the concatenation of its members' own?
+// Yes when no variable is constrained under two nodes, no node's
+// symbolic input is constrained under another node and no member carries
+// merge guards: the union of one pick per node then splits into exactly
+// the members' own constraint components, in member order, and every
+// input takes its value from its own member's components.
+bool decomposable(const GroupMembers& group, const expr::Context& ctx) {
+  std::unordered_map<expr::Ref, NodeId> constrainedUnder;
+  for (NodeId node = 0; node < group.size(); ++node) {
+    for (MemberMemo* member : group[node]) {
+      if (!member->state()->mergeGuards.empty()) return false;
+      for (const expr::Ref var : member->variables(ctx)) {
+        const auto [it, fresh] = constrainedUnder.try_emplace(var, node);
+        if (!fresh && it->second != node) return false;
+      }
+    }
+  }
+  for (NodeId node = 0; node < group.size(); ++node) {
+    for (const MemberMemo* member : group[node]) {
+      for (const expr::Ref input : member->state()->symbolics) {
+        const auto it = constrainedUnder.find(input);
+        if (it != constrainedUnder.end() && it->second != node) return false;
+      }
+    }
+  }
+  return true;
+}
+
+template <typename T>
+void sortDistinct(std::vector<T>& values) {
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+}
+
+// Folds the sorted-distinct `from` into the sorted-distinct `into`.
+template <typename T>
+void unionInto(std::vector<T>& into, const std::vector<T>& from) {
+  std::vector<T> merged;
+  merged.reserve(into.size() + from.size());
+  std::set_union(std::make_move_iterator(into.begin()),
+                 std::make_move_iterator(into.end()), from.begin(), from.end(),
+                 std::back_inserter(merged));
+  into = std::move(merged);
+}
+
+}  // namespace
 
 JobResult collectJobResult(Engine& engine, const PartitionJob& job,
                            const RunConfig& config, RunOutcome outcome) {
@@ -62,8 +174,8 @@ JobResult collectJobResult(Engine& engine, const PartitionJob& job,
     forcedByNode[node].emplace_back(name);
   }
 
-  std::set<std::uint64_t> scenarioPrints;
-  std::set<std::string> testcases;
+  std::vector<std::uint64_t> scenarioPrints;
+  std::vector<std::string> testcases;
   if (!unreachableVariable) {
     // Decision logs are short; memoise the containment test per state
     // (states are shared across many groups under COW/SDS).
@@ -81,41 +193,63 @@ JobResult collectJobResult(Engine& engine, const PartitionJob& job,
       }
       return it->second;
     };
+    std::unordered_map<const ExecutionState*, MemberMemo> memos;
+    const auto memoOf = [&](ExecutionState* state) {
+      return &memos.try_emplace(state, state).first->second;
+    };
 
     for (const auto& group : engine.mapper().groupChoices()) {
-      std::vector<std::vector<ExecutionState*>> ownedChoices;
-      ownedChoices.reserve(group.size());
+      GroupMembers owned(group.size());
       std::uint64_t product = 1;
       for (NodeId node = 0; node < group.size(); ++node) {
         const auto forcedIt = forcedByNode.find(node);
-        if (forcedIt == forcedByNode.end()) {
-          ownedChoices.push_back(group[node]);
-        } else {
-          std::vector<ExecutionState*> kept;
-          for (ExecutionState* state : group[node])
-            if (satisfies(state, forcedIt->second)) kept.push_back(state);
-          ownedChoices.push_back(std::move(kept));
-        }
-        product *= ownedChoices.back().size();
+        for (ExecutionState* state : group[node])
+          if (forcedIt == forcedByNode.end() ||
+              satisfies(state, forcedIt->second))
+            owned[node].push_back(memoOf(state));
+        product *= owned[node].size();
       }
       result.scenariosOwned += product;
       if (product == 0 ||
           (!config.collectScenarioFingerprints && !config.collectTestcases))
         continue;
+      // A decomposable group's test cases come from the member memos:
+      // every query the per-scenario path would add is an exact-cache
+      // hit of a member solved before (DESIGN.md §11).
+      const bool perMember =
+          config.collectTestcases && decomposable(owned, engine.context());
 
       // Node-major odometer over the owned sub-product.
-      std::vector<std::size_t> odometer(ownedChoices.size(), 0);
-      std::vector<ExecutionState*> scenario(ownedChoices.size());
+      std::vector<std::size_t> odometer(owned.size(), 0);
+      std::vector<ExecutionState*> scenario(owned.size());
       bool exhausted = false;
       while (!exhausted) {
-        for (std::size_t node = 0; node < ownedChoices.size(); ++node)
-          scenario[node] = ownedChoices[node][odometer[node]];
-        if (config.collectScenarioFingerprints)
-          scenarioPrints.insert(scenarioFingerprint(scenario));
-        if (config.collectTestcases)
+        std::uint64_t print = 0;
+        for (std::size_t node = 0; node < owned.size(); ++node) {
+          MemberMemo* member = owned[node][odometer[node]];
+          print ^= member->mix();
+          scenario[node] = member->state();
+        }
+        if (config.collectScenarioFingerprints) scenarioPrints.push_back(print);
+        if (perMember) {
+          // Members are solved in node order up to the first one without
+          // a model, where getModel over the union stops too.
+          std::string testcase;
+          for (std::size_t node = 0; node < owned.size(); ++node) {
+            const auto& block = owned[node][odometer[node]]->block(
+                engine.solver());
+            if (!block) {
+              testcase = kUnsatisfiableScenario;
+              break;
+            }
+            testcase += *block;
+          }
+          testcases.push_back(std::move(testcase));
+        } else if (config.collectTestcases) {
           for (std::string& testcase : expandedScenarioTestcases(
                    engine.context(), engine.solver(), scenario))
-            testcases.insert(std::move(testcase));
+            testcases.push_back(std::move(testcase));
+        }
         std::size_t digit = odometer.size();
         while (true) {
           if (digit == 0) {
@@ -123,21 +257,21 @@ JobResult collectJobResult(Engine& engine, const PartitionJob& job,
             break;
           }
           --digit;
-          if (++odometer[digit] < ownedChoices[digit].size()) break;
+          if (++odometer[digit] < owned[digit].size()) break;
           odometer[digit] = 0;
         }
       }
     }
   }
-  result.scenarioFingerprints.assign(scenarioPrints.begin(),
-                                     scenarioPrints.end());
-  result.testcases.assign(testcases.begin(), testcases.end());
+  sortDistinct(scenarioPrints);
+  sortDistinct(testcases);
+  result.scenarioFingerprints = std::move(scenarioPrints);
+  result.testcases = std::move(testcases);
 
   if (config.collectStateFingerprints) {
-    std::set<std::uint64_t> statePrints;
     for (const auto& state : engine.states())
-      statePrints.insert(state->configHash());
-    result.stateFingerprints.assign(statePrints.begin(), statePrints.end());
+      result.stateFingerprints.push_back(state->configHash());
+    sortDistinct(result.stateFingerprints);
   }
 
   engine.mergeStatsInto(result.stats);
@@ -153,9 +287,6 @@ std::string jobTracePath(const std::string& traceDir, std::uint32_t jobId) {
 void finalizeParallelResult(ParallelResult& result, const PartitionPlan& plan,
                             const RunConfig& config) {
   namespace fs = std::filesystem;
-  std::set<std::uint64_t> scenarioPrints;
-  std::set<std::uint64_t> statePrints;
-  std::set<std::string> testcases;
   for (const JobResult& job : result.jobs) {
     if (result.outcome == RunOutcome::kCompleted &&
         job.outcome != RunOutcome::kCompleted)
@@ -163,17 +294,13 @@ void finalizeParallelResult(ParallelResult& result, const PartitionPlan& plan,
     result.totalStates += job.states;
     result.totalEvents += job.events;
     result.totalScenariosOwned += job.scenariosOwned;
-    scenarioPrints.insert(job.scenarioFingerprints.begin(),
-                          job.scenarioFingerprints.end());
-    statePrints.insert(job.stateFingerprints.begin(),
-                       job.stateFingerprints.end());
-    testcases.insert(job.testcases.begin(), job.testcases.end());
+    // Each job's vectors are sorted distinct, so the unions are linear
+    // merges.
+    unionInto(result.scenarioFingerprints, job.scenarioFingerprints);
+    unionInto(result.stateFingerprints, job.stateFingerprints);
+    unionInto(result.testcases, job.testcases);
     result.stats.mergeFrom(job.stats);
   }
-  result.scenarioFingerprints.assign(scenarioPrints.begin(),
-                                     scenarioPrints.end());
-  result.stateFingerprints.assign(statePrints.begin(), statePrints.end());
-  result.testcases.assign(testcases.begin(), testcases.end());
   // Trace merge, after the barrier and in job-id order (the input order
   // is the merge tie-break, so it must not depend on completion order).
   // Jobs loaded from .done files on a resume did not run here and have
@@ -216,28 +343,10 @@ PartitionPlan planPartitions(std::span<const std::string> variables,
   return plan;
 }
 
-namespace {
-
-std::string renderScenarioCases(const std::vector<TestCase>& cases) {
-  std::ostringstream os;
-  for (const TestCase& testCase : cases) {
-    os << "node " << testCase.node;
-    if (!testCase.failureMessage.empty())
-      os << " FAILURE: " << testCase.failureMessage;
-    os << "\n";
-    for (const TestCaseInput& input : testCase.inputs)
-      os << "  " << input.name << " (w" << input.width << ") = " << input.value
-         << "\n";
-  }
-  return os.str();
-}
-
-}  // namespace
-
 std::string canonicalScenarioTestcase(
     solver::SolverClient& solver, std::span<ExecutionState* const> scenario) {
   const auto cases = generateScenarioTestCases(solver, scenario);
-  if (!cases) return "<unsatisfiable scenario>";
+  if (!cases) return std::string(kUnsatisfiableScenario);
   return renderScenarioCases(*cases);
 }
 
@@ -316,7 +425,7 @@ std::vector<std::string> expandedScenarioTestcases(
         break;
       }
     }
-    if (!phantom) result.push_back("<unsatisfiable scenario>");
+    if (!phantom) result.emplace_back(kUnsatisfiableScenario);
   }
   return result;
 }

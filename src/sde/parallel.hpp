@@ -73,8 +73,9 @@ struct RunConfig {
   std::uint64_t horizon = 0;  // virtual-time horizon passed to run()
   bool collectScenarioFingerprints = true;
   bool collectStateFingerprints = true;
-  // Generate canonical test cases for every owned dscenario (solver
-  // work per dscenario — keep off for large runs).
+  // Generate canonical test cases for every owned dscenario (one string
+  // per dscenario — keep off for large runs; the solver works once per
+  // member state where a group decomposes by node, see collectJobResult).
   bool collectTestcases = false;
   // Live cross-job query sharing: one shm store (solver/shm_cache.hpp)
   // attached to every job's solver for the duration of the run. Off
@@ -141,6 +142,7 @@ struct JobResult {
   std::vector<std::uint64_t> stateFingerprints;     // configHash, sorted
                                                     // distinct
   std::vector<std::string> testcases;  // canonical (id-free), sorted
+                                       // distinct
   support::StatsRegistry stats;        // engine + interpreter + solver
 };
 
@@ -206,6 +208,12 @@ using EngineFactory =
 
 // The deterministic per-job extraction pass: run outcome, sizes, and —
 // after the ownership rule — the job's share of the dscenario universe.
+// Test cases of a group that decomposes by node (no variable constrained
+// under two nodes, no input constrained under another node, no merge
+// guards) are the concatenation of per-member test cases, each solved
+// once per job; every other group goes through
+// expandedScenarioTestcases per dscenario. Both give the bytes of
+// solving each dscenario's union (DESIGN.md §11).
 [[nodiscard]] JobResult collectJobResult(Engine& engine,
                                          const PartitionJob& job,
                                          const RunConfig& config,

@@ -1,6 +1,8 @@
 #include "snapshot/manifest.hpp"
 
+#include <algorithm>
 #include <fstream>
+#include <functional>
 #include <string>
 
 #include "snapshot/checkpoint.hpp"
@@ -16,6 +18,16 @@ void checkVersion(std::uint32_t version) {
     throw SnapshotError("unsupported manifest version " +
                         std::to_string(version) + " (this build reads " +
                         std::to_string(kManifestVersion) + ")");
+}
+
+// A JobResult's fingerprint and test-case vectors are sorted distinct,
+// and the merge barrier folds them as such; a file holding one that is
+// not is corrupt.
+template <typename T>
+void requireSortedDistinct(const std::vector<T>& values) {
+  if (std::adjacent_find(values.begin(), values.end(),
+                         std::greater_equal<>()) != values.end())
+    throw SnapshotError("job result file holds an unsorted set");
 }
 
 RunOutcome decodeOutcome(std::uint8_t raw) {
@@ -201,6 +213,9 @@ JobResult readJobResult(std::istream& is) {
   const std::uint64_t numTestcases = in.u64();
   for (std::uint64_t i = 0; i < numTestcases; ++i)
     result.testcases.push_back(in.str(1u << 24));
+  requireSortedDistinct(result.scenarioFingerprints);
+  requireSortedDistinct(result.stateFingerprints);
+  requireSortedDistinct(result.testcases);
   readStats(in, result.stats);
   return result;
 }

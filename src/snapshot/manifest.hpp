@@ -83,7 +83,9 @@ void writeManifest(const std::filesystem::path& dir,
 bool prepareRunDir(const std::filesystem::path& dir,
                    const RunManifest& manifest, bool resume);
 
-// Stream-level JobResult codec (exposed for the CLI inspector).
+// Stream-level JobResult codec (exposed for the CLI inspector). The
+// reader throws SnapshotError on a truncated or foreign file and on
+// fingerprint or test-case vectors that are not sorted distinct.
 void writeJobResult(std::ostream& os, const JobResult& result);
 [[nodiscard]] JobResult readJobResult(std::istream& is);
 

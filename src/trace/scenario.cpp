@@ -145,7 +145,8 @@ ScenarioResult FloodScenario::run() {
 }
 
 std::string encodeCollectScenarioSpec(const CollectScenarioConfig& config,
-                                      std::size_t numPartitionVariables) {
+                                      std::size_t numPartitionVariables,
+                                      bool collectTestcases) {
   std::ostringstream os;
   os << "collect/1"
      << " grid=" << config.gridWidth << "x" << config.gridHeight
@@ -166,6 +167,7 @@ std::string encodeCollectScenarioSpec(const CollectScenarioConfig& config,
      << " merge=" << (config.engine.mergeStates ? 1 : 0)
      << " loopsum=" << (config.engine.loopSummarize ? 1 : 0)
      << " vars=" << numPartitionVariables;
+  if (collectTestcases) os << " testcases=1";
   return os.str();
 }
 
@@ -235,6 +237,8 @@ std::optional<DecodedCollectSpec> decodeCollectScenarioSpec(
         decoded.config.engine.loopSummarize = value != "0";
       } else if (key == "vars") {
         decoded.numPartitionVariables = std::stoull(value);
+      } else if (key == "testcases") {
+        decoded.collectTestcases = value != "0";
       } else {
         return std::nullopt;  // unknown key: not a spec this build wrote
       }
@@ -255,8 +259,8 @@ PartitionedCollectResult runCollectPartitioned(
     parallelConfig.horizon = config.simulationTime;
   if (!parallelConfig.checkpointDir.empty() &&
       parallelConfig.scenarioSpec.empty())
-    parallelConfig.scenarioSpec =
-        encodeCollectScenarioSpec(config, numPartitionVariables);
+    parallelConfig.scenarioSpec = encodeCollectScenarioSpec(
+        config, numPartitionVariables, parallelConfig.collectTestcases);
 
   // One recorder per job, attached inside the factory: the vector is
   // pre-sized, so concurrent workers touch disjoint elements.
@@ -287,8 +291,8 @@ FleetResult runCollectFleet(const CollectScenarioConfig& config,
       planPartitions(scenario.partitionVariables(numPartitionVariables));
   if (fleetConfig.horizon == 0) fleetConfig.horizon = config.simulationTime;
   if (fleetConfig.scenarioSpec.empty())
-    fleetConfig.scenarioSpec =
-        encodeCollectScenarioSpec(config, numPartitionVariables);
+    fleetConfig.scenarioSpec = encodeCollectScenarioSpec(
+        config, numPartitionVariables, fleetConfig.collectTestcases);
   return runFleet(scenario.engineFactory(), plan, fleetConfig);
 }
 

@@ -148,8 +148,9 @@ struct PartitionedCollectResult {
 // drop decisions (2^n jobs) on parallelConfig.workers threads. A zero
 // parallelConfig.horizon defaults to config.simulationTime. When
 // parallelConfig.checkpointDir is set and no scenarioSpec was provided,
-// the encoded spec of (config, numPartitionVariables) is recorded in
-// the run manifest, making the directory self-describing.
+// the encoded spec of (config, numPartitionVariables,
+// parallelConfig.collectTestcases) is recorded in the run manifest,
+// making the directory self-describing.
 [[nodiscard]] PartitionedCollectResult runCollectPartitioned(
     const CollectScenarioConfig& config, ParallelConfig parallelConfig,
     std::size_t numPartitionVariables);
@@ -157,27 +158,34 @@ struct PartitionedCollectResult {
 // Runs the collect scenario as a multi-process fleet (sde/fleet.hpp)
 // over `numPartitionVariables` drop decisions. A zero
 // fleetConfig.horizon defaults to config.simulationTime, and the
-// encoded scenario spec is recorded in the run manifest so sde_fleet
-// can resume the directory on its own. Unlike runCollectPartitioned,
-// no metric series is collected — the fleet workers own the engine
-// sampler for the steal/status protocol.
+// encoded scenario spec (with fleetConfig.collectTestcases) is recorded
+// in the run manifest so sde_fleet can resume the directory on its own.
+// Unlike runCollectPartitioned, no metric series is collected — the
+// fleet workers own the engine sampler for the steal/status protocol.
 [[nodiscard]] FleetResult runCollectFleet(const CollectScenarioConfig& config,
                                           FleetConfig fleetConfig,
                                           std::size_t numPartitionVariables);
 
 // --- Durable-run scenario codec ----------------------------------------------
-// Renders a CollectScenarioConfig (plus the partition-variable count)
-// as the opaque scenario spec recorded in a run manifest, and parses it
-// back, so `sde_checkpoint resume` can rebuild the identical fleet from
-// the checkpoint directory alone. The codec covers every field that
-// influences the explored state space; encode/decode round-trips
-// exactly.
+// Renders a CollectScenarioConfig (plus the partition-variable count and
+// whether the run generates test cases) as the opaque scenario spec
+// recorded in a run manifest, and parses it back, so `sde_checkpoint
+// resume` and `sde_fleet resume` can rebuild the identical run from the
+// checkpoint directory alone. The codec covers every field that
+// influences the explored state space or the jobs' results; encode/decode
+// round-trips exactly. Test generation is recorded only when on, so the
+// spec of a run without test cases reads as it always has. Because a
+// resume compares specs, one that asks for the other test-case setting
+// throws snapshot::SnapshotError instead of mixing .done files made with
+// and without test cases.
 [[nodiscard]] std::string encodeCollectScenarioSpec(
-    const CollectScenarioConfig& config, std::size_t numPartitionVariables);
+    const CollectScenarioConfig& config, std::size_t numPartitionVariables,
+    bool collectTestcases = false);
 
 struct DecodedCollectSpec {
   CollectScenarioConfig config;
   std::size_t numPartitionVariables = 0;
+  bool collectTestcases = false;
 };
 // nullopt if `spec` is not an encoded collect scenario (foreign or
 // hand-edited manifest).

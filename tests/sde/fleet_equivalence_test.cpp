@@ -4,8 +4,9 @@
 // must all be unobservable in the exploration results.
 //
 //  - Digest matrix: {1, 2, 4, 8 processes} x {shm cache on/off} x
-//    {COW, SDS} all produce the byte-identical fingerprintDigest, equal
-//    to the single-process thread runner on the same plan.
+//    {COW, SDS}, test cases on, all produce the byte-identical
+//    fingerprintDigest, equal to the single-process thread runner on the
+//    same plan.
 //  - Merged traces: the fleet's merged.trc is byte-identical to the
 //    thread runner's (shared caches off on both sides — with a live
 //    cache, per-query layer attribution in the trace is legitimately
@@ -62,11 +63,16 @@ TEST_P(FleetEquivalenceTest, DigestMatrixMatchesThreadRunner) {
   const std::string tag = std::string(mapperKindName(GetParam()));
 
   // Reference: the single-process thread runner on the identical plan.
+  // Test generation is what sends queries to the shared store, so every
+  // cell generates test cases: store on and off then differ in solver
+  // traffic, which the digest must not see.
   ParallelConfig threads;
   threads.workers = 1;
-  const std::uint64_t want =
-      trace::runCollectPartitioned(config, threads, /*vars=*/3)
-          .result.fingerprintDigest();
+  threads.collectTestcases = true;
+  const ParallelResult reference =
+      trace::runCollectPartitioned(config, threads, /*vars=*/3).result;
+  ASSERT_FALSE(reference.testcases.empty());
+  const std::uint64_t want = reference.fingerprintDigest();
 
   for (const unsigned processes : {1u, 2u, 4u, 8u}) {
     for (const bool shm : {true, false}) {
@@ -76,21 +82,23 @@ TEST_P(FleetEquivalenceTest, DigestMatrixMatchesThreadRunner) {
       FleetConfig fleet;
       fleet.processes = processes;
       fleet.shmQueryCache = shm;
+      fleet.collectTestcases = true;
       fleet.checkpointDir = dir.string();
       const FleetResult run = trace::runCollectFleet(config, fleet, /*vars=*/3);
 
       ASSERT_EQ(run.result.outcome, RunOutcome::kCompleted) << combo;
       ASSERT_EQ(run.result.jobs.size(), 8u) << combo;
       EXPECT_EQ(run.result.fingerprintDigest(), want) << combo;
+      // The store axis carries traffic: a store-on cell's store took
+      // the fleet's solved queries.
+      if (shm) {
+        EXPECT_GT(run.shmEntries, 0u) << combo;
+      }
       // Crash-free: every job ran exactly once, nobody died.
       EXPECT_EQ(run.workerDeaths, 0u) << combo;
       EXPECT_EQ(run.respawns, 0u) << combo;
       for (std::size_t job = 0; job < run.executedCounts.size(); ++job)
         EXPECT_EQ(run.executedCounts[job], 1u) << combo << " job " << job;
-      // Without test-case generation this workload's lookups are all
-      // answered before the shared layer, so the store takes no entry
-      // here; TestcasesMatchThreadRunner checks that it is there and
-      // takes the fleet's solved queries.
       fs::remove_all(dir);
     }
   }

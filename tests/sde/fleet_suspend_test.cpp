@@ -1,8 +1,9 @@
 // Graceful fleet suspend (FleetConfig::stopRequested / SIGTERM):
 // interrupting a running fleet checkpoints in-flight jobs and exits
 // cleanly, and a resume finishes the run with the digest of an
-// uninterrupted one. This is the preemption primitive the sde_serve
-// scheduler builds on — suspend must never lose accepted work.
+// uninterrupted one (test generation taken from the run directory).
+// This is the preemption primitive the sde_serve scheduler builds on —
+// suspend must never lose accepted work.
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
@@ -112,6 +113,49 @@ TEST(FleetSuspendTest, StopHookSuspendsAndResumeMatchesReferenceDigest) {
     // match.
     EXPECT_EQ(first.result.fingerprintDigest(), expected);
   }
+  fs::remove_all(dir);
+}
+
+// A resume rebuilds the run from its directory alone, test generation
+// included: the recorded spec says the run generates test cases, a
+// resume that takes the setting from there re-runs every job to the
+// launch's digest and test cases, and one that asks for the other
+// setting is refused before anything runs.
+TEST(FleetResumeTest, RecordedTestGenerationSurvivesAResume) {
+  const auto config = scenarioConfig();
+  constexpr std::size_t kVars = 2;  // 4 jobs
+  const fs::path dir = freshDir("fleet_resume_testcases");
+  FleetConfig launch;
+  launch.processes = 2;
+  launch.checkpointDir = dir.string();
+  launch.collectTestcases = true;
+  const FleetResult launched = trace::runCollectFleet(config, launch, kVars);
+  ASSERT_EQ(launched.result.outcome, RunOutcome::kCompleted);
+  ASSERT_FALSE(launched.result.testcases.empty());
+
+  // What sde_fleet resume and sde_checkpoint resume read.
+  const auto recorded = trace::decodeCollectScenarioSpec(
+      snapshot::readManifest(dir).scenarioSpec);
+  ASSERT_TRUE(recorded.has_value());
+  EXPECT_TRUE(recorded->collectTestcases);
+
+  for (std::uint32_t id = 0; id < 4; ++id)
+    fs::remove(snapshot::jobDonePath(dir, id));
+  FleetConfig resume;
+  resume.processes = 2;
+  resume.checkpointDir = dir.string();
+  resume.resume = true;
+  EXPECT_THROW((void)trace::runCollectFleet(recorded->config, resume,
+                                            recorded->numPartitionVariables),
+               snapshot::SnapshotError);
+
+  resume.collectTestcases = recorded->collectTestcases;
+  const FleetResult resumed = trace::runCollectFleet(
+      recorded->config, resume, recorded->numPartitionVariables);
+  EXPECT_EQ(resumed.result.outcome, RunOutcome::kCompleted);
+  EXPECT_EQ(resumed.result.fingerprintDigest(),
+            launched.result.fingerprintDigest());
+  EXPECT_EQ(resumed.result.testcases, launched.result.testcases);
   fs::remove_all(dir);
 }
 

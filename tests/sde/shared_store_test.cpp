@@ -355,6 +355,33 @@ TEST(DoneFileDecoderTest, EveryTruncationAndBitFlipDecodesOrIsRejected) {
       });
 }
 
+// The merge barrier folds a job's fingerprint and test-case vectors as
+// sorted-distinct sequences, so a .done file holding one that is not is
+// corrupt: its job re-runs instead of breaking the union.
+TEST(DoneFileDecoderTest, UnsortedOrRepeatedSetsAreRejected) {
+  const auto roundTrip = [](const JobResult& result) {
+    std::ostringstream out(std::ios::binary);
+    snapshot::writeJobResult(out, result);
+    std::istringstream in(out.str(), std::ios::binary);
+    return snapshot::readJobResult(in);
+  };
+  JobResult sorted;
+  sorted.scenarioFingerprints = {1, 2};
+  sorted.stateFingerprints = {3, 4};
+  sorted.testcases = {"a", "b"};
+  EXPECT_EQ(roundTrip(sorted).testcases, sorted.testcases);
+
+  JobResult unsortedCases = sorted;
+  unsortedCases.testcases = {"b", "a"};
+  EXPECT_THROW((void)roundTrip(unsortedCases), snapshot::SnapshotError);
+  JobResult repeatedPrints = sorted;
+  repeatedPrints.scenarioFingerprints = {2, 2};
+  EXPECT_THROW((void)roundTrip(repeatedPrints), snapshot::SnapshotError);
+  JobResult unsortedStates = sorted;
+  unsortedStates.stateFingerprints = {4, 3};
+  EXPECT_THROW((void)roundTrip(unsortedStates), snapshot::SnapshotError);
+}
+
 // The checkpoint batteries run over each mapper's engine checkpointed
 // mid-run on a 2x2 grid with state merging on, after its first merges,
 // so the merge side tables are in the file too.

@@ -21,6 +21,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
@@ -47,10 +48,27 @@ bool sanitizersActive() {
 #endif
 }
 
+// One root per process, so a --gtest_repeat loop next to ctest never
+// shares a socket or a run directory with the suite's own run of a test.
+// The process removes its roots when it exits; the daemons, runners and
+// workers it forks leave through _exit and remove nothing.
 fs::path freshRoot(const std::string& name) {
-  const fs::path root = fs::path(::testing::TempDir()) / ("serve_" + name);
+  struct Roots {
+    std::vector<fs::path> made;
+    ~Roots() {
+      for (const fs::path& root : made) {
+        std::error_code ec;
+        fs::remove_all(root, ec);
+      }
+    }
+  };
+  static Roots roots;
+  const fs::path root =
+      fs::path(::testing::TempDir()) /
+      ("serve_" + name + "_" + std::to_string(static_cast<long>(::getpid())));
   fs::remove_all(root);
   fs::create_directories(root);
+  roots.made.push_back(root);
   return root;
 }
 
@@ -157,6 +175,13 @@ JobStatus waitForJob(Client& client, std::uint64_t jobId,
     std::this_thread::sleep_for(std::chrono::milliseconds(15));
   }
   return last;
+}
+
+// The preconditions the mid-job tests wait for: the job's fleet is up,
+// and (exploring) it has processed events.
+bool isRunning(const JobStatus& s) { return s.state == JobState::kRunning; }
+bool isExploring(const JobStatus& s) {
+  return isRunning(s) && s.eventsSeen > 0;
 }
 
 // The job's published stats.txt as name -> value.
@@ -275,9 +300,8 @@ TEST(ServeE2eTest, DaemonSigkillLosesNoAcceptedJob) {
     Client client(socket);
     jobId = client.submit(request(longScenario(), "alice"));
     // Let the fleet actually start exploring before the kill.
-    (void)waitForJob(client, jobId, [](const JobStatus& s) {
-      return s.state == JobState::kRunning && s.eventsSeen > 0;
-    });
+    EXPECT_TRUE(isExploring(waitForJob(client, jobId, isExploring)))
+        << "no live progress from the running job";
   }
 
   ASSERT_EQ(::kill(daemon, SIGKILL), 0);
@@ -311,9 +335,8 @@ TEST(ServeE2eTest, HigherPriorityPreemptsAndFinishesFirst) {
   // The low-priority job fills the whole 2-slot pool...
   const std::uint64_t low =
       client.submit(request(longScenario(), "batch", 0, 2));
-  (void)waitForJob(client, low, [](const JobStatus& s) {
-    return s.state == JobState::kRunning && s.eventsSeen > 0;
-  });
+  EXPECT_TRUE(isExploring(waitForJob(client, low, isExploring)))
+      << "the low-priority job never ran";
   // ...so the high-priority job can only run by preempting it.
   const std::uint64_t high =
       client.submit(request(smallScenario(), "vip", 5, 2));
@@ -349,9 +372,8 @@ TEST(ServeE2eTest, PreemptedJobWithTestcasesSharesQueriesAndKeepsItsDigest) {
   SubmitRequest lowRequest = request(longScenario(), "batch", 0, 2);
   lowRequest.collectTestcases = true;
   const std::uint64_t low = client.submit(lowRequest);
-  (void)waitForJob(client, low, [](const JobStatus& s) {
-    return s.state == JobState::kRunning && s.eventsSeen > 0;
-  });
+  EXPECT_TRUE(isExploring(waitForJob(client, low, isExploring)))
+      << "the low-priority job never ran";
   const std::uint64_t high =
       client.submit(request(smallScenario(), "vip", 5, 2));
   EXPECT_EQ(client.watch(high).state, JobState::kDone);
@@ -378,9 +400,8 @@ TEST(ServeE2eTest, CancelledQueuedJobStaysCancelled) {
   Client client(socket);
   const std::uint64_t running =
       client.submit(request(longScenario(), "alice", 0, 2));
-  (void)waitForJob(client, running, [](const JobStatus& s) {
-    return s.state == JobState::kRunning;
-  });
+  EXPECT_TRUE(isRunning(waitForJob(client, running, isRunning)))
+      << "the first job never started";
   // Equal priority + full pool: this one must be waiting its turn.
   const std::uint64_t queued =
       client.submit(request(smallScenario(), "alice", 0, 2));

@@ -7,7 +7,8 @@
 //                                         artifact
 //   sde_checkpoint resume   <dir> [--workers N] [--testcases]
 //                                         rebuild the fleet from the recorded
-//                                         scenario spec and finish the run
+//                                         scenario spec (test generation
+//                                         included) and finish the run
 //
 // `resume` only works for runs whose manifest carries a scenario spec this
 // build can decode (runs started through trace::runCollectPartitioned); for
@@ -122,7 +123,10 @@ int resumeRun(const fs::path& dir, unsigned workers, bool testcases) {
   ParallelConfig parallel;
   parallel.workers = workers;
   parallel.horizon = manifest.horizon;
-  parallel.collectTestcases = testcases;
+  // The recorded spec says whether the run generates test cases;
+  // --testcases on a run without them changes the spec, and the resume
+  // refuses the directory.
+  parallel.collectTestcases = testcases || decoded->collectTestcases;
   parallel.checkpointDir = dir.string();
   parallel.resume = true;
   const trace::PartitionedCollectResult outcome = trace::runCollectPartitioned(

@@ -15,10 +15,10 @@
 //                    sde_serve status endpoint and scripts consume it)
 //   sde_fleet resume <dir> [--processes N] [--no-shm-cache]
 //                    rebuilds the fleet from the recorded scenario spec
-//                    and finishes the run (completed jobs load from
-//                    their .done files, suspended jobs continue from
-//                    their checkpoints, the shm cache seeds from the
-//                    shared_cache.bin sidecar)
+//                    (test generation included) and finishes the run
+//                    (completed jobs load from their .done files,
+//                    suspended jobs continue from their checkpoints, the
+//                    shm cache seeds from the shared_cache.bin sidecar)
 //
 // `resume` needs a manifest whose scenario spec this build can decode
 // (runs started by `launch`, trace::runCollectFleet or
@@ -179,6 +179,7 @@ int launch(const fs::path& dir, const Options& options, bool resume) {
   scenario.engine.loopSummarize = options.loopSummarize;
 
   std::size_t vars = options.vars;
+  bool testcases = options.testcases;
   if (resume) {
     // The run directory is authoritative: rebuild the identical fleet
     // from the recorded spec.
@@ -193,6 +194,9 @@ int launch(const fs::path& dir, const Options& options, bool resume) {
     }
     scenario = decoded->config;
     vars = decoded->numPartitionVariables;
+    // --testcases on a run without test cases changes the spec, and the
+    // resume refuses the directory.
+    testcases = testcases || decoded->collectTestcases;
   }
 
   FleetConfig fleet;
@@ -201,7 +205,7 @@ int launch(const fs::path& dir, const Options& options, bool resume) {
   fleet.resume = resume;
   fleet.shmQueryCache = options.shmCache;
   fleet.traceDir = options.traceDir;
-  fleet.collectTestcases = options.testcases;
+  fleet.collectTestcases = testcases;
 
   // SIGTERM means "checkpoint and yield", matching what a managing
   // daemon (sde_serve) sends to preempt the run.
