@@ -19,7 +19,7 @@ cd "$(dirname "$0")/.."
 
 echo "=== tier-1: configure + build ==="
 cmake -B build -S . >/dev/null
-cmake --build build -j
+cmake --build build -j"$(nproc)"
 
 # Shared memory is anonymous and inherited through fork, so no test or
 # smoke below may leave a named segment behind: /dev/shm's "sde_" entries
@@ -28,7 +28,7 @@ list_sde_shm() { ls /dev/shm 2>/dev/null | grep '^sde_' || true; }
 SHM_BEFORE=$(list_sde_shm)
 
 echo "=== tier-1: ctest ==="
-ctest --test-dir build --output-on-failure -j
+ctest --test-dir build --output-on-failure -j"$(nproc)"
 
 echo "=== trace smoke: bench --trace-out -> sde_trace validate/export ==="
 TRACE_SMOKE=$(mktemp -d)
@@ -291,10 +291,10 @@ echo "=== release: configure + build (CMAKE_BUILD_TYPE=Release) ==="
 # kind of code where -O2 reorders lifetimes; the model-based container
 # oracle (fixed seeds baked into the test) must agree here too.
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build build-release -j
+cmake --build build-release -j"$(nproc)"
 
 echo "=== release: ctest ==="
-ctest --test-dir build-release --output-on-failure -j
+ctest --test-dir build-release --output-on-failure -j"$(nproc)"
 
 echo "=== release: PVector/CowVec model oracle ==="
 ./build-release/tests/pvector_model_tests
@@ -314,7 +314,7 @@ echo "=== release: memory ledger oracle battery ==="
 echo "=== tsan: configure + build (SDE_SANITIZE=thread) ==="
 cmake -B build-tsan -S . -DSDE_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build build-tsan -j --target support_tests sde_tests snapshot_tests \
+cmake --build build-tsan -j"$(nproc)" --target support_tests sde_tests snapshot_tests \
   merge_tests solver_tests fleet_tests
 
 echo "=== tsan: thread pool + parallel execution + resume tests ==="
@@ -348,10 +348,10 @@ echo "=== tsan: merge-on vs merge-off differential battery ==="
 echo "=== asan: configure + build (SDE_SANITIZE=address) ==="
 cmake -B build-asan -S . -DSDE_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build build-asan -j
+cmake --build build-asan -j"$(nproc)"
 
 echo "=== asan: ctest ==="
-ctest --test-dir build-asan --output-on-failure -j
+ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
 
 echo "=== asan: merge-on vs merge-off differential battery ==="
 # The digest equivalence check from the merge smoke, re-proven per
@@ -386,10 +386,10 @@ echo "=== ubsan: configure + build (SDE_SANITIZE=undefined) ==="
 # into a test failure.
 cmake -B build-ubsan -S . -DSDE_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build build-ubsan -j
+cmake --build build-ubsan -j"$(nproc)"
 
 echo "=== ubsan: ctest ==="
-ctest --test-dir build-ubsan --output-on-failure -j
+ctest --test-dir build-ubsan --output-on-failure -j"$(nproc)"
 
 echo "=== ubsan: dispatch-mode differential battery ==="
 # The fused handler bodies chain ALU evaluations on u64 immediates

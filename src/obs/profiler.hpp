@@ -35,7 +35,7 @@ enum class Phase : std::uint8_t {
   kSampling,        // memory-cap meter + sampler hook (in fleet workers
                     //  also the protocol pump)
   kMerge,           // state merging: join-point merges, sweep and reap
-  kReport,          // post-run duplicate scans (trace::summarize)
+  kReport,          // post-run duplicate scan (trace::summarize)
   kNumPhases,
 };
 inline constexpr std::size_t kNumPhases =

@@ -14,20 +14,21 @@ void CobMapper::registerInitialStates(
   Scenario& scenario = scenarios_.emplace_back();
   scenario.id = nextScenarioId_++;
   scenario.byNode.assign(states.begin(), states.end());
-  for (ExecutionState* state : states) scenarioOf_[state] = &scenario;
+  for (ExecutionState* state : states)
+    scenarioOf_.slot(state->id()) = &scenario;
 }
 
 CobMapper::Scenario& CobMapper::scenarioOf(const ExecutionState& state) {
-  const auto it = scenarioOf_.find(&state);
-  SDE_ASSERT(it != scenarioOf_.end(), "state not registered with COB");
-  return *it->second;
+  Scenario* scenario = scenarioOf_[state.id()];
+  SDE_ASSERT(scenario != nullptr, "state not registered with COB");
+  return *scenario;
 }
 
 const CobMapper::Scenario& CobMapper::scenarioOf(
     const ExecutionState& state) const {
-  const auto it = scenarioOf_.find(&state);
-  SDE_ASSERT(it != scenarioOf_.end(), "state not registered with COB");
-  return *it->second;
+  const Scenario* scenario = scenarioOf_[state.id()];
+  SDE_ASSERT(scenario != nullptr, "state not registered with COB");
+  return *scenario;
 }
 
 namespace {
@@ -74,7 +75,7 @@ std::vector<ExecutionState*> CobMapper::onStatesMerged(
   std::vector<ExecutionState*> casualties;
   casualties.reserve(numNodes_ - 1);
   for (ExecutionState* member : drop.byNode) {
-    scenarioOf_.erase(member);
+    scenarioOf_.erase(member->id());
     if (member == &absorbed) continue;  // the engine reaps it itself
     SDE_ASSERT(!member->mergedAway, "bystander absorbed twice");
     member->mergedAway = true;
@@ -115,7 +116,8 @@ void CobMapper::onLocalBranch(ExecutionState& original,
     runtime.stats().add(statId<"map.cob.scenario_copies">());
     ++copies;
   }
-  for (ExecutionState* state : scenario.byNode) scenarioOf_[state] = &scenario;
+  for (ExecutionState* state : scenario.byNode)
+    scenarioOf_.slot(state->id()) = &scenario;
   if (obs::TraceSink* trace = runtime.trace()) {
     obs::TraceEvent event;
     event.kind = obs::TraceEventKind::kGroupFork;
@@ -180,7 +182,7 @@ void CobMapper::snapshotLoad(snapshot::Reader& in,
         throw snapshot::SnapshotError(
             "COB snapshot references an unknown state");
       scenario.byNode[node] = state;
-      scenarioOf_[state] = &scenario;
+      scenarioOf_.slot(state->id()) = &scenario;
     }
   }
 }
@@ -202,13 +204,12 @@ void CobMapper::checkInvariants() const {
                  "dscenario member on the wrong node");
       SDE_ASSERT(!state->mergedAway, "dscenario member was absorbed");
       ++mapped;
-      const auto it = scenarioOf_.find(state);
-      SDE_ASSERT(it != scenarioOf_.end() && it->second == &scenario,
+      SDE_ASSERT(scenarioOf_[state->id()] == &scenario,
                  "scenarioOf_ out of sync");
     }
   }
   SDE_ASSERT(dead == deadScenarios_, "dead-dscenario count out of sync");
-  SDE_ASSERT(mapped == scenarioOf_.size(), "orphan entries in scenarioOf_");
+  SDE_ASSERT(mapped == scenarioOf_.count(), "orphan entries in scenarioOf_");
 }
 
 }  // namespace sde

@@ -10,9 +10,9 @@
 #pragma once
 
 #include <deque>
-#include <unordered_map>
 
 #include "sde/mapper.hpp"
+#include "sde/state_table.hpp"
 
 namespace sde {
 
@@ -69,7 +69,7 @@ class CobMapper final : public StateMapper {
 
   std::uint32_t numNodes_;
   std::deque<Scenario> scenarios_;  // stable addresses
-  std::unordered_map<const ExecutionState*, Scenario*> scenarioOf_;
+  StateTable<Scenario*> scenarioOf_;
   std::uint64_t nextScenarioId_ = 0;
   std::size_t deadScenarios_ = 0;
 };

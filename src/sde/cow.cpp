@@ -17,20 +17,20 @@ void CowMapper::registerInitialStates(
   dstate.id = nextDstateId_++;
   for (ExecutionState* state : states) {
     dstate.members.add(state);
-    dstateOf_[state] = &dstate;
+    dstateOf_.slot(state->id()) = &dstate;
   }
 }
 
 CowMapper::DState& CowMapper::mutableDstateOf(const ExecutionState& state) {
-  const auto it = dstateOf_.find(&state);
-  SDE_ASSERT(it != dstateOf_.end(), "state not registered with COW");
-  return *it->second;
+  DState* dstate = dstateOf_[state.id()];
+  SDE_ASSERT(dstate != nullptr, "state not registered with COW");
+  return *dstate;
 }
 
 const StateGroup& CowMapper::dstateOf(const ExecutionState& state) const {
-  const auto it = dstateOf_.find(&state);
-  SDE_ASSERT(it != dstateOf_.end(), "state not registered with COW");
-  return it->second->members;
+  const DState* dstate = dstateOf_[state.id()];
+  SDE_ASSERT(dstate != nullptr, "state not registered with COW");
+  return dstate->members;
 }
 
 void CowMapper::onLocalBranch(ExecutionState& original,
@@ -40,7 +40,7 @@ void CowMapper::onLocalBranch(ExecutionState& original,
   // record membership (this is the entire point of COW).
   DState& dstate = mutableDstateOf(original);
   dstate.members.add(&sibling);
-  dstateOf_[&sibling] = &dstate;
+  dstateOf_.slot(sibling.id()) = &dstate;
 }
 
 std::vector<ExecutionState*> CowMapper::onTransmit(ExecutionState& sender,
@@ -73,7 +73,7 @@ std::vector<ExecutionState*> CowMapper::onTransmit(ExecutionState& sender,
 
   old.members.remove(&sender);
   fresh.members.add(&sender);
-  dstateOf_[&sender] = &fresh;
+  dstateOf_.slot(sender.id()) = &fresh;
 
   std::uint64_t targetsForked = 0;
   std::uint64_t bystandersForked = 0;
@@ -85,7 +85,7 @@ std::vector<ExecutionState*> CowMapper::onTransmit(ExecutionState& sender,
                           member->forkCopyCost());
       ExecutionState& copy = runtime.forkState(*member);
       fresh.members.add(&copy);
-      dstateOf_[&copy] = &fresh;
+      dstateOf_.slot(copy.id()) = &fresh;
       if (node == dst) {
         receivers.push_back(&copy);
         runtime.stats().add(statId<"map.targets_forked">());
@@ -125,11 +125,11 @@ std::vector<ExecutionState*> CowMapper::onTransmit(ExecutionState& sender,
 
 bool CowMapper::canMerge(const ExecutionState& survivor,
                          const ExecutionState& absorbed) const {
-  const auto keep = dstateOf_.find(&survivor);
-  const auto drop = dstateOf_.find(&absorbed);
-  SDE_ASSERT(keep != dstateOf_.end() && drop != dstateOf_.end(),
+  const DState* keep = dstateOf_[survivor.id()];
+  const DState* drop = dstateOf_[absorbed.id()];
+  SDE_ASSERT(keep != nullptr && drop != nullptr,
              "state not registered with COW");
-  return keep->second == drop->second;
+  return keep == drop;
 }
 
 std::vector<ExecutionState*> CowMapper::onStatesMerged(
@@ -139,7 +139,7 @@ std::vector<ExecutionState*> CowMapper::onStatesMerged(
              "merge across dstates slipped past canMerge");
   const bool removed = dstate.members.remove(&absorbed);
   SDE_ASSERT(removed, "absorbed state missing from its dstate");
-  dstateOf_.erase(&absorbed);
+  dstateOf_.erase(absorbed.id());
   return {};
 }
 
@@ -194,7 +194,7 @@ void CowMapper::snapshotLoad(snapshot::Reader& in,
           throw snapshot::SnapshotError(
               "COW snapshot references an unknown state");
         dstate.members.add(state);
-        dstateOf_[state] = &dstate;
+        dstateOf_.slot(state->id()) = &dstate;
       }
     }
   }
@@ -207,15 +207,14 @@ void CowMapper::checkInvariants() const {
                "dstate must have >= 1 state per node");
     for (ExecutionState* member : dstate.members.all()) {
       ++mapped;
-      const auto it = dstateOf_.find(member);
-      SDE_ASSERT(it != dstateOf_.end() && it->second == &dstate,
+      SDE_ASSERT(dstateOf_[member->id()] == &dstate,
                  "dstateOf_ out of sync (a state must be in exactly one "
                  "dstate)");
     }
     SDE_ASSERT(countConflicts(dstate.members) == 0,
                "dstate members must be pairwise conflict-free");
   }
-  SDE_ASSERT(mapped == dstateOf_.size(), "orphan entries in dstateOf_");
+  SDE_ASSERT(mapped == dstateOf_.count(), "orphan entries in dstateOf_");
 }
 
 }  // namespace sde

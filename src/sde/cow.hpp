@@ -11,9 +11,9 @@
 #pragma once
 
 #include <deque>
-#include <unordered_map>
 
 #include "sde/mapper.hpp"
+#include "sde/state_table.hpp"
 
 namespace sde {
 
@@ -66,7 +66,7 @@ class CowMapper final : public StateMapper {
 
   std::uint32_t numNodes_;
   std::deque<DState> dstates_;
-  std::unordered_map<const ExecutionState*, DState*> dstateOf_;
+  StateTable<DState*> dstateOf_;
   std::uint64_t nextDstateId_ = 0;
 };
 

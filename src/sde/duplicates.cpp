@@ -1,45 +1,44 @@
 #include "sde/duplicates.hpp"
 
 #include <algorithm>
+#include <vector>
 
 namespace sde {
 
 namespace {
 
-template <typename Range, typename Deref>
-DuplicateReport analyse(const Range& states, DuplicateMode mode,
-                        Deref&& deref) {
+// Counts the classes of equal hashes by sorting them.
+DuplicateReport countClasses(std::vector<std::uint64_t>& hashes) {
+  std::sort(hashes.begin(), hashes.end());
   DuplicateReport report;
-  std::unordered_map<std::uint64_t, std::uint64_t> classes;
-  for (const auto& holder : states) {
-    const vm::ExecutionState& state = deref(holder);
-    ++report.totalStates;
-    const std::uint64_t hash = mode == DuplicateMode::kStrict
-                                   ? state.configHashStrict()
-                                   : state.configHash();
-    ++classes[hash];
+  report.totalStates = hashes.size();
+  for (auto first = hashes.begin(); first != hashes.end();) {
+    const auto last = std::find_if(
+        first, hashes.end(), [first](std::uint64_t h) { return h != *first; });
+    ++report.distinctConfigurations;
+    report.largestClass = std::max<std::uint64_t>(
+        report.largestClass, static_cast<std::uint64_t>(last - first));
+    first = last;
   }
-  report.distinctConfigurations = classes.size();
-  for (const auto& [hash, count] : classes) {
-    report.duplicateStates += count - 1;
-    report.largestClass = std::max(report.largestClass, count);
-  }
+  report.duplicateStates =
+      report.totalStates - report.distinctConfigurations;
   return report;
 }
 
 }  // namespace
 
-DuplicateReport findDuplicates(
-    const std::deque<std::unique_ptr<vm::ExecutionState>>& states,
-    DuplicateMode mode) {
-  return analyse(states, mode,
-                 [](const auto& p) -> const vm::ExecutionState& { return *p; });
-}
-
-DuplicateReport findDuplicates(const std::vector<vm::ExecutionState*>& states,
-                               DuplicateMode mode) {
-  return analyse(states, mode,
-                 [](const auto* p) -> const vm::ExecutionState& { return *p; });
+DuplicateReports findDuplicates(
+    const std::deque<std::unique_ptr<vm::ExecutionState>>& states) {
+  std::vector<std::uint64_t> strict;
+  std::vector<std::uint64_t> content;
+  strict.reserve(states.size());
+  content.reserve(states.size());
+  for (const auto& state : states) {
+    const std::uint64_t hash = state->configHash();
+    content.push_back(hash);
+    strict.push_back(state->configHashStrict(hash));
+  }
+  return {countClasses(strict), countClasses(content)};
 }
 
 }  // namespace sde

@@ -5,11 +5,11 @@
 // quantity the paper's algorithms compete on: COB mass-produces them,
 // COW produces bystander copies, SDS provably produces none (§III-D).
 //
-// Two notions are measured:
-//  * kStrict — packets distinguished by identity, matching the paper's
+// Two notions are measured, in one scan:
+//  * strict — packets distinguished by identity, matching the paper's
 //    formal model (§II-B: packets are "unique and distinguishable").
 //    The §III-D theorem states SDS is duplicate-free in this sense.
-//  * kContent — packets compared by content only. Equal-content packets
+//  * content — packets compared by content only. Equal-content packets
 //    from rival senders then make receiver states compare equal; this
 //    quantifies the headroom of the content-analysis optimisation the
 //    paper sketches (and deliberately does not implement) in §III-D.
@@ -18,14 +18,10 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
-#include <vector>
 
 #include "vm/state.hpp"
 
 namespace sde {
-
-enum class DuplicateMode : std::uint8_t { kStrict, kContent };
 
 struct DuplicateReport {
   std::uint64_t totalStates = 0;
@@ -38,12 +34,14 @@ struct DuplicateReport {
   [[nodiscard]] bool duplicateFree() const { return duplicateStates == 0; }
 };
 
-[[nodiscard]] DuplicateReport findDuplicates(
-    const std::deque<std::unique_ptr<vm::ExecutionState>>& states,
-    DuplicateMode mode = DuplicateMode::kStrict);
+struct DuplicateReports {
+  DuplicateReport strict;   // classes of configHashStrict()
+  DuplicateReport content;  // classes of configHash()
+};
 
-[[nodiscard]] DuplicateReport findDuplicates(
-    const std::vector<vm::ExecutionState*>& states,
-    DuplicateMode mode = DuplicateMode::kStrict);
+// Both reports from one walk: each state's configHash() is computed once
+// and its strict hash derived from it.
+[[nodiscard]] DuplicateReports findDuplicates(
+    const std::deque<std::unique_ptr<vm::ExecutionState>>& states);
 
 }  // namespace sde

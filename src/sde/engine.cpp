@@ -88,7 +88,7 @@ void Engine::boot() {
       for (const auto& [slot, value] : it->second)
         state->space.store(vm::kGlobalsObject, slot, ctx_.constant(value, 64));
     initial.push_back(state.get());
-    byId_[state->id()] = state.get();
+    byId_.slot(state->id()) = state.get();
     states_.push_back(std::move(state));
   }
   stats_.set(statId<"engine.initial_states">(), initial.size());
@@ -127,7 +127,7 @@ ExecutionState& Engine::cloneInternal(ExecutionState& original) {
   lastForkSharedChunks_ = original.forkSharedChunks();
   auto clone = original.fork(nextStateId_++);
   ExecutionState& ref = *clone;
-  byId_[ref.id()] = &ref;
+  byId_.slot(ref.id()) = &ref;
   states_.push_back(std::move(clone));
   touched_.push_back(&ref);
   stats_.add(statId<"engine.forks_total">());
@@ -472,31 +472,32 @@ void Engine::reapMergedStates() {
   // Settle the meter's queue while every queued state is still alive;
   // the reaped states' private bytes then leave the total with them.
   priceTouchedStates();
-  std::unordered_set<const ExecutionState*> reaped;
+  // Only live states have a byId_ slot, so an emptied slot marks a
+  // reaped state (and a state listed twice is reaped once).
+  const auto reaped = [this](const ExecutionState* state) {
+    return byId_[state->id()] == nullptr;
+  };
   for (ExecutionState* state : pendingReaps_) {
     SDE_ASSERT(state->mergedAway, "reaping a state that was not merged away");
-    if (!reaped.insert(state).second) continue;
+    if (reaped(state)) continue;
     if (state->id() < privateBytes_.size()) {
       privateTotal_ -= privateBytes_[state->id()];
       privateBytes_[state->id()] = 0;
     }
     byId_.erase(state->id());
-    traceTerminated_.erase(state->id());
     // Forget the summariser's observations of the state.
     auto it = loopDetector_.lower_bound({state->id(), 0});
     while (it != loopDetector_.end() && it->first.first == state->id())
       it = loopDetector_.erase(it);
   }
   pendingReaps_.clear();
-  touched_.erase(std::remove_if(
-                     touched_.begin(), touched_.end(),
-                     [&](ExecutionState* s) { return reaped.contains(s); }),
+  touched_.erase(std::remove_if(touched_.begin(), touched_.end(), reaped),
                  touched_.end());
   // Scheduler heap entries of reaped states go stale and are dropped
   // lazily on pop (byId_ no longer resolves the id).
   states_.erase(std::remove_if(states_.begin(), states_.end(),
                                [&](const std::unique_ptr<ExecutionState>& s) {
-                                 return reaped.contains(s.get());
+                                 return reaped(s.get());
                                }),
                 states_.end());
 }
@@ -617,10 +618,7 @@ RunOutcome Engine::run(std::uint64_t untilVirtualTime) {
   runStart_ = std::chrono::steady_clock::now();
   RunOutcome outcome = RunOutcome::kCompleted;
 
-  const auto resolve = [this](StateId id) -> ExecutionState* {
-    const auto it = byId_.find(id);
-    return it == byId_.end() ? nullptr : it->second;
-  };
+  const auto resolve = [this](StateId id) { return byId_[id]; };
 
   std::uint64_t nextSampleAt = eventsProcessed_;
   const auto sampleGap = [this]() -> std::uint64_t {
@@ -706,9 +704,9 @@ RunOutcome Engine::run(std::uint64_t untilVirtualTime) {
         if (trace_ != nullptr) {
           // "Became terminal this step", exactly once per state.
           for (const ExecutionState* state : touched_) {
-            if (!state->isTerminal() ||
-                !traceTerminated_.insert(state->id()).second)
+            if (!state->isTerminal() || traceTerminated_[state->id()] != 0)
               continue;
+            traceTerminated_.slot(state->id()) = 1;
             obs::TraceEvent record;
             record.kind = obs::TraceEventKind::kStateTerminate;
             record.node = state->node();

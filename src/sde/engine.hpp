@@ -17,7 +17,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "net/failure.hpp"
@@ -28,6 +27,7 @@
 #include "os/runtime.hpp"
 #include "sde/mapper.hpp"
 #include "sde/scheduler.hpp"
+#include "sde/state_table.hpp"
 #include "solver/solver.hpp"
 #include "support/memory_ledger.hpp"
 #include "vm/merge.hpp"
@@ -345,11 +345,11 @@ class Engine {
   std::atomic<bool> suspendRequested_{false};
   obs::TraceSink* trace_ = nullptr;
   obs::PhaseProfiler* profiler_ = nullptr;
-  // States whose termination was already traced (only populated while a
-  // sink is attached; deliberately not serialized — a resumed trace may
-  // re-report a termination, which the validator tolerates for resumed
-  // streams).
-  std::unordered_set<StateId> traceTerminated_;
+  // Flags the states whose termination was already traced (only set
+  // while a sink is attached; deliberately not serialized — a resumed
+  // trace may re-report a termination, which the validator tolerates for
+  // resumed streams).
+  StateTable<std::uint8_t> traceTerminated_;
   support::StatsRegistry stats_;
   InterpSink interpSink_;
   Runtime mapperRuntime_;
@@ -367,7 +367,9 @@ class Engine {
   mutable support::SeenSet auditSeen_;
 
   std::deque<std::unique_ptr<ExecutionState>> states_;
-  std::unordered_map<StateId, ExecutionState*> byId_;
+  // The live state of each id; reaping a merged-away state empties its
+  // slot, which is also how the reap tells reaped states apart.
+  StateTable<ExecutionState*> byId_;
   std::unordered_map<NodeId, std::unordered_map<std::uint64_t, std::uint64_t>>
       bootGlobals_;
 

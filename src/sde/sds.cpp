@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <unordered_set>
 
 #include "obs/trace_sink.hpp"
@@ -57,15 +56,16 @@ void SdsMapper::moveVirtual(VState& v, VDState& dstate) {
 }
 
 SdsMapper::Actual& SdsMapper::actualOf(const ExecutionState& state) {
-  const auto it = byActual_.find(&state);
-  SDE_ASSERT(it != byActual_.end(), "state not registered with SDS");
-  return it->second;
+  Actual* actual = byActual_[state.id()].get();
+  SDE_ASSERT(actual != nullptr, "state not registered with SDS");
+  return *actual;
 }
 
 SdsMapper::Actual& SdsMapper::actualFor(ExecutionState& state) {
-  Actual& actual = byActual_[&state];
-  actual.state = &state;
-  return actual;
+  std::unique_ptr<Actual>& actual = byActual_.slot(state.id());
+  if (actual == nullptr) actual = std::make_unique<Actual>();
+  actual->state = &state;
+  return *actual;
 }
 
 void SdsMapper::registerInitialStates(
@@ -172,13 +172,14 @@ std::vector<ExecutionState*> SdsMapper::onTransmit(ExecutionState& sender,
       // (no sending virtual there) migrate to the non-receiving copy —
       // no virtual forking, the dstate itself is untouched (Figure 7).
       // Nearly all of them migrate, so the copy takes over the target's
-      // record wholesale — the migrating virtuals keep pointing at it —
-      // and the target gets a fresh record for the few it keeps.
-      auto handle = byActual_.extract(&state);
-      handle.key() = &copyState;
-      Actual& copy = byActual_.insert(std::move(handle)).position->second;
+      // record wholesale (a slot move) — the migrating virtuals keep
+      // pointing at it — and the target gets a fresh record for the few
+      // it keeps.
+      std::unique_ptr<Actual> record = std::move(byActual_.slot(state.id()));
+      Actual& copy = *record;
       copy.state = &copyState;
       copy.targetMark = 0;  // the scratch was the target's
+      byActual_.slot(copyState.id()) = std::move(record);
       Actual& receiving = actualFor(state);
       receiving.targetMark = epoch;
       receiving.nonReceiving = &copy;
@@ -306,12 +307,12 @@ std::vector<ExecutionState*> SdsMapper::onTransmit(ExecutionState& sender,
 
 bool SdsMapper::canMerge(const ExecutionState& survivor,
                          const ExecutionState& absorbed) const {
-  const auto keep = byActual_.find(&survivor);
-  const auto drop = byActual_.find(&absorbed);
-  SDE_ASSERT(keep != byActual_.end() && drop != byActual_.end(),
+  const Actual* keep = byActual_[survivor.id()].get();
+  const Actual* drop = byActual_[absorbed.id()].get();
+  SDE_ASSERT(keep != nullptr && drop != nullptr,
              "state not registered with SDS");
-  const std::vector<VState*>& kept = keep->second.virtuals;
-  const std::vector<VState*>& dropped = drop->second.virtuals;
+  const std::vector<VState*>& kept = keep->virtuals;
+  const std::vector<VState*>& dropped = drop->virtuals;
   if (kept.size() != dropped.size()) return false;
   // Each dstate holds at most one virtual per actual state, so the
   // virtual lists visit distinct dstates — set comparison via sorting.
@@ -329,17 +330,15 @@ bool SdsMapper::canMerge(const ExecutionState& survivor,
 std::vector<ExecutionState*> SdsMapper::onStatesMerged(
     ExecutionState& survivor, ExecutionState& absorbed) {
   (void)survivor;
-  const auto it = byActual_.find(&absorbed);
-  SDE_ASSERT(it != byActual_.end(), "state not registered with SDS");
   // The record goes last: removeFromDstate reads the node through it.
-  for (VState* v : it->second.virtuals) {
+  for (VState* v : actualOf(absorbed).virtuals) {
     removeFromDstate(*v);
     v->actual = nullptr;
     v->dstate = nullptr;
     v->dead = true;
     --liveVirtuals_;
   }
-  byActual_.erase(it);
+  byActual_.erase(absorbed.id());
   return {};
 }
 
@@ -363,8 +362,8 @@ SdsMapper::groupChoices() const {
 }
 
 std::size_t SdsMapper::superDstateSize(const ExecutionState& s) const {
-  const auto it = byActual_.find(&s);
-  return it == byActual_.end() ? 0 : it->second.virtuals.size();
+  const Actual* actual = byActual_[s.id()].get();
+  return actual == nullptr ? 0 : actual->virtuals.size();
 }
 
 void SdsMapper::snapshotSave(snapshot::Writer& out) const {
@@ -401,17 +400,17 @@ void SdsMapper::snapshotSave(snapshot::Writer& out) const {
     }
   }
 
-  // byActual_ is an unordered map of ordered vectors; the vector order
-  // matters (it drives onTransmit's iteration), the map order does not —
-  // serialize keyed by state id, sorted.
-  std::map<StateId, const std::vector<VState*>*> byActual;
-  for (const auto& [state, actual] : byActual_)
-    byActual[state->id()] = &actual.virtuals;
-  out.u64(byActual.size());
-  for (const auto& [stateId, virtuals] : byActual) {
+  // The records in state-id order (the table's slot order), each with
+  // its virtuals in list order: that order drives onTransmit's
+  // iteration.
+  const auto records = byActual_.slots();
+  out.u64(byActual_.count());
+  for (StateId stateId = 0; stateId < records.size(); ++stateId) {
+    const Actual* actual = records[stateId].get();
+    if (actual == nullptr) continue;
     out.u64(stateId);
-    out.u64(virtuals->size());
-    for (const VState* v : *virtuals) out.u64(v->id);
+    out.u64(actual->virtuals.size());
+    for (const VState* v : actual->virtuals) out.u64(v->id);
   }
 }
 
@@ -506,10 +505,10 @@ void SdsMapper::checkInvariants() const {
                    "two virtuals of one dstate share an actual state");
         actuals.add(actual);
         // Cross-check the byActual_ index.
-        const auto it = byActual_.find(actual);
-        SDE_ASSERT(it != byActual_.end() && &it->second == v->actual &&
-                       std::ranges::find(it->second.virtuals, v) !=
-                           it->second.virtuals.end(),
+        const Actual* record = byActual_[actual->id()].get();
+        SDE_ASSERT(record != nullptr && record == v->actual &&
+                       std::ranges::find(record->virtuals, v) !=
+                           record->virtuals.end(),
                    "byActual_ index out of sync");
       }
     }
@@ -520,12 +519,16 @@ void SdsMapper::checkInvariants() const {
   for (const VState& v : virtualPool_)
     SDE_ASSERT(v.dead == (v.actual == nullptr && v.dstate == nullptr),
                "dead flag out of sync with virtual links");
-  for (const auto& [state, actual] : byActual_) {
-    SDE_ASSERT(actual.state == state, "Actual record keyed by another state");
-    SDE_ASSERT(!actual.virtuals.empty(),
+  const auto records = byActual_.slots();
+  for (StateId stateId = 0; stateId < records.size(); ++stateId) {
+    const Actual* actual = records[stateId].get();
+    if (actual == nullptr) continue;
+    SDE_ASSERT(actual->state->id() == stateId,
+               "Actual record keyed by another state");
+    SDE_ASSERT(!actual->virtuals.empty(),
                "every state must have at least one virtual state");
-    for (const VState* v : actual.virtuals)
-      SDE_ASSERT(v->actual == &actual, "listed virtual bound elsewhere");
+    for (const VState* v : actual->virtuals)
+      SDE_ASSERT(v->actual == actual, "listed virtual bound elsewhere");
   }
 }
 

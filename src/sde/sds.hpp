@@ -11,9 +11,10 @@
 #pragma once
 
 #include <deque>
-#include <unordered_map>
+#include <memory>
 
 #include "sde/mapper.hpp"
+#include "sde/state_table.hpp"
 
 namespace sde {
 
@@ -83,7 +84,8 @@ class SdsMapper final : public StateMapper {
 
   // One actual execution state's side of the mapping. Virtuals point at
   // their Actual, so a forking target can hand its whole record to its
-  // copy: the migrating virtuals follow without being touched.
+  // copy (a slot move in byActual_): the migrating virtuals follow
+  // without being touched.
   struct Actual {
     ExecutionState* state = nullptr;
     // Its virtual states (the super-dstate) in binding order. The order
@@ -110,9 +112,9 @@ class SdsMapper final : public StateMapper {
   std::uint32_t numNodes_;
   std::deque<VState> virtualPool_;
   std::deque<VDState> dstates_;
-  // Node-based: Actual records never move, so VState::actual stays valid
-  // across insertions.
-  std::unordered_map<const ExecutionState*, Actual> byActual_;
+  // Each record is its own allocation, so VState::actual stays valid
+  // when the table grows or a record changes slots.
+  StateTable<std::unique_ptr<Actual>> byActual_;
   std::uint64_t nextVirtualId_ = 0;
   std::uint64_t nextDstateId_ = 0;
   std::size_t liveVirtuals_ = 0;

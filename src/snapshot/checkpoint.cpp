@@ -890,7 +890,8 @@ void Engine::restore(std::istream& is) {
     throw SnapshotError("checkpoint header/body state counts disagree");
   for (std::uint64_t i = 0; i < numStates; ++i) {
     const StateId id = in.u64();
-    // Ids index the engine's dense per-state tables (notePriceChange).
+    // Ids index the engine's and the mapper's dense per-state tables
+    // (byId_, notePriceChange, sde/state_table.hpp).
     if (id >= nextStateId_)
       throw SnapshotError("checkpoint state id " + std::to_string(id) +
                           " was never allocated");
@@ -903,8 +904,10 @@ void Engine::restore(std::istream& is) {
     auto state =
         std::make_unique<ExecutionState>(id, node, *programIt->second);
     readStateBody(in, ctx_, *state, blobs, tables);
-    if (!byId_.emplace(id, state.get()).second)
+    ExecutionState*& slot = byId_.slot(id);
+    if (slot != nullptr)
       throw SnapshotError("checkpoint contains duplicate state ids");
+    slot = state.get();
     notePriceChange(*state);
     states_.push_back(std::move(state));
   }
@@ -937,10 +940,7 @@ void Engine::restore(std::istream& is) {
     loopDetector_[{stateId, timerId}] = entry;
   }
 
-  mapper_->snapshotLoad(in, [this](StateId id) -> ExecutionState* {
-    const auto it = byId_.find(id);
-    return it == byId_.end() ? nullptr : it->second;
-  });
+  mapper_->snapshotLoad(in, [this](StateId id) { return byId_[id]; });
 
   in.expectMagic(snapshot::kCheckpointTrailer,
                  "checkpoint trailer missing (truncated file?)");

@@ -40,10 +40,9 @@ ScenarioResult summarize(Engine& engine, RunOutcome outcome) {
   result.merges = engine.stats().get("engine.merges");
   result.loopSummaries = engine.stats().get("engine.loop_summaries");
   obs::ScopedPhase phase(engine.profiler(), obs::Phase::kReport);
-  result.duplicatesStrict =
-      findDuplicates(engine.states(), DuplicateMode::kStrict);
-  result.duplicatesContent =
-      findDuplicates(engine.states(), DuplicateMode::kContent);
+  const DuplicateReports duplicates = findDuplicates(engine.states());
+  result.duplicatesStrict = duplicates.strict;
+  result.duplicatesContent = duplicates.content;
   return result;
 }
 

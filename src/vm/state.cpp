@@ -141,9 +141,9 @@ std::uint64_t ExecutionState::configHash() const {
   return h.digest();
 }
 
-std::uint64_t ExecutionState::configHashStrict() const {
+std::uint64_t ExecutionState::configHashStrict(std::uint64_t content) const {
   support::Hasher h;
-  h.u64(configHash());
+  h.u64(content);
   // Distinguish packets by identity on top of the content view: in the
   // paper's model two transmissions are never "the same packet", even
   // when byte-identical.

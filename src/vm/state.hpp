@@ -375,8 +375,10 @@ class ExecutionState {
   // ignores packet identity, equal-content packets from rival senders
   // make states compare equal: this measures the *semantic* duplicates
   // the paper's §III-D content-analysis optimisation could remove.
-  // Combines the incrementally-maintained component fingerprints: O(1)
-  // in the history sizes.
+  // The histories (constraints, pending events, communication log) enter
+  // through their incrementally maintained fingerprints, O(1) in their
+  // sizes; the memory does not: AddressSpace::contentHash walks every
+  // cell of every object, so a call costs O(memory cells).
   [[nodiscard]] std::uint64_t configHash() const;
 
   // Like configHash but distinguishing packets by identity, matching the
@@ -384,7 +386,12 @@ class ExecutionState {
   // and distinguishable" (§II-B). This is the duplicate notion of the
   // §III-D non-duplication theorem: SDS never produces two states with
   // equal strict configuration. Only comparable within one run.
-  [[nodiscard]] std::uint64_t configHashStrict() const;
+  [[nodiscard]] std::uint64_t configHashStrict() const {
+    return configHashStrict(configHash());
+  }
+  // The same value from this state's configHash(), already computed (the
+  // strict hash extends it with the packet-identity chains in O(1)).
+  [[nodiscard]] std::uint64_t configHashStrict(std::uint64_t content) const;
 
   [[nodiscard]] bool isTerminal() const {
     return status == StateStatus::kFailed ||

@@ -80,8 +80,7 @@ static std::uint64_t maxStrictDuplicatesOverRun(trace::CollectScenario& s) {
   s.engine().setSampler([&worst](const Engine& engine) {
     worst = std::max(
         worst,
-        findDuplicates(engine.states(), DuplicateMode::kStrict)
-            .duplicateStates);
+        findDuplicates(engine.states()).strict.duplicateStates);
   });
   s.run();
   return worst;
@@ -133,9 +132,8 @@ TEST_P(EquivalenceTest, DistinctContentConfigurationsAgree) {
   const auto distinct = [&](MapperKind kind) {
     auto scenario = makeScenario(kind);
     scenario.run();
-    return findDuplicates(scenario.engine().states(),
-                          DuplicateMode::kContent)
-        .distinctConfigurations;
+    return findDuplicates(scenario.engine().states())
+        .content.distinctConfigurations;
   };
   const auto cob = distinct(MapperKind::kCob);
   EXPECT_EQ(distinct(MapperKind::kCow), cob);

@@ -45,9 +45,7 @@ TEST_P(FuzzEquivalenceTest, AllMappersAgreeOnRandomPrograms) {
     states[static_cast<int>(kind)] = engine.numStates();
 
     if (kind == MapperKind::kSds) {
-      EXPECT_EQ(findDuplicates(engine.states(), DuplicateMode::kStrict)
-                    .duplicateStates,
-                0u)
+      EXPECT_EQ(findDuplicates(engine.states()).strict.duplicateStates, 0u)
           << "seed " << GetParam();
     }
   }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "rime/apps.hpp"
@@ -71,6 +72,15 @@ class RandomProgramGen {
  private:
   vm::Reg reg() { return vm::Reg(3 + static_cast<unsigned>(rng_.below(7))); }
   std::uint64_t slot() { return 8 + rng_.below(8); }
+  unsigned symbolicWidth() {
+    return 1 + static_cast<unsigned>(rng_.below(4));
+  }
+  // The engine names a symbolic input by its label and a per-label
+  // counter, and an expression variable has one width, so each width
+  // gets its own label.
+  static std::string symbolicLabel(unsigned width) {
+    return "f" + std::to_string(width);
+  }
 
   void emitOps(vm::IRBuilder& b, int count, bool allowSend,
                bool allowSymbolic = true) {
@@ -98,8 +108,10 @@ class RandomProgramGen {
           // Few, narrow symbolic inputs keep solver enumeration domains
           // small (random 64-bit dataflow defeats interval narrowing).
           if (allowSymbolic && symbolics_ < 2) {
-            b.makeSymbolic(reg(), "f",
-                           1 + static_cast<unsigned>(rng_.below(4)));
+            // The width is drawn before the register: the batteries'
+            // seeds were chosen for the programs this draw order makes.
+            const unsigned width = symbolicWidth();
+            b.makeSymbolic(reg(), symbolicLabel(width), width);
             ++symbolics_;
           }
           break;
@@ -144,7 +156,8 @@ class RandomProgramGen {
       // register within the short differential horizons, and a battery
       // whose programs never fork never merges either.
       if (quietBranchArms_ && symbolics_ < 2) {
-        b.makeSymbolic(cond, "f", 1 + static_cast<unsigned>(rng_.below(4)));
+        const unsigned width = symbolicWidth();
+        b.makeSymbolic(cond, symbolicLabel(width), width);
         ++symbolics_;
       }
       b.branchIfZero(cond, skip);

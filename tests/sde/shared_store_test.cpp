@@ -37,6 +37,7 @@
 #include "snapshot/manifest.hpp"
 #include "snapshot/reader.hpp"
 #include "snapshot/shared_cache_io.hpp"
+#include "snapshot/writer.hpp"
 #include "trace/scenario.hpp"
 
 namespace sde {
@@ -449,6 +450,42 @@ TEST_P(CheckpointDecoderTest, AnAllocatorWithItsTopBitSetIsRejected) {
   std::string corrupt = checkpoint_;
   corrupt[allocator + 7] = static_cast<char>(corrupt[allocator + 7] ^ 0x80);
   EXPECT_THROW(restore(corrupt), snapshot::SnapshotError);
+}
+
+// A state table that repeats an id passes the allocator and per-id
+// range checks (both ids were allocated); the restore must reject it
+// rather than let one state shadow the other in the dense id table.
+// Each state record starts with its id, node, status, failure message,
+// clock and pc: those bytes of the second record locate it.
+TEST_P(CheckpointDecoderTest, ARepeatedStateIdIsRejected) {
+  const Engine& engine = scenario_->engine();
+  ASSERT_GE(engine.states().size(), 2u);
+  const vm::ExecutionState& first = *engine.states()[0];
+  const vm::ExecutionState& second = *engine.states()[1];
+  std::ostringstream header(std::ios::binary);
+  snapshot::Writer out(header);
+  out.u64(second.id());
+  out.u32(second.node());
+  out.u8(static_cast<std::uint8_t>(second.status));
+  out.str(second.failureMessage);
+  out.u64(second.clock);
+  out.u64(second.pc);
+  const std::size_t record = checkpoint_.find(header.str());
+  ASSERT_NE(record, std::string::npos);
+  ASSERT_EQ(checkpoint_.find(header.str(), record + 1), std::string::npos)
+      << "the second record's header is not unique in the file";
+
+  std::string corrupt = checkpoint_;
+  const std::uint64_t firstId = first.id();
+  std::memcpy(corrupt.data() + record, &firstId, sizeof(firstId));
+  try {
+    restore(corrupt);
+    ADD_FAILURE() << "a checkpoint with a repeated state id restored";
+  } catch (const snapshot::SnapshotError& error) {
+    EXPECT_NE(std::string(error.what()).find("duplicate state ids"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -278,8 +278,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Random programs ---------------------------------------------------------
 
+// `drops` puts a symbolic drop model on every node.
 MakeEngine randomProgramEngine(std::uint64_t seed, MapperKind mapper,
-                               bool merge) {
+                               bool merge, bool drops = false) {
   return [=] {
     RandomProgramGen gen(seed, /*quietBranchArms=*/true);
     os::NetworkPlan plan(net::Topology::line(3));
@@ -289,20 +290,44 @@ MakeEngine randomProgramEngine(std::uint64_t seed, MapperKind mapper,
     config.maxEvents = 10'000;
     config.solver.enumeration.maxCandidates = 1u << 12;
     config.mergeStates = merge;
-    return std::make_unique<Engine>(plan, mapper, config);
+    auto engine = std::make_unique<Engine>(plan, mapper, config);
+    if (drops)
+      engine->setFailureModel(std::make_unique<net::SymbolicDropModel>(
+          std::vector<net::NodeId>{0, 1, 2}));
+    return engine;
   };
 }
 
 constexpr std::uint64_t kRandomHorizon = 2000;
 
-// These seeds' programs mint one symbolic label at two widths, and the
-// exploration aborts in expr::Context::variable under every mapper
-// (ROADMAP.md item 5); the battery cannot run them until that is mended.
-bool abortsOnRedeclaredWidth(std::uint64_t seed) {
-  for (const std::uint64_t aborting : {26, 27, 32, 42, 51, 53, 57, 74, 84})
-    if (seed == aborting) return true;
-  return false;
+// Every seed the batteries draw from explores to its horizon or a cap:
+// the generator mints each symbolic label at one width, since an input
+// re-declared at another width aborts the process
+// (expr::Context::variable).
+class RandomProgramExplorationTest
+    : public ::testing::TestWithParam<std::tuple<MapperKind, bool>> {};
+
+TEST_P(RandomProgramExplorationTest, SeedsOneTo88ExploreWithoutAnAbort) {
+  const auto [mapper, drops] = GetParam();
+  std::uint64_t completed = 0;
+  for (std::uint64_t seed = 1; seed <= 88; ++seed) {
+    const std::unique_ptr<Engine> engine =
+        randomProgramEngine(seed, mapper, /*merge=*/false, drops)();
+    if (engine->run(kRandomHorizon) == RunOutcome::kCompleted) ++completed;
+    engine->mapper().checkInvariants();
+  }
+  EXPECT_GT(completed, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Mappers, RandomProgramExplorationTest,
+    ::testing::Combine(::testing::Values(MapperKind::kCob, MapperKind::kCow,
+                                         MapperKind::kSds),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(mapperKindName(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "_drops" : "_nodrops");
+    });
 
 class RandomProgramTestgenTest
     : public ::testing::TestWithParam<std::tuple<MapperKind, bool>> {};
@@ -310,7 +335,6 @@ class RandomProgramTestgenTest
 TEST_P(RandomProgramTestgenTest, SeedsMatchThePerScenarioReference) {
   const auto [mapper, merge] = GetParam();
   for (std::uint64_t seed = 11; seed <= 88; ++seed) {
-    if (abortsOnRedeclaredWidth(seed)) continue;
     const Sides sides = runBothSides(randomProgramEngine(seed, mapper, merge),
                                      PartitionJob{}, kRandomHorizon);
     EXPECT_EQ(sides.memo.prints, sides.reference.prints) << "seed " << seed;
