@@ -2,7 +2,7 @@
 # Full verification: tier-1 build + test suite, then a ThreadSanitizer
 # build running the concurrency-sensitive tests (thread pool, parallel
 # partitioned execution, durable resume, the counter store, the shared
-# query store driven from threads) and an
+# query store driven from threads, the split duplicate report) and an
 # AddressSanitizer build
 # running the full suite (the snapshot codec hand-rolls binary framing,
 # exactly where ASan earns its keep). Run from anywhere; builds live in
@@ -327,6 +327,16 @@ echo "=== tsan: thread pool + parallel execution + resume tests ==="
 ./build-tsan/tests/snapshot_tests --gtest_filter='*Resume*:*CrashRecovery*'
 ./build-tsan/tests/fleet_tests \
   --gtest_filter='*/SharedStoreResumeTest.*/Threads:*/DoneFileResumeTest.*/Threads'
+
+echo "=== tsan: duplicate report split over placed threads ==="
+# findDuplicates hashes and sorts one run of states per allowed CPU on
+# helper threads bound to CPUs of their own, then counts the classes on
+# the caller: the collect and random-program suites drive it on engine
+# states (and the split scan at 1-8 runs), SplitScanTest on hand-built
+# hash layouts.
+./build-tsan/tests/support_tests --gtest_filter='PlacedThreadsTest.*'
+./build-tsan/tests/sde_tests \
+  --gtest_filter='*CollectDuplicatesTest.*:*RandomProgramDuplicatesTest.*:SplitScanTest.*'
 
 echo "=== tsan: shared query store from the threads of one process ==="
 ./build-tsan/tests/solver_tests \

@@ -85,7 +85,9 @@ struct EngineConfig {
 enum class RunOutcome : std::uint8_t {
   kCompleted,        // all events up to the horizon processed
   kAbortedStates,    // state cap hit
-  kAbortedMemory,    // simulated-memory cap hit
+  kAbortedMemory,    // simulated-memory cap hit; for a partition job
+                     // also: its result did not fit in memory
+                     // (runPartitionJob, sde/parallel.hpp)
   kAbortedEvents,    // event cap hit
   kAbortedWallTime,  // wall-clock cap hit
   kSuspended,        // external suspend request (requestSuspend)

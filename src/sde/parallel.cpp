@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <unordered_map>
@@ -503,17 +504,31 @@ JobRun runPartitionJob(const EngineFactory& factory, const PartitionJob& job,
         config.checkpointEveryEvents);
   }
 
+  // What a job nothing is extracted from reports: its id, outcome,
+  // sizes and counters.
+  const auto unextracted = [&](RunOutcome ending) {
+    JobResult result;
+    result.jobId = job.id;
+    result.outcome = ending;
+    result.states = engine->numStates();
+    result.events = engine->eventsProcessed();
+    engine->mergeStatsInto(result.stats);
+    return result;
+  };
   const RunOutcome outcome = engine->run(config.horizon);
   if (outcome == RunOutcome::kSuspended) {
     // The abort path already wrote the checkpoint; nothing is extracted
     // from a job that is deliberately unfinished.
-    run.result.jobId = job.id;
-    run.result.outcome = outcome;
-    run.result.states = engine->numStates();
-    run.result.events = engine->eventsProcessed();
-    engine->mergeStatsInto(run.result.stats);
+    run.result = unextracted(outcome);
   } else {
-    run.result = collectJobResult(*engine, job, config, outcome);
+    try {
+      run.result = collectJobResult(*engine, job, config, outcome);
+    } catch (const std::bad_alloc&) {
+      // No cap bounds the dscenarios a job owns, and the extraction
+      // keeps a fingerprint (and maybe a test case) for each: when they
+      // do not fit, the job ends as a memory abort, like a capped one.
+      run.result = unextracted(RunOutcome::kAbortedMemory);
+    }
   }
   if (traceSink != nullptr) {
     engine->setTraceSink(nullptr);
@@ -523,7 +538,7 @@ JobRun runPartitionJob(const EngineFactory& factory, const PartitionJob& job,
       support::logError("trace", e.what());
     }
   }
-  if (durable && outcome == RunOutcome::kCompleted) {
+  if (durable && run.result.outcome == RunOutcome::kCompleted) {
     snapshot::writeJobResultFile(done, run.result);
     std::error_code ec;
     fs::remove(ckpt, ec);  // superseded by the .done file

@@ -230,7 +230,8 @@ struct JobHooks {
 
 struct JobRun {
   // Loaded from the job's .done file or extracted after the run. A run
-  // that returned kSuspended is deliberately unfinished: only its id,
+  // that returned kSuspended is deliberately unfinished, and one whose
+  // extraction ran out of memory ends as kAbortedMemory: only their id,
   // outcome, sizes and counters are filled.
   JobResult result;
   bool executed = false;  // an engine ran (false: loaded from .done)
@@ -244,7 +245,11 @@ struct JobRun {
 // run (config.checkpointDir set) a job whose .done file exists and
 // decodes is loaded instead of run, an existing checkpoint is restored
 // (a torn one rebuilds the engine), and a completed run writes the
-// .done file and removes the checkpoint.
+// .done file and removes the checkpoint. If extracting the result runs
+// out of memory (std::bad_alloc: the job owns more dscenarios than the
+// process can hold the fingerprints or test cases of), the job ends as
+// RunOutcome::kAbortedMemory with only its id, sizes and counters, and
+// writes no .done file — both runners fold it like a cap-aborted job.
 [[nodiscard]] JobRun runPartitionJob(const EngineFactory& factory,
                                      const PartitionJob& job,
                                      const RunConfig& config,

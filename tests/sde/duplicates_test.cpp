@@ -2,20 +2,27 @@
 // field for field, what a plain two-scan reference gives — one hash map
 // counting configHash() classes and one counting configHashStrict()
 // classes — on the collect scenario under every mapper and failure
-// kind, and on random programs with merging on and off.
+// kind, and on random programs with merging on and off. The split scan
+// behind it (detail::scanInRuns) is held to the same reference at 1 to
+// 8 runs on those inputs, and on hand-built hash layouts: classes that
+// straddle every run boundary, all-equal hashes, more runs than states,
+// no states and one state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <string>
 #include <tuple>
 #include <unordered_map>
+#include <vector>
 
 #include "random_program.hpp"
 #include "sde/duplicates.hpp"
 #include "sde/engine.hpp"
+#include "support/hash.hpp"
 #include "trace/scenario.hpp"
 
 namespace sde {
@@ -46,14 +53,26 @@ void expectSameReport(const DuplicateReport& got, const DuplicateReport& want,
   EXPECT_EQ(got.largestClass, want.largestClass) << what;
 }
 
-// Checks both reports of `engine`'s states and returns them.
+// Checks both reports of `engine`'s states — findDuplicates's, and the
+// split scan's at 1 to 8 runs — and returns findDuplicates's.
 DuplicateReports expectMatchesReference(const Engine& engine,
                                         const std::string& what) {
-  const DuplicateReports reports = findDuplicates(engine.states());
-  expectSameReport(reports.strict, referenceScan(engine.states(), true),
-                   what + " (strict)");
-  expectSameReport(reports.content, referenceScan(engine.states(), false),
-                   what + " (content)");
+  const States& states = engine.states();
+  const DuplicateReport strict = referenceScan(states, true);
+  const DuplicateReport content = referenceScan(states, false);
+  const DuplicateReports reports = findDuplicates(states);
+  expectSameReport(reports.strict, strict, what + " (strict)");
+  expectSameReport(reports.content, content, what + " (content)");
+  for (unsigned runs = 1; runs <= 8; ++runs) {
+    const DuplicateReports split =
+        detail::scanInRuns(states.size(), runs, [&states](std::size_t i) {
+          return detail::ConfigHashes{states[i]->configHash(),
+                                      states[i]->configHashStrict()};
+        });
+    const std::string where = what + ", " + std::to_string(runs) + " runs";
+    expectSameReport(split.strict, strict, where + " (strict)");
+    expectSameReport(split.content, content, where + " (content)");
+  }
   return reports;
 }
 
@@ -156,6 +175,93 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(mapperKindName(std::get<0>(info.param))) +
              (std::get<1>(info.param) ? "_merge" : "_nomerge");
     });
+
+// --- The split scan on hand-built hash layouts -----------------------------
+
+// referenceScan's count over a plain hash vector.
+DuplicateReport referenceCount(const std::vector<std::uint64_t>& hashes) {
+  std::unordered_map<std::uint64_t, std::uint64_t> classes;
+  for (const std::uint64_t hash : hashes) ++classes[hash];
+  DuplicateReport report;
+  report.totalStates = hashes.size();
+  report.distinctConfigurations = classes.size();
+  for (const auto& [hash, count] : classes) {
+    report.duplicateStates += count - 1;
+    report.largestClass = std::max(report.largestClass, count);
+  }
+  return report;
+}
+
+// Holds the split scan of the items (content[i], strict[i]) at 1 to 8
+// runs to referenceCount, and checks that it hashes each item once.
+void expectSplitScanMatches(const std::vector<std::uint64_t>& content,
+                            const std::vector<std::uint64_t>& strict,
+                            const std::string& what) {
+  ASSERT_EQ(content.size(), strict.size());
+  const DuplicateReport wantStrict = referenceCount(strict);
+  const DuplicateReport wantContent = referenceCount(content);
+  for (unsigned runs = 1; runs <= 8; ++runs) {
+    std::vector<std::atomic<int>> calls(content.size());
+    const DuplicateReports got =
+        detail::scanInRuns(content.size(), runs, [&](std::size_t i) {
+          calls[i].fetch_add(1);
+          return detail::ConfigHashes{content[i], strict[i]};
+        });
+    const std::string where = what + ", " + std::to_string(runs) + " runs";
+    expectSameReport(got.strict, wantStrict, where + " (strict)");
+    expectSameReport(got.content, wantContent, where + " (content)");
+    for (std::size_t i = 0; i < calls.size(); ++i)
+      EXPECT_EQ(calls[i].load(), 1) << where << ", item " << i;
+  }
+}
+
+// 840 items split evenly at every run count from 1 to 8. Interleaved
+// classes have members on both sides of every run boundary; contiguous
+// ones fall across the boundaries wherever they are cut.
+TEST(SplitScanTest, ClassesAcrossRunBoundariesCountOnce) {
+  constexpr std::size_t kItems = 840;
+  std::vector<std::uint64_t> interleaved(kItems);
+  std::vector<std::uint64_t> oddOnesAlike(kItems);
+  std::vector<std::uint64_t> contiguous(kItems);
+  std::vector<std::uint64_t> unequal(kItems);
+  for (std::size_t i = 0; i < kItems; ++i) {
+    interleaved[i] = support::mix64(i % 7);
+    oddOnesAlike[i] = support::mix64(i % 2 == 0 ? kItems + i : 0);
+    contiguous[i] = (i + 3) / 11;
+    unequal[i] = (i * 13) % kItems;
+  }
+  expectSplitScanMatches(interleaved, oddOnesAlike, "interleaved");
+  expectSplitScanMatches(contiguous, interleaved, "contiguous");
+  expectSplitScanMatches(unequal, contiguous, "one class per item");
+}
+
+TEST(SplitScanTest, AllEqualHashesAreOneClass) {
+  const std::vector<std::uint64_t> equal(1000, 42);
+  std::vector<std::uint64_t> distinct(1000);
+  for (std::size_t i = 0; i < distinct.size(); ++i) distinct[i] = 999 - i;
+  expectSplitScanMatches(equal, equal, "all equal");
+  expectSplitScanMatches(equal, distinct, "equal content, distinct strict");
+  const DuplicateReports got = detail::scanInRuns(
+      equal.size(), 4, [](std::size_t) { return detail::ConfigHashes{7, 7}; });
+  EXPECT_EQ(got.content.distinctConfigurations, 1u);
+  EXPECT_EQ(got.content.duplicateStates, 999u);
+  EXPECT_EQ(got.content.largestClass, 1000u);
+}
+
+TEST(SplitScanTest, MoreRunsThanStates) {
+  expectSplitScanMatches({5, 3, 5}, {1, 2, 3}, "three items");
+}
+
+TEST(SplitScanTest, NoStates) {
+  expectSplitScanMatches({}, {}, "no items");
+  const DuplicateReports none = findDuplicates(States{});
+  expectSameReport(none.strict, DuplicateReport{}, "findDuplicates (strict)");
+  expectSameReport(none.content, DuplicateReport{}, "findDuplicates (content)");
+}
+
+TEST(SplitScanTest, OneState) {
+  expectSplitScanMatches({9}, {9}, "one item");
+}
 
 }  // namespace
 }  // namespace sde

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "trace/metrics.hpp"
 #include "trace/scenario.hpp"
@@ -230,6 +231,24 @@ TEST(Scenario, SummarizeReflectsEngine) {
   EXPECT_EQ(result.events, scenario.engine().eventsProcessed());
   EXPECT_GT(result.packets, 0u);
   EXPECT_GT(result.memoryBytes, 0u);
+}
+
+// Real memory next to the simulated meter, in bytes: 32 MiB the
+// process writes before the run and holds through it show in both the
+// resident bytes and the high-water mark. (The kernel's counters are
+// approximate, so the two readings are not compared with each other.)
+TEST(Scenario, SummarizeReportsRealMemory) {
+  constexpr std::size_t kHeld = std::size_t{32} << 20;
+  const std::vector<char> held(kHeld, 1);
+  CollectScenarioConfig config;
+  config.gridWidth = 3;
+  config.gridHeight = 3;
+  config.simulationTime = 2000;
+  CollectScenario scenario(config);
+  const auto result = scenario.run();
+  EXPECT_GE(result.residentBytes, kHeld);
+  EXPECT_GE(result.peakResidentBytes, kHeld);
+  EXPECT_EQ(held[kHeld / 2], 1);
 }
 
 TEST(Scenario, SourceAndSinkPlacementMatchesFigureNine) {
