@@ -13,7 +13,9 @@
 # The fleet smoke stage launches a real 4-process fleet through the
 # sde_fleet CLI and checks its fingerprint digest against a
 # single-process launch of the same plan — the process count must be
-# unobservable in the results (see DESIGN.md §16).
+# unobservable in the results (see DESIGN.md §16). The fold smoke does
+# the same for a 16-job plan on 3 processes, with both digests, so the
+# coordinator folds jobs in completion order while workers steal.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,6 +65,24 @@ DIGEST_P1=$(grep -o 'digest [0-9a-f]*' "$FLEET_SMOKE/p1.out" | head -1)
 test -n "$DIGEST_P4" && test "$DIGEST_P4" = "$DIGEST_P1" \
   || { echo "fleet digest mismatch: p4='$DIGEST_P4' p1='$DIGEST_P1'"; exit 1; }
 echo "fleet digests agree: $DIGEST_P4"
+
+echo "=== fold smoke: 16 jobs on 3 processes == 1 process, both digests ==="
+# The coordinator folds each job into the result as its worker reports
+# it, while the other workers still run and steal; with 16 jobs on 3
+# processes the fold order differs from job-id order, and the
+# fingerprint and test-case digests must still be the single-process
+# launch's.
+./build/tools/sde_fleet launch "$FLEET_SMOKE/v4p3" --processes 3 \
+  --nodes '5*5' --time 4000 --vars 4 --testcases > "$FLEET_SMOKE/v4p3.out"
+./build/tools/sde_fleet launch "$FLEET_SMOKE/v4p1" --processes 1 \
+  --nodes '5*5' --time 4000 --vars 4 --testcases > "$FLEET_SMOKE/v4p1.out"
+for label in 'fingerprint digest' 'testcase digest'; do
+  FOLD_P3=$(grep -oE "$label +[0-9a-f]{16}" "$FLEET_SMOKE/v4p3.out" || true)
+  FOLD_P1=$(grep -oE "$label +[0-9a-f]{16}" "$FLEET_SMOKE/v4p1.out" || true)
+  test -n "$FOLD_P3" && test "$FOLD_P3" = "$FOLD_P1" \
+    || { echo "fold smoke mismatch: p3='$FOLD_P3' p1='$FOLD_P1'"; exit 1; }
+  echo "fold smoke: $FOLD_P3 on both"
+done
 
 echo "=== dispatch smoke: switch-dispatch digests == fused digests ==="
 # The VM dispatch strategy (fused vs the switch reference interpreter)

@@ -413,7 +413,6 @@ struct SlotState {
 
 struct JobReport {
   bool seen = false;
-  bool completed = false;  // RunOutcome::kCompleted
   RunOutcome outcome = RunOutcome::kCompleted;
   std::uint64_t states = 0;
   std::uint64_t events = 0;
@@ -443,6 +442,8 @@ class Coordinator {
     const std::uint32_t numJobs =
         static_cast<std::uint32_t>(plan_.jobs.size());
     reports_.resize(numJobs);
+    merged_.jobs.resize(numJobs);
+    folded_.assign(numJobs, false);
     result_.executedCounts.assign(numJobs, 0);
     result_.processes = config_.processes;
 
@@ -471,6 +472,9 @@ class Coordinator {
       } else if (suspendRequested()) {
         beginSuspend();
       }
+      // Folded after this round's commands went out, so the workers
+      // exit while the last job folds; a suspended run is not merged.
+      if (!suspending_) foldReportedJobs();
       pollOnce();
       publishCoordinatorMetrics();
     }
@@ -483,18 +487,16 @@ class Coordinator {
                           : obs::snapshotFromStats(coordinatorStats_);
 
     if (suspending_ && completed_ != numJobs) {
-      // Deliberately unfinished: count what the durable queue holds and
-      // skip the merge — digests only exist for finished runs.
+      // Deliberately unfinished: what was folded so far is dropped —
+      // digests only exist for finished runs.
       result_.suspended = true;
       result_.result.outcome = RunOutcome::kSuspended;
-      const fs::path dir = config_.checkpointDir;
-      for (const PartitionJob& job : plan_.jobs)
-        if (fs::exists(snapshot::jobDonePath(dir, job.id)))
-          ++result_.jobsDone;
     } else {
       merge();
-      result_.jobsDone = static_cast<std::uint32_t>(plan_.jobs.size());
     }
+    for (const PartitionJob& job : plan_.jobs)
+      if (fs::exists(snapshot::jobDonePath(config_.checkpointDir, job.id)))
+        ++result_.jobsDone;
     result_.result.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
@@ -720,9 +722,9 @@ class Coordinator {
           ++completed_;
         }
         report.outcome = outcome;
-        report.completed = outcome == RunOutcome::kCompleted;
         report.states = frame.c;
         report.events = frame.d;
+        if (outcome == RunOutcome::kCompleted) reported_.push_back(jobId);
         s.nextKnown = std::max(s.nextKnown, jobId + 1);
         break;
       }
@@ -890,42 +892,55 @@ class Coordinator {
     }
   }
 
-  // Builds the merged ParallelResult from the durable queue — the same
-  // .done files, folded by the same finalizeParallelResult as the
-  // thread runner.
-  void merge() {
-    ParallelResult& pr = result_.result;
-    pr.jobs.resize(plan_.jobs.size());
-    const fs::path dir = config_.checkpointDir;
-    for (std::size_t i = 0; i < plan_.jobs.size(); ++i) {
-      const std::uint32_t jobId = plan_.jobs[i].id;
-      const fs::path done = snapshot::jobDonePath(dir, jobId);
-      bool loaded = false;
-      if (fs::exists(done)) {
-        try {
-          pr.jobs[i] = snapshot::readJobResultFile(done);
-          loaded = true;
-        } catch (const snapshot::SnapshotError&) {
-        }
-      }
-      if (!loaded) {
-        // Cap-aborted jobs have no .done file; carry the reported
-        // partial numbers so the run outcome folds correctly. (The
-        // equivalence oracles only apply to cap-free runs, as with the
-        // thread runner.)
-        const JobReport& report =
-            jobId < reports_.size() ? reports_[jobId] : JobReport{};
-        if (!report.seen)
-          throw FleetError("job " + std::to_string(jobId) +
-                           " finished neither durably nor reportedly");
-        JobResult& job = pr.jobs[i];
-        job.jobId = jobId;
-        job.outcome = report.outcome;
-        job.states = report.states;
-        job.events = report.events;
-      }
+  // Loads job `jobId`'s .done file into its slot of the merge and folds
+  // it; false (nothing folded) when the file is missing or does not
+  // decode.
+  bool foldDoneFile(std::uint32_t jobId) {
+    try {
+      merged_.jobs[jobId] = snapshot::readJobResultFile(
+          snapshot::jobDonePath(config_.checkpointDir, jobId));
+    } catch (const snapshot::SnapshotError&) {
+      return false;
     }
-    finalizeParallelResult(pr, plan_, config_);
+    foldJobResult(merged_, merged_.jobs[jobId]);
+    folded_[jobId] = true;
+    return true;
+  }
+
+  // Folds the jobs workers reported completed since the last call, each
+  // once: a re-leased job that was done reports again (loaded from its
+  // .done file). The fold commutes, so completion order does not matter.
+  void foldReportedJobs() {
+    for (const std::uint32_t jobId : reported_)
+      if (!folded_[jobId]) foldDoneFile(jobId);
+    reported_.clear();
+  }
+
+  // Completes the merge: every job not folded yet (reported last, or
+  // without a .done file that decodes) is folded from its .done file as
+  // the thread runner's would be, or from its reported numbers, then
+  // the outcome and traces are set in job-id order. The same
+  // foldJobResult and sealParallelResult as finalizeParallelResult, so
+  // the result equals the thread runner's.
+  void merge() {
+    for (std::uint32_t jobId = 0; jobId < plan_.jobs.size(); ++jobId) {
+      if (folded_[jobId] || foldDoneFile(jobId)) continue;
+      // Cap-aborted jobs have no .done file; carry the reported partial
+      // numbers so the run outcome folds correctly. (The equivalence
+      // oracles only apply to cap-free runs, as with the thread runner.)
+      const JobReport& report = reports_[jobId];
+      if (!report.seen)
+        throw FleetError("job " + std::to_string(jobId) +
+                         " finished neither durably nor reportedly");
+      JobResult& job = merged_.jobs[jobId];
+      job.jobId = jobId;
+      job.outcome = report.outcome;
+      job.states = report.states;
+      job.events = report.events;
+      foldJobResult(merged_, job);
+    }
+    sealParallelResult(merged_, plan_, config_);
+    result_.result = std::move(merged_);
   }
 
   const EngineFactory& factory_;
@@ -939,6 +954,11 @@ class Coordinator {
   std::vector<SlotState> slots_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pool_;
   std::vector<JobReport> reports_;
+  // The merge so far, by job id: jobs fold in as workers report them
+  // (foldReportedJobs), the rest and the outcome at the end (merge).
+  ParallelResult merged_;
+  std::vector<bool> folded_;
+  std::vector<std::uint32_t> reported_;  // completed, not yet folded
   std::vector<unsigned> pendingFeeds_;
   std::uint32_t completed_ = 0;
   std::uint32_t stealSeqCounter_ = 0;

@@ -57,11 +57,17 @@
 //     sharing, never with different exploration results — the store
 //     contract guarantees digest equality with the store on or off.
 //
-// Merge: after shutdown the coordinator loads every job's .done file in
-// job-id order and folds them through the same finalizeParallelResult
-// the thread runner uses, so "fleet digest == partitioned digest ==
-// single-engine digest" is a structural property. Per-worker trace
-// files merge into the same deterministic merged.trc.
+// Merge: when a worker reports a job completed, the coordinator reads
+// the job's .done file and folds it with the thread runner's
+// foldJobResult, which commutes, once the frames of that poll round are
+// handled, so only the last job's fold is left when the last worker
+// exits. Then the jobs without a loadable .done
+// file add their reported numbers, and sealParallelResult sets the
+// outcome and merges the traces in job-id order — the two halves of
+// the thread runner's finalizeParallelResult, so "fleet digest ==
+// partitioned digest == single-engine digest" is a structural
+// property. Per-worker trace files merge into the same deterministic
+// merged.trc.
 //
 // Graceful suspend: a FleetConfig::stopRequested poll (or SIGTERM with
 // installSigtermSuspend) broadcasts kSuspendFleet; each worker asks its
@@ -160,16 +166,21 @@ struct FleetConfig : RunConfig {
 };
 
 struct FleetResult {
-  // Merged exactly like the thread runner's result; fingerprintDigest()
-  // is the cross-mode equivalence oracle.
+  // Merged exactly like the thread runner's result, each job folded as
+  // it was reported (see Merge above); fingerprintDigest() is the
+  // cross-mode equivalence oracle. A suspended run leaves it empty but
+  // for its outcome.
   ParallelResult result;
   // A stopRequested/SIGTERM suspend interrupted the run: in-flight jobs
   // are checkpointed in the durable queue, `result` carries outcome
-  // kSuspended with jobsDone completed entries, and nothing is merged
-  // (digests only exist for finished runs). Resume with
-  // FleetConfig::resume to finish.
+  // kSuspended and nothing else — what the coordinator folded before
+  // the suspend is dropped (digests only exist for finished runs).
+  // Resume with FleetConfig::resume to finish.
   bool suspended = false;
-  std::uint32_t jobsDone = 0;        // .done files present at return
+  // .done files in the run directory at return, counted there: a job
+  // that ended at a cap or ran out of memory has none, and a suspended
+  // run counts the jobs it completed.
+  std::uint32_t jobsDone = 0;
   std::uint32_t jobsSuspendedMidRun = 0;  // workers that checkpointed a
                                           // job in response to suspend
   unsigned processes = 0;

@@ -234,16 +234,23 @@ JobResult collectJobResult(Engine& engine, const PartitionJob& job,
         if (config.collectScenarioFingerprints) scenarioPrints.push_back(print);
         if (perMember) {
           // Members are solved in node order up to the first one without
-          // a model, where getModel over the union stops too.
-          std::string testcase;
-          for (std::size_t node = 0; node < owned.size(); ++node) {
-            const auto& block = owned[node][odometer[node]]->block(
+          // a model, where getModel over the union stops too. The test
+          // case is sized once, then filled from the memos.
+          std::size_t solved = 0;
+          std::size_t length = 0;
+          for (; solved < owned.size(); ++solved) {
+            const auto& block = owned[solved][odometer[solved]]->block(
                 engine.solver());
-            if (!block) {
-              testcase = kUnsatisfiableScenario;
-              break;
-            }
-            testcase += *block;
+            if (!block) break;
+            length += block->size();
+          }
+          std::string testcase;
+          if (solved == owned.size()) {
+            testcase.reserve(length);
+            for (std::size_t node = 0; node < owned.size(); ++node)
+              testcase += *owned[node][odometer[node]]->block(engine.solver());
+          } else {
+            testcase = kUnsatisfiableScenario;
           }
           testcases.push_back(std::move(testcase));
         } else if (config.collectTestcases) {
@@ -285,22 +292,27 @@ std::string jobTracePath(const std::string& traceDir, std::uint32_t jobId) {
       .string();
 }
 
-void finalizeParallelResult(ParallelResult& result, const PartitionPlan& plan,
-                            const RunConfig& config) {
+void foldJobResult(ParallelResult& result, const JobResult& job) {
+  result.totalStates += job.states;
+  result.totalEvents += job.events;
+  result.totalScenariosOwned += job.scenariosOwned;
+  // Each job's vectors are sorted distinct, so the unions are linear
+  // merges.
+  unionInto(result.scenarioFingerprints, job.scenarioFingerprints);
+  unionInto(result.stateFingerprints, job.stateFingerprints);
+  unionInto(result.testcases, job.testcases);
+  result.stats.mergeFrom(job.stats);
+}
+
+void sealParallelResult(ParallelResult& result, const PartitionPlan& plan,
+                        const RunConfig& config) {
   namespace fs = std::filesystem;
-  for (const JobResult& job : result.jobs) {
-    if (result.outcome == RunOutcome::kCompleted &&
-        job.outcome != RunOutcome::kCompleted)
-      result.outcome = job.outcome;
-    result.totalStates += job.states;
-    result.totalEvents += job.events;
-    result.totalScenariosOwned += job.scenariosOwned;
-    // Each job's vectors are sorted distinct, so the unions are linear
-    // merges.
-    unionInto(result.scenarioFingerprints, job.scenarioFingerprints);
-    unionInto(result.stateFingerprints, job.stateFingerprints);
-    unionInto(result.testcases, job.testcases);
-    result.stats.mergeFrom(job.stats);
+  if (result.outcome == RunOutcome::kCompleted) {
+    const auto unfinished = std::find_if(
+        result.jobs.begin(), result.jobs.end(), [](const JobResult& job) {
+          return job.outcome != RunOutcome::kCompleted;
+        });
+    if (unfinished != result.jobs.end()) result.outcome = unfinished->outcome;
   }
   // Trace merge, after the barrier and in job-id order (the input order
   // is the merge tie-break, so it must not depend on completion order).
@@ -319,6 +331,12 @@ void finalizeParallelResult(ParallelResult& result, const PartitionPlan& plan,
       support::logError("trace", e.what());
     }
   }
+}
+
+void finalizeParallelResult(ParallelResult& result, const PartitionPlan& plan,
+                            const RunConfig& config) {
+  for (const JobResult& job : result.jobs) foldJobResult(result, job);
+  sealParallelResult(result, plan, config);
 }
 
 PartitionPlan planPartitions(std::span<const std::string> variables,

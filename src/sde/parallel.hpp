@@ -261,11 +261,25 @@ struct JobRun {
 [[nodiscard]] std::string jobTracePath(const std::string& traceDir,
                                        std::uint32_t jobId);
 
+// The merge in two steps. foldJobResult adds one job to the totals, the
+// fingerprint and test-case unions and the stats (summed, high-water
+// marks by max: StatsRegistry::mergeFrom). Every part of it commutes,
+// so jobs may be folded in any order, each exactly once — the fleet
+// coordinator folds a job as soon as its worker reports it. It leaves
+// result.jobs alone: the caller keeps the job there for the digest.
+void foldJobResult(ParallelResult& result, const JobResult& job);
+
+// The order-dependent rest, once every job is folded: the run outcome
+// becomes that of the first job in result.jobs (job-id order) that did
+// not complete, and — when config.traceDir is set — the existing
+// per-job trace files are stitched into <traceDir>/merged.trc in job-id
+// order.
+void sealParallelResult(ParallelResult& result, const PartitionPlan& plan,
+                        const RunConfig& config);
+
 // The deterministic merge barrier: folds result.jobs (already filled,
-// job-id order) into the totals, fingerprint/testcase unions and the
-// run outcome, then — when config.traceDir is set — stitches the
-// existing per-job trace files into <traceDir>/merged.trc in job-id
-// order. Does not touch result.wallSeconds.
+// job-id order) with foldJobResult, then sealParallelResult. Does not
+// touch result.wallSeconds.
 void finalizeParallelResult(ParallelResult& result, const PartitionPlan& plan,
                             const RunConfig& config);
 

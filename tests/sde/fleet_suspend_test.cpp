@@ -73,11 +73,12 @@ bool sanitizersActive() {
 #endif
 }
 
-// Suspend via the embed-able stop hook once the first job completes,
-// then resume the directory: the final digest must equal the
-// uninterrupted run's. The stop condition reads the durable queue (not
-// coordinator memory), so it observes exactly what a restarted daemon
-// would.
+// Suspend via the embed-able stop hook once the second job completes
+// (the coordinator folds the first while the second runs), then resume
+// the directory: the suspended result must be unmerged and the final
+// digest must equal the uninterrupted run's. The stop condition
+// reads the durable queue (not coordinator memory), so it observes
+// exactly what a restarted daemon would.
 TEST(FleetSuspendTest, StopHookSuspendsAndResumeMatchesReferenceDigest) {
   const auto config = scenarioConfig();
   constexpr std::size_t kVars = 2;  // 4 jobs
@@ -85,10 +86,10 @@ TEST(FleetSuspendTest, StopHookSuspendsAndResumeMatchesReferenceDigest) {
 
   const fs::path dir = freshDir("fleet_suspend_stophook");
   FleetConfig fleet;
-  fleet.processes = 1;  // sequential job order: job 0 done => others not
+  fleet.processes = 1;  // sequential job order: jobs 0-1 done => 2-3 not
   fleet.checkpointDir = dir.string();
   fleet.shmQueryCache = false;
-  fleet.stopRequested = [&dir] { return countDoneFiles(dir, 4) >= 1; };
+  fleet.stopRequested = [&dir] { return countDoneFiles(dir, 4) >= 2; };
 
   const FleetResult first = trace::runCollectFleet(config, fleet, kVars);
 
@@ -96,6 +97,15 @@ TEST(FleetSuspendTest, StopHookSuspendsAndResumeMatchesReferenceDigest) {
     EXPECT_EQ(first.result.outcome, RunOutcome::kSuspended);
     EXPECT_GE(first.jobsDone, 1u);
     EXPECT_LT(first.jobsDone, 4u);
+    // The coordinator folds a job as soon as it is reported done; none
+    // of that may reach a suspended run's result.
+    EXPECT_TRUE(first.result.jobs.empty());
+    EXPECT_TRUE(first.result.testcases.empty());
+    EXPECT_TRUE(first.result.scenarioFingerprints.empty());
+    EXPECT_TRUE(first.result.stateFingerprints.empty());
+    EXPECT_EQ(first.result.totalStates, 0u);
+    EXPECT_EQ(first.result.totalEvents, 0u);
+    EXPECT_EQ(first.result.totalScenariosOwned, 0u);
 
     FleetConfig resumeConfig;
     resumeConfig.processes = 2;

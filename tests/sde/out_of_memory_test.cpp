@@ -128,14 +128,16 @@ TEST(OutOfMemoryTest, AFleetWorkerEndsTheJobAsAMemoryAbort) {
     const FleetResult result =
         trace::runCollectFleet(duplicatesUnderSds(), fleet, 0);
     const JobResult& job = result.result.jobs.at(0);
-    std::fprintf(stderr, "run %s, job %s, %llu states, %llu deaths\n",
+    std::fprintf(stderr,
+                 "run %s, job %s, %llu states, %llu deaths, %u .done\n",
                  runOutcomeName(result.result.outcome).data(),
                  runOutcomeName(job.outcome).data(),
                  static_cast<unsigned long long>(job.states),
-                 static_cast<unsigned long long>(result.workerDeaths));
+                 static_cast<unsigned long long>(result.workerDeaths),
+                 result.jobsDone);
     return result.result.outcome == RunOutcome::kAbortedMemory &&
            job.outcome == RunOutcome::kAbortedMemory && job.states > 0 &&
-           result.workerDeaths == 0;
+           result.workerDeaths == 0 && result.jobsDone == 0;
   });
   EXPECT_EQ(code, kMemoryAbort);
   EXPECT_FALSE(fs::exists(snapshot::jobDonePath(dir.string(), 0)));

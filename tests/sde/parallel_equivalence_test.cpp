@@ -13,6 +13,8 @@
 //    branches are pruned).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
 #include <unordered_map>
 
@@ -289,6 +291,98 @@ TEST_P(ParallelFuzzTest, PartitionedMatchesLegacyOnRandomPrograms) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelFuzzTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
+
+// The fleet coordinator folds each job as its worker reports it, so the
+// fold must not see the order: folding `jobs` in any order and sealing
+// the result must give the id-order finalizeParallelResult, field by
+// field.
+void expectFoldOrderUnobservable(const std::vector<JobResult>& jobs,
+                                 const PartitionPlan& plan) {
+  ParallelResult reference;
+  reference.jobs = jobs;
+  finalizeParallelResult(reference, plan, RunConfig{});
+
+  std::vector<std::size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::size_t orders = 0;
+  do {
+    ParallelResult folded;
+    folded.jobs = jobs;
+    for (const std::size_t job : order) foldJobResult(folded, folded.jobs[job]);
+    sealParallelResult(folded, plan, RunConfig{});
+
+    std::string orderName;
+    for (const std::size_t job : order) orderName += std::to_string(job);
+    SCOPED_TRACE("fold order " + orderName);
+    EXPECT_EQ(folded.outcome, reference.outcome);
+    EXPECT_EQ(folded.totalStates, reference.totalStates);
+    EXPECT_EQ(folded.totalEvents, reference.totalEvents);
+    EXPECT_EQ(folded.totalScenariosOwned, reference.totalScenariosOwned);
+    EXPECT_EQ(folded.scenarioFingerprints, reference.scenarioFingerprints);
+    EXPECT_EQ(folded.stateFingerprints, reference.stateFingerprints);
+    EXPECT_EQ(folded.testcases, reference.testcases);
+    EXPECT_EQ(folded.stats.report(), reference.stats.report());
+    EXPECT_EQ(folded.fingerprintDigest(), reference.fingerprintDigest());
+    ++orders;
+  } while (std::next_permutation(order.begin(), order.end()));
+  EXPECT_EQ(orders, 24u);
+}
+
+TEST(FoldOrderTest, APartitionedRunFoldsToOneResultInEveryOrder) {
+  ParallelConfig parallel;
+  parallel.workers = 2;
+  parallel.collectTestcases = true;
+  const trace::PartitionedCollectResult run = trace::runCollectPartitioned(
+      smallGrid(MapperKind::kSds, 2500), parallel, /*vars=*/2);
+  ASSERT_EQ(run.result.jobs.size(), 4u);
+  ASSERT_FALSE(run.result.testcases.empty());
+  ASSERT_FALSE(run.result.scenarioFingerprints.empty());
+  ASSERT_FALSE(run.result.stateFingerprints.empty());
+  expectFoldOrderUnobservable(run.result.jobs,
+                              planPartitions(std::vector<std::string>{"a", "b"}));
+}
+
+// Overlapping sets, a high-water counter (folded by max) and two jobs
+// that did not complete with different outcomes: the run's outcome is
+// the lower job id's whatever the fold order.
+TEST(FoldOrderTest, HandBuiltJobsFoldToOneResultInEveryOrder) {
+  using support::StatsRegistry;
+  const auto job = [](std::uint32_t id, RunOutcome outcome,
+                      std::vector<std::string> testcases,
+                      std::vector<std::uint64_t> prints,
+                      std::uint64_t peakStates) {
+    JobResult result;
+    result.jobId = id;
+    result.outcome = outcome;
+    result.states = 10 + id;
+    result.events = 100 + id;
+    result.scenariosOwned = testcases.size();
+    result.testcases = std::move(testcases);
+    result.scenarioFingerprints = prints;
+    result.stateFingerprints = std::move(prints);
+    result.stats.add(StatsRegistry::id("engine.events"), result.events);
+    result.stats.maxOf(StatsRegistry::id("engine.peak_states"), peakStates);
+    return result;
+  };
+  const std::vector<JobResult> jobs = {
+      job(0, RunOutcome::kCompleted, {"a", "b", "c"}, {1, 2, 3}, 5),
+      job(1, RunOutcome::kAbortedStates, {}, {}, 9),
+      job(2, RunOutcome::kCompleted, {"b", "d"}, {2, 4}, 3),
+      job(3, RunOutcome::kAbortedMemory, {"a", "d", "e"}, {1, 5}, 7),
+  };
+  const PartitionPlan plan =
+      planPartitions(std::vector<std::string>{"a", "b"});
+  expectFoldOrderUnobservable(jobs, plan);
+
+  ParallelResult reference;
+  reference.jobs = jobs;
+  finalizeParallelResult(reference, plan, RunConfig{});
+  EXPECT_EQ(reference.outcome, RunOutcome::kAbortedStates);
+  EXPECT_EQ(reference.testcases,
+            (std::vector<std::string>{"a", "b", "c", "d", "e"}));
+  EXPECT_EQ(reference.stats.get("engine.peak_states"), 9u);
+  EXPECT_EQ(reference.stats.get("engine.events"), 406u);
+}
 
 }  // namespace
 }  // namespace sde
