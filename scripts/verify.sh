@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full verification: tier-1 build + test suite, then a ThreadSanitizer
-# build running the concurrency-sensitive tests (thread pool, parallel
-# partitioned execution, durable resume, the counter store, the shared
-# query store driven from threads, the split duplicate report) and an
+# build running the concurrency-sensitive tests (parallel partitioned
+# execution, durable resume, the counter store, the shared query store
+# driven from threads, placed threads and the split duplicate report) and an
 # AddressSanitizer build
 # running the full suite (the snapshot codec hand-rolls binary framing,
 # exactly where ASan earns its keep). Run from anywhere; builds live in
@@ -15,9 +15,22 @@
 # single-process launch of the same plan — the process count must be
 # unobservable in the results (see DESIGN.md §16). The fold smoke does
 # the same for a 16-job plan on 3 processes, with both digests, so the
-# coordinator folds jobs in completion order while workers steal.
+# coordinator folds jobs in completion order while workers run more.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Runs a test binary on a --gtest_filter and fails when the filter
+# selects no test: this GoogleTest has no --gtest_fail_if_no_test_selected
+# and passes an empty selection, so a filter naming a deleted suite would
+# pass silently.
+run_filtered() {
+  local binary=$1 filter=$2 listed
+  shift 2
+  listed=$("$binary" --gtest_filter="$filter" --gtest_list_tests)
+  grep -q '^  ' <<<"$listed" \
+    || { echo "$binary: --gtest_filter='$filter' selects no test"; return 1; }
+  "$binary" --gtest_filter="$filter" "$@"
+}
 
 echo "=== tier-1: configure + build ==="
 cmake -B build -S . >/dev/null
@@ -48,7 +61,7 @@ python3 -c "import json,sys; json.load(open(sys.argv[1]))" \
   || echo "(python3 unavailable: skipped JSON well-formedness check)"
 
 echo "=== solver smoke: every pipeline layer sees traffic on the example scenario ==="
-./build/tests/sde_tests --gtest_filter='SolverSmokeTest.*'
+run_filtered ./build/tests/sde_tests 'SolverSmokeTest.*'
 
 echo "=== fleet smoke: 4-process launch digest == 1-process launch digest ==="
 FLEET_SMOKE=$(mktemp -d)
@@ -68,7 +81,7 @@ echo "fleet digests agree: $DIGEST_P4"
 
 echo "=== fold smoke: 16 jobs on 3 processes == 1 process, both digests ==="
 # The coordinator folds each job into the result as its worker reports
-# it, while the other workers still run and steal; with 16 jobs on 3
+# it, while the other workers still run; with 16 jobs on 3
 # processes the fold order differs from job-id order, and the
 # fingerprint and test-case digests must still be the single-process
 # launch's.
@@ -324,8 +337,8 @@ echo "=== release: shared query store property battery, repeated ==="
 # multi-process battery and the threads-of-one-process battery (the
 # thread runner's traffic) so a rare interleaving gets many chances to
 # show.
-./build-release/tests/solver_tests \
-  --gtest_filter='ShmCachePropertyTest.*:PipelineTest.SharedCacheNeverFabricatesResultsUnderConcurrency' \
+run_filtered ./build-release/tests/solver_tests \
+  'ShmCachePropertyTest.*:PipelineTest.SharedCacheNeverFabricatesResultsUnderConcurrency' \
   --gtest_repeat=100 --gtest_brief=1
 
 echo "=== release: memory ledger oracle battery ==="
@@ -337,16 +350,15 @@ cmake -B build-tsan -S . -DSDE_SANITIZE=thread \
 cmake --build build-tsan -j"$(nproc)" --target support_tests sde_tests snapshot_tests \
   merge_tests solver_tests fleet_tests
 
-echo "=== tsan: thread pool + parallel execution + resume tests ==="
-# The parallel runs share one shm query store between their pool
+echo "=== tsan: parallel execution + resume tests ==="
+# The parallel runs share one shm query store between their worker
 # threads, so *Parallel* drives the store from threads too. The /Threads
-# resume cases run the job runner both runners share on pool threads,
+# resume cases run the job runner both runners share on worker threads,
 # over a seeded store and over a corrupt .done file.
-./build-tsan/tests/support_tests --gtest_filter='*ThreadPool*'
-./build-tsan/tests/sde_tests --gtest_filter='*Parallel*'
-./build-tsan/tests/snapshot_tests --gtest_filter='*Resume*:*CrashRecovery*'
-./build-tsan/tests/fleet_tests \
-  --gtest_filter='*/SharedStoreResumeTest.*/Threads:*/DoneFileResumeTest.*/Threads'
+run_filtered ./build-tsan/tests/sde_tests '*Parallel*'
+run_filtered ./build-tsan/tests/snapshot_tests '*Resume*:*CrashRecovery*'
+run_filtered ./build-tsan/tests/fleet_tests \
+  '*/SharedStoreResumeTest.*/Threads:*/DoneFileResumeTest.*/Threads'
 
 echo "=== tsan: duplicate report split over placed threads ==="
 # findDuplicates hashes and sorts one run of states per allowed CPU on
@@ -354,23 +366,22 @@ echo "=== tsan: duplicate report split over placed threads ==="
 # the caller: the collect and random-program suites drive it on engine
 # states (and the split scan at 1-8 runs), SplitScanTest on hand-built
 # hash layouts.
-./build-tsan/tests/support_tests --gtest_filter='PlacedThreadsTest.*'
-./build-tsan/tests/sde_tests \
-  --gtest_filter='*CollectDuplicatesTest.*:*RandomProgramDuplicatesTest.*:SplitScanTest.*'
+run_filtered ./build-tsan/tests/support_tests 'PlacedThreadsTest.*'
+run_filtered ./build-tsan/tests/sde_tests \
+  '*CollectDuplicatesTest.*:*RandomProgramDuplicatesTest.*:SplitScanTest.*'
 
 echo "=== tsan: shared query store from the threads of one process ==="
-./build-tsan/tests/solver_tests \
-  --gtest_filter='PipelineTest.SharedCache*'
+run_filtered ./build-tsan/tests/solver_tests 'PipelineTest.SharedCache*'
 
 echo "=== tsan: counter store ==="
 # Registries are owned by one thread each; the process-wide name table is
-# the only shared structure. Eight engines on pool threads intern their
+# the only shared structure. Eight engines on worker threads intern their
 # series on first use (run alone, so the first use happens there) while
 # their samplers intern fresh names.
-./build-tsan/tests/sde_tests \
-  --gtest_filter='StatsStore.EnginesOnEightPoolThreadsInternSharedAndFreshNames'
-./build-tsan/tests/support_tests --gtest_filter='Stats.*'
-./build-tsan/tests/sde_tests --gtest_filter='StatsStore.*'
+run_filtered ./build-tsan/tests/sde_tests \
+  'StatsStore.EnginesOnEightPoolThreadsInternSharedAndFreshNames'
+run_filtered ./build-tsan/tests/support_tests 'Stats.*'
+run_filtered ./build-tsan/tests/sde_tests 'StatsStore.*'
 
 echo "=== tsan: merge-on vs merge-off differential battery ==="
 ./build-tsan/tests/merge_tests

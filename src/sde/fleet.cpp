@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <optional>
+#include <set>
 
 #include "obs/metrics_shm.hpp"
 #include "snapshot/manifest.hpp"
@@ -36,6 +37,9 @@ constexpr std::uint64_t kMaxWorkerRestarts = 16;
 // No frame from any worker for this long: the fleet is declared wedged,
 // its workers are killed and FleetError is thrown.
 constexpr int kWatchdogSeconds = 120;
+// A running job's worker sends a kStatus heartbeat, and publishes its
+// live metrics, every this many processed events.
+constexpr std::uint64_t kStatusEveryEvents = 256;
 
 // ---------------------------------------------------------------------------
 // Frame protocol. Every message is one fixed-size length-prefixed frame
@@ -43,17 +47,13 @@ constexpr int kWatchdogSeconds = 120;
 // interleave even if a future change made two threads share a pipe.
 
 enum class FrameType : std::uint8_t {
-  kAssign = 1,      // coord -> worker: lease [a, b)
-  kSteal = 2,       // coord -> worker: split your pending shard; seq = a
-  kShutdown = 3,    // coord -> worker: exit cleanly
-  kIdle = 4,        // worker -> coord: shard exhausted, want work
-  kStatus = 5,      // worker -> coord: next=a, hi=b
-  kJobDone = 6,     // worker -> coord: job=a, executed|outcome<<8=b,
-                    //                  states=c, events=d
-  kStealReply = 7,  // worker -> coord: seq=a, victimNext=b,
-                    //                  stolen=[c, d)
-  kSuspendFleet = 8,  // coord -> worker: checkpoint in-flight job, exit
-  kSuspended = 9,     // worker -> coord: job=a checkpointed (states=c,
+  kAssign = 1,        // coord -> worker: run job a
+  kShutdown = 2,      // coord -> worker: exit cleanly
+  kStatus = 3,        // worker -> coord: heartbeat of a running job
+  kJobDone = 4,       // worker -> coord: job=a, executed|outcome<<8=b,
+                      //                  states=c, events=d
+  kSuspendFleet = 5,  // coord -> worker: checkpoint in-flight job, exit
+  kSuspended = 6,     // worker -> coord: job=a checkpointed (states=c,
                       //                  events=d); worker exits next
 };
 
@@ -144,10 +144,10 @@ void setNonBlocking(int fd) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker process. Runs jobs of its leased [next, hi) range in id order,
-// polling the command pipe between jobs and at every engine sampling
-// point so steals are answered mid-job. Exits only via _exit — the
-// child must never unwind into the coordinator's stack.
+// Worker process. Runs the one job it leased, reports it and waits for
+// the next, polling the command pipe between jobs and at every engine
+// sampling point so a suspend reaches a running job. Exits only via
+// _exit — the child must never unwind into the coordinator's stack.
 
 struct WorkerContext {
   unsigned slot = 0;
@@ -166,9 +166,7 @@ struct WorkerContext {
   support::StatsRegistry finished;
 
   FrameReader reader;
-  std::uint32_t next = 0;
-  std::uint32_t hi = 0;
-  bool active = false;
+  std::optional<std::uint32_t> job;  // the leased job, until reported
   bool shutdown = false;
   bool suspend = false;             // graceful fleet suspend requested
   Engine* runningEngine = nullptr;  // engine of the in-flight job, if any
@@ -196,50 +194,10 @@ void workerSend(WorkerContext& w, const Frame& frame) {
   if (!writeFrame(w.statusFd, frame)) workerExit(1);
 }
 
-// The victim half of the steal protocol: hand over the upper half of
-// the strictly-pending jobs (the running/imminent job `next` always
-// stays), shrinking our own range BEFORE the reply is written — dying
-// between the two steps leaves the range unshrunk from the
-// coordinator's view and simply re-leased wholesale by the death path.
-void workerHandleSteal(WorkerContext& w, std::uint32_t seq) {
-  Frame reply;
-  reply.type = FrameType::kStealReply;
-  reply.a = seq;
-  reply.b = w.next;
-  const std::uint32_t firstPending = w.next + 1;
-  if (w.active && firstPending < w.hi) {
-    const std::uint32_t pending = w.hi - firstPending;
-    const std::uint32_t stolenLo = firstPending + pending / 2;
-    reply.c = stolenLo;
-    reply.d = w.hi;
-    w.hi = stolenLo;
-  } else {
-    reply.c = 0;
-    reply.d = 0;
-  }
-  workerSend(w, reply);
-}
-
 void workerProcessCommand(WorkerContext& w, const Frame& frame) {
   switch (frame.type) {
     case FrameType::kAssign:
-      if (frame.a < frame.b) {
-        w.next = frame.a;
-        w.hi = frame.b;
-        w.active = true;
-        Frame status;
-        status.type = FrameType::kStatus;
-        status.a = w.next;
-        status.b = w.hi;
-        workerSend(w, status);
-      } else {
-        Frame idle;
-        idle.type = FrameType::kIdle;
-        workerSend(w, idle);
-      }
-      break;
-    case FrameType::kSteal:
-      workerHandleSteal(w, frame.a);
+      w.job = frame.a;
       break;
     case FrameType::kShutdown:
       w.shutdown = true;
@@ -268,15 +226,15 @@ void workerDrainCommands(WorkerContext& w) {
   }
 }
 
-// Runs the job at w.next through the job runner both runners share,
+// Runs the leased job through the job runner both runners share,
 // adding what only a fleet worker does: the chaos hooks, the live
 // metrics, the protocol pump and the suspend handle. Returns true if
 // the run was interrupted by a fleet suspend (checkpoint written,
 // kSuspended reported — the caller must exit instead of advancing).
 bool workerRunOneJob(WorkerContext& w) {
-  const PartitionJob& job = w.plan->jobs[w.next];
+  const PartitionJob& job = w.plan->jobs[*w.job];
   const FleetConfig& config = *w.config;
-  if (config.chaos.beforeJob) config.chaos.beforeJob(w.slot, job.id);
+  if (config.chaos.beforeJob) config.chaos.beforeJob(job.id);
 
   // Per-job wall-clock attribution, added to the finished totals after
   // the run. Digest-safe: profiler output never feeds the engine's
@@ -286,17 +244,14 @@ bool workerRunOneJob(WorkerContext& w) {
   JobHooks hooks;
   hooks.onEngine = [&](Engine& engine) {
     if (w.metricsPlane != nullptr) engine.setProfiler(&metricsProfiler);
-    // The sampler hook doubles as the mid-job protocol pump: answer
-    // steals and refresh the coordinator's mirror of our frontier.
+    // The sampler hook doubles as the mid-job protocol pump: take a
+    // suspend and send the heartbeat.
     engine.setSampler([&](const Engine& e) {
       workerDrainCommands(w);
-      if (e.eventsProcessed() - lastStatusEvents >=
-          std::max<std::uint64_t>(1, config.statusEveryEvents)) {
+      if (e.eventsProcessed() - lastStatusEvents >= kStatusEveryEvents) {
         lastStatusEvents = e.eventsProcessed();
         Frame status;
         status.type = FrameType::kStatus;
-        status.a = w.next;
-        status.b = w.hi;
         workerSend(w, status);
         workerPublishMetrics(w, &e);
       }
@@ -308,7 +263,7 @@ bool workerRunOneJob(WorkerContext& w) {
     if (w.suspend) engine.requestSuspend();
   };
   if (config.chaos.onCheckpoint)
-    hooks.onCheckpoint = [&] { config.chaos.onCheckpoint(w.slot, job.id); };
+    hooks.onCheckpoint = [&] { config.chaos.onCheckpoint(job.id); };
 
   const JobRun run = runPartitionJob(*w.factory, job, config, w.shared, hooks);
   w.runningEngine = nullptr;
@@ -335,25 +290,18 @@ bool workerRunOneJob(WorkerContext& w) {
   frame.type = FrameType::kJobDone;
   frame.b = (run.executed ? 1u : 0u) |
             (static_cast<std::uint32_t>(result.outcome) << 8);
+  w.job.reset();
   workerSend(w, frame);
-  ++w.next;
   return false;
 }
 
 [[noreturn]] void workerMain(WorkerContext& w) {
   for (;;) {
+    workerDrainCommands(w);
     if (w.shutdown || w.suspend) workerExit(0);
-    if (w.active) {
-      workerDrainCommands(w);  // a steal may have shrunk hi
-      if (w.shutdown || w.suspend) workerExit(0);
-      if (w.next < w.hi) {
-        if (workerRunOneJob(w)) workerExit(0);
-        continue;
-      }
-      w.active = false;
-      Frame idle;
-      idle.type = FrameType::kIdle;
-      workerSend(w, idle);
+    if (w.job) {
+      if (workerRunOneJob(w)) workerExit(0);
+      continue;
     }
     // Idle: block until the coordinator says something.
     struct pollfd pfd {};
@@ -361,7 +309,6 @@ bool workerRunOneJob(WorkerContext& w) {
     pfd.events = POLLIN;
     const int rc = ::poll(&pfd, 1, -1);
     if (rc < 0 && errno != EINTR) workerExit(1);
-    workerDrainCommands(w);
   }
 }
 
@@ -399,16 +346,11 @@ struct SlotState {
   int statusR = -1;
   FrameReader reader;
   bool alive = false;
-  bool idle = false;
-  // Mirror of the worker's lease. nextKnown lags the truth by at most
-  // one in-flight frame; re-leases use it, so a killed worker's
-  // *completed* jobs may be re-leased — harmless, the .done check makes
+  // The job this worker leased, until its kJobDone frame arrives or the
+  // worker dies. A worker killed after its .done write but before the
+  // frame has its job re-leased — harmless, the .done check makes
   // re-runs impossible.
-  std::uint32_t nextKnown = 0;
-  std::uint32_t hi = 0;
-  // Pending steal where this slot is the victim (0 = none).
-  std::uint32_t stealSeq = 0;
-  int thiefSlot = -1;
+  std::optional<std::uint32_t> job;
 };
 
 struct JobReport {
@@ -421,17 +363,18 @@ struct JobReport {
 class Coordinator {
  public:
   Coordinator(const EngineFactory& factory, const PartitionPlan& plan,
-              const FleetConfig& config, solver::ShmQueryCache* shm,
-              obs::ShmMetricsPlane* metricsPlane)
+              const FleetConfig& config, unsigned workers,
+              solver::ShmQueryCache* shm, obs::ShmMetricsPlane* metricsPlane)
       : factory_(factory),
         plan_(plan),
         config_(config),
+        workers_(workers),
         shm_(shm),
         metricsPlane_(metricsPlane) {
     // The fleet.* series are live from the first snapshot on.
     for (const support::StatsRegistry::Id id :
-         {statId<"fleet.steals">(), statId<"fleet.respawns">(),
-          statId<"fleet.worker_deaths">(), statId<"fleet.suspends">()})
+         {statId<"fleet.respawns">(), statId<"fleet.worker_deaths">(),
+          statId<"fleet.suspends">()})
       coordinatorStats_.add(id, 0);
   }
 
@@ -445,20 +388,13 @@ class Coordinator {
     merged_.jobs.resize(numJobs);
     folded_.assign(numJobs, false);
     result_.executedCounts.assign(numJobs, 0);
-    result_.processes = config_.processes;
+    result_.processes = workers_;
 
-    pool_ = initialLeases();
-    slots_.resize(config_.processes);
-    for (unsigned slot = 0; slot < config_.processes; ++slot) {
-      spawn(slot);
-      if (!pool_.empty()) {
-        const auto range = pool_.back();
-        pool_.pop_back();
-        assign(slot, range.first, range.second);
-      } else {
-        assign(slot, 0, 0);  // empty lease: worker reports idle
-      }
-    }
+    for (std::uint32_t jobId = 0; jobId < numJobs; ++jobId)
+      unleased_.insert(jobId);
+    slots_.resize(workers_);
+    for (unsigned slot = 0; slot < workers_; ++slot) spawn(slot);
+    lease();
 
     lastActivity_ = std::chrono::steady_clock::now();
     for (;;) {
@@ -504,36 +440,6 @@ class Coordinator {
   }
 
  private:
-  // Initial shard leases, as a stack the spawn loop pops from.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> initialLeases() {
-    const std::uint32_t numJobs =
-        static_cast<std::uint32_t>(plan_.jobs.size());
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> leases;
-    if (!config_.initialLeases.empty()) {
-      leases = config_.initialLeases;
-      auto sorted = leases;
-      std::sort(sorted.begin(), sorted.end());
-      std::uint32_t cursor = 0;
-      for (const auto& [lo, hi] : sorted) {
-        if (lo != cursor || hi < lo)
-          throw FleetError("initialLeases must be disjoint and cover all jobs");
-        cursor = hi;
-      }
-      if (cursor != numJobs || leases.size() > config_.processes)
-        throw FleetError("initialLeases must cover all jobs with at most one "
-                         "lease per worker");
-    } else {
-      const std::uint32_t per =
-          (numJobs + config_.processes - 1) / config_.processes;
-      for (std::uint32_t lo = 0; lo < numJobs; lo += per)
-        leases.emplace_back(lo, std::min(numJobs, lo + per));
-    }
-    // The spawn loop pops from the back; reverse so slot 0 gets the
-    // first lease (tests rely on the slot <-> lease correspondence).
-    std::reverse(leases.begin(), leases.end());
-    return leases;
-  }
-
   void spawn(unsigned slot) {
     int cmdPipe[2];
     int statusPipe[2];
@@ -594,16 +500,20 @@ class Coordinator {
     s.alive = true;
   }
 
-  void assign(unsigned slot, std::uint32_t lo, std::uint32_t hi) {
-    SlotState& s = slots_[slot];
-    s.nextKnown = lo;
-    s.hi = hi;
-    s.idle = false;
-    Frame frame;
-    frame.type = FrameType::kAssign;
-    frame.a = lo;
-    frame.b = hi;
-    writeFrame(s.cmdW, frame);  // a dead worker surfaces via its pipe EOF
+  // The dispatch rule: each live worker without a job leases the lowest
+  // job id no worker holds. Nothing is leased while suspending.
+  void lease() {
+    if (suspending_) return;
+    for (SlotState& s : slots_) {
+      if (unleased_.empty()) return;
+      if (!s.alive || s.job) continue;
+      s.job = *unleased_.begin();
+      unleased_.erase(unleased_.begin());
+      Frame frame;
+      frame.type = FrameType::kAssign;
+      frame.a = *s.job;
+      writeFrame(s.cmdW, frame);  // a dead worker surfaces via its pipe EOF
+    }
   }
 
   [[nodiscard]] bool allDead() const {
@@ -685,8 +595,8 @@ class Coordinator {
       if (fill == FrameReader::Fill::kWouldBlock) break;
       if (fill == FrameReader::Fill::kEof) {
         // Pipes preserve written data past writer death: drain what is
-        // buffered (a steal reply written before dying is never lost),
-        // THEN account the death against the updated mirror.
+        // buffered (a kJobDone written before dying is never lost), THEN
+        // account the death against the updated lease.
         while (auto frame = s.reader.next()) {
           any = true;
           handleFrame(slot, *frame);
@@ -701,16 +611,10 @@ class Coordinator {
   void handleFrame(unsigned slot, const Frame& frame) {
     SlotState& s = slots_[slot];
     switch (frame.type) {
-      case FrameType::kIdle:
-        s.idle = true;
-        s.nextKnown = s.hi;  // lease exhausted
-        feed(slot);
-        break;
       case FrameType::kStatus:
-        s.nextKnown = frame.a;
-        s.hi = frame.b;
-        break;
+        break;  // a heartbeat: its arrival is the watchdog's activity
       case FrameType::kJobDone: {
+        s.job.reset();
         const std::uint32_t jobId = frame.a;
         if (jobId >= reports_.size()) break;
         const bool executed = (frame.b & 0xffu) != 0;
@@ -725,82 +629,19 @@ class Coordinator {
         report.states = frame.c;
         report.events = frame.d;
         if (outcome == RunOutcome::kCompleted) reported_.push_back(jobId);
-        s.nextKnown = std::max(s.nextKnown, jobId + 1);
+        // The worker's next job goes out before this round's fold.
+        lease();
         break;
       }
       case FrameType::kSuspended:
-        // The worker checkpointed its in-flight job and will exit; its
-        // mirror range re-enters the pool via the (clean) death path on
-        // resume, but during a suspend nothing is re-leased.
+        // The worker checkpointed its in-flight job and will exit; a
+        // resume runs the job from its checkpoint, and during a suspend
+        // nothing is re-leased.
         ++result_.jobsSuspendedMidRun;
         break;
-      case FrameType::kStealReply: {
-        if (frame.a != s.stealSeq) break;  // stale reply (victim respawned)
-        s.stealSeq = 0;
-        const int thief = s.thiefSlot;
-        s.thiefSlot = -1;
-        s.nextKnown = std::max(s.nextKnown, frame.b);
-        const auto stolenLo = static_cast<std::uint32_t>(frame.c);
-        const auto stolenHi = static_cast<std::uint32_t>(frame.d);
-        if (stolenLo < stolenHi) {
-          s.hi = stolenLo;
-          ++result_.steals;
-          coordinatorStats_.add(statId<"fleet.steals">());
-          if (thief >= 0 && slots_[thief].alive && slots_[thief].idle) {
-            assign(static_cast<unsigned>(thief), stolenLo, stolenHi);
-          } else {
-            pool_.emplace_back(stolenLo, stolenHi);
-            feedIdle();
-          }
-        } else if (thief >= 0 && slots_[thief].alive && slots_[thief].idle) {
-          // Empty reply: the mirror just synced (the victim was thinner
-          // than we thought), so retrying the feed cannot loop forever.
-          feed(static_cast<unsigned>(thief));
-        }
-        break;
-      }
       default:
         break;  // worker-only frame types: ignore
     }
-  }
-
-  // Gives an idle slot work: the re-lease pool first, then a steal from
-  // the fattest victim.
-  void feed(unsigned slot) {
-    SlotState& s = slots_[slot];
-    if (!s.alive || !s.idle) return;
-    if (!pool_.empty()) {
-      const auto range = pool_.back();
-      pool_.pop_back();
-      assign(slot, range.first, range.second);
-      return;
-    }
-    int victim = -1;
-    std::uint32_t fattest = 1;  // require >= 2: the current job + 1 pending
-    for (unsigned v = 0; v < slots_.size(); ++v) {
-      const SlotState& cand = slots_[v];
-      if (v == slot || !cand.alive || cand.idle || cand.stealSeq != 0)
-        continue;
-      const std::uint32_t pending =
-          cand.hi > cand.nextKnown ? cand.hi - cand.nextKnown : 0;
-      if (pending > fattest) {
-        fattest = pending;
-        victim = static_cast<int>(v);
-      }
-    }
-    if (victim < 0) return;  // nothing worth stealing; stay idle
-    SlotState& v = slots_[victim];
-    v.stealSeq = ++stealSeqCounter_;
-    v.thiefSlot = static_cast<int>(slot);
-    Frame frame;
-    frame.type = FrameType::kSteal;
-    frame.a = v.stealSeq;
-    writeFrame(v.cmdW, frame);
-  }
-
-  void feedIdle() {
-    for (unsigned slot = 0; slot < slots_.size() && !pool_.empty(); ++slot)
-      feed(slot);
   }
 
   void handleDeath(unsigned slot) {
@@ -813,52 +654,24 @@ class Coordinator {
     const bool clean = (shuttingDown_ || suspending_) && WIFEXITED(status) &&
                        WEXITSTATUS(status) == 0;
     s.alive = false;
-    s.idle = false;
     if (clean) return;
 
     ++result_.workerDeaths;
     coordinatorStats_.add(statId<"fleet.worker_deaths">());
-    // A pending steal where this slot was the victim is void: no reply
-    // will come, and the unshrunk mirror range below re-leases
-    // everything the victim still held (a reply written before death
-    // was drained before we got here and already shrank the mirror).
-    if (s.stealSeq != 0) {
-      const int thief = s.thiefSlot;
-      s.stealSeq = 0;
-      s.thiefSlot = -1;
-      if (thief >= 0 && slots_[thief].alive && slots_[thief].idle)
-        pendingFeeds_.push_back(static_cast<unsigned>(thief));
-    }
-    // If this slot was a thief awaiting a steal, the eventual reply
-    // routes the range to the pool (handled in kStealReply).
-    for (SlotState& other : slots_)
-      if (other.thiefSlot == static_cast<int>(slot)) other.thiefSlot = -1;
+    // The dead worker's unreported job goes back: no other worker holds
+    // it, so re-leasing it cannot run a job twice at once.
+    if (s.job) unleased_.insert(*s.job);
+    s.job.reset();
 
-    // Disjoint-lease invariant: nobody else holds [nextKnown, hi), so
-    // re-leasing it cannot double-execute a job another live worker
-    // owns. Jobs the dead worker already finished are skipped by their
-    // .done files.
-    if (s.nextKnown < s.hi) pool_.emplace_back(s.nextKnown, s.hi);
-    s.nextKnown = s.hi = 0;
-
-    // Respawn while the budget lasts; past it, surviving workers pick
-    // up the re-leased pool, and only a fully dead fleet with jobs
-    // remaining is fatal (pollOnce throws then).
+    // Respawn while the budget lasts; past it, surviving workers take
+    // the job, and only a fully dead fleet with jobs remaining is fatal
+    // (pollOnce throws then).
     if (completed_ != plan_.jobs.size() && !suspending_ && respawnPossible()) {
       ++result_.respawns;
       coordinatorStats_.add(statId<"fleet.respawns">());
       spawn(slot);
-      if (!pool_.empty()) {
-        const auto range = pool_.back();
-        pool_.pop_back();
-        assign(slot, range.first, range.second);
-      } else {
-        assign(slot, 0, 0);
-      }
     }
-    for (const unsigned thief : pendingFeeds_) feed(thief);
-    pendingFeeds_.clear();
-    feedIdle();
+    lease();
   }
 
   [[nodiscard]] bool respawnPossible() const {
@@ -946,22 +759,22 @@ class Coordinator {
   const EngineFactory& factory_;
   const PartitionPlan& plan_;
   const FleetConfig& config_;
+  const unsigned workers_;
   solver::ShmQueryCache* shm_;
   obs::ShmMetricsPlane* metricsPlane_;
   // The coordinator's own counters (fleet.*), published into slot 0.
   support::StatsRegistry coordinatorStats_;
 
   std::vector<SlotState> slots_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pool_;
+  // Jobs neither reported nor held by a worker, lowest id leased first.
+  std::set<std::uint32_t> unleased_;
   std::vector<JobReport> reports_;
   // The merge so far, by job id: jobs fold in as workers report them
   // (foldReportedJobs), the rest and the outcome at the end (merge).
   ParallelResult merged_;
   std::vector<bool> folded_;
   std::vector<std::uint32_t> reported_;  // completed, not yet folded
-  std::vector<unsigned> pendingFeeds_;
   std::uint32_t completed_ = 0;
-  std::uint32_t stealSeqCounter_ = 0;
   bool shuttingDown_ = false;
   bool suspending_ = false;
   std::chrono::steady_clock::time_point lastActivity_{};
@@ -995,13 +808,15 @@ FleetResult runFleet(const EngineFactory& factory, const PartitionPlan& plan,
   if (config.checkpointDir.empty())
     throw FleetError(
         "fleet runs require a checkpoint directory (the durable job queue)");
+  // A worker without a job would only wait for kShutdown.
+  const auto workers = static_cast<unsigned>(
+      std::min<std::size_t>(config.processes, plan.jobs.size()));
   if (config.metricsPlane != nullptr &&
-      config.metricsPlane->slots() < config.processes + 1)
+      config.metricsPlane->slots() < workers + 1)
     throw FleetError("the metrics plane has " +
                      std::to_string(config.metricsPlane->slots()) +
-                     " slots; a " + std::to_string(config.processes) +
-                     "-process fleet needs " +
-                     std::to_string(config.processes + 1));
+                     " slots; a " + std::to_string(workers) +
+                     "-process fleet needs " + std::to_string(workers + 1));
 
   ScopedSigpipeIgnore sigpipe;
   ScopedSigtermSuspend sigterm(config.installSigtermSuspend);
@@ -1032,7 +847,7 @@ FleetResult runFleet(const EngineFactory& factory, const PartitionPlan& plan,
   obs::ShmMetricsPlane* metricsPlane = config.metricsPlane;
   if (metricsPlane == nullptr) {
     obs::ShmMetricsConfig metricsConfig;
-    metricsConfig.slots = config.processes + 1;
+    metricsConfig.slots = workers + 1;
     try {
       ownPlane = std::make_unique<obs::ShmMetricsPlane>(metricsConfig);
       metricsPlane = ownPlane.get();
@@ -1042,7 +857,8 @@ FleetResult runFleet(const EngineFactory& factory, const PartitionPlan& plan,
   }
 
   FleetResult result =
-      Coordinator(factory, plan, config, shared.get(), metricsPlane).run();
+      Coordinator(factory, plan, config, workers, shared.get(), metricsPlane)
+          .run();
   if (shared != nullptr) {
     result.shmEntries = shared->entries();
     snapshot::persistSharedStore(*shared, dir.string());

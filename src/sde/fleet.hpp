@@ -1,21 +1,22 @@
 // Multi-process fleet execution (ROADMAP item "scale out to worker
 // processes").
 //
-// The thread runner (sde/parallel.hpp) spreads partition jobs over a
-// thread pool inside one process. The fleet runner spreads the same
-// jobs over N forked worker *processes* — the test-depth/prefix
-// partitioning view: the 2^B partition jobs are a prefix enumeration of
-// the failure-decision space, and a *shard* is a contiguous job-id
-// range a worker leases. A worker runs each job through runPartitionJob,
-// the job runner a pool thread of the thread runner uses too. Because
-// each job is a complete shared-nothing engine run, a worker process
-// needs nothing from anyone else to make progress; everything
-// cross-process is coordination:
+// The thread runner (sde/parallel.hpp) spreads partition jobs over
+// threads inside one process. The fleet runner spreads the same jobs
+// over forked worker *processes*, one per job at most — the
+// test-depth/prefix partitioning view: the 2^B partition jobs are a
+// prefix enumeration of the failure-decision space. Both runners hand
+// jobs out by one rule: an idle worker takes the lowest job id no
+// worker holds. A worker runs each job through runPartitionJob, the job
+// runner of the thread runner's threads too. Because each job is a
+// complete shared-nothing engine run, a worker process needs nothing
+// from anyone else to make progress; everything cross-process is
+// coordination:
 //
 //   * Durable job queue. The PR 2 checkpoint substrate IS the queue:
 //     the run directory's manifest fixes the job table, `job_<id>.ckpt`
 //     is a suspended job, `job_<id>.done` (atomic temp+rename) is the
-//     completion marker. A SIGKILLed worker's shard is simply re-leased
+//     completion marker. A SIGKILLed worker's job is simply re-leased
 //     to a fresh process; re-running an already-completed job is
 //     impossible (.done short-circuits before an engine is built) and
 //     re-running a half-done one resumes from its checkpoint. Nothing
@@ -25,26 +26,22 @@
 //   * Pipe protocol. Each worker has a command pipe (coordinator →
 //     worker) and a status pipe (worker → coordinator), carrying
 //     length-prefixed fixed-size frames smaller than PIPE_BUF (writes
-//     are atomic, no interleaving). Workers report progress and
-//     frontier sizes; the coordinator poll()s all status pipes.
+//     are atomic, no interleaving). Workers send a heartbeat while a
+//     job runs; the coordinator poll()s all status pipes.
 //
-//   * Work stealing. When a worker goes idle and the re-lease pool is
-//     empty, the coordinator picks the fattest victim (most strictly-
-//     pending jobs in its shard, by the coordinator's mirror) and sends
-//     kSteal. The *victim* splits — it alone knows its true progress —
-//     handing over the upper half of [next+1, hi), shrinking its own
-//     hi first and replying second. A victim killed between the two
-//     steps is handled by the death path: the coordinator drains the
-//     status pipe to EOF (pipes preserve written data past writer
-//     death, so a written reply is never lost), then re-leases
-//     [nextKnown, hi) of its mirror — the reply, if received, already
-//     shrank the mirror, so stolen ranges are never double-leased.
+//   * One-job leases. A lease is one job id. When a worker reports its
+//     job (kJobDone), the coordinator answers with the lowest job id no
+//     worker holds (kAssign) while handling that frame; a worker left
+//     without one waits for shutdown. A slow job therefore holds back
+//     no other job, and there is nothing to rebalance or steal.
 //
-//   * Death handling. POLLHUP/EOF on a status pipe → drain, waitpid,
-//     re-lease the mirror range to the pool, fork a replacement (up to
-//     16 per run). Workers set PR_SET_PDEATHSIG so a dead coordinator
-//     reaps its fleet instead of leaking it; a fleet that sends no frame
-//     for 120 s is declared wedged.
+//   * Death handling. POLLHUP/EOF on a status pipe → drain (pipes
+//     preserve written data past writer death, so a written kJobDone is
+//     never lost), waitpid, return the worker's unreported job to the
+//     queue, fork a replacement (up to 16 per run). Workers set
+//     PR_SET_PDEATHSIG so a dead coordinator reaps its fleet instead of
+//     leaking it; a fleet that sends no frame for 120 s is declared
+//     wedged.
 //
 //   * Shared query store (solver/shm_cache.hpp), the same one the
 //     thread runner uses, made through the same path
@@ -83,7 +80,6 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -103,16 +99,16 @@ class FleetError : public std::runtime_error {
 // Test-only fault-injection hooks. They run INSIDE the worker process
 // (the closures are captured at fork time); a chaos test typically
 // raises SIGKILL on itself when an on-disk sentinel says it is this
-// worker's turn to die. Because a respawned worker restarts from the
+// job's turn to die. Because a respawned worker restarts from the
 // same fork image, kill-once conditions must live on the file system,
 // not in captured memory.
 struct FleetChaos {
   // Before the worker runs `jobId` (after leasing, before any engine).
-  std::function<void(unsigned slot, std::uint32_t jobId)> beforeJob;
+  std::function<void(std::uint32_t jobId)> beforeJob;
   // Inside the checkpoint sink, right after the engine checkpoint was
   // atomically written ("mid-checkpoint-write" from the job's view: the
   // job is suspended on disk but far from done).
-  std::function<void(unsigned slot, std::uint32_t jobId)> onCheckpoint;
+  std::function<void(std::uint32_t jobId)> onCheckpoint;
 };
 
 // The fleet's settings on top of the run settings both runners share
@@ -122,7 +118,8 @@ struct FleetChaos {
 // shared store from the shared_cache.bin sidecar (written when a run
 // returns).
 struct FleetConfig : RunConfig {
-  unsigned processes = 1;  // worker processes to fork
+  // Worker processes to fork; a plan with fewer jobs forks one per job.
+  unsigned processes = 1;
   // --- Graceful suspend (the embed-able coordinator API) ---------------------
   // Polled by the coordinator between protocol rounds (~5x/s). Returning
   // true triggers a fleet-wide graceful suspend: every worker checkpoints
@@ -139,11 +136,12 @@ struct FleetConfig : RunConfig {
   bool installSigtermSuspend = false;
   // --- Live metrics plane (obs/metrics.hpp + obs/metrics_shm.hpp) -----------
   // Every fleet has one: each worker seqlock-publishes, into its slot of
-  // the plane at the status cadence and after every job, the stats of
-  // the jobs it finished plus the running engine's registries (engine,
-  // interpreter and solver counters with the per-layer solver latency
-  // histograms) and its jobs' phase profiles — the numbers the post-run
-  // merge folds, so live totals equal post-run totals. The coordinator
+  // the plane every 256 events of a running job and after every job,
+  // the stats of the jobs it finished plus the running engine's
+  // registries (engine, interpreter and solver counters with the
+  // per-layer solver latency histograms) and its jobs' phase profiles —
+  // the numbers the post-run merge folds, so live totals equal post-run
+  // totals. The coordinator
   // publishes its fleet.* counters into slot 0 and writes the merged
   // snapshot to the durable metrics.sde sidecar at the end. Purely
   // observational: a plane that cannot be made is logged and the run
@@ -152,16 +150,10 @@ struct FleetConfig : RunConfig {
   // The plane to publish into, owned by the caller, who made it before
   // calling runFleet (the workers inherit its mapping through fork) and
   // reads it while the fleet runs: sde_serve's daemon passes the plane
-  // of the job it forked this runner for. It needs at least
-  // processes + 1 slots (FleetError otherwise). Null: the fleet makes a
+  // of the job it forked this runner for. It needs a slot per worker
+  // process plus one (FleetError otherwise). Null: the fleet makes a
   // private plane of its own.
   obs::ShmMetricsPlane* metricsPlane = nullptr;
-  // Status-frame cadence, in processed events per worker.
-  std::uint64_t statusEveryEvents = 256;
-  // Initial shard leases as contiguous [lo, hi) job-id ranges, one per
-  // worker slot (tests use this to force skew). Empty = even split.
-  // Ranges must be disjoint and cover all jobs.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> initialLeases;
   FleetChaos chaos;
 };
 
@@ -183,15 +175,17 @@ struct FleetResult {
   std::uint32_t jobsDone = 0;
   std::uint32_t jobsSuspendedMidRun = 0;  // workers that checkpointed a
                                           // job in response to suspend
-  unsigned processes = 0;
-  std::uint64_t steals = 0;        // non-empty steal handoffs completed
+  unsigned processes = 0;  // worker processes forked at the start
+  // Always 0: workers lease one job at a time and steal none. Kept for
+  // perfbench's fleet.steals row.
+  std::uint64_t steals = 0;
   std::uint64_t workerDeaths = 0;  // unexpected worker exits
   std::uint64_t respawns = 0;      // replacement workers forked
   // Times each job ran an engine AND reported completion (jobs loaded
   // from .done files count 0; a worker killed mid-job reports nothing,
   // so its aborted attempt is invisible here). In a crash-free run
   // every executed job counts exactly 1 — the no-double-execution
-  // oracle of the stealing tests.
+  // oracle of the digest and lease tests.
   std::vector<std::uint32_t> executedCounts;
   // Merged metrics snapshot: the post-run merged StatsRegistry rendered
   // verbatim into the metrics value space —
@@ -207,10 +201,11 @@ struct FleetResult {
   std::uint64_t shmEntries = 0;
 };
 
-// Runs `plan` over config.processes forked workers. The factory is
-// called inside worker processes (and once in the coordinator for
-// validation-free setup paths); it must therefore not depend on state
-// the coordinator mutates after runFleet starts. Throws FleetError on
+// Runs `plan` over min(config.processes, jobs) forked workers. The
+// factory is called inside worker processes (and once in the
+// coordinator for validation-free setup paths); it must therefore not
+// depend on state the coordinator mutates after runFleet starts. Throws
+// FleetError on
 // coordination failures (fork/pipe errors, restart budget exhausted,
 // watchdog) and snapshot::SnapshotError on a foreign checkpoint
 // directory.

@@ -1,6 +1,7 @@
 #include "sde/parallel.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <filesystem>
@@ -19,7 +20,7 @@
 #include "snapshot/shared_cache_io.hpp"
 #include "support/hash.hpp"
 #include "support/logging.hpp"
-#include "support/thread_pool.hpp"
+#include "support/placed_threads.hpp"
 #include "vm/merge.hpp"
 
 namespace sde {
@@ -597,20 +598,17 @@ ParallelResult runPartitioned(const EngineFactory& factory,
     shared = snapshot::openSharedStore(
         resuming ? snapshot::sharedCachePath(config.checkpointDir) : "");
 
+  // The fleet's dispatch rule: an idle worker takes the lowest job id no
+  // worker holds.
   const unsigned workers = std::max<unsigned>(
       1, std::min<unsigned>(config.workers,
                             static_cast<unsigned>(plan.jobs.size())));
-  {
-    support::ThreadPool pool(workers);
-    for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-      pool.submit([&, i] {
-        result.jobs[i] =
-            runPartitionJob(factory, plan.jobs[i], config, shared.get())
-                .result;
-      });
-    }
-    pool.wait();
-  }
+  std::atomic<std::size_t> nextJob{0};
+  support::runPlaced(workers, [&](unsigned) {
+    for (std::size_t i = nextJob++; i < plan.jobs.size(); i = nextJob++)
+      result.jobs[i] =
+          runPartitionJob(factory, plan.jobs[i], config, shared.get()).result;
+  });
 
   // Leave the warm store behind, once, so a later resume (after a cap
   // abort, say) starts from everything the run solved. A hard crash

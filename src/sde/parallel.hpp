@@ -9,7 +9,8 @@
 // plan's variables forced through the engine's decision filter, so the
 // jobs explore disjoint slices of the legacy search tree and never
 // share mutable engine state — workers need no locks around engine
-// internals. A pool thread runs each job through runPartitionJob, the
+// internals. Worker threads (support::runPlaced) claim job ids from one
+// counter, lowest first, and run each job through runPartitionJob, the
 // job runner fleet workers use too (sde/fleet.hpp). The one
 // deliberately shared structure is the query store the runner attaches
 // to every job's solver: an anonymous shared mapping
@@ -123,7 +124,7 @@ struct RunConfig {
 };
 
 struct ParallelConfig : RunConfig {
-  unsigned workers = 1;  // thread-pool size (jobs stay sequential)
+  unsigned workers = 1;  // worker threads (jobs stay sequential)
 };
 
 // Everything observable about one finished partition job. All fields

@@ -6,9 +6,10 @@
 // one CPU and finish no sooner than one thread would. runPlaced binds
 // each helper it starts to a distinct CPU of the caller's affinity
 // mask, so the work spreads whether or not the kernel balances. It is
-// meant for one burst of independent work that ends before runPlaced
-// returns (the duplicate report's runs, sde/duplicates.hpp); the job
-// runners keep their unplaced ThreadPool.
+// the tree's one way to start worker threads, for a burst of
+// independent work that ends before runPlaced returns: the duplicate
+// report's runs (sde/duplicates.hpp) and the thread runner's workers
+// (sde/parallel.hpp).
 #pragma once
 
 #include <functional>

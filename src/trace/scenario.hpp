@@ -170,7 +170,8 @@ struct PartitionedCollectResult {
 // encoded scenario spec (with fleetConfig.collectTestcases) is recorded
 // in the run manifest so sde_fleet can resume the directory on its own.
 // Unlike runCollectPartitioned, no metric series is collected — the
-// fleet workers own the engine sampler for the steal/status protocol.
+// fleet workers own the engine sampler for their heartbeat and suspend
+// handling.
 [[nodiscard]] FleetResult runCollectFleet(const CollectScenarioConfig& config,
                                           FleetConfig fleetConfig,
                                           std::size_t numPartitionVariables);

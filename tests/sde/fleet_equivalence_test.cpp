@@ -1,6 +1,6 @@
 // Differential oracles for the multi-process fleet runner
 // (sde/fleet.hpp): the process count, the shared-memory query cache and
-// the execution mode (fleet processes vs thread pool vs one engine)
+// the execution mode (fleet processes vs threads vs one engine)
 // must all be unobservable in the exploration results.
 //
 //  - Digest matrix: {1, 2, 4, 8 processes} x {shm cache on/off} x
@@ -11,8 +11,8 @@
 //    thread runner's (shared caches off on both sides — with a live
 //    cache, per-query layer attribution in the trace is legitimately
 //    timing-dependent; digests are cache-invariant either way).
-//  - Crash-free accounting: every job executes exactly once, no steal
-//    or death machinery triggers spuriously.
+//  - Crash-free accounting: every job executes exactly once, no death
+//    machinery triggers spuriously.
 //
 // The fleet forks workers (no exec, no kills here); that is
 // sanitizer-safe, so unlike the chaos battery these tests run under the

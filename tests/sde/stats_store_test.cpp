@@ -1,6 +1,6 @@
 // The counter store across the engine's surfaces: histograms stay out of
 // checkpoints and .done files, the decoders of both accept series this
-// binary never wrote, and engines on pool threads intern shared and
+// binary never wrote, and engines on worker threads intern shared and
 // fresh names at the same time (the last runs under ThreadSanitizer in
 // scripts/verify.sh).
 #include <gtest/gtest.h>
@@ -12,8 +12,8 @@
 
 #include "sde/parallel.hpp"
 #include "snapshot/manifest.hpp"
+#include "support/placed_threads.hpp"
 #include "support/stats.hpp"
-#include "support/thread_pool.hpp"
 #include "trace/scenario.hpp"
 
 namespace sde {
@@ -121,7 +121,8 @@ TEST(StatsStore, DecodersAcceptSeriesThisBinaryNeverWrote) {
   EXPECT_EQ(resumed.engine().stats().all().count("engine.packets"), 0u);
 }
 
-// Eight engines on eight pool threads: their first writes intern the
+// Eight engines on eight worker threads (support::runPlaced, as the
+// thread runner starts them): their first writes intern the
 // engine's series concurrently (each statId site initialises once),
 // while every thread's sampler also interns names no other thread uses.
 TEST(StatsStore, EnginesOnEightPoolThreadsInternSharedAndFreshNames) {
@@ -130,24 +131,17 @@ TEST(StatsStore, EnginesOnEightPoolThreadsInternSharedAndFreshNames) {
   const EngineFactory factory = scenario.engineFactory();
   std::vector<std::map<std::string, std::uint64_t>> engineStats(kThreads);
   std::vector<StatsRegistry> samplerStats(kThreads);
-  {
-    support::ThreadPool pool(kThreads);
-    for (unsigned t = 0; t < kThreads; ++t) {
-      pool.submit([&, t] {
-        std::unique_ptr<Engine> engine = factory(PartitionJob{});
-        unsigned samples = 0;
-        engine->setSampler([&, t](const Engine&) {
-          samplerStats[t].add(StatsRegistry::id(
-              "stats_store.thread" + std::to_string(t) + ".sample" +
-              std::to_string(samples++ % 16)));
-        });
-        EXPECT_EQ(engine->run(smallGrid().simulationTime),
-                  RunOutcome::kCompleted);
-        engineStats[t] = engine->stats().all();
-      });
-    }
-    pool.wait();
-  }
+  support::runPlaced(kThreads, [&](unsigned t) {
+    std::unique_ptr<Engine> engine = factory(PartitionJob{});
+    unsigned samples = 0;
+    engine->setSampler([&, t](const Engine&) {
+      samplerStats[t].add(StatsRegistry::id(
+          "stats_store.thread" + std::to_string(t) + ".sample" +
+          std::to_string(samples++ % 16)));
+    });
+    EXPECT_EQ(engine->run(smallGrid().simulationTime), RunOutcome::kCompleted);
+    engineStats[t] = engine->stats().all();
+  });
   ASSERT_FALSE(engineStats[0].empty());
   for (unsigned t = 0; t < kThreads; ++t) {
     EXPECT_EQ(engineStats[t], engineStats[0]) << "thread " << t;

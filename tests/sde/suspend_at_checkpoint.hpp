@@ -22,7 +22,7 @@ inline void suspendAtFirstCheckpoint(FleetConfig& fleet,
   namespace fs = std::filesystem;
   const fs::path sentinel = dir / "suspend_now";
   const fs::path requested = dir / "suspend_requested";
-  fleet.chaos.onCheckpoint = [sentinel, requested](unsigned, std::uint32_t) {
+  fleet.chaos.onCheckpoint = [sentinel, requested](std::uint32_t) {
     std::ofstream(sentinel).put('x');
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);

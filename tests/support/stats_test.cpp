@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "support/thread_pool.hpp"
+#include "support/placed_threads.hpp"
 
 namespace sde::support {
 namespace {
@@ -230,7 +230,7 @@ TEST(Stats, ClearForgetsValuesButKeepsIds) {
   EXPECT_EQ(StatsRegistry::id("stats_test.clear.b"), c);
 }
 
-// The name table is the only structure registries share: pool threads,
+// The name table is the only structure registries share: worker threads,
 // each writing its own registry, intern shared and fresh names at once
 // and all agree on every id.
 TEST(Stats, PoolThreadsInternSharedAndFreshNamesConcurrently) {
@@ -238,23 +238,17 @@ TEST(Stats, PoolThreadsInternSharedAndFreshNamesConcurrently) {
   constexpr unsigned kNames = 64;
   std::vector<StatsRegistry> registries(kThreads);
   std::vector<std::vector<Id>> sharedIds(kThreads);
-  {
-    ThreadPool pool(kThreads);
-    for (unsigned t = 0; t < kThreads; ++t) {
-      pool.submit([&, t] {
-        for (unsigned n = 0; n < kNames; ++n) {
-          const Id shared =
-              StatsRegistry::id("stats_test.pool.shared." + std::to_string(n));
-          sharedIds[t].push_back(shared);
-          registries[t].add(shared, t + 1);
-          registries[t].add(StatsRegistry::id("stats_test.pool.t" +
-                                              std::to_string(t) + "." +
-                                              std::to_string(n)));
-        }
-      });
+  runPlaced(kThreads, [&](unsigned t) {
+    for (unsigned n = 0; n < kNames; ++n) {
+      const Id shared =
+          StatsRegistry::id("stats_test.pool.shared." + std::to_string(n));
+      sharedIds[t].push_back(shared);
+      registries[t].add(shared, t + 1);
+      registries[t].add(StatsRegistry::id("stats_test.pool.t" +
+                                          std::to_string(t) + "." +
+                                          std::to_string(n)));
     }
-    pool.wait();
-  }
+  });
   StatsRegistry total;
   for (unsigned t = 0; t < kThreads; ++t) {
     EXPECT_EQ(sharedIds[t], sharedIds[0]);

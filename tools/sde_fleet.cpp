@@ -131,8 +131,6 @@ void printFleetResult(const FleetResult& fleet, bool sharing) {
               static_cast<unsigned long long>(result.totalEvents));
   std::printf("owned scenarios    %llu\n",
               static_cast<unsigned long long>(result.totalScenariosOwned));
-  std::printf("steals             %llu\n",
-              static_cast<unsigned long long>(fleet.steals));
   std::printf("worker deaths      %llu (respawns %llu)\n",
               static_cast<unsigned long long>(fleet.workerDeaths),
               static_cast<unsigned long long>(fleet.respawns));
