@@ -56,6 +56,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_shm.hpp"
 #include "obs/profiler.hpp"
@@ -66,6 +67,12 @@
 #include "trace/table.hpp"
 
 namespace {
+
+constexpr const char* kUsage =
+    "bench_fig10 [--nodes 25|49|100] [--time T] [--wall-cap SECONDS] "
+    "[--outdir DIR] [--paper] [--checkpoint-dir DIR] [--resume] "
+    "[--trace-out DIR] [--fleet N] [--metrics] [--merge] "
+    "[--loop-summarize] [--phase-profile]";
 
 struct Options {
   std::vector<std::uint32_t> nodeCounts = {25, 49, 100};
@@ -90,8 +97,11 @@ Options parseArgs(int argc, char** argv) {
   Options options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> std::uint64_t {
-      return i + 1 < argc ? std::strtoull(argv[++i], nullptr, 10) : 0;
+    const auto next = [&] {
+      return sde::bench::flagNumber(argc, argv, i, kUsage);
+    };
+    const auto text = [&] {
+      return sde::bench::flagValue(argc, argv, i, kUsage);
     };
     if (arg == "--nodes")
       options.nodeCounts = {static_cast<std::uint32_t>(next())};
@@ -99,16 +109,16 @@ Options parseArgs(int argc, char** argv) {
       options.simulationTime = next();
     else if (arg == "--wall-cap")
       options.wallCap = static_cast<double>(next());
-    else if (arg == "--outdir" && i + 1 < argc)
-      options.outdir = argv[++i];
+    else if (arg == "--outdir")
+      options.outdir = text();
     else if (arg == "--paper")
       options.paper = true;
-    else if (arg == "--checkpoint-dir" && i + 1 < argc)
-      options.checkpointDir = argv[++i];
+    else if (arg == "--checkpoint-dir")
+      options.checkpointDir = text();
     else if (arg == "--resume")
       options.resume = true;
-    else if (arg == "--trace-out" && i + 1 < argc)
-      options.traceDir = argv[++i];
+    else if (arg == "--trace-out")
+      options.traceDir = text();
     else if (arg == "--fleet")
       options.fleet = static_cast<unsigned>(next());
     else if (arg == "--metrics")
@@ -120,7 +130,7 @@ Options parseArgs(int argc, char** argv) {
     else if (arg == "--phase-profile")
       options.phaseProfile = true;
     else
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      sde::bench::usageError(kUsage, arg.c_str());
   }
   return options;
 }

@@ -31,12 +31,17 @@
 #include <unistd.h>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "sde/explode.hpp"
 #include "sde/fleet.hpp"
 #include "trace/scenario.hpp"
 #include "trace/table.hpp"
 
 namespace {
+
+constexpr const char* kUsage =
+    "bench_parallel [--nodes 25|49|100] [--time T] [--vars B] "
+    "[--mapper sds|cow|all] [--fleet N]";
 
 struct Options {
   std::uint32_t nodes = 49;
@@ -50,8 +55,11 @@ Options parseArgs(int argc, char** argv) {
   Options options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> std::uint64_t {
-      return i + 1 < argc ? std::strtoull(argv[++i], nullptr, 10) : 0;
+    const auto next = [&] {
+      return sde::bench::flagNumber(argc, argv, i, kUsage);
+    };
+    const auto text = [&] {
+      return sde::bench::flagValue(argc, argv, i, kUsage);
     };
     if (arg == "--nodes")
       options.nodes = static_cast<std::uint32_t>(next());
@@ -59,12 +67,12 @@ Options parseArgs(int argc, char** argv) {
       options.simulationTime = next();
     else if (arg == "--vars")
       options.vars = static_cast<std::size_t>(next());
-    else if (arg == "--mapper" && i + 1 < argc)
-      options.mapper = argv[++i];
+    else if (arg == "--mapper")
+      options.mapper = text();
     else if (arg == "--fleet")
       options.fleet = static_cast<unsigned>(next());
     else
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      sde::bench::usageError(kUsage, arg.c_str());
   }
   return options;
 }

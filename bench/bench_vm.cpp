@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "solver/solver.hpp"
 #include "trace/csv.hpp"
 #include "trace/table.hpp"
@@ -42,6 +43,9 @@
 namespace {
 
 using namespace sde;
+
+constexpr const char* kUsage =
+    "bench_vm [--outdir DIR] [--events N] [--arena-nodes N]";
 
 struct Options {
   std::string outdir = "bench_results";
@@ -53,17 +57,20 @@ Options parseArgs(int argc, char** argv) {
   Options options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> std::uint64_t {
-      return i + 1 < argc ? std::strtoull(argv[++i], nullptr, 10) : 0;
+    const auto next = [&] {
+      return bench::flagNumber(argc, argv, i, kUsage);
     };
-    if (arg == "--outdir" && i + 1 < argc)
-      options.outdir = argv[++i];
+    const auto text = [&] {
+      return bench::flagValue(argc, argv, i, kUsage);
+    };
+    if (arg == "--outdir")
+      options.outdir = text();
     else if (arg == "--events")
       options.events = next();
     else if (arg == "--arena-nodes")
       options.arenaNodes = next();
     else
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      bench::usageError(kUsage, arg.c_str());
   }
   return options;
 }

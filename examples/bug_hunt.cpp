@@ -48,7 +48,7 @@ void hunt(const char* label, bool failOnDup, bool failOnLoss,
     ++failures;
     if (failures > 3) continue;  // show the first three witnesses
     std::printf("\nBUG FOUND on node %u: %s\n", state->node(),
-                state->failureMessage.c_str());
+                state->cold().failureMessage.c_str());
     // A local test case covers only this node's own symbolic inputs; the
     // *distributed* root cause (e.g. the relay's failure decision) lives
     // in the other members of a dscenario containing this state. Solve

@@ -60,6 +60,14 @@ python3 -c "import json,sys; json.load(open(sys.argv[1]))" \
   "$TRACE_SMOKE/table1_SDS.json" 2>/dev/null \
   || echo "(python3 unavailable: skipped JSON well-formedness check)"
 
+echo "=== bench argument smoke: a mistyped flag is a usage error ==="
+# An unknown flag must stop the bench (exit 64) rather than run the
+# default workload under it.
+if ./build/bench/bench_parallel --node 25 >/dev/null 2>&1; then
+  echo "bench_parallel --node 25 ran instead of failing"
+  exit 1
+fi
+
 echo "=== solver smoke: every pipeline layer sees traffic on the example scenario ==="
 run_filtered ./build/tests/sde_tests 'SolverSmokeTest.*'
 
@@ -329,8 +337,9 @@ cmake --build build-release -j"$(nproc)"
 echo "=== release: ctest ==="
 ctest --test-dir build-release --output-on-failure -j"$(nproc)"
 
-echo "=== release: PVector/CowVec model oracle ==="
+echo "=== release: PVector/CowVec and AddressSpace model oracles ==="
 ./build-release/tests/pvector_model_tests
+./build-release/tests/memory_model_tests
 
 echo "=== release: shared query store property battery, repeated ==="
 # Concurrent writers racing on one key must publish it once: repeat the
@@ -400,10 +409,11 @@ echo "=== asan: merge-on vs merge-off differential battery ==="
 # reaps states in place — exactly where lifetime bugs would hide).
 ./build-asan/tests/merge_tests
 
-echo "=== asan: PVector/CowVec model oracle ==="
-# Copies share chunks and payloads: aliasing and block lifetimes are
-# exactly what ASan checks.
+echo "=== asan: PVector/CowVec and AddressSpace model oracles ==="
+# Copies share chunks, tails, object tables and payloads: aliasing and
+# block lifetimes are exactly what ASan checks.
 ./build-asan/tests/pvector_model_tests
+./build-asan/tests/memory_model_tests
 
 echo "=== asan: memory ledger oracle battery ==="
 # Blocks bill the ledger from creation to destruction and keep it alive
@@ -440,5 +450,9 @@ echo "=== ubsan: dispatch-mode differential battery ==="
 
 echo "=== ubsan: test-generation differential battery ==="
 ./build-ubsan/tests/testgen_tests
+
+echo "=== ubsan: PVector/CowVec and AddressSpace model oracles ==="
+./build-ubsan/tests/pvector_model_tests
+./build-ubsan/tests/memory_model_tests
 
 echo "=== verify: all green ==="

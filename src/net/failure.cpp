@@ -9,8 +9,9 @@ namespace {
 // counter, so the counter doubles as the per-node failure budget.
 std::uint32_t injectedSoFar(const vm::ExecutionState& state,
                             const char* label) {
-  const auto it = state.symbolicCounters.find(label);
-  return it == state.symbolicCounters.end() ? 0 : it->second;
+  const auto& counters = state.cold().symbolicCounters;
+  const auto it = counters.find(label);
+  return it == counters.end() ? 0 : it->second;
 }
 
 }  // namespace

@@ -17,7 +17,8 @@ void reboot(expr::Context& ctx, vm::ExecutionState& state, std::uint64_t now) {
   for (std::uint64_t i = 0; i < globals; ++i)
     state.space.store(vm::kGlobalsObject, i, ctx.constant(0, 64));
   state.pendingEvents.clear();
-  state.activeTimers.clear();
+  if (!state.cold().activeTimers.empty())
+    state.mutableCold().activeTimers.clear();
   vm::PendingEvent boot;
   boot.time = now;
   boot.kind = vm::EventKind::kBoot;

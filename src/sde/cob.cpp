@@ -42,7 +42,8 @@ namespace {
 bool bystandersEqual(const ExecutionState& a, const ExecutionState& b) {
   if (&a.program() != &b.program()) return false;
   if (a.status != b.status) return false;
-  if (!a.mergeGuards.empty() || !b.mergeGuards.empty()) return false;
+  if (!a.cold().mergeGuards.empty() || !b.cold().mergeGuards.empty())
+    return false;
   if (a.symbolics.size() != b.symbolics.size()) return false;
   for (std::size_t i = 0; i < a.symbolics.size(); ++i)
     if (a.symbolics[i] != b.symbolics[i]) return false;

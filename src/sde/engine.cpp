@@ -273,7 +273,7 @@ Engine::FailureVariable Engine::makeFailureVariable(ExecutionState& state,
   // Mirrors the interpreter's kSymbolic naming so failure decisions are
   // first-class symbolic inputs in generated test cases.
   const std::string key(label);
-  const std::uint32_t n = state.symbolicCounters[key]++;
+  const std::uint32_t n = state.mutableCold().symbolicCounters[key]++;
   std::string name = "n" + std::to_string(state.node()) + "." + key + "." +
                      std::to_string(n);
   const expr::Ref var = ctx_.variable(name, 1);
@@ -517,11 +517,11 @@ std::uint64_t Engine::loopSignature(const ExecutionState& state,
   h.u64(state.commLog.contentChainHash());
   h.u64(state.commLog.strictChainHash());
   h.u64(state.symbolics.size());
-  h.u64(state.mergeGuards.size());
+  h.u64(state.cold().mergeGuards.size());
   h.u64(state.pendingEvents.contentHash());
   h.u64(state.pendingEvents.strictRecvHash());
   for (const expr::Ref& r : state.regs_) h.u64(r == nullptr ? 0 : r->hash());
-  for (const auto& [timer, seq] : state.activeTimers) {
+  for (const auto& [timer, seq] : state.cold().activeTimers) {
     if (timer == timerId) continue;  // its seq advances every re-arm
     h.u64(timer);
     h.u64(seq);
@@ -545,7 +545,7 @@ bool Engine::tryLoopFastPath(ExecutionState& state,
   next.kind = vm::EventKind::kTimer;
   next.a = timerId;
   next.seq = state.nextEventSeq++;
-  state.activeTimers[timerId] = next.seq;
+  state.mutableCold().activeTimers[timerId] = next.seq;
   state.pendingEvents.push_back(std::move(next));
   state.executedInstructions += entry.instructions;
   stats_.add(statId<"engine.loop_summaries">());

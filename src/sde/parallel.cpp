@@ -99,7 +99,7 @@ bool decomposable(const GroupMembers& group, const expr::Context& ctx) {
   std::unordered_map<expr::Ref, NodeId> constrainedUnder;
   for (NodeId node = 0; node < group.size(); ++node) {
     for (MemberMemo* member : group[node]) {
-      if (!member->state()->mergeGuards.empty()) return false;
+      if (!member->state()->cold().mergeGuards.empty()) return false;
       for (const expr::Ref var : member->variables(ctx)) {
         const auto [it, fresh] = constrainedUnder.try_emplace(var, node);
         if (!fresh && it->second != node) return false;
@@ -427,7 +427,8 @@ std::vector<std::string> expandedScenarioTestcases(
     // scenario and renders the same placeholder.
     bool phantom = false;
     for (const ExecutionState* member : scenario) {
-      if (member->mergeGuards.empty()) continue;  // real explored state
+      // A real explored state.
+      if (member->cold().mergeGuards.empty()) continue;
       items.clear();
       const bool expanded = expansion.expandItems(*member, assignment, items);
       SDE_ASSERT(expanded, "viable assignment must expand every member");

@@ -11,7 +11,7 @@ TestCase buildFromModel(const ExecutionState& state,
   TestCase testCase;
   testCase.state = state.id();
   testCase.node = state.node();
-  testCase.failureMessage = state.failureMessage;
+  testCase.failureMessage = state.cold().failureMessage;
   testCase.inputs.reserve(state.symbolics.size());
   for (expr::Ref var : state.symbolics) {
     // Inputs unconstrained on this path may take any value; 0 is the

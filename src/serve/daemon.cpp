@@ -173,24 +173,22 @@ void Daemon::schedule() {
         std::chrono::duration<double>(now - runner.lastCharge).count();
     runner.lastCharge = now;
     const JobRecord& record = jobs_.at(jobId);
-    scheduler_.charge(record.spec.tenant,
-                      seconds * record.spec.processes);
+    const double slotSeconds = seconds * fleetWorkersOf(record.spec);
+    scheduler_.charge(record.spec.tenant, slotSeconds);
     metrics_.add(tenantSeries(record.spec.tenant, "run_slot_ms"),
-                 static_cast<std::uint64_t>(seconds *
-                                            record.spec.processes * 1000.0));
+                 static_cast<std::uint64_t>(slotSeconds * 1000.0));
   }
 
   std::vector<SchedJob> waiting;
   std::vector<SchedJob> runningJobs;
   for (const auto& [jobId, record] : jobs_) {
+    const bool running = running_.count(jobId) > 0;
+    if (!running && record.state != JobState::kQueued &&
+        record.state != JobState::kSuspended)
+      continue;
     const SchedJob entry{jobId, record.spec.tenant, record.spec.priority,
-                         record.spec.processes};
-    if (running_.count(jobId) > 0) {
-      runningJobs.push_back(entry);
-    } else if (record.state == JobState::kQueued ||
-               record.state == JobState::kSuspended) {
-      waiting.push_back(entry);
-    }
+                         fleetWorkersOf(record.spec)};
+    (running ? runningJobs : waiting).push_back(entry);
   }
   const ScheduleDecision decision = scheduler_.decide(waiting, runningJobs);
   for (const std::uint64_t jobId : decision.preempt) preemptJob(jobId);
@@ -207,8 +205,9 @@ void Daemon::refreshSlotGauges() {
   std::uint64_t total = 0;
   for (const auto& [jobId, runner] : running_) {
     const JobRecord& record = jobs_.at(jobId);
-    inUse[record.spec.tenant] += record.spec.processes;
-    total += record.spec.processes;
+    const std::uint32_t workers = fleetWorkersOf(record.spec);
+    inUse[record.spec.tenant] += workers;
+    total += workers;
   }
   metrics_.set(StatsRegistry::id("serve.slots_in_use", MetricKind::kGauge),
                total);
@@ -227,7 +226,7 @@ void Daemon::startJob(std::uint64_t jobId) {
   // The job's plane, made before the fork so that the runner's fleet
   // workers inherit it: one slot per worker plus the coordinator's.
   obs::ShmMetricsConfig planeConfig;
-  planeConfig.slots = record.spec.processes + 1;
+  planeConfig.slots = fleetWorkersOf(record.spec) + 1;
   try {
     runner.plane = std::make_unique<obs::ShmMetricsPlane>(planeConfig);
   } catch (const support::SharedMappingError& e) {
@@ -287,7 +286,7 @@ JobStatus Daemon::statusOf(const JobRecord& record) {
   status.jobId = record.id;
   status.tenant = record.spec.tenant;
   status.priority = record.spec.priority;
-  status.processes = record.spec.processes;
+  status.processes = fleetWorkersOf(record.spec);
   status.state =
       running_.count(record.id) > 0 ? JobState::kRunning : record.state;
   status.partsTotal = fleetJobsOf(record.spec);

@@ -7,6 +7,7 @@
 #include <sys/prctl.h>
 #endif
 
+#include <algorithm>
 #include <csignal>
 #include <exception>
 #include <fstream>
@@ -95,6 +96,11 @@ std::uint32_t fleetJobsOf(const JobSpec& spec) {
   const auto decoded = trace::decodeCollectScenarioSpec(spec.scenarioSpec);
   if (!decoded) return 0;
   return 1u << decoded->numPartitionVariables;
+}
+
+std::uint32_t fleetWorkersOf(const JobSpec& spec) {
+  const std::uint32_t jobs = fleetJobsOf(spec);
+  return jobs == 0 ? spec.processes : std::min(spec.processes, jobs);
 }
 
 int runJobInProcess(const fs::path& jobDir, const JobSpec& spec,

@@ -54,4 +54,9 @@ inline constexpr int kRunnerLocked = 5;
 // undecodable spec. The daemon uses it for progress fractions.
 [[nodiscard]] std::uint32_t fleetJobsOf(const JobSpec& spec);
 
+// Worker processes the job's fleet forks: min(spec.processes,
+// fleetJobsOf(spec)), or spec.processes for a spec that no longer
+// decodes. The daemon charges, schedules and reports a job by it.
+[[nodiscard]] std::uint32_t fleetWorkersOf(const JobSpec& spec);
+
 }  // namespace sde::serve

@@ -447,10 +447,11 @@ support::PVector<T> readSequence(Reader& in, const ChunkRefs<T>& table,
 void writeState(Writer& out, const ExecutionState& state,
                 const std::unordered_map<const void*, std::uint64_t>& blobOf,
                 const SharedTables& tables) {
+  const vm::ColdFields& cold = state.cold();
   out.u64(state.id());
   out.u32(state.node());
   out.u8(static_cast<std::uint8_t>(state.status));
-  out.str(state.failureMessage);
+  out.str(cold.failureMessage);
   out.u64(state.clock);
   out.u64(state.pc);
 
@@ -480,8 +481,8 @@ void writeState(Writer& out, const ExecutionState& state,
                                         queuePayload.get()));
   out.u64(state.nextEventSeq);
 
-  out.u64(state.activeTimers.size());
-  for (const auto& [timer, seq] : state.activeTimers) {
+  out.u64(cold.activeTimers.size());
+  for (const auto& [timer, seq] : cold.activeTimers) {
     out.u32(timer);
     out.u64(seq);
   }
@@ -498,8 +499,8 @@ void writeState(Writer& out, const ExecutionState& state,
 
   writeSequence(out, state.symbolics, tables.refs, writeRefElem);
 
-  out.u64(state.symbolicCounters.size());
-  for (const auto& [label, next] : state.symbolicCounters) {
+  out.u64(cold.symbolicCounters.size());
+  for (const auto& [label, next] : cold.symbolicCounters) {
     out.str(label);
     out.u32(next);
   }
@@ -508,8 +509,8 @@ void writeState(Writer& out, const ExecutionState& state,
 
   // v5: the merge side tables. Merge tokens and the mergedAway flag are
   // transient (checkpoints fire between events, when both are vacuous).
-  out.u64(state.mergeGuards.size());
-  for (const vm::MergeGuard& guard : state.mergeGuards)
+  out.u64(cold.mergeGuards.size());
+  for (const vm::MergeGuard& guard : cold.mergeGuards)
     writeMergeGuard(out, guard);
 }
 
@@ -530,7 +531,10 @@ void readStateBody(
   if (status > static_cast<std::uint8_t>(vm::StateStatus::kKilled))
     throw SnapshotError("unknown state status in checkpoint");
   state.status = static_cast<vm::StateStatus>(status);
-  state.failureMessage = in.str();
+  // The cold fields get a block of their own (a restore does not rebuild
+  // the sharing between states' blocks).
+  vm::ColdFields cold;
+  cold.failureMessage = in.str();
   state.clock = in.u64();
   state.pc = in.u64();
 
@@ -540,15 +544,21 @@ void readStateBody(
 
   for (expr::Ref& reg : state.regs_) reg = readRef(in, ctx);
 
+  // The object table: ids strictly ascending (so none repeats) and
+  // each below the allocator, which would otherwise hand it out again.
   const std::uint64_t nextObjectId = in.u64();
   const std::uint64_t numObjects = in.u64();
   vm::AddressSpace::Objects objects;
   for (std::uint64_t i = 0; i < numObjects; ++i) {
     const std::uint64_t objectId = in.u64();
     const std::uint64_t blob = in.u64();
+    if (!objects.empty() && objectId <= objects.back().first)
+      throw SnapshotError("state object ids repeat or are out of order");
+    if (objectId >= nextObjectId)
+      throw SnapshotError("state object id at or above its next object id");
     if (blob >= blobs.size())
       throw SnapshotError("state references an unknown memory blob");
-    objects.emplace(objectId, blobs[blob]);
+    objects.emplace_back(objectId, blobs[blob]);
   }
   state.space.restoreSnapshot(std::move(objects), nextObjectId);
 
@@ -569,7 +579,7 @@ void readStateBody(
   const std::uint64_t timers = in.u64();
   for (std::uint64_t i = 0; i < timers; ++i) {
     const std::uint32_t timer = in.u32();
-    state.activeTimers[timer] = in.u64();
+    cold.activeTimers[timer] = in.u64();
   }
 
   state.commLog.restoreSnapshot(
@@ -584,14 +594,15 @@ void readStateBody(
   const std::uint64_t counters = in.u64();
   for (std::uint64_t i = 0; i < counters; ++i) {
     const std::string label = in.str();
-    state.symbolicCounters[label] = in.u32();
+    cold.symbolicCounters[label] = in.u32();
   }
 
   state.executedInstructions = in.u64();
 
   const std::uint64_t guards = in.u64();
   for (std::uint64_t i = 0; i < guards; ++i)
-    state.mergeGuards.push_back(readMergeGuard(in, ctx));
+    cold.mergeGuards.push_back(readMergeGuard(in, ctx));
+  state.mutableCold() = std::move(cold);
 }
 
 void writeQueryCache(Writer& out, const solver::QueryCache& cache) {

@@ -8,11 +8,13 @@
 // objects, extended to sequences:
 //
 //  * PVector<T>  — an append-only sequence stored as immutable, shared
-//    chunks of kChunkCapacity elements plus a small mutable tail.
+//    chunks of kChunkCapacity elements plus a small unsealed tail.
 //    Copying shares every sealed chunk (one shared_ptr spine copy) and
-//    clones only the tail (< kChunkCapacity elements), so a fork costs
-//    O(1) in the sequence length. Sealing a full tail copies the spine
-//    pointer array — amortised one pointer per push.
+//    the tail (one more reference); the first push after a copy clones
+//    the tail (< kChunkCapacity elements, at its exact size), so a fork
+//    costs O(1) in the sequence length and copies nothing until one side
+//    appends. Sealing a full tail copies the spine pointer array —
+//    amortised one pointer per push.
 //
 //  * CowVec<T>   — a random-access sequence shared whole-sale between
 //    copies; the first mutation after a copy clones the payload (the
@@ -22,11 +24,14 @@
 // Both containers keep their shared payloads in billed blocks
 // (support::BilledVector), which the engine's memory ledger meters from
 // creation to destruction; the audit walk (accountBytes) charges each
-// block once through a SeenSet. A copy shares chunks or the payload and
-// does nothing else: no process-wide state is read or written, so
-// workers on different threads fork without touching a common cache
-// line. tests/support/pvector_model_test.cpp holds both containers to a
-// std::vector model.
+// block once through a SeenSet. A PVector tail is not a billed block:
+// the meter prices it in every copy's private bytes, shared or not, so
+// the paper-model RAM does not depend on when a tail is cloned. A copy
+// shares chunks, the tail or the payload and does nothing else: no
+// process-wide state is read or written, so workers on different
+// threads fork without touching a common cache line (sharing stays
+// within one engine). tests/support/pvector_model_test.cpp holds both
+// containers to a std::vector model.
 #pragma once
 
 #include <algorithm>
@@ -58,16 +63,17 @@ class PVector {
   static constexpr std::size_t chunkCapacity() { return kChunkCapacity; }
 
   void push_back(T value) {
-    tail_.push_back(std::move(value));
-    if (tail_.size() == kChunkCapacity) seal();
+    std::vector<T>& tail = writableTail();
+    tail.push_back(std::move(value));
+    if (tail.size() == kChunkCapacity) seal();
   }
 
-  [[nodiscard]] std::size_t size() const { return sealedSize() + tail_.size(); }
+  [[nodiscard]] std::size_t size() const { return sealedSize() + tailSize(); }
   [[nodiscard]] bool empty() const { return size() == 0; }
 
   [[nodiscard]] const T& operator[](std::size_t i) const {
     const std::size_t sealed = sealedSize();
-    if (i >= sealed) return tail_[i - sealed];
+    if (i >= sealed) return (*tail_)[i - sealed];
     return (*(*spine_)[i / kChunkCapacity])[i % kChunkCapacity];
   }
   [[nodiscard]] const T& back() const {
@@ -115,24 +121,28 @@ class PVector {
   [[nodiscard]] const_iterator end() const { return {this, size()}; }
 
   // --- Fork-cost observability ------------------------------------------------
-  // Elements a copy of this container deep-copies right now: the tail.
-  // This is the deterministic per-state quantity the engine's fork
+  // Elements a copy of this container defers copying: the tail, which
+  // the copy shares until either side pushes (then that side clones
+  // it). This is the deterministic per-state quantity the engine's fork
   // counters and kStateFork trace records carry.
-  [[nodiscard]] std::uint64_t copyCostElements() const { return tail_.size(); }
+  [[nodiscard]] std::uint64_t copyCostElements() const { return tailSize(); }
   // Chunk references a copy shares instead of cloning.
   [[nodiscard]] std::uint64_t sharedChunksOnCopy() const { return numChunks(); }
   [[nodiscard]] std::size_t numChunks() const {
     return spine_ == nullptr ? 0 : spine_->size();
   }
-  [[nodiscard]] std::size_t tailSize() const { return tail_.size(); }
+  [[nodiscard]] std::size_t tailSize() const {
+    return tail_ == nullptr ? 0 : tail_->size();
+  }
 
   // --- Memory accounting ------------------------------------------------------
-  // Bytes billed to this container alone: the tail and one spine entry
-  // per chunk, as a deterministic function of the shape (sizes, not
-  // capacities), so the total survives checkpoint/restore byte-for-byte.
-  // The chunks are billed blocks, metered by the ledger.
+  // Bytes billed to this container alone: the tail (in every copy that
+  // shares it) and one spine entry per chunk, as a deterministic
+  // function of the shape (sizes, not capacities), so the total survives
+  // checkpoint/restore byte-for-byte. The chunks are billed blocks,
+  // metered by the ledger.
   [[nodiscard]] std::uint64_t privateBytes() const {
-    return tail_.size() * sizeof(T) + numChunks() * sizeof(void*);
+    return tailSize() * sizeof(T) + numChunks() * sizeof(void*);
   }
   // The audit walk: private bytes plus every chunk `seen` meets first.
   [[nodiscard]] std::uint64_t accountBytes(SeenSet& seen) const {
@@ -149,23 +159,49 @@ class PVector {
   // table (exactly like AddressSpace memory blobs) so that structural
   // sharing — and with it the memory accounting — survives restore.
   [[nodiscard]] const Spine* spine() const { return spine_.get(); }
-  [[nodiscard]] const std::vector<T>& tail() const { return tail_; }
+  [[nodiscard]] const std::vector<T>& tail() const {
+    return tail_ == nullptr ? emptyTail() : *tail_;
+  }
   void restoreSnapshot(std::shared_ptr<const Spine> spine,
                        std::vector<T> tail) {
     SDE_ASSERT(empty(), "restoreSnapshot needs an empty PVector");
     SDE_ASSERT(tail.size() < kChunkCapacity, "restored tail over-full");
     spine_ = std::move(spine);
-    tail_ = std::move(tail);
+    if (!tail.empty())
+      tail_ = std::make_shared<std::vector<T>>(std::move(tail));
   }
 
  private:
+  static const std::vector<T>& emptyTail() {
+    static const std::vector<T> empty;
+    return empty;
+  }
+
   [[nodiscard]] std::size_t sealedSize() const {
     return numChunks() * kChunkCapacity;
   }
 
+  // The tail, ours alone, with room for one more element: a fresh one,
+  // or a clone of a shared one at its exact size plus that element (a
+  // clone reserved to a full chunk would cost every unsharing push heap
+  // it mostly never fills).
+  std::vector<T>& writableTail() {
+    if (tail_ == nullptr) {
+      tail_ = std::make_shared<std::vector<T>>();
+    } else if (tail_.use_count() > 1) {
+      auto clone = std::make_shared<std::vector<T>>();
+      clone->reserve(tail_->size() + 1);
+      clone->assign(tail_->begin(), tail_->end());
+      tail_ = std::move(clone);
+    }
+    return *tail_;
+  }
+
+  // Moves the full tail into a chunk (the tail is ours: push_back made
+  // it writable) and starts the next one empty.
   void seal() {
-    auto chunk = std::make_shared<const Chunk>(std::move(tail_));
-    tail_.clear();
+    auto chunk = std::make_shared<const Chunk>(std::move(*tail_));
+    tail_ = nullptr;
     auto spine = std::make_shared<Spine>();
     spine->reserve(numChunks() + 1);
     if (spine_ != nullptr) *spine = *spine_;
@@ -174,7 +210,9 @@ class PVector {
   }
 
   std::shared_ptr<const Spine> spine_;  // null = no sealed chunks yet
-  std::vector<T> tail_;                 // < kChunkCapacity elements
+  // < kChunkCapacity elements, shared by copies until one pushes; null
+  // when empty.
+  std::shared_ptr<std::vector<T>> tail_;
 };
 
 // --- CowVec ------------------------------------------------------------------

@@ -73,7 +73,7 @@ void Interpreter::setReg(ExecutionState& state, std::uint8_t index,
 
 void Interpreter::kill(ExecutionState& state, std::string_view why) {
   state.status = StateStatus::kKilled;
-  state.failureMessage = std::string(why);
+  state.mutableCold().failureMessage = std::string(why);
   stats_.add(statId<"vm.killed">());
 }
 
@@ -311,7 +311,8 @@ bool Interpreter::step(ExecutionState& state, EffectSink& sink,
       return false;
     case Op::kFail:
       state.status = StateStatus::kFailed;
-      state.failureMessage = std::string(state.program().string(ins.str));
+      state.mutableCold().failureMessage =
+          std::string(state.program().string(ins.str));
       stats_.add(statId<"vm.failures">());
       return false;
     case Op::kAlloc: {
@@ -362,7 +363,8 @@ bool Interpreter::step(ExecutionState& state, EffectSink& sink,
     }
     case Op::kSymbolic: {
       const std::string label(state.program().string(ins.str));
-      const std::uint32_t n = state.symbolicCounters[label]++;
+      const std::uint32_t n =
+          state.mutableCold().symbolicCounters[label]++;
       const std::string name = "n" + std::to_string(state.node()) + "." +
                                label + "." + std::to_string(n);
       const expr::Ref var =
@@ -420,7 +422,7 @@ bool Interpreter::step(ExecutionState& state, EffectSink& sink,
       event.kind = EventKind::kTimer;
       event.a = timerId;
       event.seq = state.nextEventSeq++;
-      state.activeTimers[timerId] = event.seq;
+      state.mutableCold().activeTimers[timerId] = event.seq;
       state.pendingEvents.push_back(std::move(event));
       break;
     }
@@ -431,7 +433,7 @@ bool Interpreter::step(ExecutionState& state, EffectSink& sink,
       state.pendingEvents.eraseIf([&](const PendingEvent& e) {
         return e.kind == EventKind::kTimer && e.a == timerId;
       });
-      state.activeTimers.erase(timerId);
+      state.mutableCold().activeTimers.erase(timerId);
       break;
     }
     case Op::kSelf:
@@ -685,7 +687,8 @@ dispatch_top:
 
   OPCASE(kFail) {
     state.status = StateStatus::kFailed;
-    state.failureMessage = std::string(state.program().string(d->str));
+    state.mutableCold().failureMessage =
+        std::string(state.program().string(d->str));
     stats_.add(statId<"vm.failures">());
     goto done;
   }
@@ -746,7 +749,8 @@ dispatch_top:
 
   OPCASE(kSymbolic) {
     const std::string label(state.program().string(d->str));
-    const std::uint32_t n = state.symbolicCounters[label]++;
+    const std::uint32_t n =
+        state.mutableCold().symbolicCounters[label]++;
     const std::string name = "n" + std::to_string(state.node()) + "." + label +
                              "." + std::to_string(n);
     const expr::Ref var = ctx.variable(name, static_cast<unsigned>(d->imm));
@@ -809,7 +813,7 @@ dispatch_top:
     event.kind = EventKind::kTimer;
     event.a = timerId;
     event.seq = state.nextEventSeq++;
-    state.activeTimers[timerId] = event.seq;
+    state.mutableCold().activeTimers[timerId] = event.seq;
     state.pendingEvents.push_back(std::move(event));
     ++pc;
     DISPATCH();
@@ -822,7 +826,7 @@ dispatch_top:
     state.pendingEvents.eraseIf([&](const PendingEvent& e) {
       return e.kind == EventKind::kTimer && e.a == timerId;
     });
-    state.activeTimers.erase(timerId);
+    state.mutableCold().activeTimers.erase(timerId);
     ++pc;
     DISPATCH();
   }
@@ -1007,7 +1011,8 @@ void Interpreter::noteForkTokens(ExecutionState& child) {
 }
 
 bool Interpreter::needsGuardSplit(ExecutionState& state) const {
-  if (!config_.mergeStates || state.mergeGuards.empty()) return false;
+  if (!config_.mergeStates || state.cold().mergeGuards.empty())
+    return false;
   const Instr& ins = state.program().at(state.pc);
   const auto symbolic = [&](std::uint8_t index) {
     const expr::Ref v = state.regs_[index];

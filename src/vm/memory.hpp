@@ -1,17 +1,24 @@
-// Object-granular copy-on-write memory.
+// Object-granular copy-on-write memory, with a copy-on-write object
+// table on top.
 //
 // An AddressSpace maps object ids to arrays of 64-bit symbolic cells.
-// Forked states share object payloads through shared_ptr; the first
-// store after a fork copies the touched object only (the same COW
-// discipline KLEE applies per memory object). Object ids are allocated
-// deterministically per state, so identical logical executions produce
-// identical address spaces — a property the cross-algorithm equivalence
-// checks depend on.
+// Copy-on-write works at two levels. The object table (one id-sorted
+// flat vector of id/payload pairs) is shared whole between forked
+// spaces, so a fork takes one reference; the first change to either
+// side's table — alloc, allocFrom, insertObject, removeObject or a store
+// — clones the table. A store then copies the touched object only if
+// another table still holds its payload (the same COW discipline KLEE
+// applies per memory object): a payload's use count counts tables, not
+// states, so the rule holds whether or not the tables are shared. Most
+// forked states never write memory again and keep their parent's table.
+// Object ids are allocated deterministically per state, so identical
+// logical executions produce identical address spaces — a property the
+// cross-algorithm equivalence checks depend on.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "expr/context.hpp"
@@ -29,7 +36,11 @@ class AddressSpace {
   // An object's payload: its cells in a billed block, shared between
   // forked spaces until a store copies it.
   using Payload = support::BilledVector<expr::Ref>;
-  using Objects = std::map<std::uint64_t, std::shared_ptr<Payload>>;
+  // One object: its id and its payload.
+  using Object = std::pair<std::uint64_t, std::shared_ptr<Payload>>;
+  // The object table: every id at most once, in ascending id order, each
+  // below nextObjectId().
+  using Objects = std::vector<Object>;
 
   // Creates the globals segment (object 0) zero-filled.
   void initGlobals(expr::Context& ctx, std::uint64_t cells);
@@ -40,7 +51,7 @@ class AddressSpace {
   std::uint64_t allocFrom(Cells content);
 
   [[nodiscard]] bool hasObject(std::uint64_t id) const {
-    return objects_.contains(id);
+    return find(id) != nullptr;
   }
   [[nodiscard]] std::uint64_t objectSize(std::uint64_t id) const;
 
@@ -68,26 +79,33 @@ class AddressSpace {
   // bills nothing privately; the memory ledger meters the payloads).
   [[nodiscard]] std::uint64_t accountBytes(support::SeenSet& seen) const;
 
-  [[nodiscard]] std::size_t numObjects() const { return objects_.size(); }
+  [[nodiscard]] std::size_t numObjects() const { return objects().size(); }
 
   // --- Snapshot support ----------------------------------------------------
   // The raw object table (ordered by id). The snapshot layer serializes
   // payloads through a pointer-identity blob table so that objects
   // shared copy-on-write between forked states stay shared after
   // restore — the meter must bill them once, exactly as in the original
-  // run.
-  [[nodiscard]] const Objects& objects() const { return objects_; }
-  [[nodiscard]] std::uint64_t nextObjectId() const { return nextId_; }
-  void restoreSnapshot(Objects objects, std::uint64_t nextId) {
-    objects_ = std::move(objects);
-    nextId_ = nextId;
+  // run. (The tables themselves are not shared again after a restore.)
+  // Spaces that share a table return the same object.
+  [[nodiscard]] const Objects& objects() const {
+    return table_ == nullptr ? emptyTable() : *table_;
   }
+  [[nodiscard]] std::uint64_t nextObjectId() const { return nextId_; }
+  // `objects` must keep the table's order and id rules (the checkpoint
+  // decoder checks them on untrusted bytes).
+  void restoreSnapshot(Objects objects, std::uint64_t nextId);
 
  private:
-  std::shared_ptr<Payload>& mutableObject(std::uint64_t id);
+  static const Objects& emptyTable();
+  // The entry of `id`, or nullptr.
+  [[nodiscard]] const Object* find(std::uint64_t id) const;
+  // The table, ours alone: cloned first if another space shares it.
+  Objects& writableTable();
+  // Appends or inserts a fresh object under a free id.
+  void place(std::uint64_t id, Cells cells);
 
-  // Ordered map: deterministic iteration for hashing and accounting.
-  Objects objects_;
+  std::shared_ptr<Objects> table_;  // null = no objects
   std::uint64_t nextId_ = 1;
 };
 

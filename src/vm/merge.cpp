@@ -34,13 +34,13 @@ bool Merger::compatible(const ExecutionState& a,
   } else if (a.status != StateStatus::kIdle) {
     return false;  // terminal states are never merged
   }
-  if (a.failureMessage != b.failureMessage) return false;
+  if (a.cold().failureMessage != b.cold().failureMessage) return false;
 
   // Event timelines must be identical entry for entry — including
   // packet identity and arming order: the merged state replays both
   // arms' futures as one.
   if (a.nextEventSeq != b.nextEventSeq) return false;
-  if (a.activeTimers != b.activeTimers) return false;
+  if (a.cold().activeTimers != b.cold().activeTimers) return false;
   if (a.pendingEvents.size() != b.pendingEvents.size()) return false;
   for (std::size_t i = 0; i < a.pendingEvents.size(); ++i)
     if (!samePendingEvent(a.pendingEvents[i], b.pendingEvents[i]))
@@ -57,7 +57,7 @@ bool Merger::compatible(const ExecutionState& a,
   // Same symbolic inputs, pointwise: the merged test case assigns one
   // shared input vector, expanded per guard polarity afterwards.
   if (a.symbolics.size() != b.symbolics.size()) return false;
-  if (a.symbolicCounters != b.symbolicCounters) return false;
+  if (a.cold().symbolicCounters != b.cold().symbolicCounters) return false;
   {
     auto ia = a.symbolics.begin();
     auto ib = b.symbolics.begin();
@@ -209,10 +209,11 @@ bool Merger::merge(ExecutionState& s, ExecutionState& a, expr::Ref guard) {
     ++decPrefix;
 
   // --- Arm merge tables beyond the shared prefix. ---------------------------
+  const std::vector<MergeGuard>& sGuards = s.cold().mergeGuards;
+  const std::vector<MergeGuard>& aGuards = a.cold().mergeGuards;
   std::size_t tablePrefix = 0;
-  while (tablePrefix < s.mergeGuards.size() &&
-         tablePrefix < a.mergeGuards.size() &&
-         s.mergeGuards[tablePrefix].guard == a.mergeGuards[tablePrefix].guard)
+  while (tablePrefix < sGuards.size() && tablePrefix < aGuards.size() &&
+         sGuards[tablePrefix].guard == aGuards[tablePrefix].guard)
     ++tablePrefix;
 
   // --- Commit. --------------------------------------------------------------
@@ -229,11 +230,11 @@ bool Merger::merge(ExecutionState& s, ExecutionState& a, expr::Ref guard) {
   mg.objsTrueOnly = std::move(objsTrueOnly);
   mg.objsFalseOnly = std::move(objsFalseOnly);
   mg.subTrue.assign(
-      s.mergeGuards.begin() + static_cast<std::ptrdiff_t>(tablePrefix),
-      s.mergeGuards.end());
+      sGuards.begin() + static_cast<std::ptrdiff_t>(tablePrefix),
+      sGuards.end());
   mg.subFalse.assign(
-      a.mergeGuards.begin() + static_cast<std::ptrdiff_t>(tablePrefix),
-      a.mergeGuards.end());
+      aGuards.begin() + static_cast<std::ptrdiff_t>(tablePrefix),
+      aGuards.end());
 
   s.constraints = mergedSet;
   s.regs_ = regs;
@@ -242,8 +243,9 @@ bool Merger::merge(ExecutionState& s, ExecutionState& a, expr::Ref guard) {
   s.space.setNextObjectId(
       std::max(s.space.nextObjectId(), a.space.nextObjectId()));
   for (const DecisionRecord& rec : mg.decFalse) s.decisions.push_back(rec);
-  s.mergeGuards.resize(tablePrefix);
-  s.mergeGuards.push_back(std::move(mg));
+  std::vector<MergeGuard>& merged = s.mutableCold().mergeGuards;
+  merged.resize(tablePrefix);
+  merged.push_back(std::move(mg));
   // The dropped arm's clock can only be *older* (a dropped delivery sets
   // no clock) and is unobservable: the next dispatched event overwrites
   // it before any kNow/send can read it. Same for the fuel counter.
@@ -256,8 +258,9 @@ bool Merger::merge(ExecutionState& s, ExecutionState& a, expr::Ref guard) {
 
 std::pair<bool, bool> Merger::feasiblePolarities(
     const ExecutionState& state) const {
-  SDE_ASSERT(!state.mergeGuards.empty(), "feasiblePolarities without guards");
-  const MergeGuard& g = state.mergeGuards.back();
+  SDE_ASSERT(!state.cold().mergeGuards.empty(),
+             "feasiblePolarities without guards");
+  const MergeGuard& g = state.cold().mergeGuards.back();
   const auto feasible = [&](bool v) {
     expr::Substitution subst(ctx_);
     subst.set(g.guard, ctx_.boolConst(v));
@@ -271,9 +274,10 @@ std::pair<bool, bool> Merger::feasiblePolarities(
 }
 
 void Merger::applyLastGuard(ExecutionState& state, bool value) {
-  SDE_ASSERT(!state.mergeGuards.empty(), "applyLastGuard without guards");
-  MergeGuard g = std::move(state.mergeGuards.back());
-  state.mergeGuards.pop_back();
+  SDE_ASSERT(!state.cold().mergeGuards.empty(),
+             "applyLastGuard without guards");
+  MergeGuard g = std::move(state.mutableCold().mergeGuards.back());
+  state.mutableCold().mergeGuards.pop_back();
 
   expr::Substitution subst(ctx_);
   subst.set(g.guard, ctx_.boolConst(value));
@@ -336,7 +340,7 @@ void Merger::applyLastGuard(ExecutionState& state, bool value) {
 
   // Restore the arm's own merge table.
   for (MergeGuard& sub : value ? g.subTrue : g.subFalse)
-    state.mergeGuards.push_back(std::move(sub));
+    state.mutableCold().mergeGuards.push_back(std::move(sub));
 }
 
 void MergeExpansion::addTable(const std::vector<MergeGuard>& table) {
@@ -352,7 +356,7 @@ void MergeExpansion::addTable(const std::vector<MergeGuard>& table) {
 }
 
 void MergeExpansion::addState(const ExecutionState& state) {
-  addTable(state.mergeGuards);
+  addTable(state.cold().mergeGuards);
 }
 
 bool MergeExpansion::expandItem(expr::Ref item, expr::Substitution& subst,

@@ -45,25 +45,35 @@ void EventQueue::restoreSnapshot(Events events) {
   for (const PendingEvent& event : events_) noteInsert(event);
 }
 
+const ColdFields& ExecutionState::emptyCold() {
+  static const ColdFields empty;
+  return empty;
+}
+
+ColdFields& ExecutionState::mutableCold() {
+  if (cold_ == nullptr)
+    cold_ = std::make_shared<ColdFields>();
+  else if (cold_.use_count() > 1)
+    cold_ = std::make_shared<ColdFields>(*cold_);
+  return *cold_;
+}
+
 std::unique_ptr<ExecutionState> ExecutionState::fork(StateId newId) const {
   auto clone = std::make_unique<ExecutionState>(newId, node_, *program_);
   clone->regs_ = regs_;
   clone->pc = pc;
   clone->callStack = callStack;
-  clone->space = space;  // shared_ptr payloads: copy-on-write
-  clone->constraints = constraints;      // chunk-shared, O(tail)
+  clone->space = space;                  // CoW-shared object table
+  clone->constraints = constraints;      // chunk- and tail-shared
   clone->status = status;
   clone->clock = clock;
-  clone->failureMessage = failureMessage;
   clone->pendingEvents = pendingEvents;  // CoW-shared queue payload
   clone->nextEventSeq = nextEventSeq;
-  clone->activeTimers = activeTimers;
-  clone->commLog = commLog;              // chunk-shared, O(tail)
-  clone->decisions = decisions;          // chunk-shared, O(tail)
-  clone->symbolics = symbolics;          // chunk-shared, O(tail)
-  clone->symbolicCounters = symbolicCounters;
+  clone->commLog = commLog;              // chunk- and tail-shared
+  clone->decisions = decisions;          // chunk- and tail-shared
+  clone->symbolics = symbolics;          // chunk- and tail-shared
   clone->executedInstructions = executedInstructions;
-  clone->mergeGuards = mergeGuards;
+  clone->cold_ = cold_;                  // CoW-shared cold fields
   // Merge tokens are shared by design: the interpreter bumps each
   // inherited token's live count right after forking (fork() itself
   // cannot, because non-branch forks — failure forks, mapper clones —
@@ -86,18 +96,20 @@ std::uint64_t ExecutionState::forkSharedChunks() const {
 namespace {
 
 // The private bytes of a state outside its sequences: the fixed object
-// plus its per-state containers, as a deterministic function of the
-// state's shape (sizes, not capacities, so the total survives
-// checkpoint/restore byte-for-byte).
+// price plus its per-state containers (the cold ones billed to every
+// state that shares them), as a deterministic function of the state's
+// shape (sizes, not capacities, so the total survives checkpoint/restore
+// byte-for-byte).
 std::uint64_t ownBytes(const ExecutionState& state) {
-  std::uint64_t bytes = sizeof(ExecutionState);
+  const ColdFields& cold = state.cold();
+  std::uint64_t bytes = kStateObjectBytes;
   bytes += state.callStack.size() * sizeof(std::size_t);
-  bytes += state.failureMessage.size();
-  bytes += state.activeTimers.size() *
+  bytes += cold.failureMessage.size();
+  bytes += cold.activeTimers.size() *
            (sizeof(std::uint32_t) + sizeof(std::uint64_t));
-  for (const auto& [label, count] : state.symbolicCounters)
+  for (const auto& [label, count] : cold.symbolicCounters)
     bytes += label.size() + sizeof(count);
-  for (const MergeGuard& g : state.mergeGuards)
+  for (const MergeGuard& g : cold.mergeGuards)
     bytes += sizeof(MergeGuard) +
              (g.ifTrue.size() + g.ifFalse.size()) * sizeof(expr::Ref) +
              (g.decTrue.size() + g.decFalse.size()) * sizeof(DecisionRecord) +
@@ -137,7 +149,7 @@ std::uint64_t ExecutionState::configHash() const {
   // logical history (direction, peer, time, content) does not. The chain
   // is maintained on append, never recomputed.
   h.u64(commLog.contentChainHash());
-  h.str(failureMessage);
+  h.str(cold().failureMessage);
   return h.digest();
 }
 

@@ -4,13 +4,21 @@
 // communication conflict (remotely), and it carries the communication
 // history used to define conflicts (paper §II-B).
 //
-// Forking is O(1) in the size of every append-only component: the
-// constraint set, communication history, decision log and symbolic-input
-// list live in persistent chunked sequences (support::PVector) whose
-// sealed chunks are shared between parent and child, and the pending
-// event queue is shared whole-sale copy-on-write (support::CowVec).
-// The fingerprints over those histories are maintained incrementally on
-// append, so configHash never rewalks them either.
+// A fork copies the registers, the call stack and the scalars, and
+// shares everything else copy-on-write until one side writes it:
+//  * the memory object table and its payloads (vm::AddressSpace);
+//  * the constraint set, communication history, decision log and
+//    symbolic-input list, persistent chunked sequences
+//    (support::PVector) whose sealed chunks and unsealed tail are both
+//    shared;
+//  * the pending event queue, shared whole-sale (support::CowVec);
+//  * the cold fields a fork almost never changes afterwards — failure
+//    message, active timers, symbolic counters, merge guards — in one
+//    shared block (ColdFields, read with cold(), written through
+//    mutableCold()).
+// So a fork is O(1) in the size of every component. The fingerprints
+// over the histories are maintained incrementally on append, so
+// configHash never rewalks them either.
 #pragma once
 
 #include <array>
@@ -265,6 +273,29 @@ struct MergeGuard {
   std::vector<std::uint64_t> objsFalseOnly;
 };
 
+// The fields of a state that a fork almost never changes afterwards.
+// Forked states share one block until one of them writes it
+// (ExecutionState::mutableCold clones a shared block first).
+struct ColdFields {
+  std::string failureMessage;
+  // Active timers: timer id -> seq of the arming (re-arming supersedes).
+  std::map<std::uint32_t, std::uint64_t> activeTimers;
+  // Per-label counters making symbolic input names deterministic and
+  // node-local: "n<node>.<label>.<k>".
+  std::map<std::string, std::uint32_t> symbolicCounters;
+  // Side tables of the merges this state survived, in merge order
+  // (outermost first). Serialized in checkpoint v5; empty when merging
+  // is off.
+  std::vector<MergeGuard> mergeGuards;
+};
+
+// What the memory meter bills for the state object itself, whatever its
+// layout: the object's size before forks shared their object tables,
+// sequence tails and cold fields. A fixed price keeps the paper-model
+// RAM independent of the struct's layout and the standard library
+// (DESIGN §14); the object may not outgrow it.
+inline constexpr std::uint64_t kStateObjectBytes = 800;
+
 class ExecutionState {
  public:
   ExecutionState(StateId id, NodeId node, const Program& program)
@@ -272,10 +303,10 @@ class ExecutionState {
     regs_.fill(nullptr);
   }
 
-  // Forks this state: the clone shares memory payloads copy-on-write,
-  // shares every sealed chunk of the append-only histories, and copies
-  // only registers, scalars and sequence tails — O(1) in history sizes.
-  // The caller (engine) assigns the new id.
+  // Forks this state: the clone copies registers, the call stack and
+  // scalars, and shares the object table, the histories' chunks and
+  // tails, the event queue and the cold fields copy-on-write — O(1) in
+  // every size. The caller (engine) assigns the new id.
   [[nodiscard]] std::unique_ptr<ExecutionState> fork(StateId newId) const;
 
   // --- Identity ------------------------------------------------------------
@@ -291,13 +322,20 @@ class ExecutionState {
   solver::ConstraintSet constraints;
   StateStatus status = StateStatus::kIdle;
   std::uint64_t clock = 0;  // local virtual time (last dispatched event)
-  std::string failureMessage;
 
   // --- Event queue -----------------------------------------------------------
   EventQueue pendingEvents;
   std::uint64_t nextEventSeq = 0;
-  // Active timers: timer id -> seq of the arming (re-arming supersedes).
-  std::map<std::uint32_t, std::uint64_t> activeTimers;
+
+  // --- Cold fields -------------------------------------------------------------
+  // Failure message, active timers, symbolic counters and merge guards
+  // (see ColdFields), shared with the states forked from this one.
+  [[nodiscard]] const ColdFields& cold() const {
+    return cold_ == nullptr ? emptyCold() : *cold_;
+  }
+  // The cold fields, ours alone: cloned first if another state shares
+  // them. Call it only to write.
+  ColdFields& mutableCold();
 
   // One engine-level failure decision taken on this path, in decision
   // order — the deterministic-replay log. Re-running the engine with all
@@ -313,20 +351,12 @@ class ExecutionState {
   // Distinct symbolic inputs created on this path, in creation order
   // (the test case of this state assigns each of them).
   support::PVector<expr::Ref> symbolics;
-  // Per-label counters making symbolic input names deterministic and
-  // node-local: "n<node>.<label>.<k>".
-  std::map<std::string, std::uint32_t> symbolicCounters;
 
   // Number of VM instructions this state has executed (#(s) in the
   // paper's complexity analysis).
   std::uint64_t executedInstructions = 0;
 
   // --- State merging (opt-in) -------------------------------------------------
-  // Side tables of the merges this state survived, in merge order
-  // (outermost first). Serialized in checkpoint v5; empty when merging
-  // is off.
-  std::vector<MergeGuard> mergeGuards;
-
   // Intra-handler parking (merge mode): a symbolic branch whose join
   // point is known pushes one shared token on both siblings; a state
   // reaching joinPc at the recorded call depth parks there until the
@@ -348,18 +378,19 @@ class ExecutionState {
   bool mergedAway = false;
 
   // --- Fork cost / memory accounting -----------------------------------------
-  // Elements fork() deep-copies right now across the chunked histories:
-  // their tails (the event queue's payload is shared, never copied). A
-  // pure structural function of this state, deterministic across runs
-  // and worker counts.
+  // Elements fork() defers copying across the chunked histories: their
+  // tails, which the clone shares until either side appends (then that
+  // side clones its tail). A pure structural function of this state,
+  // deterministic across runs and worker counts.
   [[nodiscard]] std::uint64_t forkCopyCost() const;
   // Storage blocks fork() shares instead of copying (sealed chunks +
   // the CoW event queue payload).
   [[nodiscard]] std::uint64_t forkSharedChunks() const;
-  // Bytes billed to this state alone: the object itself (sizeof, which
-  // is why bookkeeping never lives in it), call stack, failure message,
-  // timers, symbolic counters, merge guards, and the sequence tails and
-  // spine entries. The engine re-prices a state when an event touches it.
+  // Bytes billed to this state alone: the object itself (the fixed
+  // kStateObjectBytes), call stack, failure message, timers, symbolic
+  // counters, merge guards, and the sequence tails and spine entries —
+  // shared or not, a state pays for its own. The engine re-prices a
+  // state when an event touches it.
   [[nodiscard]] std::uint64_t privateBytes() const;
   // The audit walk: privateBytes() plus every shared block — memory
   // payloads, sealed history chunks, the event-queue payload — that
@@ -400,9 +431,15 @@ class ExecutionState {
   }
 
  private:
+  static const ColdFields& emptyCold();
+
   StateId id_;
   NodeId node_;
   const Program* program_;
+  std::shared_ptr<ColdFields> cold_;  // null = all cold fields empty
 };
+
+static_assert(sizeof(ExecutionState) <= kStateObjectBytes,
+              "the memory meter bills a state kStateObjectBytes");
 
 }  // namespace sde::vm

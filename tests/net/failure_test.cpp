@@ -46,9 +46,9 @@ TEST_F(FailureTest, DropBudgetIsPerNodeViaSymbolicCounters) {
   auto state = makeState(1);
   EXPECT_EQ(model.onDelivery(state, packet).kind, FailureKind::kDrop);
   // The engine bumps the counter when it materialises the decision.
-  state.symbolicCounters[SymbolicDropModel::kLabel] = 1;
+  state.mutableCold().symbolicCounters[SymbolicDropModel::kLabel] = 1;
   EXPECT_EQ(model.onDelivery(state, packet).kind, FailureKind::kDrop);
-  state.symbolicCounters[SymbolicDropModel::kLabel] = 2;
+  state.mutableCold().symbolicCounters[SymbolicDropModel::kLabel] = 2;
   EXPECT_EQ(model.onDelivery(state, packet).kind, FailureKind::kNone);
 }
 
@@ -59,7 +59,7 @@ TEST_F(FailureTest, DuplicateAndRebootModels) {
   EXPECT_EQ(dup.onDelivery(state, packet).kind, FailureKind::kDuplicate);
   EXPECT_EQ(reboot.onDelivery(state, packet).kind, FailureKind::kReboot);
   // Independent budgets: labels differ.
-  state.symbolicCounters[SymbolicDuplicateModel::kLabel] = 1;
+  state.mutableCold().symbolicCounters[SymbolicDuplicateModel::kLabel] = 1;
   EXPECT_EQ(dup.onDelivery(state, packet).kind, FailureKind::kNone);
   EXPECT_EQ(reboot.onDelivery(state, packet).kind, FailureKind::kReboot);
 }

@@ -125,7 +125,7 @@ TEST_F(OsTest, RebootResetsVolatileState) {
   setupBoot(ctx, state, 0);
   state.pendingEvents.clear();
   state.space.store(vm::kGlobalsObject, 0, ctx.constant(99, 64));
-  state.activeTimers[1] = 5;
+  state.mutableCold().activeTimers[1] = 5;
   state.constraints.add(ctx.variable("keep", 1));
   state.commLog.push_back({true, 2, 10, 0xabc, 7});
 
@@ -133,7 +133,7 @@ TEST_F(OsTest, RebootResetsVolatileState) {
 
   // RAM cleared, timers gone, a fresh boot pending at `now`.
   EXPECT_EQ(state.space.load(vm::kGlobalsObject, 0), ctx.constant(0, 64));
-  EXPECT_TRUE(state.activeTimers.empty());
+  EXPECT_TRUE(state.cold().activeTimers.empty());
   ASSERT_EQ(state.pendingEvents.size(), 1u);
   EXPECT_EQ(state.pendingEvents[0].kind, vm::EventKind::kBoot);
   EXPECT_EQ(state.pendingEvents[0].time, 500u);

@@ -122,7 +122,7 @@ TEST(RimeCollect, FailOnDuplicateAssertsUnderDuplicates) {
   for (const auto& state : engine.states())
     if (state->status == vm::StateStatus::kFailed) {
       sawFailure = true;
-      EXPECT_NE(state->failureMessage.find("duplicate"), std::string::npos);
+      EXPECT_NE(state->cold().failureMessage.find("duplicate"), std::string::npos);
     }
   EXPECT_TRUE(sawFailure);
 }

@@ -28,6 +28,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 
 #include "expr/context.hpp"
 #include "mutation_battery.hpp"
@@ -411,6 +412,68 @@ class CheckpointDecoderTest : public ::testing::TestWithParam<MapperKind> {
     engine->restore(in);
   }
 
+  // Expects `bytes` to be rejected with a SnapshotError that says `why`.
+  void expectRejected(const std::string& bytes, const std::string& why) const {
+    try {
+      restore(bytes);
+      ADD_FAILURE() << "a checkpoint whose error is \"" << why
+                    << "\" restored";
+    } catch (const snapshot::SnapshotError& error) {
+      EXPECT_NE(std::string(error.what()).find(why), std::string::npos)
+          << error.what();
+    }
+  }
+
+  // The offset of `state`'s record. Each record starts with its id,
+  // node, status, failure message, clock and pc; those bytes must occur
+  // once in the file.
+  std::size_t recordOf(const vm::ExecutionState& state) const {
+    std::ostringstream header(std::ios::binary);
+    snapshot::Writer out(header);
+    out.u64(state.id());
+    out.u32(state.node());
+    out.u8(static_cast<std::uint8_t>(state.status));
+    out.str(state.cold().failureMessage);
+    out.u64(state.clock);
+    out.u64(state.pc);
+    const std::size_t record = checkpoint_.find(header.str());
+    EXPECT_NE(record, std::string::npos);
+    EXPECT_EQ(checkpoint_.find(header.str(), record + 1), std::string::npos)
+        << "the record's header is not unique in the file";
+    return record;
+  }
+
+  // The offset of `state`'s object table in its record: the next object
+  // id, the object count, then (id, memory blob) pairs. Blobs are
+  // numbered in first-encounter order over the states, objects in id
+  // order, as the writer numbers them.
+  std::size_t objectTableOf(const vm::ExecutionState& state) const {
+    std::unordered_map<const void*, std::uint64_t> blobOf;
+    for (const auto& other : scenario_->engine().states())
+      for (const auto& [id, payload] : other->space.objects())
+        blobOf.try_emplace(payload.get(), blobOf.size());
+    std::ostringstream table(std::ios::binary);
+    snapshot::Writer out(table);
+    out.u64(state.space.nextObjectId());
+    out.u64(state.space.numObjects());
+    for (const auto& [id, payload] : state.space.objects()) {
+      out.u64(id);
+      out.u64(blobOf.at(payload.get()));
+    }
+    const std::size_t at = checkpoint_.find(table.str(), recordOf(state));
+    EXPECT_NE(at, std::string::npos);
+    return at;
+  }
+
+  // A state with at least two objects (the globals and a delivered
+  // packet's payload).
+  const vm::ExecutionState& stateWithTwoObjects() const {
+    for (const auto& state : scenario_->engine().states())
+      if (state->space.numObjects() >= 2) return *state;
+    ADD_FAILURE() << "no state holds two objects";
+    return *scenario_->engine().states().front();
+  }
+
   std::unique_ptr<trace::CollectScenario> scenario_;
   std::string checkpoint_;
   EngineFactory factory_;
@@ -461,31 +524,53 @@ TEST_P(CheckpointDecoderTest, ARepeatedStateIdIsRejected) {
   const Engine& engine = scenario_->engine();
   ASSERT_GE(engine.states().size(), 2u);
   const vm::ExecutionState& first = *engine.states()[0];
-  const vm::ExecutionState& second = *engine.states()[1];
-  std::ostringstream header(std::ios::binary);
-  snapshot::Writer out(header);
-  out.u64(second.id());
-  out.u32(second.node());
-  out.u8(static_cast<std::uint8_t>(second.status));
-  out.str(second.failureMessage);
-  out.u64(second.clock);
-  out.u64(second.pc);
-  const std::size_t record = checkpoint_.find(header.str());
-  ASSERT_NE(record, std::string::npos);
-  ASSERT_EQ(checkpoint_.find(header.str(), record + 1), std::string::npos)
-      << "the second record's header is not unique in the file";
+  const std::size_t record = recordOf(*engine.states()[1]);
+  ASSERT_FALSE(HasFailure());
 
   std::string corrupt = checkpoint_;
   const std::uint64_t firstId = first.id();
   std::memcpy(corrupt.data() + record, &firstId, sizeof(firstId));
-  try {
-    restore(corrupt);
-    ADD_FAILURE() << "a checkpoint with a repeated state id restored";
-  } catch (const snapshot::SnapshotError& error) {
-    EXPECT_NE(std::string(error.what()).find("duplicate state ids"),
-              std::string::npos)
-        << error.what();
-  }
+  expectRejected(corrupt, "duplicate state ids");
+}
+
+// A state's object table that repeats an id, or lists ids out of order,
+// must be rejected: keeping one of two objects under a repeated id would
+// restore a different state. Here the second object takes the first
+// one's id, then an id below it.
+TEST_P(CheckpointDecoderTest, ARepeatedOrUnsortedObjectIdIsRejected) {
+  const vm::ExecutionState& state = stateWithTwoObjects();
+  const std::size_t table = objectTableOf(state);
+  ASSERT_FALSE(HasFailure());
+  const std::size_t firstId = table + 2 * 8;
+  const std::size_t secondId = firstId + 2 * 8;
+  std::uint64_t id = 0;
+  std::memcpy(&id, checkpoint_.data() + firstId, sizeof(id));
+
+  std::string repeated = checkpoint_;
+  std::memcpy(repeated.data() + secondId, &id, sizeof(id));
+  expectRejected(repeated, "object ids repeat or are out of order");
+
+  std::string unsorted = checkpoint_;
+  const std::uint64_t second = id + 1;
+  std::memcpy(unsorted.data() + firstId, &second, sizeof(second));
+  std::memcpy(unsorted.data() + secondId, &id, sizeof(id));
+  expectRejected(unsorted, "object ids repeat or are out of order");
+}
+
+// An object id at or above the state's next object id must be rejected:
+// the state's next alloc would hand that id out again, and an insert
+// under a taken id keeps the old object.
+TEST_P(CheckpointDecoderTest, AnObjectIdAtTheNextObjectIdIsRejected) {
+  const vm::ExecutionState& state = stateWithTwoObjects();
+  const std::size_t table = objectTableOf(state);
+  ASSERT_FALSE(HasFailure());
+  const std::uint64_t next = state.space.nextObjectId();
+  const std::size_t lastId =
+      table + 2 * 8 + (state.space.numObjects() - 1) * 2 * 8;
+
+  std::string corrupt = checkpoint_;
+  std::memcpy(corrupt.data() + lastId, &next, sizeof(next));
+  expectRejected(corrupt, "object id at or above its next object id");
 }
 
 INSTANTIATE_TEST_SUITE_P(

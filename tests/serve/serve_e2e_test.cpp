@@ -420,6 +420,37 @@ TEST(ServeE2eTest, CancelledQueuedJobStaysCancelled) {
   shutdownAndReap(socket, daemon);
 }
 
+// A job holds the slots of the workers its fleet forks,
+// min(processes, 2^vars), not the processes it asked for: a
+// `--processes 4 --vars 0` job forks one worker, so on a 4-slot daemon a
+// 1-process job runs beside it instead of queueing behind it.
+TEST(ServeE2eTest, AJobHoldsOnlyTheSlotsOfTheWorkersItForks) {
+  if (sanitizersActive()) GTEST_SKIP() << "forks real fleets";
+  const fs::path root = freshRoot("worker_slots");
+  const std::string socket = (root / "serve.sock").string();
+  const pid_t daemon = spawnDaemon(testConfig(root, 4));
+  ASSERT_TRUE(waitForDaemon(socket, 20.0));
+
+  Client client(socket);
+  SubmitRequest wide = request(longScenario(), "alice", 0, 4);
+  wide.scenarioSpec = trace::encodeCollectScenarioSpec(longScenario(), 0);
+  const std::uint64_t first = client.submit(wide);
+  const JobStatus started = waitForJob(client, first, isRunning);
+  EXPECT_TRUE(isRunning(started)) << "the first job never started";
+  EXPECT_EQ(started.processes, 1u);
+
+  const std::uint64_t second =
+      client.submit(request(smallScenario(), "bob", 0, 1));
+  EXPECT_TRUE(isRunning(waitForJob(client, second, isRunning)))
+      << "the second job stayed queued behind a one-worker job";
+  EXPECT_EQ(statusOf(client, first).state, JobState::kRunning)
+      << "the first job ended before the second one started";
+
+  EXPECT_EQ(client.watch(second).state, JobState::kDone);
+  EXPECT_EQ(client.watch(first).state, JobState::kDone);
+  shutdownAndReap(socket, daemon);
+}
+
 // The metrics plane's headline claim: counters fetched from the daemon
 // for a completed job are byte-identical to the run's own post-run
 // merged StatsRegistry — not approximately equal, the same bytes.

@@ -10,8 +10,10 @@
 //    sibling's mutation (aliasing) fails;
 //  * the fork-cost reports match the structure: copyCostElements() is
 //    the tail, sharedChunksOnCopy() the chunk count (PVector) or the
-//    payload (CowVec); a copy holds the same spine or payload pointer,
-//    and a CowVec mutation clones a shared payload and only that;
+//    payload (CowVec); a copy holds the same spine and tail, or payload,
+//    pointer; a CowVec mutation clones a shared payload and only that;
+//    a PVector push clones a shared tail, once and at the tail's size,
+//    while the siblings keep sharing the old one;
 //  * a spine()/tail() (raw()) and restoreSnapshot round trip keeps the
 //    contents and the sharing;
 //  * the MemoryLedger active for the run equals the blocks the audit walk
@@ -55,6 +57,11 @@ constexpr std::uint64_t kSeeds = 400;
 // The block a copy shares with its source: the spine, or the payload.
 const void* sharedRoot(const Seq& seq) { return seq.spine(); }
 const void* sharedRoot(const Cow& cow) { return cow.raw().get(); }
+
+// The unsealed tail a PVector copy shares with its source (null when
+// empty); a CowVec has none.
+const void* sharedTail(const Seq& seq) { return seq.tail().data(); }
+const void* sharedTail(const Cow&) { return nullptr; }
 
 // Bytes billed to the container alone; a CowVec's payload is all it has.
 std::uint64_t privateBytesOf(const Seq& seq) { return seq.privateBytes(); }
@@ -104,6 +111,7 @@ struct Coverage {
   std::uint64_t sharingCopies = 0;  // copies of a container with a root
   std::uint64_t seals = 0;          // PVector pushes that sealed a chunk
   std::uint64_t clones = 0;         // CowVec mutations of a shared payload
+  std::uint64_t tailClones = 0;     // PVector pushes on a shared tail
 };
 
 template <typename Container>
@@ -169,12 +177,17 @@ class Family {
 
   // Runs `mutation` on copy i and checks pay-on-write: a CowVec clones a
   // payload it shares and edits one it owns in place; a PVector swaps in
-  // a new spine exactly when a push seals a chunk.
+  // a new spine exactly when a push seals a chunk, and clones a tail it
+  // shares — one clone, at the tail's size — leaving the siblings on
+  // the old one.
   template <typename Mutation>
   void mutate(std::size_t i, Mutation mutation) {
     Container& c = *copies_[i];
     const void* before = sharedRoot(c);
     const bool shared = before != nullptr && sharers(before) > 1;
+    const void* tailBefore = sharedTail(c);
+    const std::size_t tailSharers =
+        tailBefore == nullptr ? 0 : tailHolders(tailBefore);
     const Model old = models_[i];
     mutation(c, models_[i]);
     const void* after = sharedRoot(c);
@@ -191,6 +204,17 @@ class Family {
       const bool sealed = models_[i].size() % kChunk == 0;
       EXPECT_EQ(after != before, sealed);
       coverage_.seals += sealed ? 1 : 0;
+      if (tailSharers > 1) {
+        EXPECT_NE(sharedTail(c), tailBefore) << "a shared tail was pushed "
+                                                "in place";
+        EXPECT_EQ(tailHolders(tailBefore), tailSharers - 1)
+            << "a sibling lost the tail it shared";
+        if (!sealed) {
+          EXPECT_EQ(c.tail().capacity(), c.tailSize())
+              << "the tail clone is not at the tail's size";
+        }
+        ++coverage_.tailClones;
+      }
     }
   }
 
@@ -198,6 +222,13 @@ class Family {
     std::size_t n = 0;
     for (const std::optional<Container>& c : copies_)
       if (c && sharedRoot(*c) == root) ++n;
+    return n;
+  }
+
+  std::size_t tailHolders(const void* tail) const {
+    std::size_t n = 0;
+    for (const std::optional<Container>& c : copies_)
+      if (c && sharedTail(*c) == tail) ++n;
     return n;
   }
 
@@ -209,34 +240,39 @@ class Family {
     });
   }
 
-  // A copy or assignment holds the source's spine or payload.
-  void expectSharesWith(std::size_t to, const void* root) {
+  // A copy or assignment holds the source's spine or payload, and tail.
+  void expectSharesWith(std::size_t to, std::size_t from) {
+    const void* root = sharedRoot(*copies_[from]);
     EXPECT_EQ(sharedRoot(*copies_[to]), root);
-    if (root != nullptr) ++coverage_.sharingCopies;
+    EXPECT_EQ(sharedTail(*copies_[to]), sharedTail(*copies_[from]));
+    if (root != nullptr || sharedTail(*copies_[from]) != nullptr)
+      ++coverage_.sharingCopies;
   }
 
   void copy(std::size_t from, std::size_t to) {
     if (from == to) return;
     copies_[to].emplace(*copies_[from]);
     models_[to] = models_[from];
-    expectSharesWith(to, sharedRoot(*copies_[from]));
+    expectSharesWith(to, from);
   }
 
   void assign(std::size_t from, std::size_t to) {  // to == from: self-assign
     if (!copies_[to]) copies_[to].emplace();
     *copies_[to] = *copies_[from];
     models_[to] = models_[from];
-    expectSharesWith(to, sharedRoot(*copies_[from]));
+    expectSharesWith(to, from);
   }
 
   void move(std::size_t from, std::size_t to) {
     if (from == to) return;
     const void* root = sharedRoot(*copies_[from]);
+    const void* tail = sharedTail(*copies_[from]);
     copies_[to] = std::move(copies_[from]);
     copies_[from].reset();
     models_[to] = std::move(models_[from]);
     models_[from].clear();
     EXPECT_EQ(sharedRoot(*copies_[to]), root) << "a move copied the storage";
+    EXPECT_EQ(sharedTail(*copies_[to]), tail) << "a move copied the tail";
   }
 
   // The CowVec-only edits (the event queue's pop, erase, eraseIf, clear).
@@ -308,6 +344,7 @@ TEST(PVectorModelTest, RandomOperationsMatchAStdVectorModel) {
   const Coverage coverage = runSeeds<Seq>();
   EXPECT_GT(coverage.sharingCopies, 0u);
   EXPECT_GT(coverage.seals, 0u);
+  EXPECT_GT(coverage.tailClones, 0u);
 }
 
 TEST(CowVecModelTest, RandomOperationsMatchAStdVectorModel) {

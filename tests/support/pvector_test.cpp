@@ -1,7 +1,8 @@
 // Unit tests for the persistent structurally-shared sequences backing
 // ExecutionState::fork — the O(1)-fork claim at the container level:
-// copying shares sealed chunks (PVector) or the whole payload (CowVec),
-// deep-copies only tails, and the shared-aware byte accounting charges
+// copying shares sealed chunks and the tail (PVector) or the whole
+// payload (CowVec), a push clones a shared tail, and the shared-aware
+// byte accounting charges
 // every block exactly once regardless of traversal order. Sharing is
 // checked by chunk and payload pointer identity. pvector_model_test.cpp
 // drives the same containers through random operation sequences.
@@ -44,17 +45,24 @@ TEST(PVectorTest, CopyCostIsTheTailNotTheHistory) {
   ASSERT_EQ(seq.numChunks(), 10u);
 
   // The advertised cost (used by ExecutionState::forkCopyCost) is the
-  // tail size, independent of the 10-chunk history, and it is what a
-  // copy does: the copy holds the same spine, hence the same chunks, and
-  // a tail of its own.
+  // tail size, independent of the 10-chunk history: the elements a copy
+  // defers. The copy holds the same spine, hence the same chunks, and
+  // the same tail, which the first push on either side clones.
   EXPECT_EQ(seq.copyCostElements(), 5u);
   EXPECT_EQ(seq.sharedChunksOnCopy(), 10u);
-  const IntSeq copy = seq;
+  IntSeq copy = seq;
   EXPECT_EQ(copy.spine(), seq.spine());
   EXPECT_EQ(copy.tail(), seq.tail());
-  EXPECT_NE(copy.tail().data(), seq.tail().data());
+  EXPECT_EQ(copy.tail().data(), seq.tail().data());
   EXPECT_EQ(copy.size(), seq.size());
   EXPECT_EQ(copy[3 * kChunk + 1], seq[3 * kChunk + 1]);
+
+  const std::uint64_t* shared = seq.tail().data();
+  copy.push_back(1000);
+  EXPECT_NE(copy.tail().data(), shared);
+  EXPECT_EQ(seq.tail().data(), shared);
+  EXPECT_EQ(seq.tailSize(), 5u);
+  EXPECT_EQ(copy.tailSize(), 6u);
 }
 
 TEST(PVectorTest, CopiesDivergeIndependently) {

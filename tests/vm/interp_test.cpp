@@ -258,7 +258,7 @@ TEST_F(InterpTest, FailRecordsMessage) {
   TestSink sink(100);
   interp.runEvent(*s, Entry::kInit, {}, sink);
   EXPECT_EQ(s->status, StateStatus::kFailed);
-  EXPECT_EQ(s->failureMessage, "invariant violated");
+  EXPECT_EQ(s->cold().failureMessage, "invariant violated");
 }
 
 TEST_F(InterpTest, StepLimitKillsRunawayLoop) {
@@ -275,7 +275,7 @@ TEST_F(InterpTest, StepLimitKillsRunawayLoop) {
   TestSink sink(100);
   tight.runEvent(*s, Entry::kInit, {}, sink);
   EXPECT_EQ(s->status, StateStatus::kKilled);
-  EXPECT_NE(s->failureMessage.find("step limit"), std::string::npos);
+  EXPECT_NE(s->cold().failureMessage.find("step limit"), std::string::npos);
 }
 
 TEST_F(InterpTest, BoundedLoopComputes) {
@@ -439,7 +439,7 @@ TEST_F(InterpTest, OutOfBoundsAccessKillsState) {
   TestSink sink(100);
   interp.runEvent(*s, Entry::kInit, {}, sink);
   EXPECT_EQ(s->status, StateStatus::kKilled);
-  EXPECT_NE(s->failureMessage.find("out-of-bounds"), std::string::npos);
+  EXPECT_NE(s->cold().failureMessage.find("out-of-bounds"), std::string::npos);
 }
 
 TEST_F(InterpTest, SymbolicNamesAreDeterministicPerNodeAndLabel) {

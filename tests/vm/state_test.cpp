@@ -37,7 +37,7 @@ TEST_F(StateTest, ForkCopiesEverythingButId) {
   s.constraints.add(ctx.variable("c", 1));
   s.commLog.push_back({true, 2, 10, 0xfeed, 3});
   s.symbolics.push_back(ctx.variable("c", 1));
-  s.symbolicCounters["drop"] = 2;
+  s.mutableCold().symbolicCounters["drop"] = 2;
   s.executedInstructions = 99;
 
   auto clone = s.fork(1234);
@@ -50,10 +50,55 @@ TEST_F(StateTest, ForkCopiesEverythingButId) {
   EXPECT_EQ(clone->constraints.size(), 1u);
   EXPECT_EQ(clone->commLog.size(), 1u);
   EXPECT_EQ(clone->symbolics.size(), 1u);
-  EXPECT_EQ(clone->symbolicCounters.at("drop"), 2u);
+  EXPECT_EQ(clone->cold().symbolicCounters.at("drop"), 2u);
   EXPECT_EQ(clone->executedInstructions, 99u);
   EXPECT_EQ(clone->configHash(), s.configHash());
   EXPECT_EQ(clone->configHashStrict(), s.configHashStrict());
+}
+
+TEST_F(StateTest, ForkSharesTablesAndColdFieldsUntilOneSideWrites) {
+  ExecutionState s = makeState();
+  s.mutableCold().activeTimers[1] = 5;
+  s.constraints.add(ctx.variable("c", 1));
+  auto clone = s.fork(55);
+  EXPECT_EQ(&clone->cold(), &s.cold());
+  EXPECT_EQ(&clone->space.objects(), &s.space.objects());
+  EXPECT_EQ(clone->constraints.items().tail().data(),
+            s.constraints.items().tail().data());
+
+  clone->mutableCold().activeTimers[1] = 9;
+  EXPECT_NE(&clone->cold(), &s.cold());
+  EXPECT_EQ(s.cold().activeTimers.at(1), 5u);
+  clone->space.alloc(ctx, 1);
+  EXPECT_NE(&clone->space.objects(), &s.space.objects());
+  EXPECT_EQ(s.space.numObjects(), 1u);
+  clone->constraints.add(ctx.variable("d", 1));
+  EXPECT_EQ(s.constraints.size(), 1u);
+  EXPECT_EQ(clone->constraints.size(), 2u);
+}
+
+// The meter bills the state object a fixed kStateObjectBytes (800 B),
+// whatever sizeof says, plus its shape terms; a fork pays the same for
+// the fields and tails it shares.
+TEST_F(StateTest, PrivateBytesAreTheFixedObjectPricePlusTheShape) {
+  const ExecutionState fresh(nextId++, 1, program);
+  EXPECT_EQ(kStateObjectBytes, 800u);
+  EXPECT_EQ(fresh.privateBytes(), 800u);
+
+  ExecutionState s = makeState();
+  s.callStack = {1, 2, 3};
+  s.mutableCold().failureMessage = "boom";
+  s.mutableCold().activeTimers[1] = 5;
+  s.mutableCold().symbolicCounters["drop"] = 2;
+  for (std::uint64_t i = 0; i < 3; ++i)
+    s.constraints.add(
+        ctx.ult(ctx.variable("v", 16), ctx.constant(i + 1, 16)));
+  const std::uint64_t shape = 3 * sizeof(std::size_t) + 4 +
+                              (sizeof(std::uint32_t) + sizeof(std::uint64_t)) +
+                              (4 + sizeof(std::uint32_t)) +
+                              3 * sizeof(expr::Ref);
+  EXPECT_EQ(s.privateBytes(), 800u + shape);
+  EXPECT_EQ(s.fork(56)->privateBytes(), s.privateBytes());
 }
 
 TEST_F(StateTest, ForkedMemoryIsIndependent) {
@@ -99,7 +144,7 @@ TEST_F(StateTest, HashCoversStatusClockAndFailure) {
   a.clock = 77;
   EXPECT_NE(a.configHash(), base);
   a.clock = 0;
-  a.failureMessage = "boom";
+  a.mutableCold().failureMessage = "boom";
   EXPECT_NE(a.configHash(), base);
 }
 
@@ -164,7 +209,8 @@ TEST_F(StateTest, ForkCopyCostIsBoundedRegardlessOfHistorySize) {
 
   // The advertised cost matches what a fork actually does: the clone
   // holds the same spines (hence chunks) and event-queue payload, and
-  // copies of the tails, which are exactly forkCopyCost() elements.
+  // shares the tails, which are exactly the forkCopyCost() elements it
+  // defers copying.
   const auto clone = large.fork(4242);
   const auto& items = large.constraints.items();
   const auto& records = large.commLog.records();
