@@ -1,10 +1,13 @@
 // E2–E7 — Figure 10 (a)–(f): state growth and memory growth over time
 // for the 25-, 49- and 100-node grid scenarios, one series per mapping
 // algorithm. Emits the raw series as CSV files (fig10_<nodes>_<alg>.csv,
-// columns: wall seconds, virtual time, states, memory bytes, groups) —
-// the log-log curves of the paper plot directly from these — plus a
-// per-scenario summary with completion markers ("COB aborted", "COW
-// finished", "SDS finished" in the paper's annotations).
+// columns: wall seconds, virtual time, states, simulated memory bytes,
+// the process's resident bytes, groups, ...) — the log-log curves of the
+// paper plot directly from these — plus a per-scenario summary with
+// completion markers ("COB aborted", "COW finished", "SDS finished" in
+// the paper's annotations) and the resident bytes at each run's end
+// beside its simulated memory (the process runs every row, so a row's
+// RSS includes what earlier rows left allocated).
 //
 // Usage: bench_fig10 [--nodes 25|49|100] [--time T] [--wall-cap SECONDS]
 //                    [--outdir DIR] [--paper]
@@ -165,7 +168,8 @@ int main(int argc, char** argv) {
                 "units) ===\n",
                 nodes, side, side, static_cast<unsigned long long>(simTime));
     trace::TextTable table(
-        {"Algorithm", "Outcome", "Runtime", "States", "Memory", "Samples"});
+        {"Algorithm", "Outcome", "Runtime", "States", "Memory", "RSS",
+         "Samples"});
 
     for (const MapperKind kind :
          {MapperKind::kCob, MapperKind::kCow, MapperKind::kSds}) {
@@ -289,6 +293,7 @@ int main(int argc, char** argv) {
                     trace::formatDuration(result.wallSeconds),
                     trace::formatCount(result.states),
                     trace::formatBytes(result.memoryBytes),
+                    trace::formatBytes(result.residentBytes),
                     trace::formatCount(scenario.metrics().samples().size())});
 
       // Threads-vs-processes comparison row: the same scenario as an
@@ -308,7 +313,8 @@ int main(int argc, char** argv) {
         table.addRow({name + " fleet x" + std::to_string(options.fleet),
                       std::string(runOutcomeName(run.result.outcome)),
                       trace::formatDuration(run.result.wallSeconds),
-                      trace::formatCount(run.result.totalStates), "-", "-"});
+                      trace::formatCount(run.result.totalStates), "-", "-",
+                      "-"});
         std::filesystem::remove_all(fleetDir);
       }
     }

@@ -337,9 +337,10 @@ cmake --build build-release -j"$(nproc)"
 echo "=== release: ctest ==="
 ctest --test-dir build-release --output-on-failure -j"$(nproc)"
 
-echo "=== release: PVector/CowVec and AddressSpace model oracles ==="
+echo "=== release: PVector/CowVec, AddressSpace and register-file model oracles ==="
 ./build-release/tests/pvector_model_tests
 ./build-release/tests/memory_model_tests
+./build-release/tests/register_model_tests
 
 echo "=== release: shared query store property battery, repeated ==="
 # Concurrent writers racing on one key must publish it once: repeat the
@@ -409,11 +410,12 @@ echo "=== asan: merge-on vs merge-off differential battery ==="
 # reaps states in place — exactly where lifetime bugs would hide).
 ./build-asan/tests/merge_tests
 
-echo "=== asan: PVector/CowVec and AddressSpace model oracles ==="
-# Copies share chunks, tails, object tables and payloads: aliasing and
-# block lifetimes are exactly what ASan checks.
+echo "=== asan: PVector/CowVec, AddressSpace and register-file model oracles ==="
+# Copies share chunks, tails, object tables, payloads and register
+# files: aliasing and block lifetimes are exactly what ASan checks.
 ./build-asan/tests/pvector_model_tests
 ./build-asan/tests/memory_model_tests
+./build-asan/tests/register_model_tests
 
 echo "=== asan: memory ledger oracle battery ==="
 # Blocks bill the ledger from creation to destruction and keep it alive
@@ -451,8 +453,9 @@ echo "=== ubsan: dispatch-mode differential battery ==="
 echo "=== ubsan: test-generation differential battery ==="
 ./build-ubsan/tests/testgen_tests
 
-echo "=== ubsan: PVector/CowVec and AddressSpace model oracles ==="
+echo "=== ubsan: PVector/CowVec, AddressSpace and register-file model oracles ==="
 ./build-ubsan/tests/pvector_model_tests
 ./build-ubsan/tests/memory_model_tests
+./build-ubsan/tests/register_model_tests
 
 echo "=== verify: all green ==="

@@ -520,7 +520,7 @@ std::uint64_t Engine::loopSignature(const ExecutionState& state,
   h.u64(state.cold().mergeGuards.size());
   h.u64(state.pendingEvents.contentHash());
   h.u64(state.pendingEvents.strictRecvHash());
-  for (const expr::Ref& r : state.regs_) h.u64(r == nullptr ? 0 : r->hash());
+  for (const expr::Ref& r : state.regs()) h.u64(r == nullptr ? 0 : r->hash());
   for (const auto& [timer, seq] : state.cold().activeTimers) {
     if (timer == timerId) continue;  // its seq advances every re-arm
     h.u64(timer);

@@ -458,7 +458,7 @@ void writeState(Writer& out, const ExecutionState& state,
   out.u64(state.callStack.size());
   for (const std::size_t frame : state.callStack) out.u64(frame);
 
-  for (const expr::Ref reg : state.regs_) writeRef(out, reg);
+  for (const expr::Ref reg : state.regs()) writeRef(out, reg);
 
   out.u64(state.space.nextObjectId());
   out.u64(state.space.objects().size());
@@ -542,7 +542,13 @@ void readStateBody(
   for (std::uint64_t i = 0; i < frames; ++i)
     state.callStack.push_back(static_cast<std::size_t>(in.u64()));
 
-  for (expr::Ref& reg : state.regs_) reg = readRef(in, ctx);
+  // A state whose registers are all null gets no register block, as
+  // before it first wrote one.
+  vm::Registers regs;
+  for (expr::Ref& reg : regs) reg = readRef(in, ctx);
+  if (std::any_of(regs.begin(), regs.end(),
+                  [](expr::Ref reg) { return reg != nullptr; }))
+    state.mutableRegs() = regs;
 
   // The object table: ids strictly ascending (so none repeats) and
   // each below the allocator, which would otherwise hand it out again.

@@ -1,14 +1,26 @@
 #include "trace/metrics.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <fstream>
 
 namespace sde::trace {
+
+std::uint64_t processResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t sizePages = 0;
+  std::uint64_t residentPages = 0;
+  if (!(statm >> sizePages >> residentPages)) return 0;
+  return residentPages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
 
 Engine::Sampler MetricsRecorder::sampler() {
   return [this](const Engine& engine) {
     samples_.push_back(MetricSample{
         engine.wallSeconds(), engine.virtualNow(), engine.numStates(),
-        engine.simulatedMemoryBytes(), engine.mapper().numGroups(),
+        engine.simulatedMemoryBytes(), processResidentBytes(),
+        engine.mapper().numGroups(),
         engine.eventsProcessed(),
         engine.stats().get(support::statId<"engine.merges">()),
         engine.stats().get(support::statId<"engine.loop_summaries">())});
@@ -25,6 +37,8 @@ std::span<const MetricColumn> metricCsvSchema() {
        [](std::ostream& os, const MetricSample& s) { os << s.states; }},
       {"memory_bytes",
        [](std::ostream& os, const MetricSample& s) { os << s.memoryBytes; }},
+      {"resident_bytes",
+       [](std::ostream& os, const MetricSample& s) { os << s.residentBytes; }},
       {"groups",
        [](std::ostream& os, const MetricSample& s) { os << s.groups; }},
       {"events",

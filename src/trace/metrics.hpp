@@ -1,7 +1,7 @@
 // Metric recording for the evaluation harness: samples (wall time,
-// virtual time, state count, simulated memory, group count) over an
-// engine run — the raw series behind the paper's Figure 10 plots and
-// Table I rows.
+// virtual time, state count, simulated memory, resident memory, group
+// count) over an engine run — the raw series behind the paper's
+// Figure 10 plots and Table I rows.
 #pragma once
 
 #include <cstdint>
@@ -18,12 +18,17 @@ struct MetricSample {
   double wallSeconds = 0;
   std::uint64_t virtualTime = 0;
   std::uint64_t states = 0;
-  std::uint64_t memoryBytes = 0;
+  std::uint64_t memoryBytes = 0;    // the simulated meter
+  std::uint64_t residentBytes = 0;  // the process's real RSS (0: unknown)
   std::uint64_t groups = 0;  // dscenarios (COB) / dstates (COW, SDS)
   std::uint64_t events = 0;
   std::uint64_t merges = 0;         // engine.merges (0 unless --merge)
   std::uint64_t loopSummaries = 0;  // engine.loop_summaries
 };
+
+// The process's resident bytes now (/proc/self/statm); 0 where they
+// cannot be read.
+[[nodiscard]] std::uint64_t processResidentBytes();
 
 // The CSV row schema: one entry per emitted column, in order, rendered
 // through the shared schema-driven writer (trace/csv.hpp).

@@ -1,8 +1,8 @@
 #include "trace/scenario.hpp"
 
 #include <sys/resource.h>
-#include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -13,20 +13,13 @@ namespace sde::trace {
 
 namespace {
 
-// The process's resident bytes now (/proc/self/statm); 0 if unreadable.
-std::uint64_t residentBytes() {
-  std::ifstream statm("/proc/self/statm");
-  std::uint64_t sizePages = 0;
-  std::uint64_t residentPages = 0;
-  if (!(statm >> sizePages >> residentPages)) return 0;
-  return residentPages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
-}
-
-// The process's resident high-water mark (getrusage reports KiB).
-std::uint64_t peakResidentBytes() {
+// The process's resident high-water mark (getrusage reports KiB). The
+// kernel raises it lazily, so it can lag the resident bytes `now`; the
+// mark is never below them.
+std::uint64_t peakResidentBytes(std::uint64_t now) {
   rusage usage{};
-  if (::getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-  return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
+  if (::getrusage(RUSAGE_SELF, &usage) != 0) return now;
+  return std::max(static_cast<std::uint64_t>(usage.ru_maxrss) * 1024, now);
 }
 
 }  // namespace
@@ -62,8 +55,8 @@ ScenarioResult summarize(Engine& engine, RunOutcome outcome) {
   result.packets = engine.stats().get("engine.packets");
   result.merges = engine.stats().get("engine.merges");
   result.loopSummaries = engine.stats().get("engine.loop_summaries");
-  result.residentBytes = residentBytes();
-  result.peakResidentBytes = peakResidentBytes();
+  result.residentBytes = processResidentBytes();
+  result.peakResidentBytes = peakResidentBytes(result.residentBytes);
   obs::ScopedPhase phase(engine.profiler(), obs::Phase::kReport);
   const DuplicateReports duplicates = findDuplicates(engine.states());
   result.duplicatesStrict = duplicates.strict;

@@ -26,11 +26,10 @@ struct ScenarioResult {
   std::uint64_t peakMemoryBytes = 0;  // engine.peak_memory_bytes high-water
   // Real memory next to the simulated meter: the process's resident
   // bytes at the end of the run, before the duplicate report
-  // (/proc/self/statm), and its resident high-water mark (getrusage).
+  // (/proc/self/statm), and its resident high-water mark (getrusage, and
+  // never below the resident bytes: the kernel raises its mark lazily).
   // Both cover the whole process, so the mark of runs that share one is
-  // cumulative; the kernel keeps both counters approximately, so the
-  // mark can read a little below the resident bytes. 0 where the
-  // platform does not tell.
+  // cumulative. 0 where the platform does not tell.
   std::uint64_t residentBytes = 0;
   std::uint64_t peakResidentBytes = 0;
   std::uint64_t groups = 0;

@@ -60,7 +60,7 @@ expr::Ref applyAlu(expr::Context& ctx, Op op, expr::Ref a, expr::Ref b) {
 
 expr::Ref Interpreter::reg(ExecutionState& state, std::uint8_t index) const {
   SDE_ASSERT(index < kNumRegisters, "register out of range");
-  expr::Ref v = state.regs_[index];
+  expr::Ref v = state.regs()[index];
   return v == nullptr ? zero64() : v;
 }
 
@@ -68,7 +68,7 @@ void Interpreter::setReg(ExecutionState& state, std::uint8_t index,
                          expr::Ref value) {
   SDE_ASSERT(index < kNumRegisters, "register out of range");
   SDE_ASSERT(value->width() == 64, "registers hold 64-bit words");
-  state.regs_[index] = value;
+  state.mutableRegs()[index] = value;
 }
 
 void Interpreter::kill(ExecutionState& state, std::string_view why) {
@@ -479,7 +479,10 @@ void Interpreter::runDecoded(ExecutionState& state,
                              std::vector<ExecutionState*>& forked) {
   expr::Context& ctx = ctx_;
   const DecodedInstr* const code = decoded.code();
-  expr::Ref* const regs = state.regs_.data();
+  // The register file, ours alone for the run. A fork of `state` shares
+  // it again, so every call that hands the state to the engine — where
+  // it may be forked — takes the pointer anew.
+  expr::Ref* regs = state.mutableRegs().data();
   const std::uint64_t maxSteps = config_.maxStepsPerEvent;
   std::uint64_t steps = 0;
   std::uint64_t flushed = 0;
@@ -647,6 +650,7 @@ dispatch_top:
           flushSteps();
           state.pc = pc;  // the fork clones the branch pc, as in step()
           ExecutionState& child = sink.forkState(state);
+          regs = state.mutableRegs().data();
           // Parent takes the true edge, child the false edge.
           state.constraints.add(cond);
           child.constraints.add(ctx.logicalNot(cond));
@@ -792,6 +796,7 @@ dispatch_top:
     state.pc = pc;
     sink.onSend(state, static_cast<NodeId>(dst), state.space.read(obj, len));
     if (state.status != StateStatus::kRunning) goto done;
+    regs = state.mutableRegs().data();
     DISPATCH();
   }
 
@@ -854,6 +859,7 @@ dispatch_top:
     flushSteps();
     state.pc = pc;  // the callback observes the log pc, as in step()
     sink.onLog(state, state.program().string(d->str), rd(d->a));
+    regs = state.mutableRegs().data();
     ++pc;
     DISPATCH();
   }
@@ -1015,7 +1021,7 @@ bool Interpreter::needsGuardSplit(ExecutionState& state) const {
     return false;
   const Instr& ins = state.program().at(state.pc);
   const auto symbolic = [&](std::uint8_t index) {
-    const expr::Ref v = state.regs_[index];
+    const expr::Ref v = state.regs()[index];
     return v != nullptr && !v->isConstant();
   };
   // Conservative: any symbolic operand that is about to be concretized

@@ -133,10 +133,10 @@ bool Merger::merge(ExecutionState& s, ExecutionState& a, expr::Ref guard) {
   // --- Value merges, staged so a late decline leaves both states intact. ---
   std::size_t rewritten = 0;
   const expr::Ref zero64 = ctx_.constant(0, 64);
-  std::array<expr::Ref, kNumRegisters> regs = s.regs_;
+  Registers regs = s.regs();
   for (unsigned i = 0; i < kNumRegisters; ++i) {
-    const expr::Ref vs = s.regs_[i] != nullptr ? s.regs_[i] : zero64;
-    const expr::Ref va = a.regs_[i] != nullptr ? a.regs_[i] : zero64;
+    const expr::Ref vs = s.regs()[i] != nullptr ? s.regs()[i] : zero64;
+    const expr::Ref va = a.regs()[i] != nullptr ? a.regs()[i] : zero64;
     if (vs == va) continue;
     if (vs->width() != va->width()) return false;
     regs[i] = ctx_.ite(guard, vs, va);
@@ -237,7 +237,7 @@ bool Merger::merge(ExecutionState& s, ExecutionState& a, expr::Ref guard) {
       aGuards.end());
 
   s.constraints = mergedSet;
-  s.regs_ = regs;
+  s.mutableRegs() = regs;
   for (auto& [id, cells] : inserts) s.space.insertObject(id, std::move(cells));
   for (const StagedStore& st : stores) s.space.store(st.obj, st.index, st.value);
   s.space.setNextObjectId(
@@ -303,7 +303,7 @@ void Merger::applyLastGuard(ExecutionState& state, bool value) {
   }
   state.constraints = std::move(rebuilt);
 
-  for (expr::Ref& reg : state.regs_)
+  for (expr::Ref& reg : state.mutableRegs())
     if (reg != nullptr) reg = subst.apply(reg);
 
   // Memory: drop the losing arm's phantoms first (their cells mention

@@ -50,6 +50,19 @@ const ColdFields& ExecutionState::emptyCold() {
   return empty;
 }
 
+const Registers& ExecutionState::emptyRegs() {
+  static const Registers empty{};
+  return empty;
+}
+
+Registers& ExecutionState::mutableRegs() {
+  if (regs_ == nullptr)
+    regs_ = std::make_shared<Registers>();
+  else if (regs_.use_count() > 1)
+    regs_ = std::make_shared<Registers>(*regs_);
+  return *regs_;
+}
+
 ColdFields& ExecutionState::mutableCold() {
   if (cold_ == nullptr)
     cold_ = std::make_shared<ColdFields>();
@@ -60,7 +73,7 @@ ColdFields& ExecutionState::mutableCold() {
 
 std::unique_ptr<ExecutionState> ExecutionState::fork(StateId newId) const {
   auto clone = std::make_unique<ExecutionState>(newId, node_, *program_);
-  clone->regs_ = regs_;
+  clone->regs_ = regs_;                  // CoW-shared register file
   clone->pc = pc;
   clone->callStack = callStack;
   clone->space = space;                  // CoW-shared object table
@@ -137,7 +150,7 @@ std::uint64_t ExecutionState::configHash() const {
   support::Hasher h;
   h.u64(node_).u64(pc).u64(static_cast<std::uint64_t>(status)).u64(clock);
   for (const std::size_t ret : callStack) h.u64(ret);
-  for (const expr::Ref& reg : regs_) h.u64(reg == nullptr ? 0 : reg->hash());
+  for (const expr::Ref& reg : regs()) h.u64(reg == nullptr ? 0 : reg->hash());
   h.u64(space.contentHash());
   h.u64(constraints.setHash());
   // Pending events: an order-independent multiset fingerprint maintained

@@ -4,8 +4,10 @@
 // communication conflict (remotely), and it carries the communication
 // history used to define conflicts (paper §II-B).
 //
-// A fork copies the registers, the call stack and the scalars, and
-// shares everything else copy-on-write until one side writes it:
+// A fork copies the call stack and the scalars, and shares everything
+// else copy-on-write until one side writes it:
+//  * the register file, one block of kNumRegisters values (read with
+//    regs(), written through mutableRegs());
 //  * the memory object table and its payloads (vm::AddressSpace);
 //  * the constraint set, communication history, decision log and
 //    symbolic-input list, persistent chunked sequences
@@ -289,9 +291,13 @@ struct ColdFields {
   std::vector<MergeGuard> mergeGuards;
 };
 
+// The register file: one value per register, null for a register no
+// instruction has written (the interpreter reads it as zero).
+using Registers = std::array<expr::Ref, kNumRegisters>;
+
 // What the memory meter bills for the state object itself, whatever its
 // layout: the object's size before forks shared their object tables,
-// sequence tails and cold fields. A fixed price keeps the paper-model
+// sequence tails, cold fields and register files. A fixed price keeps the paper-model
 // RAM independent of the struct's layout and the standard library
 // (DESIGN §14); the object may not outgrow it.
 inline constexpr std::uint64_t kStateObjectBytes = 800;
@@ -299,14 +305,12 @@ inline constexpr std::uint64_t kStateObjectBytes = 800;
 class ExecutionState {
  public:
   ExecutionState(StateId id, NodeId node, const Program& program)
-      : id_(id), node_(node), program_(&program) {
-    regs_.fill(nullptr);
-  }
+      : id_(id), node_(node), program_(&program) {}
 
-  // Forks this state: the clone copies registers, the call stack and
-  // scalars, and shares the object table, the histories' chunks and
-  // tails, the event queue and the cold fields copy-on-write — O(1) in
-  // every size. The caller (engine) assigns the new id.
+  // Forks this state: the clone copies the call stack and scalars, and
+  // shares the register file, the object table, the histories' chunks
+  // and tails, the event queue and the cold fields copy-on-write — O(1)
+  // in every size. The caller (engine) assigns the new id.
   [[nodiscard]] std::unique_ptr<ExecutionState> fork(StateId newId) const;
 
   // --- Identity ------------------------------------------------------------
@@ -315,7 +319,14 @@ class ExecutionState {
   [[nodiscard]] const Program& program() const { return *program_; }
 
   // --- Execution context ----------------------------------------------------
-  std::array<expr::Ref, kNumRegisters> regs_;
+  // The register file, shared with the states forked from this one.
+  [[nodiscard]] const Registers& regs() const {
+    return regs_ == nullptr ? emptyRegs() : *regs_;
+  }
+  // The register file, ours alone: cloned first if another state shares
+  // it. Call it only to write; a fork of this state shares the file
+  // again, so a writer keeps no reference across one.
+  Registers& mutableRegs();
   std::size_t pc = 0;
   std::vector<std::size_t> callStack;
   AddressSpace space;
@@ -432,10 +443,12 @@ class ExecutionState {
 
  private:
   static const ColdFields& emptyCold();
+  static const Registers& emptyRegs();
 
   StateId id_;
   NodeId node_;
   const Program* program_;
+  std::shared_ptr<Registers> regs_;   // null = every register null
   std::shared_ptr<ColdFields> cold_;  // null = all cold fields empty
 };
 

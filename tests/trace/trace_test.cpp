@@ -88,6 +88,45 @@ TEST(Metrics, CsvHasHeaderAndRows) {
   EXPECT_NE(text.find("SDS,"), std::string::npos);
 }
 
+// Real RAM next to the simulated meter: every sample carries the
+// process's resident bytes, in the CSV's column right after the
+// simulated memory.
+TEST(Metrics, SamplesCarryTheResidentBytes) {
+  CollectScenarioConfig config;
+  config.gridWidth = 2;
+  config.gridHeight = 2;
+  config.simulationTime = 2000;
+  CollectScenario scenario(config);
+  scenario.run();
+
+  std::ostringstream os;
+  scenario.metrics().writeCsv(os, "SDS");
+  EXPECT_EQ(os.str().rfind("series,wall_s,virtual_t,states,memory_bytes,"
+                           "resident_bytes,",
+                           0),
+            0u);
+  ASSERT_FALSE(scenario.metrics().samples().empty());
+#ifdef __linux__
+  for (const MetricSample& sample : scenario.metrics().samples())
+    EXPECT_GT(sample.residentBytes, 0u);
+#endif
+}
+
+// The kernel raises the resident high-water mark lazily; a summary's
+// peak must still never read below its own resident bytes.
+TEST(Metrics, SummaryPeakIsNeverBelowTheResidentBytes) {
+  CollectScenarioConfig config;
+  config.gridWidth = 2;
+  config.gridHeight = 2;
+  config.simulationTime = 2000;
+  CollectScenario scenario(config);
+  const ScenarioResult result = scenario.run();
+  EXPECT_GE(result.peakResidentBytes, result.residentBytes);
+#ifdef __linux__
+  EXPECT_GT(result.residentBytes, 0u);
+#endif
+}
+
 // Regression: the CSV header used to be a hand-maintained literal that
 // silently went stale when sample fields were added — rows grew columns
 // the header didn't name. Header and rows must both follow
@@ -191,6 +230,23 @@ TEST(Stitch, SingleSeriesPassesThroughInRecordedOrder) {
     EXPECT_EQ(stitched[i].events, one[0][i].events) << i;
     EXPECT_EQ(stitched[i].states, one[0][i].states) << i;
   }
+}
+
+TEST(Stitch, SamplesKeepTheirResidentBytes) {
+  // Each worker samples its own process's RSS; the timeline keeps every
+  // sample's value rather than summing or re-reading it.
+  std::vector<std::vector<MetricSample>> series{
+      {sample(100, 7, 11), sample(300, 9, 33)},
+      {sample(200, 8, 22)},
+  };
+  series[0][0].residentBytes = 1000;
+  series[0][1].residentBytes = 3000;
+  series[1][0].residentBytes = 2000;
+  const std::vector<MetricSample> stitched = stitchSamples(series);
+  ASSERT_EQ(stitched.size(), 3u);
+  EXPECT_EQ(stitched[0].residentBytes, 1000u);
+  EXPECT_EQ(stitched[1].residentBytes, 2000u);
+  EXPECT_EQ(stitched[2].residentBytes, 3000u);
 }
 
 TEST(Stitch, DuplicateVirtualTimesBreakTiesByEventsThenSeriesIndex) {

@@ -514,5 +514,64 @@ TEST_F(InterpTest, InstructionCountTracked) {
   EXPECT_EQ(s->executedInstructions, 3u);
 }
 
+// A branch fork leaves both sides holding one register file; whichever
+// writes first clones it. The fused path writes through a pointer into
+// the file, so it must take the pointer anew after the fork, or the
+// parent's writes land in the file its child still holds.
+class ForkRegistersTest : public ::testing::TestWithParam<DispatchMode> {};
+
+TEST_P(ForkRegistersTest, EachSideOfABranchKeepsItsOwnRegisters) {
+  IRBuilder b("sides");
+  b.setGlobals(1);
+  b.beginEntry(Entry::kInit);
+  auto yes = b.newLabel();
+  auto no = b.newLabel();
+  b.makeSymbolic(Reg(1), "flag", 1);
+  b.constant(Reg(5), 5);
+  b.branch(Reg(1), yes, no);
+  b.bind(yes);  // the parent's side, run first
+  b.constant(Reg(2), 1);
+  b.constant(Reg(5), 55);
+  b.storeGlobal(Reg(5), 0);
+  b.halt();
+  b.bind(no);  // the child's side: r5 still holds 5
+  b.constant(Reg(2), 2);
+  b.storeGlobal(Reg(5), 0);
+  b.constant(Reg(6), 66);
+  b.halt();
+  const Program p = b.finish();
+
+  expr::Context ctx;
+  solver::Solver solver(ctx);
+  InterpConfig config;
+  config.dispatch = GetParam();
+  config.opcodeTiming = false;
+  Interpreter interp(ctx, solver, config);
+  ExecutionState parent(1, 1, p);
+  parent.space.initGlobals(ctx, p.globalsSize());
+  TestSink sink(100);
+  interp.runEvent(parent, Entry::kInit, {}, sink);
+  ASSERT_EQ(sink.owned.size(), 1u);
+  const ExecutionState& child = *sink.owned[0];
+
+  EXPECT_NE(&parent.regs(), &child.regs());
+  EXPECT_EQ(parent.regs()[1], child.regs()[1]);
+  EXPECT_EQ(parent.regs()[2], ctx.constant(1, 64));
+  EXPECT_EQ(parent.regs()[5], ctx.constant(55, 64));
+  EXPECT_EQ(parent.regs()[6], nullptr);
+  EXPECT_EQ(parent.space.load(kGlobalsObject, 0), ctx.constant(55, 64));
+  EXPECT_EQ(child.regs()[2], ctx.constant(2, 64));
+  EXPECT_EQ(child.regs()[5], ctx.constant(5, 64));
+  EXPECT_EQ(child.regs()[6], ctx.constant(66, 64));
+  EXPECT_EQ(child.space.load(kGlobalsObject, 0), ctx.constant(5, 64));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Dispatch, ForkRegistersTest,
+    ::testing::Values(DispatchMode::kSwitch, DispatchMode::kFused),
+    [](const ::testing::TestParamInfo<DispatchMode>& info) {
+      return std::string(dispatchModeName(info.param));
+    });
+
 }  // namespace
 }  // namespace sde::vm

@@ -77,6 +77,12 @@ TEST_F(StateTest, ForkSharesTablesAndColdFieldsUntilOneSideWrites) {
   EXPECT_EQ(clone->constraints.size(), 2u);
 }
 
+// The object a fork allocates: registers, object table, tails and cold
+// fields are blocks it shares, not parts of it (libstdc++ on LP64).
+TEST_F(StateTest, TheStateObjectIs360Bytes) {
+  EXPECT_EQ(sizeof(ExecutionState), 360u);
+}
+
 // The meter bills the state object a fixed kStateObjectBytes (800 B),
 // whatever sizeof says, plus its shape terms; a fork pays the same for
 // the fields and tails it shares.
@@ -151,7 +157,7 @@ TEST_F(StateTest, HashCoversStatusClockAndFailure) {
 TEST_F(StateTest, HashCoversRegistersAndConstraints) {
   ExecutionState a = makeState();
   const auto base = a.configHash();
-  a.regs_[5] = ctx.constant(1, 64);
+  a.mutableRegs()[5] = ctx.constant(1, 64);
   const auto withReg = a.configHash();
   EXPECT_NE(withReg, base);
   a.constraints.add(ctx.variable("x", 1));
